@@ -4,7 +4,10 @@ Verbs: tutte, char, coboundary, invariants, poset, family, arith, toric,
 multivariate, check.  Output is deterministic: polynomials print in graded
 lexicographic order, highest term first.  Exit code 1 signals a parse or
 input-format problem, 2 a computation error (bad prime, non-central query,
-exceeded budget); either prints a one-line machine-readable `error:` record.
+exceeded budget, bad family parameters, a method that does not apply); either
+prints a one-line machine-readable `error:` record.  Without `--method`,
+`tutte` and `coboundary` use the subset expansion for n <= 10 and the
+flat-lattice coboundary above that.
 """
 
 import argparse
@@ -27,6 +30,7 @@ from .errors import InputFormatError, TuttekitError
 from .finite_field import DEFAULT_BUDGET, coboundary_ffm, point_profile, select_primes
 from .poset import intersection_poset
 from .tutte import (
+    TutteResult,
     char_poly,
     coboundary_transform,
     scalar_invariants,
@@ -101,30 +105,41 @@ def _emit_poly(poly, args, extra=None):
         print(poly.format())
 
 
-def _tutte_by_method(arr, args):
+def _method(arr, args):
+    """The engine to run: `auto` is subset for n <= 10, else the flat lattice."""
     method = getattr(args, "method", "auto") or "auto"
     if method == "auto":
-        method = "subset" if arr.n <= 10 else "finite-field"
+        method = "subset" if arr.n <= 10 else "lattice"
+    return method
+
+
+def _tutte_by_method(arr, args):
+    method = _method(arr, args)
     if method == "subset":
         return tutte_subset(arr)
     if method == "delcon":
         return tutte_delcon(arr, memoize=True)
     if method == "activity":
         return tutte_activity(arr)[0]
-    if method == "finite-field":
-        cob = _coboundary_by_ffm(arr, args)
+    if method in ("finite-field", "lattice"):
         r = arr.rank
-        tut = tutte_from_coboundary(cob, r)
-        from .tutte import TutteResult
-        return TutteResult(tut, r, arr.n, "finite-field")
+        tut = tutte_from_coboundary(_coboundary(arr, args, method), r)
+        return TutteResult(tut, r, arr.n, method)
     raise InputFormatError("unknown method %r" % method)
 
 
-def _coboundary_by_ffm(arr, args):
+def _coboundary(arr, args, method):
+    """Coboundary polynomial by the finite field method or the flat lattice."""
+    if method == "lattice":
+        return intersection_poset(arr, budget=_budget(args)).coboundary()
     primes = None
     spec = getattr(args, "primes", None)
     if spec and spec != "auto":
-        primes = [int(p) for p in spec.split(",")]
+        try:
+            primes = [int(p) for p in spec.split(",")]
+        except ValueError:
+            raise InputFormatError("--primes must be 'auto' or comma-separated "
+                                   "integers, got %r" % spec)
     reduction = getattr(args, "reduction", None) or "auto"
     return coboundary_ffm(arr, primes=primes, reduction=reduction,
                           budget=_budget(args))
@@ -193,12 +208,12 @@ def _run_action(action, arr, args):
                    {"method": result.engine, "rank": result.rank,
                     "n": result.n_hyperplanes, "dim": arr.dim})
     elif action == "char":
-        chi = char_poly(arr)
+        chi = char_poly(arr, budget=_budget(args))
         _emit_poly(chi, args, {"rank": arr.rank, "n": arr.n, "dim": arr.dim})
     elif action == "coboundary":
-        method = getattr(args, "method", "auto") or "auto"
-        if method == "finite-field" or (method == "auto" and arr.n > 10):
-            cob = _coboundary_by_ffm(arr, args)
+        method = _method(arr, args)
+        if method in ("finite-field", "lattice"):
+            cob = _coboundary(arr, args, method)
         else:
             cob = coboundary_transform(tutte_subset(arr).tutte, arr.rank)
         _emit_poly(cob, args, {"rank": arr.rank, "n": arr.n, "dim": arr.dim})
@@ -219,7 +234,7 @@ def _run_action(action, arr, args):
             for key in sorted(record):
                 print("%s = %s" % (key, record[key]))
     elif action == "poset":
-        poset = intersection_poset(arr)
+        poset = intersection_poset(arr, budget=_budget(args))
         poset.verify_mobius()
         fmt = getattr(args, "format", "text")
         rows = [{"hyperplanes": sorted(f.hyperplane_set), "rank": f.rank,
@@ -254,7 +269,9 @@ def _run_check(arr, args):
     t_act = tutte_activity(arr)[0].tutte
     report("engine-agreement subset/delcon", t_sub == t_dc)
     report("engine-agreement subset/activity", t_sub == t_act)
-    poset = intersection_poset(arr)
+    poset = intersection_poset(arr, budget=_budget(args))
+    cob = coboundary_transform(t_sub, arr.rank)
+    report("engine-agreement subset/lattice", poset.coboundary() == cob)
     try:
         poset.verify_mobius()
         report("mobius-recursion", True)
@@ -264,7 +281,6 @@ def _run_check(arr, args):
     report("whitney-theorem", chi == whitney_char(arr, tutte=t_sub))
     shape = validate_chi_shape(chi)
     report("chi-sign-and-logconcavity", shape["ok"])
-    cob = coboundary_transform(t_sub, arr.rank)
     report("coboundary-roundtrip",
            tutte_from_coboundary(cob, arr.rank) == t_sub)
     if arr.prime is None:
@@ -283,17 +299,14 @@ def _run_check(arr, args):
 
 
 def _family_arrangement(args):
+    edges = None
     if args.tag == "graphical":
         if not args.graph:
             raise InputFormatError("graphical family needs --graph edges.txt")
         edges = _load_edges(args.graph)
-        if not args.n:
-            raise InputFormatError("graphical family needs --n vertices")
-        arr = families.graphical(args.n, edges)
-    else:
-        arr = families.build_family(args.tag, n=args.n, p=args.p,
-                                    d=args.d, m=args.m)
-    if args.k:
+    arr = families.build_family(args.tag, n=args.n, p=args.p, d=args.d,
+                                m=args.m, edges=edges)
+    if args.k is not None:
         arr = families.thicken(arr, args.k)
     return arr
 

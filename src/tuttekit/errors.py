@@ -63,6 +63,12 @@ class FamilyError(TuttekitError):
     code = "family-error"
 
 
+class MethodError(TuttekitError, ValueError):
+    """The chosen method cannot run on this input with these parameters."""
+
+    code = "bad-method"
+
+
 class InputFormatError(TuttekitError):
     """Malformed arrangement, vector-configuration, or graph file."""
 

@@ -190,8 +190,26 @@ def thicken(arrangement, k):
     return Arrangement(arrangement.dim, hs, prime=arrangement.prime)
 
 
+# the size parameters of each tag; every one must be an integer >= 1
+_FAMILY_PARAMS = {"coordinate": ("n",), "braid": ("n",), "graphical": ("n",),
+                  "bc": ("n",), "dn": ("n",), "generic": ("n", "d"),
+                  "catalan": ("n",), "shi": ("n",), "threshold": ("n",),
+                  "all_linear": ("p", "n"), "bipartite": ("m", "n")}
+
+
 def build_family(tag, n=None, p=None, k=None, d=None, edges=None, m=None):
-    """Dispatch a family tag and its parameters to the right constructor."""
+    """Dispatch a family tag and its parameters to the right constructor.
+
+    Raises FamilyError for an unknown tag or a missing or nonpositive size.
+    """
+    if tag not in _FAMILY_PARAMS:
+        raise FamilyError("unknown family tag %r" % tag)
+    given = {"n": n, "p": p, "d": d, "m": m}
+    for name in _FAMILY_PARAMS[tag]:
+        value = given[name]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise FamilyError("family %r needs an integer --%s >= 1, got %r"
+                              % (tag, name, value))
     if tag == "coordinate":
         return coordinate(n)
     if tag == "braid":
@@ -212,9 +230,7 @@ def build_family(tag, n=None, p=None, k=None, d=None, edges=None, m=None):
         return threshold(n)
     if tag == "all_linear":
         return all_linear(p, n)
-    if tag == "bipartite":
-        return complete_bipartite(m, n)
-    raise FamilyError("unknown family tag %r" % tag)
+    return complete_bipartite(m, n)  # the last tag left: "bipartite"
 
 
 # -- closed-form characteristic polynomials --------------------------------

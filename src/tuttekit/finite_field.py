@@ -19,7 +19,12 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import BadPrimeError, BudgetExceededError, InconsistentSamplesError
+from .errors import (
+    BadPrimeError,
+    BudgetExceededError,
+    InconsistentSamplesError,
+    MethodError,
+)
 from .interpolation import interpolate_in_X
 from .multipoly import MultiPoly
 
@@ -217,26 +222,28 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
     """
     d = arrangement.dim
     floor = hadamard_prime_floor(arrangement)
+    small = len(arrangement.nonloops()) <= 14
+    # Primes are only searched for below budget^(1/d), where trial division
+    # is cheap: a floor of 1e17 would otherwise cost seconds to step over.
+    fits = (floor + 1) ** d <= budget
     if reduction == "auto":
-        first = next(_primes_from(floor + 1))
-        if first ** d > budget and len(arrangement.nonloops()) <= 14:
-            reduction = "verified"
-        else:
-            reduction = "bound"
+        cheap = fits and next(_primes_from(floor + 1)) ** d <= budget
+        reduction = "bound" if cheap or not small else "verified"
     out = []
     if reduction == "bound":
-        for p in _primes_from(floor + 1):
-            if p ** d > budget:
-                # larger primes only get worse; fill the remaining slots
-                # with small verified primes if the arrangement is small
-                if len(arrangement.nonloops()) > 14:
-                    raise BudgetExceededError(
-                        "no certified prime fits the enumeration budget",
-                        required=p ** d)
-                break
-            out.append(reduce_mod_p(arrangement, p, "bound-certified"))
-            if len(out) == count:
-                return out
+        p = floor + 1
+        if fits:
+            for p in _primes_from(p):
+                if p ** d > budget:
+                    break
+                out.append(reduce_mod_p(arrangement, p, "bound-certified"))
+                if len(out) == count:
+                    return out
+        # p^d exceeds the budget and larger primes only get worse; fill the
+        # remaining slots with small verified primes if the arrangement is small
+        if not small:
+            raise BudgetExceededError(
+                "no certified prime fits the enumeration budget", required=p ** d)
         reduction = "verified"
     if reduction == "verified":
         taken = {m.prime for m in out}
@@ -266,16 +273,17 @@ def coboundary_ffm(arrangement, primes=None, reduction="auto",
     was wrong.
     """
     if arrangement.prime is not None:
-        raise ValueError("finite field method applies to Q-arrangements")
+        raise MethodError("finite field method applies to Q-arrangements")
     d = arrangement.dim
     r = arrangement.rank
     if primes is None:
         mods = select_primes(arrangement, r + 2, reduction, budget)
     else:
+        if len(primes) < r + 1:
+            raise MethodError("need at least r+1 = %d primes, got %d"
+                              % (r + 1, len(primes)))
         mode = "verified" if reduction in ("auto", "verified") else "bound-certified"
         mods = [reduce_mod_p(arrangement, p, mode) for p in primes]
-        if len(mods) < r + 1:
-            raise ValueError("need at least r+1 = %d primes" % (r + 1))
     samples = []
     for modarr in mods:
         profile = point_profile(modarr, budget=budget)

@@ -4,10 +4,37 @@ Ranks over the rationals are computed by fraction-free Bareiss elimination on
 integer rows (denominators are cleared per row), which keeps intermediate
 entries as true minors and controls coefficient growth.  Ranks over a prime
 field use plain Gaussian elimination mod p.
+
+The echelon kernel (`normalise_row`, `reduce_row`, `extend_basis`) keeps a
+reduced echelon basis of integer rows over Q, or of rows mod p with pivot
+entry 1 over F_p, and reduces further rows against it one at a time.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+
+def normalise_row(row, prime=None):
+    """The canonical nonzero scalar multiple of an integer row, as a tuple.
+
+    Over Q (prime=None) the result is primitive with first nonzero entry
+    positive; over F_p its entries lie in [0, p) and the first nonzero one
+    is 1.  The zero row maps to itself.
+    """
+    if prime is not None:
+        row = [x % prime for x in row]
+        lead = next((x for x in row if x), 1)
+        inv = pow(lead, -1, prime)
+        return tuple(x * inv % prime for x in row)
+    g = gcd(*row)
+    for x in row:
+        if x:
+            if x < 0:
+                g = -g
+            break
+    if g in (0, 1):
+        return tuple(row)
+    return tuple([x // g for x in row])
 
 
 def clear_row(row):
@@ -16,21 +43,46 @@ def clear_row(row):
     Returns a tuple of ints; the zero row maps to itself.
     """
     fracs = [Fraction(x) for x in row]
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    denom = lcm(*[x.denominator for x in fracs])
+    return normalise_row([x.numerator * (denom // x.denominator) for x in fracs])
+
+
+def _eliminate(v, b, c, prime):
+    """v minus a multiple of b (scaled by b[c]) with a zero in column c."""
+    a, bc = v[c], b[c]
+    out = [bc * x - a * y for x, y in zip(v, b)]
+    return out if prime is None else [x % prime for x in out]
+
+
+def reduce_row(row, basis, prime=None):
+    """Remainder of an integer row modulo the span of a reduced echelon basis.
+
+    basis is a list of (pivot column, row) in which every row is zero at the
+    other rows' pivots, as kept by `extend_basis`.  The remainder is zero at
+    every pivot column, so two rows have remainders that are scalar multiples
+    of each other exactly when some combination of them lies in the span.
+    """
+    v = list(row)
+    for c, b in basis:
+        if v[c]:
+            v = _eliminate(v, b, c, prime)
+    return v
+
+
+def extend_basis(basis, row, prime=None):
+    """The reduced echelon basis of span(basis) + row, as a new list.
+
+    row must be a nonzero remainder of `reduce_row` against basis, already
+    normalised with `normalise_row`; its first nonzero column is the new pivot.
+    """
+    c = next(i for i, x in enumerate(row) if x)
+    out = []
+    for pc, b in basis:
+        if b[c]:
+            b = normalise_row(_eliminate(b, row, c, prime), prime)
+        out.append((pc, b))
+    out.append((c, tuple(row)))
+    return out
 
 
 def rank_int(rows):

@@ -2,13 +2,16 @@
 
 Three structural algorithms compute the same polynomial: the subset
 expansion, deletion-contraction, and the basis-activity expansion.  The
-fourth route, the finite field method, lives in `finite_field`.  All engines
-agree exactly; the test suite asserts this on randomized arrangements.
+fourth route, the finite field method, lives in `finite_field`, and the
+flat-lattice coboundary (`IntersectionPoset.coboundary`) in `poset`.  All
+engines agree exactly; the test suite asserts this on randomized
+arrangements.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from .finite_field import DEFAULT_BUDGET
 from .multipoly import MultiPoly
 from .poset import intersection_poset
 
@@ -149,7 +152,7 @@ def tutte_activity(arrangement, order=None):
     return TutteResult(cert.polynomial(), r, n, "activity"), cert
 
 
-def char_poly(arrangement, var="q", check_whitney=None):
+def char_poly(arrangement, var="q", check_whitney=None, budget=DEFAULT_BUDGET):
     """Characteristic polynomial via the Möbius-weighted sum over flats.
 
     A degenerate loop hyperplane covers the whole space, so an arrangement
@@ -157,12 +160,13 @@ def char_poly(arrangement, var="q", check_whitney=None):
     sum does not see this; the Whitney route does).
 
     When check_whitney is true (default for n <= 10), the Whitney route
-    (-1)^r q^(d-r) T(1-q, 0) is also computed and asserted equal.
+    (-1)^r q^(d-r) T(1-q, 0) is also computed and asserted equal.  The
+    budget bounds the intersection poset (see `intersection_poset`).
     """
     if arrangement.loops():
         chi = MultiPoly.zero()
     else:
-        poset = intersection_poset(arrangement)
+        poset = intersection_poset(arrangement, budget=budget)
         chi = poset.char_poly(var)
     if check_whitney is None:
         check_whitney = arrangement.n <= 10

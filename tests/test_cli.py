@@ -1,9 +1,13 @@
 import json
+import random
 
 import pytest
 
+from tuttekit import finite_field
 from tuttekit.arrangement import Arrangement
 from tuttekit.cli import main
+from tuttekit.finite_field import DEFAULT_BUDGET
+from tuttekit.families import oracle_coboundary
 
 
 @pytest.fixture
@@ -90,6 +94,7 @@ def test_check_verb(capsys, bench_file):
     code, out, _ = run(capsys, ["check", "--input", bench_file])
     assert code == 0
     assert "FAIL" not in out and "ok   engine-agreement subset/delcon" in out
+    assert "ok   engine-agreement subset/lattice" in out
 
 
 def test_arith_verbs(capsys, vec_file):
@@ -162,3 +167,92 @@ def test_byte_identical_runs(capsys, bench_file):
         _, out, _ = run(capsys, ["coboundary", "--input", bench_file])
         outs.add(out)
     assert len(outs) == 1
+
+
+def _one_error_line(err, code):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: %s: " % code)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["family", "all_linear", "--p", "2", "--n", "3", "tutte",
+      "--method", "finite-field"], "bad-method"),
+    (["family", "braid", "char"], "family-error"),
+    (["family", "braid", "--n", "-1", "char"], "family-error"),
+    (["family", "braid", "--n", "4", "poset", "--budget", "100"],
+     "budget-exceeded"),
+    (["family", "braid", "--n", "3", "--k", "0", "tutte"], "family-error"),
+    (["family", "graphical", "--n", "-1", "--graph", "EDGES", "char"],
+     "family-error"),
+])
+def test_bad_requests_exit_2_with_one_line(capsys, tmp_path, argv, code):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("1 2\n")
+    argv = [str(edges) if a == "EDGES" else a for a in argv]
+    exit_code, out, err = run(capsys, argv)
+    assert exit_code == 2 and out == "" and _one_error_line(err, code)
+
+
+def test_too_few_primes_exit_2_with_one_line(capsys, bench_file):
+    code, _, err = run(capsys, ["coboundary", "--input", bench_file,
+                                "--method", "finite-field", "--primes", "101"])
+    assert code == 2 and _one_error_line(err, "bad-method")
+    code, _, err = run(capsys, ["coboundary", "--input", bench_file,
+                                "--method", "finite-field", "--primes", "7,x"])
+    assert code == 1 and _one_error_line(err, "input-format")
+
+
+def _structured_terms(out):
+    return sorted((c, sorted(m.items())) for c, m in json.loads(out)["polynomial"])
+
+
+def test_auto_uses_the_lattice_above_ten_hyperplanes(capsys, tmp_path):
+    # n = 11, d = 4, entries in [-2, 2]: the finite field method finds no
+    # verified primes within the default budget for this input
+    rng = random.Random(3)
+    hs = []
+    while len(hs) < 11:
+        normal = [rng.randint(-2, 2) for _ in range(4)]
+        if any(normal):
+            hs.append((normal, rng.randint(-2, 2)))
+    path = tmp_path / "affine11.json"
+    path.write_text(Arrangement(4, hs).to_json())
+    for verb in ("tutte", "coboundary"):
+        code, out, _ = run(capsys, [verb, "--input", str(path)])
+        assert code == 0
+        assert run(capsys, [verb, "--input", str(path),
+                            "--method", "subset"])[1] == out
+    code, out, _ = run(capsys, ["tutte", "--input", str(path),
+                                "--format", "structured"])
+    assert json.loads(out)["method"] == "lattice"
+
+
+def test_auto_lattice_over_prime_field(capsys):
+    argv = ["family", "all_linear", "--p", "3", "--n", "3", "tutte"]   # n = 13
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert run(capsys, argv + ["--method", "subset"])[1] == out
+
+
+def test_braid6_coboundary_matches_generating_function(capsys):
+    code, out, _ = run(capsys, ["family", "braid", "--n", "6", "coboundary",
+                                "--format", "structured"])
+    assert code == 0
+    want = oracle_coboundary("braid", 6).term_list()
+    assert _structured_terms(out) == sorted((c, sorted(m.items())) for c, m in want)
+
+
+def test_finite_field_skips_prime_search_above_budget(capsys, monkeypatch):
+    # generic(8,5) has a Hadamard floor near 1.9e17: no certified prime can
+    # fit the budget, so small verified primes are used without a search
+    search = finite_field._primes_from
+
+    def bounded_search(start):
+        assert start ** 5 <= DEFAULT_BUDGET, "searched above the budget"
+        return search(start)
+
+    monkeypatch.setattr(finite_field, "_primes_from", bounded_search)
+    argv = ["family", "generic", "--n", "8", "--d", "5", "tutte"]
+    code, out, _ = run(capsys, argv + ["--method", "finite-field"])
+    assert code == 0
+    assert run(capsys, argv + ["--method", "subset"])[1] == out

@@ -5,7 +5,9 @@ import pytest
 from conftest import random_arrangement
 from tuttekit.arrangement import Arrangement
 from tuttekit.errors import BadPrimeError, BudgetExceededError
+from tuttekit.families import generic
 from tuttekit.finite_field import (
+    DEFAULT_BUDGET,
     coboundary_ffm,
     hadamard_prime_floor,
     point_profile,
@@ -91,6 +93,16 @@ def test_budget(bench):
     assert err.value.required == 11 ** 3
     with pytest.raises(BudgetExceededError):
         point_profile_partitioned(modarr, 2, budget=100)
+
+
+def test_no_certified_prime_fits_large_arrangement():
+    # 15 hyperplanes are too many for verified reduction, and the Hadamard
+    # floor puts every certified prime far above budget^(1/d)
+    arr = generic(15, 5)
+    with pytest.raises(BudgetExceededError) as err:
+        select_primes(arr, 7)
+    assert err.value.required == (hadamard_prime_floor(arr) + 1) ** 5
+    assert err.value.required > DEFAULT_BUDGET
 
 
 def test_coboundary_ffm_matches_transform(bench):

@@ -1,10 +1,15 @@
 import random
+from itertools import combinations
+
+import pytest
 
 from conftest import random_arrangement
 from tuttekit.arrangement import Arrangement
-from tuttekit.families import braid
+from tuttekit.errors import BudgetExceededError, NonCentralError
+from tuttekit.families import all_linear, braid, thicken
 from tuttekit.multipoly import MultiPoly
 from tuttekit.poset import closure, intersection_poset
+from tuttekit.tutte import coboundary_transform, tutte_subset
 
 q = MultiPoly.variable("q")
 
@@ -57,3 +62,74 @@ def test_mobius_recursion_random():
         arr = random_arrangement(rng, max_n=6, max_d=3)
         poset = intersection_poset(arr)
         poset.verify_mobius()
+
+
+def test_closure_of_noncentral_subset_raises():
+    arr = Arrangement(1, [([1], 0), ([1], 1)])
+    with pytest.raises(NonCentralError):
+        closure(arr, frozenset({0, 1}))
+
+
+def _reference_flats(arr):
+    """Closures of all central subsets by exact ranks, with brute-force mu."""
+    nl = arr.nonloops()
+    closed = {}
+    for size in range(len(nl) + 1):
+        for combo in combinations(nl, size):
+            if not arr.is_central(combo):
+                continue
+            rank = arr.rank_normals(combo)
+            fset = set(arr.loops()) | set(combo)
+            fset |= {j for j in nl if arr.is_central(fset | {j})
+                     and arr.rank_normals(fset | {j}) == rank}
+            closed[frozenset(combo)] = frozenset(fset)
+    flats = sorted(set(closed.values()), key=lambda f: (arr.rank_normals(f), sorted(f)))
+    mu = {}
+    for g in flats:
+        mu[g] = 1 if g == flats[0] else -sum(mu[f] for f in flats if f < g)
+    return closed, flats, mu
+
+
+def _random_prime_arrangement(rng):
+    p = rng.choice((2, 3, 5))
+    d = rng.randint(1, 3)
+    hs = []
+    for _ in range(rng.randint(0, 7)):
+        normal = [rng.randrange(p) for _ in range(d)]
+        hs.append((normal, rng.randrange(p) if any(normal) else 0))
+    return Arrangement(d, hs, prime=p)
+
+
+def _kernel_cases():
+    rng = random.Random(41)
+    cases = [all_linear(2, 3), all_linear(3, 2), thicken(braid(4), 2)]
+    for _ in range(30):
+        cases.append(random_arrangement(rng, max_n=7, max_d=4))
+    for _ in range(6):
+        cases.append(thicken(random_arrangement(rng, max_n=4, max_d=3), 2))
+    for _ in range(20):
+        cases.append(_random_prime_arrangement(rng))
+    return cases
+
+
+@pytest.mark.parametrize("arr", _kernel_cases(), ids=repr)
+def test_kernel_matches_brute_force(arr):
+    closed, flats, mu = _reference_flats(arr)
+    poset = intersection_poset(arr)
+    assert [f.hyperplane_set for f in poset.flats] == flats
+    assert all(f.rank == arr.rank_normals(f.hyperplane_set) for f in poset.flats)
+    assert poset.mobius == mu
+    poset.verify_mobius()
+    for subset, want in closed.items():
+        assert closure(arr, subset) == want
+    # the flat-lattice coboundary prints exactly as the subset route does
+    cob = poset.coboundary()
+    want = coboundary_transform(tutte_subset(arr).tutte, arr.rank)
+    assert cob == want and cob.format() == want.format()
+
+
+def test_poset_budget():
+    with pytest.raises(BudgetExceededError) as err:
+        intersection_poset(braid(4), budget=100)   # 15 flats
+    assert err.value.required > 100
+    assert len(intersection_poset(braid(4), budget=225).flats) == 15
