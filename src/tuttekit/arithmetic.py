@@ -10,11 +10,12 @@ full-rank minors (the reference route) and through elementary divisors
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 
 from .errors import InputFormatError, TuttekitError
-from .linalg import rank_int
+from .linalg import central_subsets, is_prime, rank_int
 from .multipoly import MultiPoly
+from .tutte import expand_rank_table
 
 
 class VectorConfig:
@@ -184,18 +185,23 @@ def multiplicity(config, subset, cross_check=True):
     return g
 
 
+def _multiplicity_table(config):
+    """[rB][|B|] -> sum of m(B) over all subsets B, from one subset walk.
+
+    With zero offsets every subset is central, so the walk visits them all
+    and gives each one's rank.
+    """
+    table = [[0] * (config.n + 1) for _ in range(config.rank + 1)]
+    rows = [c + (0,) for c in config.columns]
+    for mask, size, rb in central_subsets(rows):
+        cols = [i for i in range(config.n) if mask >> i & 1]
+        table[rb][size] += _minor_gcd(config.matrix(cols), rb)
+    return table
+
+
 def arithmetic_tutte(config):
     """M(A; x, y) = sum over subsets of m(B)(x-1)^(r-rB) (y-1)^(|B|-rB)."""
-    x = MultiPoly.variable("x")
-    y = MultiPoly.variable("y")
-    r = config.rank
-    total = MultiPoly.zero()
-    for size in range(config.n + 1):
-        for combo in combinations(range(config.n), size):
-            rb = config.rank_of(combo)
-            total = total + multiplicity(config, combo, cross_check=False) \
-                * (x - 1) ** (r - rb) * (y - 1) ** (size - rb)
-    return total
+    return expand_rank_table(_multiplicity_table(config), config.rank)
 
 
 def arithmetic_char_poly(config, m_poly=None, var="q"):
@@ -262,7 +268,7 @@ def toric_point_profile(config, q, m_poly=None):
     at q.
     """
     P = q + 1
-    if q < 1 or any(P % k == 0 for k in range(2, int(P ** 0.5) + 1)) or P < 2:
+    if q < 1 or not is_prime(P):
         raise TuttekitError("q + 1 = %d must be prime" % P)
     counts = [0] * (config.n + 1)
     units = range(1, P)
@@ -277,19 +283,17 @@ def toric_point_profile(config, q, m_poly=None):
             if val == 1:
                 h += 1
         counts[h] += 1
+    table = _multiplicity_table(config)
     if m_poly is None:
-        m_poly = arithmetic_tutte(config)
-    t = MultiPoly.variable("t")
-    lhs = MultiPoly.zero()
-    for k, c in enumerate(counts):
-        lhs = lhs + c * t ** k
-    rhs = MultiPoly.zero()
-    for size in range(config.n + 1):
-        for combo in combinations(range(config.n), size):
-            rb = config.rank_of(combo)
-            rhs = rhs + multiplicity(config, combo, cross_check=False) \
-                * Fraction(q) ** (config.dim - rb) * (t - 1) ** size
-    if lhs != rhs:
+        m_poly = expand_rank_table(table, config.rank)
+    lhs = MultiPoly(("t",), {(k,): c for k, c in enumerate(counts)})
+    rhs = {}
+    for rb, row in enumerate(table):
+        for size, weight in enumerate(row):
+            c = weight * q ** (config.dim - rb)
+            for j in range(size + 1):
+                rhs[(j,)] = rhs.get((j,), 0) + c * comb(size, j) * (-1) ** (size - j)
+    if lhs != MultiPoly(("t",), rhs):
         raise AssertionError("toric finite field identity fails at q=%d" % q)
     chi_at_q = arithmetic_char_poly(config, m_poly).evaluate({"q": q})
     if counts[0] != chi_at_q:
@@ -316,20 +320,13 @@ class MultivariateTutte:
 
 def multivariate_tutte(arrangement):
     """q^r Ztilde = sum over central B of q^(r - rB) prod_{e in B} w_e."""
-    q = MultiPoly.variable("q")
     r = arrangement.rank
     n = arrangement.n
-    ws = [MultiPoly.variable("w_%d" % (e + 1)) for e in range(n)]
-    total = MultiPoly.zero()
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            if not arrangement.is_central(combo):
-                continue
-            rb = arrangement.rank_normals(frozenset(combo))
-            term = q ** (r - rb)
-            for e in combo:
-                term = term * ws[e]
-            total = total + term
+    rows = [h.row() for h in arrangement.hyperplanes]
+    terms = {(r - rb,) + tuple(mask >> e & 1 for e in range(n)): 1
+             for mask, _, rb in central_subsets(rows, arrangement.prime)}
+    names = ("q",) + tuple("w_%d" % (e + 1) for e in range(n))
+    total = MultiPoly(names, terms)
     mv = MultivariateTutte(total, r, n)
     mv.arrangement = arrangement
     return mv

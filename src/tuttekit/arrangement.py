@@ -18,7 +18,14 @@ from .errors import (
     LoopContractionError,
     NonCentralError,
 )
-from .linalg import clear_row, rank_rows
+from .linalg import (
+    central_subsets,
+    clear_row,
+    extend_basis,
+    normalise_row,
+    rank_rows,
+    reduce_row,
+)
 
 
 class Hyperplane:
@@ -101,7 +108,6 @@ class Arrangement:
         self.label = label
         self.prime = prime
         self._central_cache = {}
-        self._rank_cache = {}
         self._nrank_cache = {}
 
     # -- basic queries -----------------------------------------------------
@@ -164,15 +170,9 @@ class Arrangement:
     def rank_of(self, subset):
         """dim V - dim(intersection) for a central subset; loops contribute 0."""
         subset = frozenset(subset)
-        self._check_indices(subset)
-        got = self._rank_cache.get(subset)
-        if got is not None:
-            return got
         if not self.is_central(subset):
             raise NonCentralError("non-central subset %s" % sorted(subset))
-        r = self.rank_normals(subset)
-        self._rank_cache[subset] = r
-        return r
+        return self.rank_normals(subset)
 
     @property
     def rank(self):
@@ -257,29 +257,17 @@ class Arrangement:
         return Arrangement(len(pivots), out, prime=self.prime)
 
     def _pivot_columns(self):
-        """Pivot columns of the matrix of (non-loop) normals, by row echelon."""
-        rows = [list(map(Fraction, self.hyperplanes[i].normal))
-                for i in self.nonloops()]
-        pivots = []
-        row = 0
-        for col in range(self.dim):
-            pivot = None
-            for i in range(row, len(rows)):
-                if rows[i][col] != 0:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            rows[row], rows[pivot] = rows[pivot], rows[row]
-            for i in range(row + 1, len(rows)):
-                f = rows[i][col] / rows[row][col]
-                for j in range(col, self.dim):
-                    rows[i][j] -= f * rows[row][j]
-            pivots.append(col)
-            row += 1
-            if row == len(rows):
-                break
-        return pivots
+        """Pivot columns of the matrix of normals (over Q), in increasing order.
+
+        They are the pivots of the reduced echelon basis built by
+        `extend_basis`; every echelon form of a row space has the same pivots.
+        """
+        basis = []
+        for i in self.nonloops():
+            rem = reduce_row(self.hyperplanes[i].normal, basis)
+            if any(rem):
+                basis = extend_basis(basis, normalise_row(rem))
+        return sorted(c for c, _ in basis)
 
     def restrict(self, subset):
         """Subarrangement on the given indices, in the given ambient space."""
@@ -292,17 +280,13 @@ class Arrangement:
     def semimatroid(self):
         """Sorted tuple of (bitmask, rank) over all central subsets of non-loops.
 
-        Loops are excluded; the fingerprint is the canonical cache key for
-        deletion-contraction memoization and the object compared by the
-        verified reduction mode.
+        Bit k of a mask stands for the k-th non-loop.  Loops are excluded;
+        the fingerprint is the object compared by the verified reduction
+        mode.
         """
-        nl = self.nonloops()
-        out = []
-        for mask in range(1 << len(nl)):
-            subset = frozenset(nl[i] for i in range(len(nl)) if mask >> i & 1)
-            if self.is_central(subset):
-                out.append((mask, self.rank_normals(subset)))
-        return tuple(sorted(out))
+        rows = [self.hyperplanes[i].row() for i in self.nonloops()]
+        return tuple(sorted((mask, rank) for mask, _, rank
+                            in central_subsets(rows, self.prime)))
 
     # -- serialization -----------------------------------------------------
 

@@ -118,7 +118,7 @@ def _tutte_by_method(arr, args):
     if method == "subset":
         return tutte_subset(arr)
     if method == "delcon":
-        return tutte_delcon(arr, memoize=True)
+        return tutte_delcon(arr)
     if method == "activity":
         return tutte_activity(arr)[0]
     if method in ("finite-field", "lattice"):
@@ -380,6 +380,12 @@ def main(argv=None):
         else:
             arr = _load_arrangement(args.input)
             _run_action(args.verb, arr, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is still buffered to
+        # devnull, so that flushing at exit reports nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputFormatError as exc:
         print("error: %s: %s" % (exc.code, exc), file=sys.stderr)
         return 1

@@ -19,6 +19,7 @@ from math import comb, factorial
 
 from .arrangement import Arrangement
 from .errors import FamilyError
+from .linalg import is_prime
 from .multipoly import MultiPoly
 from .series import (
     deformed_exponential,
@@ -41,12 +42,6 @@ def _pair_normal(dim, i, j, sj):
     v[i] = 1
     v[j] = sj
     return v
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    return all(p % q for q in range(2, int(p ** 0.5) + 1))
 
 
 def coordinate(n):
@@ -126,7 +121,7 @@ def shi(n):
 
 def all_linear(p, n):
     """A(p, n): every linear hyperplane in F_p^n (one per normal up to scaling)."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise FamilyError("all_linear requires a prime p, got %d" % p)
     normals = []
     seen = set()
@@ -337,7 +332,7 @@ def oracle_coboundary(tag, n=None, p=None, m=None, order=None):
         deficit = arr.dim - arr.rank
         return _extract(coeff, Fraction(factorial(m) * factorial(n)), deficit)
     if tag == "all_linear":
-        if not _is_prime(p):
+        if not is_prime(p):
             raise FamilyError("all_linear requires prime p")
         N = order or n
         if n > N:

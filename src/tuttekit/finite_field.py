@@ -26,6 +26,7 @@ from .errors import (
     MethodError,
 )
 from .interpolation import interpolate_in_X
+from .linalg import is_prime
 from .multipoly import MultiPoly
 
 DEFAULT_BUDGET = 10 ** 8
@@ -66,14 +67,6 @@ class PointProfile:
 
 def _primes_from(start):
     """Yield primes >= start."""
-    def is_prime(m):
-        if m < 2:
-            return False
-        for q in range(2, isqrt(m) + 1):
-            if m % q == 0:
-                return False
-        return True
-
     m = max(2, start)
     while True:
         if is_prime(m):
@@ -124,16 +117,14 @@ def reduce_mod_p(arrangement, p, mode="bound-certified"):
         from .arrangement import Arrangement
         modarr = Arrangement(arrangement.dim,
                              [(r[:-1], r[-1]) for r in reduced], prime=p)
-        for mask in range(1 << len(nl)):
-            subset = frozenset(i for i in range(len(nl)) if mask >> i & 1)
-            orig_subset = frozenset(nl[i] for i in subset)
-            qc = arrangement.is_central(orig_subset)
-            pc = modarr.is_central(subset)
-            if qc != pc or (qc and arrangement.rank_normals(orig_subset)
-                            != modarr.rank_normals(subset)):
-                raise BadPrimeError(
-                    "p=%d changes the semimatroid" % p,
-                    witness=sorted(nl[i] for i in subset))
+        want = dict(arrangement.semimatroid())
+        got = dict(modarr.semimatroid())
+        if want != got:
+            mask = min(m for m in want.keys() | got.keys()
+                       if want.get(m) != got.get(m))
+            raise BadPrimeError(
+                "p=%d changes the semimatroid" % p,
+                witness=[i for k, i in enumerate(nl) if mask >> k & 1])
     else:
         raise ValueError("mode must be 'bound-certified' or 'verified'")
     return ModularArrangement(p, arrangement.dim, reduced,

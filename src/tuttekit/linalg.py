@@ -7,11 +7,17 @@ field use plain Gaussian elimination mod p.
 
 The echelon kernel (`normalise_row`, `reduce_row`, `extend_basis`) keeps a
 reduced echelon basis of integer rows over Q, or of rows mod p with pivot
-entry 1 over F_p, and reduces further rows against it one at a time.
+entry 1 over F_p, and reduces further rows against it one at a time;
+`central_subsets` walks every central subset of an arrangement on it.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+
+
+def is_prime(m):
+    """True iff the integer m is prime, by trial division up to sqrt(m)."""
+    return m >= 2 and all(m % k for k in range(2, isqrt(m) + 1))
 
 
 def normalise_row(row, prime=None):
@@ -83,6 +89,34 @@ def extend_basis(basis, row, prime=None):
         out.append((pc, b))
     out.append((c, tuple(row)))
     return out
+
+
+def central_subsets(rows, prime=None):
+    """Every central subset of augmented rows [normal | offset], depth first.
+
+    Yields (mask, size, rank) in index order: each subset comes before the
+    subsets that extend it by larger indices, and rank is the rank of its
+    normals.  A subset keeps the reduced echelon basis of its rows, so adding
+    a row costs one reduction.  A remainder that is zero on the normals but
+    not on the offset leaves the subset with no common point, and every
+    superset too, so that subtree is skipped; a zero remainder keeps the rank.
+    """
+    n = len(rows)
+    stack = [(0, 0, 0, [])]     # next index, mask, size, basis
+    while stack:
+        start, mask, size, basis = stack.pop()
+        yield mask, size, len(basis)
+        children = []
+        for j in range(start, n):
+            rem = reduce_row(rows[j], basis, prime)
+            if any(rem[:-1]):
+                child = extend_basis(basis, normalise_row(rem, prime), prime)
+            elif rem[-1]:
+                continue
+            else:
+                child = basis
+            children.append((j + 1, mask | 1 << j, size + 1, child))
+        stack.extend(reversed(children))
 
 
 def rank_int(rows):

@@ -136,26 +136,6 @@ class MultiPoly:
             out[tuple(new)] = coeff
         return out
 
-    def with_vars(self, variables):
-        """Re-express over a superset of the current variables."""
-        variables = tuple(variables)
-        for v in self.vars:
-            if v not in variables:
-                if any(exps[self.vars.index(v)] for exps in self.terms):
-                    raise ValueError("cannot drop used variable %r" % v)
-        keep = [v for v in self.vars if v in variables]
-        pos = {v: i for i, v in enumerate(variables)}
-        idx = {v: pos[v] for v in keep}
-        out = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(variables)
-            for v, e in zip(self.vars, exps):
-                if e:
-                    new[idx[v]] = e
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return MultiPoly(variables, out)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
@@ -404,16 +384,3 @@ def _fmt_frac(f):
     if f.denominator == 1:
         return str(f.numerator)
     return "%d/%d" % (f.numerator, f.denominator)
-
-
-def poly_arith(a, b, op, mapping=None, assignment=None):
-    """Dispatch helper covering add, mul, substitute and evaluate."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "substitute":
-        return a.substitute(mapping)
-    if op == "evaluate":
-        return a.evaluate(assignment)
-    raise ValueError("unknown op %r" % op)

@@ -31,20 +31,6 @@ def mul_trunc(a, b, svars, order):
     return truncate(a * b, svars, order)
 
 
-def pow_trunc(base, k, svars, order):
-    result = MultiPoly.const(1)
-    for _ in range(k):
-        result = mul_trunc(result, base, svars, order)
-    return result
-
-
-def series_order(poly, svars):
-    """Smallest total degree in svars among the terms (inf for zero)."""
-    idx = [poly.vars.index(v) for v in svars if v in poly.vars]
-    degs = [sum(exps[i] for i in idx) for exps in poly.terms]
-    return min(degs) if degs else None
-
-
 def series_log(f, svars, order):
     """log f for f with constant term (in the series variables) equal to 1."""
     const = truncate(f, svars, 0)

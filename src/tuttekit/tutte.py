@@ -10,8 +10,10 @@ arrangements.
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .finite_field import DEFAULT_BUDGET
+from .linalg import central_subsets
 from .multipoly import MultiPoly
 from .poset import intersection_poset
 
@@ -51,38 +53,44 @@ def _xy():
     return MultiPoly.variable("x"), MultiPoly.variable("y")
 
 
+def expand_rank_table(table, r, loops=0):
+    """y^loops * sum of table[rB][size] (x-1)^(r-rB) (y-1)^(size-rB), expanded.
+
+    table[rB][size] counts (or weighs) subsets by rank and size; the powers
+    are expanded by the binomial theorem into one integer term table.
+    """
+    terms = {}
+    for rb, row in enumerate(table):
+        for size, count in enumerate(row):
+            if not count:
+                continue
+            a, b = r - rb, size - rb
+            for i in range(a + 1):
+                ci = count * comb(a, i) * (-1) ** (a - i)
+                for j in range(b + 1):
+                    key = (i, j + loops)
+                    terms[key] = terms.get(key, 0) + ci * comb(b, j) * (-1) ** (b - j)
+    return MultiPoly(("x", "y"), terms)
+
+
 def tutte_subset(arrangement):
-    """Subset expansion: sum over central B of (x-1)^(r-rB) (y-1)^(|B|-rB)."""
-    x, y = _xy()
+    """Subset expansion: sum over central B of (x-1)^(r-rB) (y-1)^(|B|-rB).
+
+    Central subsets of the non-loops are counted by rank and size in one
+    walk; each loop multiplies the sum by y.
+    """
     r = arrangement.rank
     nl = arrangement.nonloops()
-    n_loops = arrangement.n - len(nl)
-    xm1 = [MultiPoly.const(1)]
-    ym1 = [MultiPoly.const(1)]
-    for _ in range(max(r, arrangement.n)):
-        xm1.append(xm1[-1] * (x - 1))
-        ym1.append(ym1[-1] * (y - 1))
-    total = MultiPoly.zero()
-    for size in range(len(nl) + 1):
-        for combo in combinations(nl, size):
-            s = frozenset(combo)
-            if not arrangement.is_central(s):
-                continue
-            rb = arrangement.rank_normals(s)
-            total = total + xm1[r - rb] * ym1[size - rb]
-    total = total * y ** n_loops
+    rows = [arrangement.hyperplanes[i].row() for i in nl]
+    table = [[0] * (len(nl) + 1) for _ in range(r + 1)]
+    for _, size, rb in central_subsets(rows, arrangement.prime):
+        table[rb][size] += 1
+    total = expand_rank_table(table, r, arrangement.n - len(nl))
     return TutteResult(total, r, arrangement.n, "subset")
 
 
-def tutte_delcon(arrangement, memoize=False, _cache=None):
-    """Deletion-contraction recursion; identical result to the subset expansion.
-
-    With memoize=True, results are cached by the canonical semimatroid
-    fingerprint (sorted (central-subset bitmask, rank) pairs), so isomorphic
-    minors are computed once.
-    """
-    if memoize and _cache is None:
-        _cache = {}
+def tutte_delcon(arrangement):
+    """Deletion-contraction recursion; identical result to the subset expansion."""
     x, y = _xy()
 
     def rec(arr):
@@ -92,23 +100,10 @@ def tutte_delcon(arrangement, memoize=False, _cache=None):
             return inner * y ** len(loops)
         if arr.n == 0:
             return MultiPoly.const(1)
-        if _cache is not None:
-            key = arr.semimatroid()
-            got = _cache.get(key)
-            if got is not None:
-                return got
-        pivot = None
         for i in range(arr.n - 1, -1, -1):
             if arr.classify(i) == "ordinary":
-                pivot = i
-                break
-        if pivot is None:
-            result = x ** arr.n  # all coloops (loops already stripped)
-        else:
-            result = rec(arr.delete(pivot)) + rec(arr.contract(pivot))
-        if _cache is not None:
-            _cache[key] = result
-        return result
+                return rec(arr.delete(i)) + rec(arr.contract(i))
+        return x ** arr.n  # all coloops (loops already stripped)
 
     return TutteResult(rec(arrangement), arrangement.rank, arrangement.n, "delcon")
 

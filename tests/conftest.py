@@ -38,6 +38,17 @@ def random_arrangement(rng, max_n=7, max_d=4, allow_loops=True):
     return Arrangement(d, hs)
 
 
+def random_prime_arrangement(rng):
+    """A random small arrangement over F_2, F_3 or F_5, possibly with loops."""
+    p = rng.choice((2, 3, 5))
+    d = rng.randint(1, 3)
+    hs = []
+    for _ in range(rng.randint(0, 7)):
+        normal = [rng.randrange(p) for _ in range(d)]
+        hs.append((normal, rng.randrange(p) if any(normal) else 0))
+    return Arrangement(d, hs, prime=p)
+
+
 def random_poly_data(rng, nvars=3, nterms=5, max_exp=3):
     """Random exponent->coefficient dict for MultiPoly construction."""
     terms = {}

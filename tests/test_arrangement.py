@@ -90,6 +90,17 @@ def test_cone_and_essentialize(bench):
         q * char_poly(ess, check_whitney=False)
     # Tutte polynomial is invariant under both
     assert tutte_subset(ess).tutte == tutte_subset(arr).tutte
+    # normals spanning coordinates 1 and 2 of Q^4, the later pivot first:
+    # the lineality space is 2-dimensional and coordinates 1, 2 are kept
+    arr = Arrangement(4, [([0, 0, 1, 1], 0), ([0, 1, 0, 1], 0),
+                          ([0, 1, 1, 2], 0), ([0, 0, 0, 0], 0)])
+    ess = arr.essentialize()
+    assert ess.dim == 2
+    assert [h.normal for h in ess.hyperplanes] == [(0, 1), (1, 0), (1, 1), (0, 0)]
+    assert tutte_subset(ess).tutte == tutte_subset(arr).tutte
+    loopless = arr.restrict(arr.nonloops())
+    assert char_poly(loopless, check_whitney=False) == \
+        q ** 2 * char_poly(loopless.essentialize(), check_whitney=False)
 
 
 def test_restrict(bench):

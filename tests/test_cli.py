@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -256,3 +259,25 @@ def test_finite_field_skips_prime_search_above_budget(capsys, monkeypatch):
     code, out, _ = run(capsys, argv + ["--method", "finite-field"])
     assert code == 0
     assert run(capsys, argv + ["--method", "subset"])[1] == out
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # about 110 kB of output outgrows the pipe buffer, so a write meets the
+    # closed pipe whatever the buffering of stdout
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tuttekit.cli", "family", "dn", "--n", "4",
+         "multivariate"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""

@@ -1,7 +1,29 @@
 import random
 from fractions import Fraction
 
-from tuttekit.linalg import clear_row, rank_int, rank_mod_p, rank_rows
+import pytest
+
+from conftest import random_arrangement, random_prime_arrangement
+from tuttekit.arithmetic import (
+    VectorConfig,
+    arithmetic_tutte,
+    multiplicity,
+    multivariate_tutte,
+    toric_point_profile,
+)
+from tuttekit.arrangement import Arrangement
+from tuttekit.errors import BadPrimeError
+from tuttekit.finite_field import reduce_mod_p
+from tuttekit.linalg import (
+    central_subsets,
+    clear_row,
+    is_prime,
+    rank_int,
+    rank_mod_p,
+    rank_rows,
+)
+from tuttekit.multipoly import MultiPoly
+from tuttekit.tutte import tutte_subset
 
 
 def test_clear_row():
@@ -44,3 +66,113 @@ def test_rank_rows_dispatch_agrees_with_fraction_elimination():
                     m[i][j] -= f * m[rank][j]
             rank += 1
         assert rank_rows(rows) == rank
+
+
+# -- the central-subset walker ----------------------------------------------
+
+def _walker_cases():
+    rng = random.Random(43)
+    cases = [random_arrangement(rng, max_n=8, max_d=4) for _ in range(30)]
+    cases += [random_prime_arrangement(rng) for _ in range(15)]
+    return cases
+
+
+def _subsets(n):
+    return [frozenset(i for i in range(n) if mask >> i & 1)
+            for mask in range(1 << n)]
+
+
+@pytest.mark.parametrize("arr", _walker_cases(), ids=repr)
+def test_walker_matches_brute_force(arr):
+    rows = [h.row() for h in arr.hyperplanes]
+    walked = list(central_subsets(rows, arr.prime))
+    want = {sum(1 << i for i in s): arr.rank_normals(s)
+            for s in _subsets(arr.n) if arr.is_central(s)}
+    assert {mask: rank for mask, _, rank in walked} == want
+    assert len(walked) == len(want)
+    assert all(size == bin(mask).count("1") for mask, size, _ in walked)
+    # depth first in index order: subsets come in lexicographic order
+    members = [[i for i in range(arr.n) if mask >> i & 1] for mask, _, _ in walked]
+    assert members == sorted(members)
+
+
+def _assert_same(got, want):
+    assert got == want and got.format() == want.format()
+
+
+@pytest.mark.parametrize("arr", _walker_cases(), ids=repr)
+def test_subset_polynomials_match_per_subset_sums(arr):
+    x, y, q = (MultiPoly.variable(v) for v in "xyq")
+    ws = [MultiPoly.variable("w_%d" % (e + 1)) for e in range(arr.n)]
+    r = arr.rank
+    tutte = MultiPoly.zero()
+    multi = MultiPoly.zero()
+    for s in _subsets(arr.n):
+        if not arr.is_central(s):
+            continue
+        rb = arr.rank_normals(s)
+        if not any(arr.hyperplanes[i].is_loop for i in s):
+            tutte = tutte + (x - 1) ** (r - rb) * (y - 1) ** (len(s) - rb)
+        term = q ** (r - rb)
+        for e in sorted(s):
+            term = term * ws[e]
+        multi = multi + term
+    _assert_same(tutte_subset(arr).tutte, tutte * y ** len(arr.loops()))
+    _assert_same(multivariate_tutte(arr).poly, multi)
+
+
+def _config_cases():
+    rng = random.Random(47)
+    cases = [VectorConfig(2, [(1, 0), (1, 1), (0, 0), (1, 1), (1, -1)])]
+    for _ in range(12):
+        d = rng.randint(1, 3)
+        cases.append(VectorConfig(d, [[rng.randint(-1, 1) for _ in range(d)]
+                                      for _ in range(rng.randint(0, 6))]))
+    return cases
+
+
+@pytest.mark.parametrize("config", _config_cases(), ids=repr)
+def test_arithmetic_polynomials_match_per_subset_sums(config):
+    x, y, t = (MultiPoly.variable(v) for v in "xyt")
+    r = config.rank
+    arith = MultiPoly.zero()
+    # entries in {-1, 0, 1} and d <= 3 keep every multiplicity a divisor of
+    # 12, so the torus (F*_13)^d splits every subtorus and the identity holds
+    toric = MultiPoly.zero()
+    for s in _subsets(config.n):
+        m = multiplicity(config, s)
+        rb = rank_int([config.columns[i] for i in s])
+        arith = arith + m * (x - 1) ** (r - rb) * (y - 1) ** (len(s) - rb)
+        toric = toric + m * 12 ** (config.dim - rb) * (t - 1) ** len(s)
+    _assert_same(arithmetic_tutte(config), arith)
+    _assert_same(toric_point_profile(config, 12)["polynomial"], toric)
+
+
+@pytest.mark.parametrize("arr", _walker_cases()[:30], ids=repr)
+def test_verified_reduction_witness_is_smallest_mismatch(arr):
+    nl = arr.nonloops()
+    for p in (2, 3, 5, 7):
+        reduced = [[x % p for x in arr.hyperplanes[i].row()] for i in nl]
+        if any(not any(row[:-1]) for row in reduced):
+            continue  # rejected before the comparison: a normal vanishes
+        modarr = Arrangement(arr.dim, [(row[:-1], row[-1]) for row in reduced],
+                             prime=p)
+        witness = None
+        for s in _subsets(len(nl)):
+            qs = frozenset(nl[i] for i in s)
+            central = arr.is_central(qs)
+            if central != modarr.is_central(s) or (
+                    central and arr.rank_normals(qs) != modarr.rank_normals(s)):
+                witness = sorted(qs)
+                break
+        if witness is None:
+            assert reduce_mod_p(arr, p, mode="verified").prime == p
+        else:
+            with pytest.raises(BadPrimeError) as err:
+                reduce_mod_p(arr, p, mode="verified")
+            assert err.value.witness == witness
+
+
+def test_is_prime():
+    assert [m for m in range(-3, 30) if is_prime(m)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuttekit.errors import UnknownVariableError
-from tuttekit.multipoly import MultiPoly, poly_arith
+from tuttekit.multipoly import MultiPoly
 
 x = MultiPoly.variable("x")
 y = MultiPoly.variable("y")
@@ -132,15 +132,6 @@ def test_latex():
 def test_term_list():
     p = x ** 2 + Fraction(1, 2) * y
     assert p.term_list() == [["1", {"x": 2}], ["1/2", {"y": 1}]]
-
-
-def test_poly_arith_dispatch():
-    assert poly_arith(x, y, "add") == x + y
-    assert poly_arith(x, y, "mul") == x * y
-    assert poly_arith(x + y, None, "substitute", mapping={"y": 2}) == x + 2
-    assert poly_arith(x, None, "evaluate", assignment={"x": 4}) == 4
-    with pytest.raises(ValueError):
-        poly_arith(x, y, "compose")
 
 
 def test_immutability():

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_arrangement
+from conftest import random_arrangement, random_prime_arrangement
 from tuttekit.arrangement import Arrangement
 from tuttekit.errors import BudgetExceededError, NonCentralError
 from tuttekit.families import all_linear, braid, thicken
@@ -90,16 +90,6 @@ def _reference_flats(arr):
     return closed, flats, mu
 
 
-def _random_prime_arrangement(rng):
-    p = rng.choice((2, 3, 5))
-    d = rng.randint(1, 3)
-    hs = []
-    for _ in range(rng.randint(0, 7)):
-        normal = [rng.randrange(p) for _ in range(d)]
-        hs.append((normal, rng.randrange(p) if any(normal) else 0))
-    return Arrangement(d, hs, prime=p)
-
-
 def _kernel_cases():
     rng = random.Random(41)
     cases = [all_linear(2, 3), all_linear(3, 2), thicken(braid(4), 2)]
@@ -108,7 +98,7 @@ def _kernel_cases():
     for _ in range(6):
         cases.append(thicken(random_arrangement(rng, max_n=4, max_d=3), 2))
     for _ in range(20):
-        cases.append(_random_prime_arrangement(rng))
+        cases.append(random_prime_arrangement(rng))
     return cases
 
 
