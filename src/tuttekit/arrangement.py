@@ -18,14 +18,7 @@ from .errors import (
     LoopContractionError,
     NonCentralError,
 )
-from .linalg import (
-    central_subsets,
-    clear_row,
-    extend_basis,
-    normalise_row,
-    rank_rows,
-    reduce_row,
-)
+from .linalg import central_subsets, clear_row, pivot_columns, rank_rows
 
 
 class Hyperplane:
@@ -109,6 +102,7 @@ class Arrangement:
         self.prime = prime
         self._central_cache = {}
         self._nrank_cache = {}
+        self._semimatroid = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -247,7 +241,7 @@ class Arrangement:
             raise NonCentralError("essentialization requires a central arrangement")
         if self.prime is not None:
             raise NotImplementedError("essentialization implemented over Q only")
-        pivots = self._pivot_columns()
+        pivots = pivot_columns([self.hyperplanes[i].normal for i in self.nonloops()])
         out = []
         for h in self.hyperplanes:
             if h.is_loop:
@@ -255,19 +249,6 @@ class Arrangement:
             else:
                 out.append((tuple(h.normal[j] for j in pivots), h.offset))
         return Arrangement(len(pivots), out, prime=self.prime)
-
-    def _pivot_columns(self):
-        """Pivot columns of the matrix of normals (over Q), in increasing order.
-
-        They are the pivots of the reduced echelon basis built by
-        `extend_basis`; every echelon form of a row space has the same pivots.
-        """
-        basis = []
-        for i in self.nonloops():
-            rem = reduce_row(self.hyperplanes[i].normal, basis)
-            if any(rem):
-                basis = extend_basis(basis, normalise_row(rem))
-        return sorted(c for c, _ in basis)
 
     def restrict(self, subset):
         """Subarrangement on the given indices, in the given ambient space."""
@@ -282,11 +263,14 @@ class Arrangement:
 
         Bit k of a mask stands for the k-th non-loop.  Loops are excluded;
         the fingerprint is the object compared by the verified reduction
-        mode.
+        mode, which compares one arrangement against many primes, so it is
+        computed once per arrangement.
         """
-        rows = [self.hyperplanes[i].row() for i in self.nonloops()]
-        return tuple(sorted((mask, rank) for mask, _, rank
-                            in central_subsets(rows, self.prime)))
+        if self._semimatroid is None:
+            rows = [self.hyperplanes[i].row() for i in self.nonloops()]
+            self._semimatroid = tuple(sorted(
+                (mask, rank) for mask, _, rank in central_subsets(rows, self.prime)))
+        return self._semimatroid
 
     # -- serialization -----------------------------------------------------
 

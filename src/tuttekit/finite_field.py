@@ -6,14 +6,27 @@ sum_k c_k t^k = p^(d-r) cobchi(A; p, t).  Sampling r+2 primes (one extra as a
 consistency witness) and interpolating in the first coboundary variable
 reconstructs the whole polynomial.
 
-The p^d enumeration is the performance-critical kernel; it is vectorized with
-numpy by slicing along the first coordinate: per hyperplane the dot product
-over the remaining coordinates is precomputed once, and each slice reduces to
-one vector comparison per hyperplane.  Partitioning the first coordinate
-across workers and summing the per-range counts is bit-identical to the
-serial run.
+Point counting is the performance-critical kernel.  Its work per prime
+grows with p^r, and with p^(r-1) for a central arrangement, not with p^d:
+- translation by the lineality space (the common kernel of the normals
+  mod p) maps every hyperplane to itself, so the points are counted in the
+  quotient F_p^r, where each point stands for p^(d-r) points;
+- in a central arrangement x and c*x (c != 0) lie on the same hyperplanes,
+  so the slices x_1 = c != 0 all have the profile of x_1 = 1, which leaves
+  one affine slice per dimension;
+- on a line each hyperplane meets one point, so a line is counted from
+  the roots alone, in O(n) whatever p is;
+- a larger affine slice is counted by solving each hyperplane for its
+  last nonzero coordinate and scattering 1 into an incidence array at its
+  points, then one bincount; a space of more than a fixed block of points
+  is cut along its first coordinate, so peak memory does not grow with n,
+  r or p.
+The work compared with the budget is p^r.  Partitioning the first quotient
+coordinate across workers and summing the per-range counts is bit-identical
+to the serial run.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -26,7 +39,7 @@ from .errors import (
     MethodError,
 )
 from .interpolation import interpolate_in_X
-from .linalg import is_prime
+from .linalg import is_prime, pivot_columns
 from .multipoly import MultiPoly
 
 DEFAULT_BUDGET = 10 ** 8
@@ -55,11 +68,7 @@ class PointProfile:
         self.counts = tuple(int(c) for c in counts)
 
     def polynomial(self, var="Y"):
-        t = MultiPoly.variable(var)
-        total = MultiPoly.zero()
-        for k, c in enumerate(self.counts):
-            total = total + c * t ** k
-        return total
+        return MultiPoly((var,), {(k,): c for k, c in enumerate(self.counts)})
 
     def csv_row(self):
         return ",".join([str(self.prime)] + [str(c) for c in self.counts])
@@ -117,9 +126,10 @@ def reduce_mod_p(arrangement, p, mode="bound-certified"):
         from .arrangement import Arrangement
         modarr = Arrangement(arrangement.dim,
                              [(r[:-1], r[-1]) for r in reduced], prime=p)
-        want = dict(arrangement.semimatroid())
-        got = dict(modarr.semimatroid())
+        want = arrangement.semimatroid()
+        got = modarr.semimatroid()
         if want != got:
+            want, got = dict(want), dict(got)
             mask = min(m for m in want.keys() | got.keys()
                        if want.get(m) != got.get(m))
             raise BadPrimeError(
@@ -131,66 +141,157 @@ def reduce_mod_p(arrangement, p, mode="bound-certified"):
                               n_loops=len(arrangement.loops()))
 
 
+# Largest number of points scattered into one incidence array; a larger
+# space is cut into slices along its first coordinate, so peak memory stays
+# O(_BLOCK) whatever n, r and p are.
+_BLOCK = 1 << 18
+
+
+def _essential_rows(modarr):
+    """(r, rows): the arrangement in the quotient of F_p^d by its lineality space.
+
+    r is the mod-p rank of the normals.  The columns of the normals at the
+    pivots J of their reduced echelon basis span every other column, so
+    a.x = a[J].y for a linear map x -> y onto F_p^r whose fibres all have
+    p^(d-r) points; each row (a, b) becomes (a[J], b) over F_p^r.
+    """
+    p = modarr.prime
+    rows = [tuple(x % p for x in row) for row in modarr.rows]
+    pivots = pivot_columns([row[:-1] for row in rows], p)
+    return len(pivots), [(tuple(row[j] for j in pivots), row[-1])
+                         for row in rows]
+
+
+def _slice(rows, c, p):
+    """The rows restricted to the slice y_1 = c, over the remaining coordinates."""
+    return [(a[1:], (b - a[0] * c) % p) for a, b in rows]
+
+
+def _scatter(rows, p, k, counts):
+    """Add the profile over F_p^k of rows whose normals are all nonzero.
+
+    Each row is solved for its last nonzero coordinate x_j, and 1 is added
+    to an incidence array at its p^(k-1) points (distinct indices, so a
+    fancy-index += counts each once); one bincount turns incidences into
+    counts.
+    """
+    inc = np.zeros(p ** k, dtype=np.min_scalar_type(len(rows)))
+    digits = np.arange(p, dtype=np.int64)
+    for a, b in rows:
+        j = max(i for i, x in enumerate(a) if x)
+        inv = pow(a[j], -1, p)
+        # x_j over the grid of the coordinates before it, the first most significant
+        xj = np.array([b * inv], dtype=np.int64)
+        for x in a[:j]:
+            xj = (xj[:, None] - (x * inv % p) * digits).ravel()
+        head = np.arange(p ** j, dtype=np.int64) * p + xj % p
+        tail = p ** (k - 1 - j)
+        inc[(head[:, None] * tail + np.arange(tail)).ravel()] += 1
+    counts[:len(rows) + 1] += np.bincount(inc, minlength=len(rows) + 1)
+
+
+def _affine(rows, p, k, counts, lo=0, hi=None):
+    """Add to counts[j] the number of points of F_p^k on exactly j rows whose
+    first coordinate is in range(lo, hi) (all of them by default); for k = 0
+    the one point counts as first coordinate 0.
+
+    On a line each row meets one point, its root; a larger space is
+    scattered whole when it fits in a block and is cut along its first
+    coordinate otherwise.
+    """
+    hi = p if hi is None else hi
+    live, shift = [], 0
+    for a, b in rows:
+        if any(a):
+            live.append((a, b))
+        elif not b:
+            shift += 1          # a zero row holds everywhere
+    counts = counts[shift:]     # a view: index j now stands for shift + j
+    if k == 0:
+        counts[0] += lo <= 0 < hi
+    elif k == 1:
+        roots = Counter(b * pow(a, -1, p) % p for (a,), b in live)
+        hits = [m for y, m in roots.items() if lo <= y < hi]
+        counts[0] += hi - lo - len(hits)
+        for m in hits:
+            counts[m] += 1
+    elif (lo, hi) == (0, p) and p ** k <= _BLOCK:
+        _scatter(live, p, k, counts)
+    else:
+        for c in range(lo, hi):
+            _affine(_slice(live, c, p), p, k - 1, counts)
+
+
+def _count(rows, p, k, counts, lo, hi):
+    """Add the profile of the points of F_p^k whose first coordinate is in
+    range(lo, hi); for k = 0 the one point counts as first coordinate 0.
+
+    A central arrangement puts y and c*y (c != 0) on the same rows, so every
+    slice y_1 = c != 0 has the profile of y_1 = 1, and y_1 = 0 is the
+    central arrangement one dimension down.
+    """
+    if k == 0 or any(b for _, b in rows):
+        _affine(rows, p, k, counts, lo, hi)
+        return
+    units = hi - lo - (lo <= 0 < hi)
+    if units:
+        line = np.zeros_like(counts)
+        _affine(_slice(rows, 1, p), p, k - 1, line)
+        counts += units * line
+    if lo <= 0 < hi:
+        _count(_slice(rows, 0, p), p, k - 1, counts, 0, p)
+
+
+def _quotient(modarr, budget):
+    """_essential_rows, after charging the p^r quotient points to the budget."""
+    p = modarr.prime
+    r, rows = _essential_rows(modarr)
+    if p ** r > budget:
+        raise BudgetExceededError(
+            "p^r = %d exceeds the enumeration budget %d" % (p ** r, budget),
+            required=p ** r)
+    return r, rows
+
+
+def _profile(modarr, r, rows, lo, hi):
+    """The profile of the quotient points with first coordinate in range(lo, hi),
+    each standing for its fibre of p^(d-r) points of F_p^d."""
+    p = modarr.prime
+    counts = np.zeros(len(rows) + 1, dtype=np.int64)
+    _count(rows, p, r, counts, lo, hi)
+    fibre = p ** (modarr.dim - r)
+    return [0] * modarr.n_loops + [int(c) * fibre for c in counts]
+
+
 def point_profile(modarr, budget=DEFAULT_BUDGET, x1_range=None):
     """Exact incidence counts over F_p^d (or a slice of first coordinates).
 
-    x1_range, when given, restricts the first coordinate to range(*x1_range);
-    summing the profiles of a partition reproduces the full profile exactly.
+    The points are counted in the quotient F_p^r by the lineality space and
+    each count is multiplied by the fibre size p^(d-r).  x1_range, when
+    given, restricts the first coordinate of that quotient to
+    range(*x1_range) and is not charged to the budget; summing the profiles
+    of a partition of range(p) reproduces the full profile exactly.
     """
-    p, d = modarr.prime, modarr.dim
-    total_points = p ** d
-    if x1_range is None and total_points > budget:
-        raise BudgetExceededError(
-            "p^d = %d exceeds the enumeration budget %d" % (total_points, budget),
-            required=total_points)
-    rows = modarr.rows
-    n_active = len(rows)
-    m = p ** (d - 1) if d >= 1 else 1
-    counts = np.zeros(n_active + 1, dtype=np.int64)
-    if d == 0:
-        counts[sum(1 for r in rows if r[-1] % p == 0)] += 1
+    if x1_range is None:
+        r, rows = _quotient(modarr, budget)
+        x1_range = (0, modarr.prime)
     else:
-        idx = np.arange(m, dtype=np.int64)
-        coords = [(idx // p ** (d - 2 - k)) % p for k in range(d - 1)]
-        bases = []
-        for r in rows:
-            acc = np.zeros(m, dtype=np.int64)
-            for k in range(d - 1):
-                a = r[1 + k] % p
-                if a:
-                    acc += a * coords[k]
-            bases.append((acc % p).astype(np.int32))
-        lo, hi = (0, p) if x1_range is None else x1_range
-        h = np.empty(m, dtype=np.int16)
-        for x1 in range(lo, hi):
-            h.fill(0)
-            for r, base in zip(rows, bases):
-                target = (r[-1] - r[0] * x1) % p
-                h += base == target
-            counts += np.bincount(h, minlength=n_active + 1)
-    if modarr.n_loops:
-        counts = np.concatenate([np.zeros(modarr.n_loops, dtype=np.int64), counts])
-    return PointProfile(p, counts)
+        r, rows = _essential_rows(modarr)
+    return PointProfile(modarr.prime, _profile(modarr, r, rows, *x1_range))
 
 
 def point_profile_partitioned(modarr, parts, budget=DEFAULT_BUDGET):
-    """Partition the first coordinate into `parts` ranges; merge by addition.
+    """Partition the quotient's first coordinate into `parts` ranges; merge by addition.
 
     The merged profile is bit-identical to the serial one; the ranges are
     independent and may be dispatched to concurrent workers.
     """
     p = modarr.prime
-    if p ** modarr.dim > budget:
-        raise BudgetExceededError(
-            "p^d exceeds the enumeration budget", required=p ** modarr.dim)
+    r, rows = _quotient(modarr, budget)
     bounds = [round(i * p / parts) for i in range(parts + 1)]
-    total = None
+    total = [0] * (modarr.n + 1)
     for lo, hi in zip(bounds, bounds[1:]):
-        sub = point_profile(modarr, budget=budget, x1_range=(lo, hi))
-        if total is None:
-            total = list(sub.counts)
-        else:
-            total = [a + b for a, b in zip(total, sub.counts)]
+        total = [a + b for a, b in zip(total, _profile(modarr, r, rows, lo, hi))]
     return PointProfile(p, total)
 
 
@@ -198,9 +299,9 @@ def check_profile(profile, modarr, chi=None):
     """Invariant checks: counts sum to p^d; t=0 slice equals chi(p) if given."""
     p, d = modarr.prime, modarr.dim
     if sum(profile.counts) != p ** d:
-        raise AssertionError("profile counts do not sum to p^d")
+        raise InconsistentSamplesError("profile counts do not sum to p^d")
     if chi is not None and profile.counts[0] != chi.evaluate({"q": p}):
-        raise AssertionError("complement count disagrees with chi(p)")
+        raise InconsistentSamplesError("complement count disagrees with chi(p)")
     return True
 
 
@@ -209,42 +310,47 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
 
     bound mode takes the smallest primes above the Hadamard floor; verified
     mode takes the smallest primes passing the exhaustive semimatroid check,
-    and is the default when the Hadamard floor would push p^d past the budget.
+    and is the default when no certified prime fits.  Counting visits p^r
+    points (r the rank), and that is what the budget is charged.  A small
+    arrangement (at most 14 hyperplanes) can always fall back to verified
+    primes, which are far smaller, so it takes certified primes only while
+    p^d fits the budget, as when the count ran over all of F_p^d.
     """
-    d = arrangement.dim
+    r = arrangement.rank
     floor = hadamard_prime_floor(arrangement)
     small = len(arrangement.nonloops()) <= 14
-    # Primes are only searched for below budget^(1/d), where trial division
+    e = arrangement.dim if small else r
+    # Primes are only searched for below budget^(1/e), where trial division
     # is cheap: a floor of 1e17 would otherwise cost seconds to step over.
-    fits = (floor + 1) ** d <= budget
+    fits = (floor + 1) ** e <= budget
     if reduction == "auto":
-        cheap = fits and next(_primes_from(floor + 1)) ** d <= budget
+        cheap = fits and next(_primes_from(floor + 1)) ** e <= budget
         reduction = "bound" if cheap or not small else "verified"
     out = []
     if reduction == "bound":
         p = floor + 1
         if fits:
             for p in _primes_from(p):
-                if p ** d > budget:
+                if p ** e > budget:
                     break
                 out.append(reduce_mod_p(arrangement, p, "bound-certified"))
                 if len(out) == count:
                     return out
-        # p^d exceeds the budget and larger primes only get worse; fill the
+        # p^e exceeds the budget and larger primes only get worse; fill the
         # remaining slots with small verified primes if the arrangement is small
         if not small:
             raise BudgetExceededError(
-                "no certified prime fits the enumeration budget", required=p ** d)
+                "no certified prime fits the enumeration budget", required=p ** e)
         reduction = "verified"
     if reduction == "verified":
         taken = {m.prime for m in out}
         for p in _primes_from(2):
             if p in taken:
                 continue
-            if p ** d > budget:
+            if p ** r > budget:
                 raise BudgetExceededError(
                     "cannot find %d verified primes within the budget" % count,
-                    required=p ** d)
+                    required=p ** r)
             try:
                 out.append(reduce_mod_p(arrangement, p, "verified"))
             except BadPrimeError:
@@ -279,14 +385,13 @@ def coboundary_ffm(arrangement, primes=None, reduction="auto",
     for modarr in mods:
         profile = point_profile(modarr, budget=budget)
         check_profile(profile, modarr)
-        poly = profile.polynomial("Y")
-        scale = Fraction(1, modarr.prime ** (d - r))
-        scaled = poly * scale
-        if not scaled.has_integer_coeffs():
+        fibre = modarr.prime ** (d - r)
+        if any(c % fibre for c in profile.counts):
             raise InconsistentSamplesError(
                 "profile at p=%d is not divisible by p^(d-r): "
                 "degree bound or reduction failure" % modarr.prime)
-        samples.append((Fraction(modarr.prime), scaled))
+        samples.append((Fraction(modarr.prime), MultiPoly(
+            ("Y",), {(k,): c // fibre for k, c in enumerate(profile.counts)})))
     result = interpolate_in_X(samples, r, var="X")
     if not result.has_integer_coeffs():
         raise InconsistentSamplesError(

@@ -8,6 +8,7 @@ field use plain Gaussian elimination mod p.
 The echelon kernel (`normalise_row`, `reduce_row`, `extend_basis`) keeps a
 reduced echelon basis of integer rows over Q, or of rows mod p with pivot
 entry 1 over F_p, and reduces further rows against it one at a time;
+`pivot_columns` reads the pivots of a row space from it, and
 `central_subsets` walks every central subset of an arrangement on it.
 """
 
@@ -89,6 +90,21 @@ def extend_basis(basis, row, prime=None):
         out.append((pc, b))
     out.append((c, tuple(row)))
     return out
+
+
+def pivot_columns(rows, prime=None):
+    """Pivot columns of the row space of integer rows, in increasing order.
+
+    They are the pivots of the reduced echelon basis built by `extend_basis`
+    (every echelon form of a row space has the same pivots), over Q or F_p;
+    the columns at them span every other column.
+    """
+    basis = []
+    for row in rows:
+        rem = reduce_row(row, basis, prime)
+        if any(rem):
+            basis = extend_basis(basis, normalise_row(rem, prime), prime)
+    return sorted(c for c, _ in basis)
 
 
 def central_subsets(rows, prime=None):

@@ -261,6 +261,46 @@ def test_finite_field_skips_prime_search_above_budget(capsys, monkeypatch):
     assert run(capsys, argv + ["--method", "subset"])[1] == out
 
 
+@pytest.mark.parametrize("argv", [
+    ["family", "braid", "--n", "6", "coboundary"],    # d = 6, r = 5
+    ["family", "shi", "--n", "5", "tutte"],           # d = 5, r = 4
+])
+def test_finite_field_budget_counts_the_quotient(capsys, argv):
+    # p^d exceeds the default budget for every certified prime, p^r does not:
+    # the points are counted in the quotient by the lineality space
+    code, out, _ = run(capsys, argv + ["--method", "finite-field"])
+    assert code == 0
+    assert run(capsys, argv)[1] == out      # the flat-lattice route (n > 10)
+
+
+def test_finite_field_counts_a_line_above_the_block(capsys, tmp_path):
+    # 15 parallel lines are too many for verified reduction; the certified
+    # primes (about 3.4e5) exceed the block, and the quotient is a line
+    path = tmp_path / "lines.json"
+    offsets = list(range(12)) + [60, 70, 80]
+    path.write_text(Arrangement(2, [([1, 0], c) for c in offsets]).to_json())
+    argv = ["tutte", "--input", str(path)]
+    code, out, _ = run(capsys, argv + ["--method", "finite-field"])
+    assert code == 0 and out == "x + 14\n"
+    code, out, _ = run(capsys, ["check", "--input", str(path)])
+    assert code == 0 and "FAIL" not in out
+
+
+def test_inconsistent_profile_exits_2_with_one_line(capsys, bench_file,
+                                                    monkeypatch):
+    count = finite_field.point_profile
+
+    def corrupted(modarr, *args, **kwargs):
+        counts = list(count(modarr, *args, **kwargs).counts)
+        counts[0] += 1
+        return finite_field.PointProfile(modarr.prime, counts)
+
+    monkeypatch.setattr(finite_field, "point_profile", corrupted)
+    code, out, err = run(capsys, ["coboundary", "--input", bench_file,
+                                  "--method", "finite-field"])
+    assert code == 2 and out == "" and _one_error_line(err, "inconsistent-samples")
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # about 110 kB of output outgrows the pipe buffer, so a write meets the
     # closed pipe whatever the buffering of stdout

@@ -1,13 +1,22 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import random_arrangement
 from tuttekit.arrangement import Arrangement
-from tuttekit.errors import BadPrimeError, BudgetExceededError
+from tuttekit import finite_field
+from tuttekit.errors import (
+    BadPrimeError,
+    BudgetExceededError,
+    InconsistentSamplesError,
+)
 from tuttekit.families import generic
 from tuttekit.finite_field import (
     DEFAULT_BUDGET,
+    ModularArrangement,
+    PointProfile,
+    check_profile,
     coboundary_ffm,
     hadamard_prime_floor,
     point_profile,
@@ -141,3 +150,113 @@ def test_d0_and_loops():
     profile = point_profile(modarr)
     # every point lies on the loop; one point also on x=0
     assert profile.counts == (0, 2, 1)
+
+
+def test_check_profile_rejects_corrupted_counts(bench):
+    modarr = reduce_mod_p(bench, 5, mode="verified")
+    profile = point_profile(modarr)
+    chi = char_poly(bench)
+    assert check_profile(profile, modarr, chi)
+    counts = list(profile.counts)
+    counts[1] += 1
+    with pytest.raises(InconsistentSamplesError, match="sum to p\\^d"):
+        check_profile(PointProfile(5, counts), modarr)
+    counts[0] += 1
+    counts[1] -= 2
+    with pytest.raises(InconsistentSamplesError, match="chi"):
+        check_profile(PointProfile(5, counts), modarr, chi)
+
+
+def test_line_above_the_block_is_counted_without_scattering(monkeypatch):
+    # rank 1 in F_p^2 with p > _BLOCK: each row is one root on the line, and
+    # no slice or block of points is built
+    p = 262147
+    assert p > finite_field._BLOCK
+
+    def no_scatter(*args):
+        raise AssertionError("scattered a line")
+
+    monkeypatch.setattr(finite_field, "_scatter", no_scatter)
+    rows = [(1, 0, 0), (2, 0, 6), (1, 0, 3), (p, 0, 0), (0, 0, 5), (0, p, 0)]
+    modarr = ModularArrangement(p, 2, rows, n_loops=1)
+    # every point lies on the loop and the zero rows 3 and 5; x = 0 also on
+    # row 0, x = 3 also on rows 1 and 2
+    want = (0, 0, 0, (p - 2) * p, p, p, 0, 0)
+    assert point_profile(modarr).counts == want
+    assert point_profile_partitioned(modarr, 3).counts == want
+    assert point_profile(modarr, x1_range=(1, p)).counts == (
+        0, 0, 0, (p - 2) * p, 0, p, 0, 0)
+
+
+def test_small_arrangement_keeps_verified_primes():
+    # three parallel lines: certified primes would lie above the Hadamard
+    # floor (about 3e5), verified ones need only avoid 2, 3, 5 and 7
+    arr = Arrangement(2, [([1, 0], 0), ([1, 0], 300), ([1, 0], 1000)])
+    assert [m.prime for m in select_primes(arr, 3)] == [11, 13, 17]
+    assert [m.prime for m in select_primes(arr, 3, "bound")] == [11, 13, 17]
+
+
+def _brute_profile(modarr):
+    """Incidences at every point of F_p^d, counted one point at a time."""
+    p = modarr.prime
+    counts = [0] * (modarr.n + 1)
+    for x in itertools.product(range(p), repeat=modarr.dim):
+        on = sum(1 for row in modarr.rows
+                 if (sum(a * b for a, b in zip(row[:-1], x)) - row[-1]) % p == 0)
+        counts[modarr.n_loops + on] += 1
+    return tuple(counts)
+
+
+def _random_modarr(rng, p, d, kind):
+    """Rows over F_p^d: `central` normals span a random subspace of rank at
+    most d - 1 (a nontrivial lineality space) and offsets are 0; `affine`
+    rows are random; `degenerate` rows repeat, run parallel to, or have a
+    normal that is 0 mod p, with loops on top."""
+    n = rng.randint(0, 6)
+    span = [[rng.randrange(p) for _ in range(d)]
+            for _ in range(max(d - 1, 0) if kind == "central" else d)]
+    rows = []
+    for _ in range(n):
+        coeffs = [rng.randrange(p) for _ in span]
+        normal = [sum(c * v[j] for c, v in zip(coeffs, span)) % p for j in range(d)]
+        offset = 0 if kind == "central" else rng.randrange(p)
+        if kind == "degenerate" and rows and rng.random() < 0.6:
+            normal = list(rng.choice(rows)[:-1])
+            offset = rng.choice((offset, rows[-1][-1]))
+        if kind == "degenerate" and rng.random() < 0.2:
+            normal = [rng.choice((0, p)) for _ in range(d)]
+        # entries are not always reduced: the kernel takes them mod p
+        rows.append(tuple(x + p * rng.randint(0, 1) for x in normal) + (offset,))
+    loops = rng.randint(0, 2) if kind == "degenerate" else 0
+    return ModularArrangement(p, d, rows, n_loops=loops)
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_profile_matches_brute_force(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(finite_field, "_BLOCK", block)
+    scatter = finite_field._scatter
+
+    def bounded_scatter(rows, p, k, counts):
+        assert p ** k <= finite_field._BLOCK, "scattered more than one block"
+        assert k >= 2, "a line or a point is counted without scattering"
+        return scatter(rows, p, k, counts)
+
+    monkeypatch.setattr(finite_field, "_scatter", bounded_scatter)
+    rng = random.Random(53)
+    cases = []
+    for p in (2, 3, 5, 7, 11):
+        for kind in ("central", "affine", "degenerate"):
+            for d in range(0, 5 if p <= 3 else 4):
+                cases.append(_random_modarr(rng, p, d, kind))
+    cases += [ModularArrangement(3, 0, [(0,), (1,)], n_loops=1),   # d = 0
+              ModularArrangement(5, 2, [(0, 5, 0), (5, 0, 2)]),     # r = 0
+              ModularArrangement(7, 3, [], n_loops=2)]
+    nullities = set()
+    for modarr in cases:
+        want = _brute_profile(modarr)
+        assert point_profile(modarr).counts == want
+        nullities.add(modarr.dim - finite_field._essential_rows(modarr)[0])
+        for parts in (2, 3, modarr.prime):
+            assert point_profile_partitioned(modarr, parts).counts == want
+    assert {0, 1, 2} <= nullities   # essential and nontrivial quotients both ran
