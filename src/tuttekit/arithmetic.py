@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd
 
-from .errors import InputFormatError, TuttekitError
+from .errors import BadPrimeError, ConsistencyError, InputFormatError
 from .linalg import central_subsets, is_prime, rank_int
 from .multipoly import MultiPoly
 from .tutte import expand_rank_table
@@ -179,7 +179,7 @@ def multiplicity(config, subset, cross_check=True):
     if cross_check:
         alt = _smith_divisor_product(mat)
         if alt != g:
-            raise AssertionError(
+            raise ConsistencyError(
                 "minor-gcd and elementary-divisor multiplicities differ "
                 "(%d vs %d) on %s" % (g, alt, subset))
     return g
@@ -269,7 +269,7 @@ def toric_point_profile(config, q, m_poly=None):
     """
     P = q + 1
     if q < 1 or not is_prime(P):
-        raise TuttekitError("q + 1 = %d must be prime" % P)
+        raise BadPrimeError("q + 1 = %d must be prime" % P)
     counts = [0] * (config.n + 1)
     units = range(1, P)
     for point in product(units, repeat=config.dim):
@@ -294,11 +294,11 @@ def toric_point_profile(config, q, m_poly=None):
             for j in range(size + 1):
                 rhs[(j,)] = rhs.get((j,), 0) + c * comb(size, j) * (-1) ** (size - j)
     if lhs != MultiPoly(("t",), rhs):
-        raise AssertionError("toric finite field identity fails at q=%d" % q)
+        raise ConsistencyError("toric finite field identity fails at q=%d" % q)
     chi_at_q = arithmetic_char_poly(config, m_poly).evaluate({"q": q})
     if counts[0] != chi_at_q:
-        raise AssertionError("toric complement count disagrees with "
-                             "the arithmetic characteristic polynomial")
+        raise ConsistencyError("toric complement count disagrees with "
+                               "the arithmetic characteristic polynomial")
     return {"q": q, "counts": counts, "polynomial": lhs}
 
 

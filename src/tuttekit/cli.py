@@ -26,7 +26,7 @@ from .arithmetic import (
     zonotope_evaluations,
 )
 from .arrangement import Arrangement
-from .errors import InputFormatError, TuttekitError
+from .errors import ConsistencyError, InputFormatError, TuttekitError
 from .finite_field import DEFAULT_BUDGET, coboundary_ffm, point_profile, select_primes
 from .poset import intersection_poset
 from .tutte import (
@@ -275,7 +275,7 @@ def _run_check(arr, args):
     try:
         poset.verify_mobius()
         report("mobius-recursion", True)
-    except AssertionError:
+    except ConsistencyError:
         report("mobius-recursion", False)
     chi = poset.char_poly()
     report("whitney-theorem", chi == whitney_char(arr, tutte=t_sub))

@@ -57,6 +57,12 @@ class InconsistentSamplesError(TuttekitError):
     code = "inconsistent-samples"
 
 
+class ConsistencyError(TuttekitError):
+    """Two exact routes to the same quantity disagreed: an internal fault."""
+
+    code = "consistency"
+
+
 class FamilyError(TuttekitError):
     """Invalid family specification or a family without the requested oracle."""
 

@@ -298,6 +298,22 @@ class MultiPoly:
     def has_integer_coeffs(self):
         return all(c.denominator == 1 for c in self.terms.values())
 
+    def table(self, names):
+        """Terms keyed by exponent tuples over `names`, integral coefficients
+        as int (for exact table arithmetic); raises ValueError if a variable
+        outside `names` occurs."""
+        pos = [names.index(v) if v in names else None for v in self.vars]
+        out = {}
+        for exps, coeff in self.terms.items():
+            key = [0] * len(names)
+            for k, e in zip(pos, exps):
+                if e and k is None:
+                    raise ValueError("%s uses a variable outside %s" % (self, names))
+                if e:
+                    key[k] = e
+            out[tuple(key)] = coeff.numerator if coeff.denominator == 1 else coeff
+        return out
+
     def univariate_coeffs(self, var, width=None):
         """Coefficient list [c0, c1, ...] of a univariate polynomial, as Fractions."""
         for v in self.vars:

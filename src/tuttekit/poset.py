@@ -12,9 +12,13 @@ basis: a remainder that vanishes on the normals but not on the offset is
 parallel to F, and hyperplanes whose normalised remainders agree cut F in the
 same subspace, so they form one cover.  The number of flats is exponential
 in the worst case; the pairwise work is budgeted by flats^2.
+
+The characteristic and coboundary polynomials are summed from the Möbius
+values and the flats' point counts into integer coefficient tables, and one
+MultiPoly is built from each table.
 """
 
-from .errors import BudgetExceededError, NonCentralError
+from .errors import BudgetExceededError, ConsistencyError, NonCentralError
 from .finite_field import DEFAULT_BUDGET
 from .linalg import extend_basis, normalise_row, reduce_row
 from .multipoly import MultiPoly
@@ -52,21 +56,18 @@ class IntersectionPoset:
         """f <= g in the poset (reverse inclusion of subspaces)."""
         return f.hyperplane_set <= g.hyperplane_set
 
-    def level_mobius_sums(self):
-        """Sum of Möbius values at each rank, as a list indexed by rank."""
-        height = max(f.rank for f in self.flats)
-        sums = [0] * (height + 1)
-        for f in self.flats:
-            sums[f.rank] += self.mobius[f.hyperplane_set]
-        return sums
-
     def char_poly(self, var="q"):
-        """Characteristic polynomial: sum of mu(F) q^dim(F)."""
-        q = MultiPoly.variable(var)
-        total = MultiPoly.zero()
-        for f in self.flats:
-            total = total + self.mobius[f.hyperplane_set] * q ** f.dim
-        return total
+        """Characteristic polynomial: sum of mu(F) q^dim(F), summed by dim.
+
+        A loop hyperplane (0 = 0) covers the whole space, so an arrangement
+        with a loop has empty complement and chi = 0; the Möbius sum over
+        flats alone does not see this.
+        """
+        table = {}
+        if not self.arrangement.loops():
+            for f in self.flats:
+                table[(f.dim,)] = table.get((f.dim,), 0) + self.mobius[f.hyperplane_set]
+        return MultiPoly((var,), table)
 
     def verify_mobius(self):
         """Check the defining recursion at every flat; returns True or raises."""
@@ -75,7 +76,7 @@ class IntersectionPoset:
                         for f in self.flats if self.leq(f, g))
             expected = 1 if g.hyperplane_set == self.minimum else 0
             if total != expected:
-                raise AssertionError("Mobius recursion fails at %r" % g)
+                raise ConsistencyError("Mobius recursion fails at %r" % g)
         return True
 
     def coboundary(self):

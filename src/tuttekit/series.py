@@ -69,75 +69,6 @@ def series_pow(base, exponent, svars, order):
     return series_exp(mul_trunc(exponent, logb, svars, order), svars, order)
 
 
-def geometric_inverse(f, svars, order):
-    """1/f for f with constant term 1, via the geometric series."""
-    const = truncate(f, svars, 0)
-    if const != MultiPoly.const(1):
-        raise ValueError("inverse requires constant term 1")
-    b = truncate(1 - f, svars, order)
-    result = MultiPoly.const(1)
-    power = MultiPoly.const(1)
-    for _ in range(order):
-        power = mul_trunc(power, b, svars, order)
-        if power.is_zero():
-            break
-        result = result + power
-    return result
-
-
-class TruncatedSeries:
-    """A series in one distinguished variable with MultiPoly coefficients."""
-
-    def __init__(self, var, order, coeffs):
-        if len(coeffs) != order + 1:
-            raise ValueError("need exactly order+1 coefficients")
-        self.var = var
-        self.order = order
-        self.coeffs = list(coeffs)
-
-    @classmethod
-    def from_poly(cls, poly, var, order):
-        return cls(var, order, [truncate(poly, [var], k).coefficient(var, k)
-                                for k in range(order + 1)])
-
-    def to_poly(self):
-        z = MultiPoly.variable(self.var)
-        total = MultiPoly.zero()
-        for k, c in enumerate(self.coeffs):
-            total = total + c * z ** k
-        return total
-
-    def coefficient(self, n):
-        return self.coeffs[n]
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            if other.var != self.var:
-                raise ValueError("series variable mismatch")
-            other = other.to_poly()
-            order = self.order
-        else:
-            order = self.order
-        prod = mul_trunc(self.to_poly(), other, [self.var], order)
-        return TruncatedSeries.from_poly(prod, self.var, order)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            other = other.to_poly()
-        return TruncatedSeries.from_poly(self.to_poly() + other, self.var, self.order)
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncatedSeries) and self.var == other.var
-                and self.order == other.order and self.coeffs == other.coeffs)
-
-    def pow(self, exponent):
-        """Series power with a polynomial exponent; constant term must be 1."""
-        result = series_pow(self.to_poly(), exponent, [self.var], self.order)
-        return TruncatedSeries.from_poly(result, self.var, self.order)
-
-
 def deformed_exponential(z_poly, y_poly, svars, order):
     """F(alpha, beta) = sum_n alpha^n beta^C(n,2) / n!, truncated.
 
@@ -151,18 +82,6 @@ def deformed_exponential(z_poly, y_poly, svars, order):
             break
         total = total + zp * (y_poly ** (n * (n - 1) // 2)) * Fraction(1, factorial(n))
     return truncate(total, svars, order)
-
-
-def q_pochhammer(a, p, n):
-    """(a; p)_n = (1 - a)(1 - pa) ... (1 - p^{n-1} a), exact."""
-    if n < 0:
-        raise ValueError("q-Pochhammer length must be nonnegative")
-    if isinstance(a, (int, Fraction)):
-        a = MultiPoly.const(a)
-    result = MultiPoly.const(1)
-    for k in range(n):
-        result = result * (MultiPoly.const(1) - a * (Fraction(p) ** k))
-    return result
 
 
 def q_pochhammer_scalar(a, p, n):

@@ -6,12 +6,20 @@ fourth route, the finite field method, lives in `finite_field`, and the
 flat-lattice coboundary (`IntersectionPoset.coboundary`) in `poset`.  All
 engines agree exactly; the test suite asserts this on randomized
 arrangements.
+
+The exact steps after a walk or a count work on integer coefficient
+tables: the rank-size table of the subset expansion, the coboundary
+transforms in both directions and the Whitney specialisation are binomial
+transforms done by one helper (`_expand`), and one MultiPoly is built from
+the final table.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from .errors import ConsistencyError
 from .finite_field import DEFAULT_BUDGET
 from .linalg import central_subsets
 from .multipoly import MultiPoly
@@ -41,16 +49,35 @@ class ActivityCertificate:
         self.records = records  # list of (basis tuple, internal, external)
 
     def polynomial(self):
-        x = MultiPoly.variable("x")
-        y = MultiPoly.variable("y")
-        total = MultiPoly.zero()
-        for _, i, e in self.records:
-            total = total + x ** i * y ** e
-        return total
+        """x^i y^e summed over the records: a count of (i, e) pairs."""
+        counts = Counter((i, e) for _, i, e in self.records)
+        # a term-by-term sum orders y before x if y^e comes before any x^i
+        if next((not i for i, e in counts if i or e), False):
+            return MultiPoly(("y", "x"), {(e, i): c for (i, e), c in counts.items()})
+        return MultiPoly(("x", "y"), counts)
 
 
-def _xy():
-    return MultiPoly.variable("x"), MultiPoly.variable("y")
+def _signed_binomials(b):
+    """Coefficients of (v - 1)^b, lowest power first."""
+    return [(-1) ** (b - t) * comb(b, t) for t in range(b + 1)]
+
+
+def _expand(terms):
+    """Expand sum of c x^i (x-1)^a y^j (y-1)^b, given as {(i, a, j, b): c},
+    into {(i, j): c} by the binomial theorem, one variable at a time."""
+    mid = {}
+    for (i, a, j, b), c in terms.items():
+        if c:
+            for s, w in enumerate(_signed_binomials(a)):
+                key = (i + s, j, b)
+                mid[key] = mid.get(key, 0) + w * c
+    out = {}
+    for (i, j, b), c in mid.items():
+        if c:
+            for t, w in enumerate(_signed_binomials(b)):
+                key = (i, j + t)
+                out[key] = out.get(key, 0) + w * c
+    return out
 
 
 def expand_rank_table(table, r, loops=0):
@@ -59,18 +86,9 @@ def expand_rank_table(table, r, loops=0):
     table[rB][size] counts (or weighs) subsets by rank and size; the powers
     are expanded by the binomial theorem into one integer term table.
     """
-    terms = {}
-    for rb, row in enumerate(table):
-        for size, count in enumerate(row):
-            if not count:
-                continue
-            a, b = r - rb, size - rb
-            for i in range(a + 1):
-                ci = count * comb(a, i) * (-1) ** (a - i)
-                for j in range(b + 1):
-                    key = (i, j + loops)
-                    terms[key] = terms.get(key, 0) + ci * comb(b, j) * (-1) ** (b - j)
-    return MultiPoly(("x", "y"), terms)
+    terms = {(0, r - rb, loops, size - rb): count
+             for rb, row in enumerate(table) for size, count in enumerate(row)}
+    return MultiPoly(("x", "y"), _expand(terms))
 
 
 def tutte_subset(arrangement):
@@ -91,7 +109,7 @@ def tutte_subset(arrangement):
 
 def tutte_delcon(arrangement):
     """Deletion-contraction recursion; identical result to the subset expansion."""
-    x, y = _xy()
+    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
 
     def rec(arr):
         loops = arr.loops()
@@ -150,76 +168,68 @@ def tutte_activity(arrangement, order=None):
 def char_poly(arrangement, var="q", check_whitney=None, budget=DEFAULT_BUDGET):
     """Characteristic polynomial via the Möbius-weighted sum over flats.
 
-    A degenerate loop hyperplane covers the whole space, so an arrangement
-    containing one has empty complement and chi = 0 (the poset-level Möbius
-    sum does not see this; the Whitney route does).
-
     When check_whitney is true (default for n <= 10), the Whitney route
-    (-1)^r q^(d-r) T(1-q, 0) is also computed and asserted equal.  The
-    budget bounds the intersection poset (see `intersection_poset`).
+    (-1)^r q^(d-r) T(1-q, 0) is also computed and must agree, or
+    ConsistencyError is raised.  The budget bounds the intersection poset
+    (see `intersection_poset`).
     """
-    if arrangement.loops():
-        chi = MultiPoly.zero()
-    else:
-        poset = intersection_poset(arrangement, budget=budget)
-        chi = poset.char_poly(var)
+    chi = intersection_poset(arrangement, budget=budget).char_poly(var)
     if check_whitney is None:
         check_whitney = arrangement.n <= 10
     if check_whitney:
         alt = whitney_char(arrangement, var=var)
         if alt != chi:
-            raise AssertionError(
+            raise ConsistencyError(
                 "Mobius and Whitney routes disagree: %s vs %s" % (chi, alt))
     return chi
 
 
 def whitney_char(arrangement, tutte=None, var="q"):
-    """chi(q) = (-1)^r q^(d-r) T(1-q, 0)."""
+    """chi(q) = (-1)^r q^(d-r) T(1-q, 0), from the y^0 column of T.
+
+    T(1-q, 0) = sum_i t_i0 (-1)^i (q-1)^i, expanded by the binomial theorem.
+    """
     if tutte is None:
         tutte = tutte_subset(arrangement).tutte
-    q = MultiPoly.variable(var)
     r = arrangement.rank
-    sub = {v: w for v, w in (("x", 1 - q), ("y", MultiPoly.const(0)))
-           if v in tutte.vars}
-    spec = tutte.substitute(sub) if sub else tutte
-    return spec * q ** (arrangement.dim - r) * Fraction((-1) ** r)
+    terms = {(arrangement.dim - r, i, 0, 0): (-1) ** (r + i) * c
+             for (i, j), c in tutte.table(("x", "y")).items() if not j}
+    return MultiPoly((var,), {(k,): c for (k, _), c in _expand(terms).items()})
 
 
 def coboundary_transform(tutte, r, xvar="X", yvar="Y"):
     """Coboundary polynomial (Y-1)^r T((X+Y-1)/(Y-1), Y), expanded.
 
-    Writing T = sum_i c_i(y) x^i with i <= r, the result is
-    sum_i c_i(Y) (X+Y-1)^i (Y-1)^(r-i), a genuine polynomial.
+    Writing T = sum t_ij x^i y^j with i <= r, the term t_ij x^i y^j becomes
+    t_ij Y^j (X + (Y-1))^i (Y-1)^(r-i) = sum_a t_ij C(i,a) X^a Y^j (Y-1)^(r-a),
+    a binomial transform of T's integer table.
     """
     if tutte.degree("x") > r:
         raise ValueError("x-degree exceeds the stated rank %d" % r)
-    X = MultiPoly.variable(xvar)
-    Y = MultiPoly.variable(yvar)
-    total = MultiPoly.zero()
-    for i in range(tutte.degree("x") + 1):
-        ci = tutte.coefficient("x", i)
-        ci = ci.substitute({"y": Y}) if "y" in ci.vars else ci
-        total = total + ci * (X + Y - 1) ** i * (Y - 1) ** (r - i)
-    return total
+    terms = {}
+    for (i, j), c in tutte.table(("x", "y")).items():
+        for a in range(i + 1):
+            key = (a, 0, j, r - a)
+            terms[key] = terms.get(key, 0) + comb(i, a) * c
+    return MultiPoly((yvar, xvar),
+                     {(j, a): c for (a, j), c in _expand(terms).items()})
 
 
 def tutte_from_coboundary(cob, r, xvar="X", yvar="Y"):
-    """Inverse transform: T(x,y) = (y-1)^(-r) cob((x-1)(y-1), y), exact."""
-    x = MultiPoly.variable("x")
-    s = MultiPoly.variable("_s")
-    sub = {}
-    if xvar in cob.vars:
-        sub[xvar] = (x - 1) * s
-    if yvar in cob.vars:
-        sub[yvar] = s + 1
-    shifted = cob.substitute(sub) if sub else cob
-    try:
-        shifted = shifted.div_exact_var("_s", r) if r else shifted
-    except ValueError:
+    """Inverse transform: T(x,y) = (y-1)^(-r) cob((x-1)(y-1), y), exact.
+
+    The term Y^k X^a becomes (x-1)^a (y-1)^a y^k, and y^k is
+    sum_l C(k,l) (y-1)^l.  Once like terms are collected, every nonzero one
+    must have a (y-1)-exponent of at least r.
+    """
+    terms = {}
+    for (k, a), c in cob.table((yvar, xvar)).items():
+        for l in range(k + 1):
+            key = (0, a, 0, a + l - r)
+            terms[key] = terms.get(key, 0) + comb(k, l) * c
+    if any(c for key, c in terms.items() if key[3] < 0):
         raise ValueError("inconsistent coboundary/rank pair: division not exact")
-    if "_s" in shifted.vars:
-        shifted = shifted.substitute({"_s": MultiPoly.variable("y") - 1})
-    return shifted
+    return MultiPoly(("x", "y"), _expand(terms))
 
 
 def scalar_invariants(arrangement, tutte=None, chi=None):
@@ -238,12 +248,9 @@ def scalar_invariants(arrangement, tutte=None, chi=None):
         tutte = tutte_subset(arrangement).tutte
     a = (-1) ** d * chi.evaluate({"q": -1})
     b = (-1) ** r * chi.evaluate({"q": 1})
-    q = MultiPoly.variable("q")
     # (-q)^d chi(-1/q): coefficient of q^k in chi becomes (-1)^(d-k) q^(d-k)
-    poincare = MultiPoly.zero()
-    for k in range(chi.degree("q") + 1):
-        c = chi.coefficient("q", k).constant_value()
-        poincare = poincare + c * Fraction((-1) ** (d - k)) * q ** (d - k)
+    poincare = MultiPoly(("q",), {(d - k,): (-1) ** (d - k) * c
+                                  for (k,), c in chi.table(("q",)).items()})
     t10 = tutte.evaluate({"x": 1, "y": 0})
     beta = None
     if arrangement.n >= 2:
@@ -252,7 +259,7 @@ def scalar_invariants(arrangement, tutte=None, chi=None):
         # the x/y coefficient symmetry is a matroid fact; it can fail for
         # non-central arrangements (e.g. x=0, x=1 has T = x + 1)
         if arrangement.is_central() and b10 != b01:
-            raise AssertionError("beta coefficients x^1y^0 and x^0y^1 differ")
+            raise ConsistencyError("beta coefficients x^1y^0 and x^0y^1 differ")
         beta = b10
     return {
         "regions": a,

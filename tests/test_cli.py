@@ -321,3 +321,35 @@ def test_closed_stdout_exits_1_without_traceback():
         proc.kill()
         proc.stderr.close()
     assert err == b""
+
+
+def test_check_on_a_loop_reports_only_ok(capsys, tmp_path):
+    # x = 0 and the loop 0 = 0 in Q^2: chi = 0 on every route
+    path = tmp_path / "loop.json"
+    path.write_text(Arrangement(2, [([1, 0], 0), ([0, 0], 0)]).to_json())
+    code, out, err = run(capsys, ["check", "--input", str(path)])
+    lines = out.splitlines()
+    assert code == 0 and err == ""
+    assert lines and all(line.startswith("ok   ") for line in lines)
+    assert "ok   whitney-theorem" in lines and "ok   profile-t0-slice" in lines
+
+
+@pytest.fixture
+def toric_file(tmp_path):
+    # (1,0), (1,2), (2,-1): the pairs have multiplicities 2, 1 and 5, and the
+    # checked toric identity needs every multiplicity to divide q
+    path = tmp_path / "toric.txt"
+    path.write_text("dim 2\n1 0\n1 2\n2 -1\n")
+    return str(path)
+
+
+def test_toric_identity_failure_is_one_consistency_line(capsys, toric_file):
+    code, out, err = run(capsys, ["toric", "--input", toric_file, "--q", "4"])
+    assert code == 2 and out == "" and _one_error_line(err, "consistency")
+
+
+def test_toric_q_plus_one_not_prime_is_a_bad_prime(capsys, toric_file):
+    code, out, err = run(capsys, ["toric", "--input", toric_file,
+                                  "--q", "100000"])
+    assert code == 2 and out == ""
+    assert err == "error: bad-prime: q + 1 = 100001 must be prime\n"

@@ -93,6 +93,17 @@ def test_div_exact_var():
         (p + 1).div_exact_var("x")
 
 
+def test_table_over_given_variables():
+    p = 3 * x ** 2 * y + Fraction(1, 2) * y - 1
+    table = p.table(("y", "x", "z"))
+    assert table == {(1, 2, 0): 3, (1, 0, 0): Fraction(1, 2), (0, 0, 0): -1}
+    assert type(table[(1, 2, 0)]) is int
+    # a variable that is declared but unused does not matter
+    assert MultiPoly(("x", "q"), {(1, 0): 2}).table(("x",)) == {(1,): 2}
+    with pytest.raises(ValueError):
+        p.table(("x",))
+
+
 def test_has_integer_coeffs():
     assert (x + 2).has_integer_coeffs()
     assert not (x / 2).has_integer_coeffs()

@@ -5,11 +5,8 @@ import pytest
 
 from tuttekit.multipoly import MultiPoly
 from tuttekit.series import (
-    TruncatedSeries,
     deformed_exponential,
-    geometric_inverse,
     mul_trunc,
-    q_pochhammer,
     q_pochhammer_ratio,
     q_pochhammer_scalar,
     series_exp,
@@ -59,23 +56,6 @@ def test_pow_additivity():
     assert mul_trunc(a, truncate(f * f, ["Z"], 5), ["Z"], 5) == b
 
 
-def test_geometric_inverse():
-    f = 1 - Z
-    inv = geometric_inverse(f, ["Z"], 5)
-    assert inv == 1 + Z + Z ** 2 + Z ** 3 + Z ** 4 + Z ** 5
-    assert mul_trunc(f, inv, ["Z"], 5) == MultiPoly.const(1)
-
-
-def test_truncated_series_class():
-    s = TruncatedSeries.from_poly(1 + Z + 2 * Z ** 2, "Z", 3)
-    assert s.coefficient(2) == MultiPoly.const(2)
-    t = s * s
-    assert t.coefficient(2) == MultiPoly.const(5)
-    assert (s + s).coefficient(1) == MultiPoly.const(2)
-    assert s.pow(MultiPoly.const(2)).to_poly() == \
-        truncate((1 + Z + 2 * Z ** 2) ** 2, ["Z"], 3)
-
-
 def test_deformed_exponential():
     # F(z, 1) = exp(z)
     f = deformed_exponential(Z, MultiPoly.const(1), ["Z"], 5)
@@ -86,13 +66,9 @@ def test_deformed_exponential():
     assert g.coefficient("Z", 3) == Y ** 3 / 6
 
 
-def test_q_pochhammer():
-    a = MultiPoly.variable("a")
-    assert q_pochhammer(a, 2, 2) == (1 - a) * (1 - 2 * a)
-    assert q_pochhammer(a, 3, 0) == MultiPoly.const(1)
+def test_q_pochhammer_scalar():
     assert q_pochhammer_scalar(2, 2, 3) == Fraction((1 - 2) * (1 - 4) * (1 - 8))
-    with pytest.raises(ValueError):
-        q_pochhammer(a, 2, -1)
+    assert q_pochhammer_scalar(Fraction(1, 2), 3, 0) == 1
 
 
 def test_q_pochhammer_ratio_qbinomial():
@@ -106,5 +82,7 @@ def test_q_pochhammer_ratio_qbinomial():
     for m in range(0, 4):
         # with X = p^m the ratio telescopes to the finite product (u;p)_m
         spec = ratio.substitute({"X": Fraction(p) ** m})
-        finite = q_pochhammer(u, p, m)  # (u;p)_m
+        finite = MultiPoly.const(1)  # (u;p)_m
+        for k in range(m):
+            finite = finite * (1 - p ** k * u)
         assert spec == truncate(finite, ["u"], order), m
