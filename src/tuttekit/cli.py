@@ -6,8 +6,8 @@ lexicographic order, highest term first.  Exit code 1 signals a parse or
 input-format problem, 2 a computation error (bad prime, non-central query,
 exceeded budget, bad family parameters, a method that does not apply); either
 prints a one-line machine-readable `error:` record.  Without `--method`,
-`tutte` and `coboundary` use the subset expansion for n <= 10 and the
-flat-lattice coboundary above that.
+`tutte`, `coboundary` and `invariants` use the subset expansion for n <= 10
+and the flat-lattice coboundary above that.
 """
 
 import argparse
@@ -30,6 +30,7 @@ from .errors import ConsistencyError, InputFormatError, TuttekitError
 from .finite_field import DEFAULT_BUDGET, coboundary_ffm, point_profile, select_primes
 from .poset import intersection_poset
 from .tutte import (
+    SUBSET_MAX_N,
     TutteResult,
     char_poly,
     coboundary_transform,
@@ -109,7 +110,7 @@ def _method(arr, args):
     """The engine to run: `auto` is subset for n <= 10, else the flat lattice."""
     method = getattr(args, "method", "auto") or "auto"
     if method == "auto":
-        method = "subset" if arr.n <= 10 else "lattice"
+        method = "subset" if arr.n <= SUBSET_MAX_N else "lattice"
     return method
 
 
@@ -218,7 +219,11 @@ def _run_action(action, arr, args):
             cob = coboundary_transform(tutte_subset(arr).tutte, arr.rank)
         _emit_poly(cob, args, {"rank": arr.rank, "n": arr.n, "dim": arr.dim})
     elif action == "invariants":
-        inv = scalar_invariants(arr)
+        if _method(arr, args) == "lattice":
+            inv = scalar_invariants(arr, budget=_budget(args))
+        else:
+            chi = char_poly(arr, check_whitney=False, budget=_budget(args))
+            inv = scalar_invariants(arr, _tutte_by_method(arr, args).tutte, chi)
         fmt = getattr(args, "format", "text")
         record = {
             "regions": str(inv["regions"]),

@@ -10,7 +10,9 @@ Generating-function conventions: the series identities produce, at index n,
 the full point-count polynomial X^(d-r) * cobchi(A; X, Y); for type A and the
 complete bipartite graphs d - r = 1 (a connected graphical arrangement), so
 one factor of X appears up front.  The oracles divide by X^(d-r) so they
-always return the coboundary polynomial itself.
+always return the coboundary polynomial itself.  The Catalan oracle counts
+the points of F_q^n as labelled balls in runs of boxes on a cycle of length
+q (see `_catalan_coboundary`).
 """
 
 from fractions import Fraction
@@ -266,6 +268,41 @@ def _extract(coeff_poly, scale, rank_deficit):
     return poly.div_exact_var("X", rank_deficit) if rank_deficit else poly
 
 
+def _catalan_coboundary(n):
+    """Coboundary polynomial of catalan(n), from points of F_q^n on a cycle.
+
+    A point places n labelled balls in the q boxes of Z_q, and a pair of
+    balls lies on one hyperplane when their boxes are equal or adjacent, on
+    none otherwise.  The nonempty boxes form s runs of consecutive boxes, K
+    boxes in all; S sums W^boxes Z^balls / balls! Y^pairs over single runs.
+    The s runs, told apart by their balls, go round the cycle in (s-1)!
+    orders, with q boxes for the first run to start at and C(q-K-1, s-1)
+    ways to leave nonempty gaps.  So the point count is
+    n! [Z^n] sum_s q C(q-K-1, s-1) [W^K] S^s / s, and d - r = 1 takes q off.
+    """
+    X, Y, Z, W = (MultiPoly.variable(v) for v in "XYZW")
+    # first[m]: the runs whose first box holds m balls, found by adding boxes
+    # in front until no run of at most n balls is missing
+    first = {m: MultiPoly.zero() for m in range(1, n + 1)}
+    for _ in range(n):
+        first = {m: truncate(W * Z ** m * Y ** (m * (m - 1) // 2) * Fraction(1, factorial(m))
+                             * (1 + sum((Y ** (m * k) * f for k, f in first.items()),
+                                        MultiPoly.zero())), ["Z"], n)
+                 for m in first}
+    runs = sum(first.values(), MultiPoly.zero())
+    total = MultiPoly.zero()
+    power = MultiPoly.const(1)
+    for s in range(1, n + 1):
+        power = mul_trunc(power, runs, ["Z"], n)
+        balls = power.coefficient("Z", n)
+        for K in range(s, n + 1):
+            gaps = MultiPoly.const(Fraction(1, factorial(s - 1)))
+            for i in range(s - 1):
+                gaps = gaps * (X - (K + 1 + i))
+            total = total + balls.coefficient("W", K) * gaps * Fraction(1, s)
+    return total * factorial(n)
+
+
 def oracle_coboundary(tag, n=None, p=None, m=None, order=None):
     """Series-extracted coboundary polynomial of a catalog family.
 
@@ -314,6 +351,8 @@ def oracle_coboundary(tag, n=None, p=None, m=None, order=None):
         coeff = total.coefficient("Z", n)
         arr = threshold(n)
         return _extract(coeff, Fraction(factorial(n)), arr.dim - arr.rank)
+    if tag == "catalan":
+        return _catalan_coboundary(n)
     if tag == "bipartite":
         N = order or (m + n)
         if m + n > N:

@@ -25,6 +25,10 @@ from .linalg import central_subsets
 from .multipoly import MultiPoly
 from .poset import intersection_poset
 
+# The largest n for which the subset expansion is the default route; above
+# it the flat lattice gives chi and T.
+SUBSET_MAX_N = 10
+
 
 class TutteResult:
     """A computed Tutte polynomial with its provenance."""
@@ -168,14 +172,14 @@ def tutte_activity(arrangement, order=None):
 def char_poly(arrangement, var="q", check_whitney=None, budget=DEFAULT_BUDGET):
     """Characteristic polynomial via the Möbius-weighted sum over flats.
 
-    When check_whitney is true (default for n <= 10), the Whitney route
-    (-1)^r q^(d-r) T(1-q, 0) is also computed and must agree, or
-    ConsistencyError is raised.  The budget bounds the intersection poset
-    (see `intersection_poset`).
+    When check_whitney is true (default for n <= SUBSET_MAX_N), the Whitney
+    route (-1)^r q^(d-r) T(1-q, 0) is also computed and must agree, or
+    ConsistencyError is raised.  The budget bounds the work and memory of
+    the intersection poset (see `intersection_poset`).
     """
     chi = intersection_poset(arrangement, budget=budget).char_poly(var)
     if check_whitney is None:
-        check_whitney = arrangement.n <= 10
+        check_whitney = arrangement.n <= SUBSET_MAX_N
     if check_whitney:
         alt = whitney_char(arrangement, var=var)
         if alt != chi:
@@ -232,18 +236,26 @@ def tutte_from_coboundary(cob, r, xvar="X", yvar="Y"):
     return MultiPoly(("x", "y"), _expand(terms))
 
 
-def scalar_invariants(arrangement, tutte=None, chi=None):
+def scalar_invariants(arrangement, tutte=None, chi=None, budget=DEFAULT_BUDGET):
     """The scalar and polynomial specializations of chapter-level interest.
 
     Returns a dict with region count a, bounded-region count b, the Poincare
     polynomial of the complex complement, the complement-size polynomial
     chi(q), the general-position bounded-region count T(1,0), and the beta
-    invariant (reported only for n >= 2).
+    invariant (reported only for n >= 2).  When T is not given and
+    n > SUBSET_MAX_N, chi and T both come from one intersection poset (its
+    Möbius values and its coboundary); otherwise chi comes from the poset
+    and T from the subset expansion.  The budget bounds the poset.
     """
     d = arrangement.dim
     r = arrangement.rank
+    if tutte is None and arrangement.n > SUBSET_MAX_N:
+        poset = intersection_poset(arrangement, budget=budget)
+        if chi is None:
+            chi = poset.char_poly()
+        tutte = tutte_from_coboundary(poset.coboundary(), r)
     if chi is None:
-        chi = char_poly(arrangement, check_whitney=False)
+        chi = char_poly(arrangement, check_whitney=False, budget=budget)
     if tutte is None:
         tutte = tutte_subset(arrangement).tutte
     a = (-1) ** d * chi.evaluate({"q": -1})

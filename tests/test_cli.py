@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -5,12 +7,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuttekit import finite_field
 from tuttekit.arrangement import Arrangement
 from tuttekit.cli import main
 from tuttekit.finite_field import DEFAULT_BUDGET
-from tuttekit.families import oracle_coboundary
+from tuttekit.errors import BudgetExceededError
+from tuttekit.families import braid, catalan, oracle_coboundary
+from tuttekit.poset import intersection_poset
+from tuttekit.tutte import tutte_from_coboundary
 
 
 @pytest.fixture
@@ -182,7 +189,7 @@ def _one_error_line(err, code):
       "--method", "finite-field"], "bad-method"),
     (["family", "braid", "char"], "family-error"),
     (["family", "braid", "--n", "-1", "char"], "family-error"),
-    (["family", "braid", "--n", "4", "poset", "--budget", "100"],
+    (["family", "braid", "--n", "4", "poset", "--budget", "50"],
      "budget-exceeded"),
     (["family", "braid", "--n", "3", "--k", "0", "tutte"], "family-error"),
     (["family", "graphical", "--n", "-1", "--graph", "EDGES", "char"],
@@ -353,3 +360,88 @@ def test_toric_q_plus_one_not_prime_is_a_bad_prime(capsys, toric_file):
                                   "--q", "100000"])
     assert code == 2 and out == ""
     assert err == "error: bad-prime: q + 1 = 100001 must be prime\n"
+
+
+# braid(6): 203 flats, 1322 reductions, 2268 comparable pairs and the
+# bitsets in hand (7 words at the end), against 203^2 = 41209 flat pairs
+BRAID6_WORK = 3597
+
+
+@pytest.mark.parametrize("verb", ["poset", "tutte"])
+def test_braid6_fits_a_budget_of_its_charged_work(capsys, verb):
+    argv = ["family", "braid", "--n", "6", verb]
+    code, out, _ = run(capsys, argv + ["--budget", str(BRAID6_WORK)])
+    assert code == 0 and out == run(capsys, argv)[1]
+    code, out, err = run(capsys, argv + ["--budget", str(BRAID6_WORK - 1)])
+    assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+
+
+def test_budget_below_the_charged_work_reports_required():
+    with pytest.raises(BudgetExceededError) as err:
+        intersection_poset(braid(6), budget=BRAID6_WORK - 1)
+    assert err.value.required > BRAID6_WORK - 1
+    assert len(intersection_poset(braid(6), budget=BRAID6_WORK).flats) == 203
+
+
+def test_invariants_honours_the_budget(capsys):
+    code, out, err = run(capsys, ["family", "braid", "--n", "6", "invariants",
+                                  "--budget", "100"])
+    assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+
+
+def test_invariants_on_the_lattice_route(capsys, monkeypatch):
+    import tuttekit.tutte as tutte_module
+
+    def no_subsets(arr):
+        raise AssertionError("walked 2^n subsets for n > 10")
+
+    monkeypatch.setattr(tutte_module, "tutte_subset", no_subsets)
+    code, out, _ = run(capsys, ["family", "braid", "--n", "6", "invariants"])
+    assert code == 0
+    assert "regions = 720\n" in out and "general_position_bounded = 120\n" in out
+
+
+def test_catalan6_tutte_at_the_default_budget(capsys):
+    # Cat_5: 45 hyperplanes in Q^6, 2-3 s on the lattice route
+    arr = catalan(6)
+    code, out, _ = run(capsys, ["family", "catalan", "--n", "6", "tutte"])
+    want = tutte_from_coboundary(oracle_coboundary("catalan", 6), arr.rank)
+    assert code == 0 and out.strip() == want.format()
+
+
+def _stdout(argv):
+    """stdout of a successful in-process run (no capsys under hypothesis)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def _connected_graph(rng, vertices, edges):
+    pairs = {(rng.randrange(1, k), k) for k in range(2, vertices + 1)}
+    rest = [(i, j) for i in range(1, vertices + 1)
+            for j in range(i + 1, vertices + 1) if (i, j) not in pairs]
+    return sorted(pairs) + rng.sample(rest, edges - len(pairs))
+
+
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(st.integers(6, 8), st.integers(11, 13), st.randoms(use_true_random=False))
+def test_graphical_tutte_matches_networkx(tmp_path_factory, vertices, edges, rng):
+    # 11-13 edges take the lattice route; networkx is an outside oracle
+    import networkx
+    import sympy
+    graph = _connected_graph(rng, vertices, edges)
+    path = tmp_path_factory.mktemp("g") / "edges.txt"
+    path.write_text("".join("%d %d\n" % e for e in graph))
+    g = networkx.MultiGraph()
+    g.add_edges_from(graph)
+    x, y = sympy.symbols("x y")
+    want = sympy.Poly(networkx.tutte_polynomial(g), x, y)
+    argv = ["family", "graphical", "--n", str(vertices), "--graph", str(path)]
+    record = json.loads(_stdout(argv + ["tutte", "--format", "structured"]))
+    assert record["method"] == "lattice"
+    got = {(m.get("x", 0), m.get("y", 0)): int(c) for c, m in record["polynomial"]}
+    assert got == {k: int(c) for k, c in want.as_dict().items()}
+    inv = _stdout(argv + ["invariants"])
+    assert "regions = %d\n" % want.eval({x: 2, y: 0}) in inv
+    assert "general_position_bounded = %d\n" % want.eval({x: 1, y: 0}) in inv

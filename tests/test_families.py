@@ -90,6 +90,11 @@ def test_threshold_coboundary_series():
             fam.oracle_coboundary("threshold", n=n)
 
 
+def test_catalan_coboundary_from_runs_on_a_cycle():
+    for n in range(1, 5):
+        assert _engine_cob(fam.catalan(n)) == fam.oracle_coboundary("catalan", n=n)
+
+
 def test_bipartite_coboundary_series():
     for m, n in ((1, 1), (1, 2), (2, 2), (2, 3), (1, 4)):
         assert _engine_cob(fam.complete_bipartite(m, n)) == \

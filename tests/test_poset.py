@@ -1,14 +1,16 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import random_arrangement, random_prime_arrangement
+from tuttekit import poset as poset_module
 from tuttekit.arrangement import Arrangement
-from tuttekit.errors import BudgetExceededError, NonCentralError
-from tuttekit.families import all_linear, braid, thicken
+from tuttekit.errors import BudgetExceededError, ConsistencyError, NonCentralError
+from tuttekit.families import all_linear, braid, generic, shi, thicken
 from tuttekit.multipoly import MultiPoly
-from tuttekit.poset import closure, intersection_poset
+from tuttekit.poset import IntersectionPoset, closure, intersection_poset
 from tuttekit.tutte import coboundary_transform, tutte_subset
 
 q = MultiPoly.variable("q")
@@ -119,6 +121,7 @@ def test_kernel_matches_brute_force(arr):
     assert [f.hyperplane_set for f in poset.flats] == flats
     assert all(f.rank == arr.rank_normals(f.hyperplane_set) for f in poset.flats)
     assert poset.mobius == mu
+    assert poset.below == [[i for i, f in enumerate(flats) if f < g] for g in flats]
     poset.verify_mobius()
     for subset, want in closed.items():
         assert closure(arr, subset) == want
@@ -129,7 +132,82 @@ def test_kernel_matches_brute_force(arr):
 
 
 def test_poset_budget():
+    # braid(4): 50 reductions (6 at the minimum, 5 per atom, 2 per rank-2
+    # flat, none at the top), 45 comparable pairs, and the top's bitset,
+    # one 32-bit word, held while its pairs are charged
     with pytest.raises(BudgetExceededError) as err:
-        intersection_poset(braid(4), budget=100)   # 15 flats
-    assert err.value.required > 100
-    assert len(intersection_poset(braid(4), budget=225).flats) == 15
+        intersection_poset(braid(4), budget=95)
+    assert err.value.required > 95
+    poset = intersection_poset(braid(4), budget=96)
+    assert len(poset.flats) == 15 and len(poset.lower) == 45
+
+
+def _rebuilt(poset, below, mobius=None):
+    """The poset with its intervals replaced by the lists in below."""
+    lower = np.array([j for b in below for j in b], np.int32)
+    starts = np.cumsum([0] + [len(b) for b in below])
+    return IntersectionPoset(poset.arrangement, poset.flats,
+                             poset.mobius if mobius is None else mobius, lower, starts)
+
+
+@pytest.mark.parametrize("arr", [braid(5), shi(3), generic(6, 3)], ids=repr)
+def test_verify_mobius_catches_one_changed_pair_or_value(arr):
+    poset = intersection_poset(arr)
+    below = poset.below
+    assert _rebuilt(poset, below).verify_mobius()
+    rng = random.Random(5)
+    for _ in range(6):
+        i = rng.randrange(1, len(below))
+        # one comparable pair removed
+        fewer = [list(b) for b in below]
+        fewer[i].remove(rng.choice(below[i]))
+        with pytest.raises(ConsistencyError):
+            _rebuilt(poset, fewer).verify_mobius()
+        # one pair added: a flat of lower rank that is not below flats[i]
+        rank = poset.flats[i].rank
+        others = [j for j, f in enumerate(poset.flats)
+                  if f.rank < rank and j not in below[i]]
+        if others:
+            more = [list(b) for b in below]
+            more[i] = sorted(more[i] + [rng.choice(others)])
+            with pytest.raises(ConsistencyError):
+                _rebuilt(poset, more).verify_mobius()
+        # one Möbius value changed
+        mobius = dict(poset.mobius)
+        mobius[poset.flats[i].hyperplane_set] += rng.choice([-1, 1, 2])
+        with pytest.raises(ConsistencyError):
+            _rebuilt(poset, below, mobius).verify_mobius()
+
+
+def test_bit_positions_and_back_across_blocks(monkeypatch):
+    rng = random.Random(9)
+    for width in (1, 7, 8, 9, 64, 200):
+        ints = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(40)]
+        want = [[b for b in range(width) if x >> b & 1] for x in ints]
+        for block in (1, 5, 1 << 22):
+            monkeypatch.setattr(poset_module, "_BLOCK_BYTES", block)
+            positions, counts = poset_module._bit_positions(ints, width)
+            assert positions.dtype == np.int32
+            assert counts.tolist() == [len(w) for w in want]
+            assert positions.tolist() == [b for w in want for b in w]
+            assert list(poset_module._bitsets(positions, counts, width)) == ints
+
+
+@pytest.mark.parametrize("arr", [braid(5), shi(3), thicken(braid(3), 2)], ids=repr)
+def test_python_int_arrays_match_int64(arr, monkeypatch):
+    # above 62 hyperplanes Möbius values and point counts are Python ints
+    want = intersection_poset(arr)
+    monkeypatch.setattr(poset_module, "_dtype", lambda n: object)
+    got = intersection_poset(arr)
+    assert got.mobius == want.mobius and got.below == want.below
+    assert got.verify_mobius()
+    cob = got.coboundary()
+    assert cob == want.coboundary() and cob.format() == want.coboundary().format()
+
+
+def test_sixty_four_lines_in_general_position():
+    # tangents of a parabola: no two parallel, no three through a point.
+    # n = 64 takes the Python-int path; chi = q^2 - 64 q + C(64, 2)
+    poset = intersection_poset(Arrangement(2, [([2 * t, -1], t * t) for t in range(64)]))
+    assert poset.char_poly() == q ** 2 - 64 * q + 2016
+    assert poset.verify_mobius()
