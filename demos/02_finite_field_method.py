@@ -23,10 +23,11 @@ from tuttekit import (
 arr = Arrangement(3, [([1, 0, 0], 0), ([0, 1, 0], 0),
                       ([1, -1, 0], 0), ([0, 0, 1], 0)])
 
-# Step 1: reduce mod a certified prime and count.
+# Step 1: reduce mod a certified prime, which gives an Arrangement over F_5,
+# and count its points.
 floor = hadamard_prime_floor(arr)
 print("Hadamard prime floor:", floor, "(any prime above it is safe)")
-mod5 = reduce_mod_p(arr, 5, mode="bound-certified")
+mod5 = reduce_mod_p(arr, 5, mode="bound")
 profile = point_profile(mod5)
 print("incidence profile at p=5:", profile.counts)
 print("   %d points avoid all four planes; %d lie on exactly one; ..."

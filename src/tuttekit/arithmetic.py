@@ -13,7 +13,7 @@ from itertools import combinations, product
 from math import comb, gcd
 
 from .errors import BadPrimeError, ConsistencyError, InputFormatError
-from .linalg import central_subsets, is_prime, rank_int
+from .linalg import central_subsets, is_prime, rank_rows
 from .multipoly import MultiPoly
 from .tutte import expand_rank_table
 
@@ -37,7 +37,7 @@ class VectorConfig:
         return len(self.columns)
 
     def rank_of(self, subset):
-        return rank_int([self.columns[i] for i in subset])
+        return rank_rows([self.columns[i] for i in subset])
 
     @property
     def rank(self):
@@ -56,13 +56,15 @@ class VectorConfig:
         if not lines:
             raise InputFormatError("empty vector configuration")
         head = lines[0].replace(":", " ").split()
-        if head[0] != "dim" or len(head) != 2:
+        if len(head) != 2 or head[0] != "dim":
             raise InputFormatError("first line must be 'dim <d>'")
         try:
             dim = int(head[1])
             cols = [[int(x) for x in line.split()] for line in lines[1:]]
         except ValueError as exc:
             raise InputFormatError("bad vector row: %s" % exc)
+        if dim < 0:
+            raise InputFormatError("dim must be >= 0, got %d" % dim)
         return cls(dim, cols)
 
     def to_text(self):

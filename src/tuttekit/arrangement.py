@@ -1,16 +1,19 @@
 """Affine hyperplane arrangements with exact coefficients.
 
-An arrangement lives either over Q (the default) or over a prime field F_p
-(used for the "all linear hyperplanes in F_p^n" family, whose matroid is in
-general not realizable over Q).  Hyperplane equations are stored in canonical
-form: over Q as primitive integer vectors with positive leading entry, over
-F_p with leading entry 1.  The degenerate "loop" hyperplane (zero normal, zero
+An arrangement lives either over Q (the default) or over a prime field F_p:
+the "all linear hyperplanes in F_p^n" family, whose matroid is in general not
+realizable over Q, and the reduction of a Q-arrangement mod p, on which the
+finite field method counts points.  Hyperplane equations are stored in
+canonical form (`linalg.clear_row` and `normalise_row`): over Q as primitive
+integer vectors with positive leading entry, over F_p with entries in [0, p)
+and leading entry 1.  The degenerate "loop" hyperplane (zero normal, zero
 offset) stands for the whole ambient space and is allowed, since contractions
-produce it.
+and reductions mod p produce it.
 """
 
 import json
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     InputFormatError,
@@ -18,7 +21,15 @@ from .errors import (
     LoopContractionError,
     NonCentralError,
 )
-from .linalg import central_subsets, clear_row, pivot_columns, rank_rows
+from .linalg import (
+    central_subsets,
+    clear_row,
+    eliminate,
+    is_prime,
+    normalise_row,
+    pivot_columns,
+    rank_rows,
+)
 
 
 class Hyperplane:
@@ -29,29 +40,13 @@ class Hyperplane:
     def __init__(self, normal, offset, prime=None):
         if prime is None:
             row = clear_row(list(normal) + [offset])
-            normal, offset = row[:-1], row[-1]
-            if not any(normal):
-                if offset != 0:
-                    raise InvalidHyperplaneError(
-                        "zero normal with nonzero offset is not a hyperplane"
-                    )
-                # canonical loop: offsets already zero
         else:
-            normal = [int(x) % prime for x in normal]
-            offset = int(offset) % prime
-            lead = next((x for x in normal if x), None)
-            if lead is None:
-                if offset != 0:
-                    raise InvalidHyperplaneError(
-                        "zero normal with nonzero offset is not a hyperplane"
-                    )
-            else:
-                inv = pow(lead, -1, prime)
-                normal = [(x * inv) % prime for x in normal]
-                offset = (offset * inv) % prime
-            normal = tuple(normal)
-        self.normal = tuple(normal)
-        self.offset = offset
+            row = normalise_row([int(x) for x in normal] + [int(offset)], prime)
+        if not any(row[:-1]) and row[-1]:
+            raise InvalidHyperplaneError(
+                "zero normal with nonzero offset is not a hyperplane")
+        self.normal = row[:-1]
+        self.offset = row[-1]
         self.prime = prime
 
     @property
@@ -115,6 +110,11 @@ class Arrangement:
 
     def nonloops(self):
         return [i for i, h in enumerate(self.hyperplanes) if not h.is_loop]
+
+    @cached_property
+    def rows(self):
+        """The augmented rows (normal..., offset) of the non-loops, in order."""
+        return tuple(h.row() for h in self.hyperplanes if not h.is_loop)
 
     def _check_indices(self, subset):
         for i in subset:
@@ -205,50 +205,34 @@ class Arrangement:
         for j, g in enumerate(self.hyperplanes):
             if j == i:
                 continue
-            if g.is_loop:
-                out.append(((0,) * (self.dim - 1), 0))
-                continue
-            if self.prime is None:
-                f = Fraction(g.normal[piv], h.normal[piv])
-                new_normal = [g.normal[k] - f * h.normal[k]
-                              for k in range(self.dim) if k != piv]
-                new_offset = g.offset - f * h.offset
-            else:
-                p = self.prime
-                f = (g.normal[piv] * pow(h.normal[piv], -1, p)) % p
-                new_normal = [(g.normal[k] - f * h.normal[k]) % p
-                              for k in range(self.dim) if k != piv]
-                new_offset = (g.offset - f * h.offset) % p
-            if not any(new_normal) and new_offset != 0:
+            row = eliminate(g.row(), h.row(), piv, self.prime)
+            del row[piv]
+            if not any(row[:-1]) and row[-1]:
                 continue  # parallel to i: empty intersection, not a flat of i
-            out.append((new_normal, new_offset))
+            out.append((row[:-1], row[-1]))
         return Arrangement(self.dim - 1, out, prime=self.prime)
 
     def cone(self):
         """Homogenize into dimension d+1, adding the hyperplane x_{d+1} = 0."""
-        out = []
-        for h in self.hyperplanes:
-            if h.is_loop:
-                out.append(((0,) * (self.dim + 1), 0))
-            else:
-                out.append((h.normal + (-h.offset,), 0))
+        out = [(h.normal + (-h.offset,), 0) for h in self.hyperplanes]
         out.append(((0,) * self.dim + (1,), 0))
         return Arrangement(self.dim + 1, out, prime=self.prime)
 
     def essentialize(self):
-        """Quotient a central arrangement by the common intersection subspace."""
-        if not self.is_central():
-            raise NonCentralError("essentialization requires a central arrangement")
-        if self.prime is not None:
-            raise NotImplementedError("essentialization implemented over Q only")
-        pivots = pivot_columns([self.hyperplanes[i].normal for i in self.nonloops()])
-        out = []
-        for h in self.hyperplanes:
-            if h.is_loop:
-                out.append(((0,) * len(pivots), 0))
-            else:
-                out.append((tuple(h.normal[j] for j in pivots), h.offset))
-        return Arrangement(len(pivots), out, prime=self.prime)
+        """The quotient by the lineality space, the common kernel of the normals.
+
+        Translation by that space maps every hyperplane to itself, so the
+        quotient has the same intersection pattern and dimension equal to the
+        rank.  The columns of the normals at the pivots J of their echelon
+        basis span every other column, so a.x = a[J].y for a linear map
+        x -> y onto the quotient, whose fibres are the cosets of the
+        lineality space; each hyperplane (a, b) becomes (a[J], b).  This
+        holds over Q and F_p, for central and affine arrangements alike.
+        """
+        pivots = pivot_columns([row[:-1] for row in self.rows], self.prime)
+        return Arrangement(len(pivots),
+                           [([h.normal[j] for j in pivots], h.offset)
+                            for h in self.hyperplanes], prime=self.prime)
 
     def restrict(self, subset):
         """Subarrangement on the given indices, in the given ambient space."""
@@ -267,9 +251,8 @@ class Arrangement:
         computed once per arrangement.
         """
         if self._semimatroid is None:
-            rows = [self.hyperplanes[i].row() for i in self.nonloops()]
             self._semimatroid = tuple(sorted(
-                (mask, rank) for mask, _, rank in central_subsets(rows, self.prime)))
+                (mask, rank) for mask, _, rank in central_subsets(self.rows, self.prime)))
         return self._semimatroid
 
     # -- serialization -----------------------------------------------------
@@ -290,16 +273,29 @@ class Arrangement:
 
     @classmethod
     def from_dict(cls, data):
+        """The arrangement of a `to_dict` record; InputFormatError if malformed.
+
+        A `prime` field must be a prime integer, and the entries of an
+        arrangement over F_p must be integers.
+        """
         try:
             dim = int(data["dim"])
             hs = [
                 ([Fraction(x) for x in h["normal"]], Fraction(h.get("offset", 0)))
                 for h in data["hyperplanes"]
             ]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError,
+                ArithmeticError) as exc:
             raise InputFormatError("bad arrangement record: %s" % exc)
         prime = data.get("prime")
+        if dim < 0:
+            raise InputFormatError("dim must be >= 0, got %d" % dim)
         if prime is not None:
+            if type(prime) is not int or not is_prime(prime):
+                raise InputFormatError("prime must be a prime integer, got %r"
+                                       % (prime,))
+            if any(x.denominator != 1 for n, b in hs for x in n + [b]):
+                raise InputFormatError("entries over F_%d must be integers" % prime)
             hs = [([int(a) for a in n], int(b)) for n, b in hs]
         return cls(dim, hs, label=data.get("label"), prime=prime)
 

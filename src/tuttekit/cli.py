@@ -57,39 +57,33 @@ def _budget(args):
     return int(env) if env else DEFAULT_BUDGET
 
 
-def _load_arrangement(path):
+def _read(path):
     try:
         with open(path) as f:
-            text = f.read()
-    except OSError as exc:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError("cannot read %s: %s" % (path, exc))
-    return Arrangement.from_json(text)
+
+
+def _load_arrangement(path):
+    return Arrangement.from_json(_read(path))
 
 
 def _load_config(path):
-    try:
-        with open(path) as f:
-            text = f.read()
-    except OSError as exc:
-        raise InputFormatError("cannot read %s: %s" % (path, exc))
-    return VectorConfig.from_text(text)
+    return VectorConfig.from_text(_read(path))
 
 
 def _load_edges(path):
-    try:
-        with open(path) as f:
-            lines = f.read().splitlines()
-    except OSError as exc:
-        raise InputFormatError("cannot read %s: %s" % (path, exc))
     edges = []
-    for line in lines:
+    for line in _read(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
+        try:
+            i, j = map(int, line.split())
+        except ValueError:
             raise InputFormatError("graph line must be 'i j': %r" % line)
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append((i, j))
     return edges
 
 

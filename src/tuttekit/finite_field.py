@@ -1,6 +1,7 @@
 """The finite field method: point counting over F_p^d plus interpolation.
 
-For a prime p over which the arrangement reduces correctly, the profile
+For a prime p over which the arrangement reduces correctly, `reduce_mod_p`
+gives the reduced arrangement, an `Arrangement` over F_p, and its profile
 (c_0, ..., c_n) with c_k = #{points lying on exactly k hyperplanes} satisfies
 sum_k c_k t^k = p^(d-r) cobchi(A; p, t).  Sampling r+2 primes (one extra as a
 consistency witness) and interpolating in the first coboundary variable
@@ -10,7 +11,8 @@ Point counting is the performance-critical kernel.  Its work per prime
 grows with p^r, and with p^(r-1) for a central arrangement, not with p^d:
 - translation by the lineality space (the common kernel of the normals
   mod p) maps every hyperplane to itself, so the points are counted in the
-  quotient F_p^r, where each point stands for p^(d-r) points;
+  quotient F_p^r (`Arrangement.essentialize`), where each point stands for
+  p^(d-r) points;
 - in a central arrangement x and c*x (c != 0) lie on the same hyperplanes,
   so the slices x_1 = c != 0 all have the profile of x_1 = 1, which leaves
   one affine slice per dimension;
@@ -32,6 +34,7 @@ from math import isqrt
 
 import numpy as np
 
+from .arrangement import Arrangement
 from .errors import (
     BadPrimeError,
     BudgetExceededError,
@@ -39,23 +42,10 @@ from .errors import (
     MethodError,
 )
 from .interpolation import interpolate_in_X
-from .linalg import is_prime, pivot_columns
+from .linalg import is_prime
 from .multipoly import MultiPoly
 
 DEFAULT_BUDGET = 10 ** 8
-
-
-class ModularArrangement:
-    """An arrangement reduced mod p: integer rows with entries in [0, p)."""
-
-    __slots__ = ("prime", "dim", "rows", "n_loops", "n")
-
-    def __init__(self, prime, dim, rows, n_loops=0):
-        self.prime = prime
-        self.dim = dim
-        self.rows = rows          # list of (normal..., offset) int tuples, non-loops
-        self.n_loops = n_loops
-        self.n = len(rows) + n_loops
 
 
 class PointProfile:
@@ -90,7 +80,7 @@ def hadamard_prime_floor(arrangement):
     largest row norms (Hadamard), so reduction mod any prime above that
     product preserves every subset rank and centrality.
     """
-    rows = [arrangement.hyperplanes[i].row() for i in arrangement.nonloops()]
+    rows = arrangement.rows
     if not rows:
         return 1
     norms_sq = sorted((sum(x * x for x in r) for r in rows), reverse=True)
@@ -101,65 +91,49 @@ def hadamard_prime_floor(arrangement):
     return max(1, isqrt(prod) + 1)
 
 
-def reduce_mod_p(arrangement, p, mode="bound-certified"):
-    """Reduce a Q-arrangement mod p, certifying the reduction is correct.
+def reduce_mod_p(arrangement, p, mode="bound"):
+    """The arrangement over F_p that a Q-arrangement reduces to, certified.
 
-    bound-certified: require p > hadamard_prime_floor(A).
+    bound: require p > hadamard_prime_floor(A).
     verified: recompute the full semimatroid (centrality and rank of every
     subset) over F_p and compare with the rational one; reject with a witness
     subset on mismatch.
+    Loops stay loops; a p that is not prime, or that kills the normal of a
+    non-loop, is rejected before the reduction is built.
     """
     if arrangement.prime is not None:
         raise ValueError("arrangement is already over a finite field")
-    nl = arrangement.nonloops()
-    rows = [arrangement.hyperplanes[i].row() for i in nl]
-    reduced = [tuple(x % p for x in r) for r in rows]
-    for orig, red in zip(rows, reduced):
-        if any(orig[:-1]) and not any(red[:-1]):
-            raise BadPrimeError("p=%d kills the normal of %s" % (p, orig))
-    if mode == "bound-certified":
+    if mode not in ("bound", "verified"):
+        raise ValueError("mode must be 'bound' or 'verified'")
+    if not is_prime(p):
+        raise BadPrimeError("p=%d is not prime" % p)
+    for row in arrangement.rows:
+        if not any(x % p for x in row[:-1]):
+            raise BadPrimeError("p=%d kills the normal of %s" % (p, row))
+    if mode == "bound":
         floor = hadamard_prime_floor(arrangement)
         if p <= floor:
             raise BadPrimeError(
                 "p=%d is not above the Hadamard floor %d" % (p, floor))
-    elif mode == "verified":
-        from .arrangement import Arrangement
-        modarr = Arrangement(arrangement.dim,
-                             [(r[:-1], r[-1]) for r in reduced], prime=p)
+    reduced = Arrangement(arrangement.dim, arrangement.hyperplanes, prime=p)
+    if mode == "verified":
         want = arrangement.semimatroid()
-        got = modarr.semimatroid()
+        got = reduced.semimatroid()
         if want != got:
             want, got = dict(want), dict(got)
             mask = min(m for m in want.keys() | got.keys()
                        if want.get(m) != got.get(m))
+            nl = arrangement.nonloops()
             raise BadPrimeError(
                 "p=%d changes the semimatroid" % p,
                 witness=[i for k, i in enumerate(nl) if mask >> k & 1])
-    else:
-        raise ValueError("mode must be 'bound-certified' or 'verified'")
-    return ModularArrangement(p, arrangement.dim, reduced,
-                              n_loops=len(arrangement.loops()))
+    return reduced
 
 
 # Largest number of points scattered into one incidence array; a larger
 # space is cut into slices along its first coordinate, so peak memory stays
 # O(_BLOCK) whatever n, r and p are.
 _BLOCK = 1 << 18
-
-
-def _essential_rows(modarr):
-    """(r, rows): the arrangement in the quotient of F_p^d by its lineality space.
-
-    r is the mod-p rank of the normals.  The columns of the normals at the
-    pivots J of their reduced echelon basis span every other column, so
-    a.x = a[J].y for a linear map x -> y onto F_p^r whose fibres all have
-    p^(d-r) points; each row (a, b) becomes (a[J], b) over F_p^r.
-    """
-    p = modarr.prime
-    rows = [tuple(x % p for x in row) for row in modarr.rows]
-    pivots = pivot_columns([row[:-1] for row in rows], p)
-    return len(pivots), [(tuple(row[j] for j in pivots), row[-1])
-                         for row in rows]
 
 
 def _slice(rows, c, p):
@@ -242,62 +216,60 @@ def _count(rows, p, k, counts, lo, hi):
         _count(_slice(rows, 0, p), p, k - 1, counts, 0, p)
 
 
-def _quotient(modarr, budget):
-    """_essential_rows, after charging the p^r quotient points to the budget."""
-    p = modarr.prime
-    r, rows = _essential_rows(modarr)
+def _quotient(arrangement, budget):
+    """(r, rows): the essentialization, as rank and (normal, offset) rows of
+    its non-loops, after charging its p^r points to the budget."""
+    p = arrangement.prime
+    ess = arrangement.essentialize()
+    r = ess.dim
     if p ** r > budget:
         raise BudgetExceededError(
             "p^r = %d exceeds the enumeration budget %d" % (p ** r, budget),
             required=p ** r)
-    return r, rows
+    return r, [(row[:-1], row[-1]) for row in ess.rows]
 
 
-def _profile(modarr, r, rows, lo, hi):
+def _profile(arrangement, r, rows, lo, hi):
     """The profile of the quotient points with first coordinate in range(lo, hi),
     each standing for its fibre of p^(d-r) points of F_p^d."""
-    p = modarr.prime
+    p = arrangement.prime
     counts = np.zeros(len(rows) + 1, dtype=np.int64)
     _count(rows, p, r, counts, lo, hi)
-    fibre = p ** (modarr.dim - r)
-    return [0] * modarr.n_loops + [int(c) * fibre for c in counts]
+    fibre = p ** (arrangement.dim - r)
+    return [0] * (arrangement.n - len(rows)) + [int(c) * fibre for c in counts]
 
 
-def point_profile(modarr, budget=DEFAULT_BUDGET, x1_range=None):
-    """Exact incidence counts over F_p^d (or a slice of first coordinates).
+def point_profile(arrangement, budget=DEFAULT_BUDGET):
+    """Exact incidence counts over F_p^d of an arrangement over F_p.
 
-    The points are counted in the quotient F_p^r by the lineality space and
-    each count is multiplied by the fibre size p^(d-r).  x1_range, when
-    given, restricts the first coordinate of that quotient to
-    range(*x1_range) and is not charged to the budget; summing the profiles
-    of a partition of range(p) reproduces the full profile exactly.
+    The points are counted in the quotient F_p^r by the lineality space
+    (`Arrangement.essentialize`) and each count is multiplied by the fibre
+    size p^(d-r).
     """
-    if x1_range is None:
-        r, rows = _quotient(modarr, budget)
-        x1_range = (0, modarr.prime)
-    else:
-        r, rows = _essential_rows(modarr)
-    return PointProfile(modarr.prime, _profile(modarr, r, rows, *x1_range))
+    r, rows = _quotient(arrangement, budget)
+    p = arrangement.prime
+    return PointProfile(p, _profile(arrangement, r, rows, 0, p))
 
 
-def point_profile_partitioned(modarr, parts, budget=DEFAULT_BUDGET):
+def point_profile_partitioned(arrangement, parts, budget=DEFAULT_BUDGET):
     """Partition the quotient's first coordinate into `parts` ranges; merge by addition.
 
     The merged profile is bit-identical to the serial one; the ranges are
     independent and may be dispatched to concurrent workers.
     """
-    p = modarr.prime
-    r, rows = _quotient(modarr, budget)
+    p = arrangement.prime
+    r, rows = _quotient(arrangement, budget)
     bounds = [round(i * p / parts) for i in range(parts + 1)]
-    total = [0] * (modarr.n + 1)
+    total = [0] * (arrangement.n + 1)
     for lo, hi in zip(bounds, bounds[1:]):
-        total = [a + b for a, b in zip(total, _profile(modarr, r, rows, lo, hi))]
+        total = [a + b for a, b in
+                 zip(total, _profile(arrangement, r, rows, lo, hi))]
     return PointProfile(p, total)
 
 
-def check_profile(profile, modarr, chi=None):
+def check_profile(profile, arrangement, chi=None):
     """Invariant checks: counts sum to p^d; t=0 slice equals chi(p) if given."""
-    p, d = modarr.prime, modarr.dim
+    p, d = arrangement.prime, arrangement.dim
     if sum(profile.counts) != p ** d:
         raise InconsistentSamplesError("profile counts do not sum to p^d")
     if chi is not None and profile.counts[0] != chi.evaluate({"q": p}):
@@ -318,10 +290,8 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
     """
     r = arrangement.rank
     floor = hadamard_prime_floor(arrangement)
-    small = len(arrangement.nonloops()) <= 14
+    small = len(arrangement.rows) <= 14
     e = arrangement.dim if small else r
-    # Primes are only searched for below budget^(1/e), where trial division
-    # is cheap: a floor of 1e17 would otherwise cost seconds to step over.
     fits = (floor + 1) ** e <= budget
     if reduction == "auto":
         cheap = fits and next(_primes_from(floor + 1)) ** e <= budget
@@ -333,7 +303,7 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
             for p in _primes_from(p):
                 if p ** e > budget:
                     break
-                out.append(reduce_mod_p(arrangement, p, "bound-certified"))
+                out.append(reduce_mod_p(arrangement, p, "bound"))
                 if len(out) == count:
                     return out
         # p^e exceeds the budget and larger primes only get worse; fill the
@@ -379,18 +349,18 @@ def coboundary_ffm(arrangement, primes=None, reduction="auto",
         if len(primes) < r + 1:
             raise MethodError("need at least r+1 = %d primes, got %d"
                               % (r + 1, len(primes)))
-        mode = "verified" if reduction in ("auto", "verified") else "bound-certified"
+        mode = "verified" if reduction == "auto" else reduction
         mods = [reduce_mod_p(arrangement, p, mode) for p in primes]
     samples = []
-    for modarr in mods:
-        profile = point_profile(modarr, budget=budget)
-        check_profile(profile, modarr)
-        fibre = modarr.prime ** (d - r)
+    for mod in mods:
+        profile = point_profile(mod, budget=budget)
+        check_profile(profile, mod)
+        fibre = mod.prime ** (d - r)
         if any(c % fibre for c in profile.counts):
             raise InconsistentSamplesError(
                 "profile at p=%d is not divisible by p^(d-r): "
-                "degree bound or reduction failure" % modarr.prime)
-        samples.append((Fraction(modarr.prime), MultiPoly(
+                "degree bound or reduction failure" % mod.prime)
+        samples.append((Fraction(mod.prime), MultiPoly(
             ("Y",), {(k,): c // fibre for k, c in enumerate(profile.counts)})))
     result = interpolate_in_X(samples, r, var="X")
     if not result.has_integer_coeffs():

@@ -5,20 +5,50 @@ integer rows (denominators are cleared per row), which keeps intermediate
 entries as true minors and controls coefficient growth.  Ranks over a prime
 field use plain Gaussian elimination mod p.
 
-The echelon kernel (`normalise_row`, `reduce_row`, `extend_basis`) keeps a
-reduced echelon basis of integer rows over Q, or of rows mod p with pivot
-entry 1 over F_p, and reduces further rows against it one at a time;
+The echelon kernel (`normalise_row`, `reduce_row`, `extend_basis`, on one
+integer elimination step, `eliminate`) keeps a reduced echelon basis of
+integer rows over Q, or of rows mod p with pivot entry 1 over F_p, and
+reduces further rows against it one at a time;
 `pivot_columns` reads the pivots of a row space from it, and
 `central_subsets` walks every central subset of an arrangement on it.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
+
+
+# Miller-Rabin with these bases decides primality exactly below
+# 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(m):
-    """True iff the integer m is prime, by trial division up to sqrt(m)."""
-    return m >= 2 and all(m % k for k in range(2, isqrt(m) + 1))
+    """True iff the integer m is prime, by Miller-Rabin on fixed bases.
+
+    Exact below 3.3 * 10^24; above it a strong probable-prime test.  The
+    cost is a few modular powers, so an outsized modulus from the input is
+    not a sqrt(m) loop.
+    """
+    if m < 2:
+        return False
+    for a in _WITNESSES:
+        if m % a == 0:
+            return m == a
+    d, s = m - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def normalise_row(row, prime=None):
@@ -54,8 +84,11 @@ def clear_row(row):
     return normalise_row([x.numerator * (denom // x.denominator) for x in fracs])
 
 
-def _eliminate(v, b, c, prime):
-    """v minus a multiple of b (scaled by b[c]) with a zero in column c."""
+def eliminate(v, b, c, prime=None):
+    """b[c]*v - v[c]*b: an integer row of span(v, b), zero in column c.
+
+    Over F_p (prime given) the entries are reduced mod p.
+    """
     a, bc = v[c], b[c]
     out = [bc * x - a * y for x, y in zip(v, b)]
     return out if prime is None else [x % prime for x in out]
@@ -72,7 +105,7 @@ def reduce_row(row, basis, prime=None):
     v = list(row)
     for c, b in basis:
         if v[c]:
-            v = _eliminate(v, b, c, prime)
+            v = eliminate(v, b, c, prime)
     return v
 
 
@@ -86,7 +119,7 @@ def extend_basis(basis, row, prime=None):
     out = []
     for pc, b in basis:
         if b[c]:
-            b = normalise_row(_eliminate(b, row, c, prime), prime)
+            b = normalise_row(eliminate(b, row, c, prime), prime)
         out.append((pc, b))
     out.append((c, tuple(row)))
     return out

@@ -102,12 +102,11 @@ def tutte_subset(arrangement):
     walk; each loop multiplies the sum by y.
     """
     r = arrangement.rank
-    nl = arrangement.nonloops()
-    rows = [arrangement.hyperplanes[i].row() for i in nl]
-    table = [[0] * (len(nl) + 1) for _ in range(r + 1)]
+    rows = arrangement.rows
+    table = [[0] * (len(rows) + 1) for _ in range(r + 1)]
     for _, size, rb in central_subsets(rows, arrangement.prime):
         table[rb][size] += 1
-    total = expand_rank_table(table, r, arrangement.n - len(nl))
+    total = expand_rank_table(table, r, arrangement.n - len(rows))
     return TutteResult(total, r, arrangement.n, "subset")
 
 

@@ -20,7 +20,6 @@ from tuttekit.arithmetic import (
 from tuttekit.arrangement import Arrangement
 from tuttekit import families as fam
 from tuttekit.finite_field import (
-    ModularArrangement,
     coboundary_ffm,
     point_profile,
     point_profile_partitioned,
@@ -295,26 +294,26 @@ def test_criterion_9_arithmetic_toric():
 def test_criterion_10_performance():
     p = 97
     rng = random.Random(7)
-    rows3 = [tuple(rng.randrange(p) for _ in range(3)) + (rng.randrange(p),)
-             for _ in range(10)]
-    modarr3 = ModularArrangement(p, 3, rows3)
+    hs3 = [([rng.randrange(p) for _ in range(3)], rng.randrange(p))
+           for _ in range(10)]
+    arr3 = Arrangement(3, hs3, prime=p)
     start = time.perf_counter()
-    serial3 = point_profile(modarr3)
+    serial3 = point_profile(arr3)
     t3 = time.perf_counter() - start
     ok = t3 < 1.0
     ok &= sum(serial3.counts) == p ** 3
 
-    rows4 = [tuple(rng.randrange(p) for _ in range(4)) + (rng.randrange(p),)
-             for _ in range(10)]
-    modarr4 = ModularArrangement(p, 4, rows4)
+    hs4 = [([rng.randrange(p) for _ in range(4)], rng.randrange(p))
+           for _ in range(10)]
+    arr4 = Arrangement(4, hs4, prime=p)
     assert p ** 4 <= 10 ** 8  # fits the default budget
     start = time.perf_counter()
-    serial4 = point_profile(modarr4)
+    serial4 = point_profile(arr4)
     t4 = time.perf_counter() - start
     ok &= t4 < 60.0
     ok &= sum(serial4.counts) == p ** 4
 
-    merged = point_profile_partitioned(modarr3, 4)
+    merged = point_profile_partitioned(arr3, 4)
     ok &= merged.counts == serial3.counts
     _report("10 (performance: d=3 %.3fs < 1s, d=4 %.1fs < 60s, "
             "parallel bit-identical)" % (t3, t4), ok)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_arrangement
+from conftest import random_arrangement, random_prime_arrangement
 from tuttekit.arrangement import Arrangement, Hyperplane
 from tuttekit.errors import (
     InputFormatError,
@@ -11,6 +11,7 @@ from tuttekit.errors import (
     LoopContractionError,
     NonCentralError,
 )
+from tuttekit.multipoly import MultiPoly
 from tuttekit.tutte import char_poly, tutte_subset
 
 
@@ -150,3 +151,70 @@ def test_random_contraction_preserves_tutte_identity():
         assert t == tutte_subset(arr.delete(i)).tutte + \
             tutte_subset(arr.contract(i)).tutte
         done += 1
+
+
+def _contract_reference(arr, i):
+    """Contraction by solving for the pivot, in Fractions over Q and with
+    inverses mod p over F_p: the images of the other hyperplanes as
+    (normal, offset) pairs, parallel images dropped."""
+    h, p = arr.hyperplanes[i], arr.prime
+    piv = next(j for j, x in enumerate(h.normal) if x)
+    out = []
+    for j, g in enumerate(arr.hyperplanes):
+        if j == i:
+            continue
+        if p is None:
+            f = Fraction(g.normal[piv], h.normal[piv])
+        else:
+            f = g.normal[piv] * pow(h.normal[piv], -1, p)
+        row = [g.normal[k] - f * h.normal[k] for k in range(arr.dim) if k != piv]
+        offset = g.offset - f * h.offset
+        if p is not None:
+            row, offset = [x % p for x in row], offset % p
+        if any(row) or not offset:
+            out.append((row, offset))
+    return Arrangement(arr.dim - 1, out, prime=p)
+
+
+@pytest.mark.parametrize("make", [random_arrangement, random_prime_arrangement])
+def test_contract_matches_the_pivot_reference(make):
+    rng = random.Random(61)
+    for _ in range(60):
+        arr = make(rng)
+        for i in arr.nonloops():
+            got, want = arr.contract(i), _contract_reference(arr, i)
+            assert (got.dim, got.prime) == (want.dim, want.prime)
+            assert got.hyperplanes == want.hyperplanes
+
+
+@pytest.mark.parametrize("make", [random_arrangement, random_prime_arrangement])
+def test_essentialize_keeps_tutte_and_has_dim_rank(make):
+    # over Q and F_p, central and affine: the quotient by the lineality
+    # space has the same semimatroid, and chi drops the factor q^(d-r)
+    q = MultiPoly.variable("q")
+    rng = random.Random(67)
+    for _ in range(60):
+        arr = make(rng)
+        ess = arr.essentialize()
+        assert ess.prime == arr.prime and ess.n == arr.n
+        assert ess.dim == ess.rank == arr.rank
+        assert ess.loops() == arr.loops()
+        assert tutte_subset(ess).tutte == tutte_subset(arr).tutte
+        assert char_poly(arr, check_whitney=False) == \
+            q ** (arr.dim - arr.rank) * char_poly(ess, check_whitney=False)
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 2, "hyperplanes": [{"normal": ["1/0", "1"]}]}',
+    '{"dim": 2, "hyperplanes": [{"normal": [1e400, 1]}]}',
+    '{"dim": 2, "prime": 4, "hyperplanes": [{"normal": [2, 1]}]}',
+    '{"dim": 2, "prime": "x", "hyperplanes": [{"normal": [2, 1]}]}',
+    '{"dim": 2, "prime": true, "hyperplanes": []}',
+    '{"dim": 2, "prime": 5, "hyperplanes": [{"normal": ["1/2", 1]}]}',
+    '{"dim": -1, "hyperplanes": []}',
+    '{"dim": 1, "hyperplanes": [[1]]}',
+    '[1, 2]',
+])
+def test_malformed_record_is_an_input_format_error(text):
+    with pytest.raises(InputFormatError):
+        Arrangement.from_json(text)

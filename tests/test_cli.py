@@ -3,11 +3,12 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tuttekit import finite_field
@@ -445,3 +446,139 @@ def test_graphical_tutte_matches_networkx(tmp_path_factory, vertices, edges, rng
     inv = _stdout(argv + ["invariants"])
     assert "regions = %d\n" % want.eval({x: 2, y: 0}) in inv
     assert "general_position_bounded = %d\n" % want.eval({x: 1, y: 0}) in inv
+
+
+@pytest.mark.parametrize("argv", [
+    ["tutte", "--input", "A3", "--method", "finite-field",
+     "--primes", "9,15,21,25"],
+    ["family", "braid", "--n", "3", "tutte", "--method", "finite-field",
+     "--primes", "4,9,15,21"],
+])
+def test_composite_primes_are_one_bad_prime_line(capsys, tmp_path, argv):
+    # a composite modulus used to end in a traceback (9 on x + 3y = 0) or
+    # to count over Z/4 and exit 0
+    path = tmp_path / "a3.json"
+    path.write_text(Arrangement(2, [([1, 0], 0), ([0, 1], 0),
+                                    ([1, 3], 0)]).to_json())
+    argv = [str(path) if a == "A3" else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert _one_error_line(err, "bad-prime") and "is not prime" in err
+
+
+def _run_quietly(argv):
+    """(exit code, stdout, stderr) of an in-process run; an exception that
+    escapes main propagates, so a traceback fails the caller."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean(argv):
+    code, _, err = _run_quietly(argv)
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in (1, 2)
+        assert re.fullmatch(r"error: [a-z-]+: [^\n]*\n", err), err
+
+
+_NUMBER = st.integers(-3, 3)
+_JUNK = st.one_of(
+    st.sampled_from(["1/2", "-2/3", "1/0", "x", "", " 7 ", "1e400", "nan",
+                     "inf", "0x10"]),
+    st.floats(-10, 10), st.sampled_from([float("inf"), float("nan")]),
+    st.none(), st.booleans(), st.lists(_NUMBER, max_size=2),
+    st.dictionaries(st.sampled_from(["normal", "a"]), _NUMBER, max_size=1))
+
+
+def _mostly(good, bad, one_in=8):
+    """good, except one draw in `one_in` on average, which is bad."""
+    return st.integers(1, one_in).flatmap(lambda k: bad if k == 1 else good)
+
+
+_ENTRY = _mostly(_NUMBER, _JUNK)
+_HYPERPLANE = st.one_of(
+    st.fixed_dictionaries({"normal": st.lists(_ENTRY, max_size=3)},
+                          optional={"offset": _ENTRY}),
+    _JUNK)
+_OPTIONAL = {"prime": _mostly(st.sampled_from([2, 3, 5, 7]),
+                             st.one_of(st.integers(-1, 12), _JUNK), 3),
+             "label": _JUNK}
+# records whose normals have the length of dim, with entries that are mostly
+# numbers, and now and then a record of any shape or any text
+_ARRANGEMENT_TEXT = _mostly(
+    st.integers(0, 3).flatmap(lambda d: st.fixed_dictionaries(
+        {"dim": st.just(d), "hyperplanes": st.lists(st.fixed_dictionaries(
+            {"normal": st.lists(_ENTRY, min_size=d, max_size=d)},
+            optional={"offset": _ENTRY}), max_size=5)},
+        optional=_OPTIONAL)).map(json.dumps),
+    st.one_of(
+        st.fixed_dictionaries(
+            {"dim": st.one_of(st.integers(-1, 3), _JUNK),
+             "hyperplanes": st.lists(_HYPERPLANE, max_size=5)},
+            optional=_OPTIONAL).map(json.dumps),
+        _JUNK.map(json.dumps), st.text(max_size=20)), 4)
+_TOKEN = _mostly(_NUMBER.map(str), st.sampled_from(
+    ["dim", "dim:", "a", "1.5", "", "#", "-", "1/2", "99999999999999999999"]))
+_LINES = st.lists(st.lists(_TOKEN, max_size=4).map(" ".join), max_size=5)
+_VECTOR_TEXT = _mostly(
+    st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.lists(_TOKEN, min_size=d, max_size=d).map(" ".join), max_size=5)
+        .map(lambda rows: "\n".join(["dim %d" % d] + rows) + "\n")),
+    st.one_of(
+        st.tuples(st.sampled_from(["dim 2", "dim -1", "dim", "dim: 2", ":",
+                                   "dimension 2", "dim x"]), _LINES)
+        .map(lambda t: "\n".join([t[0]] + t[1]) + "\n"),
+        st.text(max_size=20)), 4)
+_EDGE_LINE = _mostly(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map("%d %d".__mod__),
+    st.lists(_TOKEN, max_size=4).map(" ".join))
+_EDGE_TEXT = _mostly(st.lists(_EDGE_LINE, max_size=6).map("\n".join),
+                     st.text(max_size=20), 4)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_ARRANGEMENT_TEXT, st.sampled_from([[], ["--method", "finite-field"]]))
+@example('{"dim": 2, "hyperplanes": [{"normal": ["1/0", 1]}]}', [])
+@example('{"dim": 2, "hyperplanes": [{"normal": [1e400, 1]}]}', [])
+@example('{"dim": 2, "prime": 4, "hyperplanes": [{"normal": [2, 1]}]}', [])
+@example('{"dim": 2, "prime": "x", "hyperplanes": [{"normal": [2, 1]}]}', [])
+def test_fuzzed_arrangement_json_is_output_or_one_error_line(
+        tmp_path_factory, text, method):
+    path = tmp_path_factory.mktemp("arr") / "a.json"
+    path.write_text(text)
+    _assert_clean(["tutte", "--input", str(path)] + method)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_VECTOR_TEXT, st.sampled_from(["tutte", "zonotope"]))
+@example(":\n", "tutte")
+def test_fuzzed_vector_text_is_output_or_one_error_line(
+        tmp_path_factory, text, action):
+    path = tmp_path_factory.mktemp("vec") / "v.txt"
+    path.write_text(text)
+    _assert_clean(["arith", action, "--input", str(path)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_EDGE_TEXT)
+@example("1 a\n")
+def test_fuzzed_edge_file_is_output_or_one_error_line(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("edges") / "e.txt"
+    path.write_text(text)
+    _assert_clean(["family", "graphical", "--n", "4", "--graph", str(path),
+                   "tutte"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["tutte", "--input", "FILE"],
+    ["arith", "tutte", "--input", "FILE"],
+    ["family", "graphical", "--n", "3", "--graph", "FILE", "tutte"],
+])
+def test_undecodable_input_is_one_input_format_line(capsys, tmp_path, argv):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00dim 2\n")
+    code, out, err = run(capsys, [str(path) if a == "FILE" else a for a in argv])
+    assert code == 1 and out == "" and _one_error_line(err, "input-format")

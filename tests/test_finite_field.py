@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_arrangement
+from conftest import random_arrangement, random_prime_arrangement
 from tuttekit.arrangement import Arrangement
 from tuttekit import finite_field
 from tuttekit.errors import (
@@ -14,7 +14,6 @@ from tuttekit.errors import (
 from tuttekit.families import generic
 from tuttekit.finite_field import (
     DEFAULT_BUDGET,
-    ModularArrangement,
     PointProfile,
     check_profile,
     coboundary_ffm,
@@ -68,11 +67,11 @@ def test_bad_prime_witness():
     assert err.value.witness == [0, 1]
     # the Hadamard floor also rejects 2
     with pytest.raises(BadPrimeError):
-        reduce_mod_p(arr, 2, mode="bound-certified")
+        reduce_mod_p(arr, 2, mode="bound")
     # a good prime passes both modes
     assert reduce_mod_p(arr, 3, mode="verified").prime == 3
     floor = hadamard_prime_floor(arr)
-    assert reduce_mod_p(arr, floor + 2, mode="bound-certified").prime == floor + 2
+    assert reduce_mod_p(arr, floor + 2, mode="bound").prime == floor + 2
 
 
 def test_hadamard_floor_certifies():
@@ -177,15 +176,14 @@ def test_line_above_the_block_is_counted_without_scattering(monkeypatch):
         raise AssertionError("scattered a line")
 
     monkeypatch.setattr(finite_field, "_scatter", no_scatter)
-    rows = [(1, 0, 0), (2, 0, 6), (1, 0, 3), (p, 0, 0), (0, 0, 5), (0, p, 0)]
-    modarr = ModularArrangement(p, 2, rows, n_loops=1)
-    # every point lies on the loop and the zero rows 3 and 5; x = 0 also on
-    # row 0, x = 3 also on rows 1 and 2
-    want = (0, 0, 0, (p - 2) * p, p, p, 0, 0)
-    assert point_profile(modarr).counts == want
-    assert point_profile_partitioned(modarr, 3).counts == want
-    assert point_profile(modarr, x1_range=(1, p)).counts == (
-        0, 0, 0, (p - 2) * p, 0, p, 0, 0)
+    hs = [([1, 0], 0), ([2, 0], 6), ([1, 0], 3), ([p, 0], 0), ([0, p], 0),
+          ([0, 0], 0)]
+    arr = Arrangement(2, hs, prime=p)
+    # every point lies on the three loops; x = 0 also on hyperplane 0,
+    # x = 3 also on hyperplanes 1 and 2
+    want = (0, 0, 0, (p - 2) * p, p, p, 0)
+    assert point_profile(arr).counts == want
+    assert point_profile_partitioned(arr, 3).counts == want
 
 
 def test_small_arrangement_keeps_verified_primes():
@@ -196,39 +194,41 @@ def test_small_arrangement_keeps_verified_primes():
     assert [m.prime for m in select_primes(arr, 3, "bound")] == [11, 13, 17]
 
 
-def _brute_profile(modarr):
+def _brute_profile(arr):
     """Incidences at every point of F_p^d, counted one point at a time."""
-    p = modarr.prime
-    counts = [0] * (modarr.n + 1)
-    for x in itertools.product(range(p), repeat=modarr.dim):
-        on = sum(1 for row in modarr.rows
-                 if (sum(a * b for a, b in zip(row[:-1], x)) - row[-1]) % p == 0)
-        counts[modarr.n_loops + on] += 1
+    p = arr.prime
+    counts = [0] * (arr.n + 1)
+    for x in itertools.product(range(p), repeat=arr.dim):
+        counts[sum(1 for h in arr.hyperplanes
+                   if (sum(a * b for a, b in zip(h.normal, x)) - h.offset) % p == 0)] += 1
     return tuple(counts)
 
 
-def _random_modarr(rng, p, d, kind):
-    """Rows over F_p^d: `central` normals span a random subspace of rank at
-    most d - 1 (a nontrivial lineality space) and offsets are 0; `affine`
-    rows are random; `degenerate` rows repeat, run parallel to, or have a
-    normal that is 0 mod p, with loops on top."""
+def _random_reduction(rng, p, d, kind):
+    """An arrangement over F_p^d: `central` normals span a random subspace of
+    rank at most d - 1 (a nontrivial lineality space) and offsets are 0;
+    `affine` hyperplanes are random; `degenerate` ones repeat, run parallel
+    to, or have a normal that is 0 mod p (a loop), with loops on top."""
     n = rng.randint(0, 6)
     span = [[rng.randrange(p) for _ in range(d)]
             for _ in range(max(d - 1, 0) if kind == "central" else d)]
-    rows = []
+    hs = []
     for _ in range(n):
         coeffs = [rng.randrange(p) for _ in span]
         normal = [sum(c * v[j] for c, v in zip(coeffs, span)) % p for j in range(d)]
         offset = 0 if kind == "central" else rng.randrange(p)
-        if kind == "degenerate" and rows and rng.random() < 0.6:
-            normal = list(rng.choice(rows)[:-1])
-            offset = rng.choice((offset, rows[-1][-1]))
+        if kind == "degenerate" and hs and rng.random() < 0.6:
+            normal = list(rng.choice(hs)[0])
+            offset = rng.choice((offset, hs[-1][1]))
         if kind == "degenerate" and rng.random() < 0.2:
             normal = [rng.choice((0, p)) for _ in range(d)]
-        # entries are not always reduced: the kernel takes them mod p
-        rows.append(tuple(x + p * rng.randint(0, 1) for x in normal) + (offset,))
-    loops = rng.randint(0, 2) if kind == "degenerate" else 0
-    return ModularArrangement(p, d, rows, n_loops=loops)
+        if not any(x % p for x in normal):
+            offset = rng.choice((0, p))     # a zero normal is a loop
+        # entries are not always reduced: Hyperplane takes them mod p
+        hs.append(([x + p * rng.randint(0, 1) for x in normal], offset))
+    if kind == "degenerate":
+        hs += [([0] * d, 0)] * rng.randint(0, 2)
+    return Arrangement(d, hs, prime=p)
 
 
 @pytest.mark.parametrize("block", [None, 5])
@@ -248,15 +248,48 @@ def test_profile_matches_brute_force(monkeypatch, block):
     for p in (2, 3, 5, 7, 11):
         for kind in ("central", "affine", "degenerate"):
             for d in range(0, 5 if p <= 3 else 4):
-                cases.append(_random_modarr(rng, p, d, kind))
-    cases += [ModularArrangement(3, 0, [(0,), (1,)], n_loops=1),   # d = 0
-              ModularArrangement(5, 2, [(0, 5, 0), (5, 0, 2)]),     # r = 0
-              ModularArrangement(7, 3, [], n_loops=2)]
+                cases.append(_random_reduction(rng, p, d, kind))
+    cases += [Arrangement(0, [([], 0), ([], 3)], prime=3),          # d = 0
+              Arrangement(2, [([0, 5], 0), ([5, 0], 10)], prime=5),  # r = 0
+              Arrangement(3, [([0, 0, 0], 0)] * 2, prime=7)]
     nullities = set()
-    for modarr in cases:
-        want = _brute_profile(modarr)
-        assert point_profile(modarr).counts == want
-        nullities.add(modarr.dim - finite_field._essential_rows(modarr)[0])
-        for parts in (2, 3, modarr.prime):
-            assert point_profile_partitioned(modarr, parts).counts == want
+    for arr in cases:
+        want = _brute_profile(arr)
+        assert point_profile(arr).counts == want
+        nullities.add(arr.dim - arr.rank)
+        for parts in (2, 3, arr.prime):
+            assert point_profile_partitioned(arr, parts).counts == want
     assert {0, 1, 2} <= nullities   # essential and nontrivial quotients both ran
+
+
+def test_essential_profile_times_fibre_is_the_full_profile():
+    # the quotient by the lineality space, counted by brute force, times
+    # p^(d-r) is the brute-force profile of the whole space
+    rng = random.Random(59)
+    for _ in range(40):
+        arr = random_prime_arrangement(rng)
+        ess = arr.essentialize()
+        assert ess.dim == arr.rank == ess.rank
+        fibre = arr.prime ** (arr.dim - arr.rank)
+        want = _brute_profile(arr)
+        assert tuple(c * fibre for c in _brute_profile(ess)) == want
+        assert point_profile(ess).counts == tuple(c // fibre for c in want)
+        assert point_profile(arr).counts == want
+
+
+def test_reduction_is_an_arrangement_over_the_prime_field():
+    # loops stay loops and keep their places; the non-loops are reduced mod p
+    arr = Arrangement(2, [([1, 0], 0), ([0, 0], 0), ([3, 1], 7)])
+    red = reduce_mod_p(arr, 5, mode="verified")
+    assert isinstance(red, Arrangement)
+    assert (red.prime, red.dim, red.n) == (5, 2, 3)
+    assert red.loops() == [1]
+    assert red.rows == ((1, 0, 0), (1, 2, 4))
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, 15, 25])
+def test_composite_modulus_is_a_bad_prime(p):
+    arr = Arrangement(2, [([1, 0], 0), ([0, 1], 0), ([1, 3], 0)])
+    for mode in ("bound", "verified"):
+        with pytest.raises(BadPrimeError, match="p=%d is not prime" % p):
+            reduce_mod_p(arr, p, mode=mode)

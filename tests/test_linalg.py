@@ -176,3 +176,20 @@ def test_verified_reduction_witness_is_smallest_mismatch(arr):
 def test_is_prime():
     assert [m for m in range(-3, 30) if is_prime(m)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_matches_trial_division_and_sympy():
+    from math import isqrt
+
+    import sympy
+    assert all(is_prime(m) == (m >= 2 and all(m % k for k in range(2, isqrt(m) + 1)))
+               for m in range(20000))
+    # Carmichael numbers, strong pseudoprimes to small bases, large primes
+    # and their neighbours, all below the bound where the test is exact
+    rng = random.Random(71)
+    hard = [561, 41041, 2047, 1373653, 25326001, 3215031751, 2152302898747,
+            3474749660383, 341550071728321, 3825123056546413051,
+            2 ** 61 - 1, 2 ** 61 + 1, 10 ** 18 + 3, 10 ** 18 + 9]
+    hard += [rng.randrange(10 ** 20) for _ in range(200)]
+    for m in hard:
+        assert is_prime(m) == sympy.isprime(m), m
