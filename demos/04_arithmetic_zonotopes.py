@@ -33,8 +33,8 @@ print("Ehrhart polynomial            =", z["ehrhart"])
 
 # Toric side: each vector a defines the subtorus t^a = 1 in (F*_(q+1))^d.
 # The points of the torus, classified by how many subtori contain them,
-# reproduce M exactly; toric_point_profile checks the identity by brute
-# force over the actual group.
+# reproduce M exactly; toric_point_profile counts every point of the group
+# (as t = g^y for a generator g) and checks the identity.
 for q in (2, 4):
     prof = toric_point_profile(config, q)
     print("profile over (F*_%d)^2: counts %s, polynomial %s"

@@ -2,18 +2,38 @@
 multivariate Tutte polynomial.
 
 A VectorConfig is a list of integer column vectors in Z^d.  The arithmetic
-Tutte polynomial weights each subset by its multiplicity, the index of the
-sublattice it spans; multiplicities are computed both as the gcd of the
-full-rank minors (the reference route) and through elementary divisors
-(Smith-style reduction), and the two are asserted equal.
+Tutte polynomial weights each subset B by its multiplicity m(B), the index
+of ZB in the integer points of its span.  One depth-first walk over the
+subsets carries the Hermite basis of ZB (`linalg.extend_lattice`, one
+unimodular step per added vector) and reads m(B) off it once per distinct
+lattice; the toric identity reads the elementary divisors of ZB off the same
+basis.  `multiplicity` computes a single m(B) apart from the walk, as the
+gcd of the full-rank minors checked against the elementary divisors of the
+whole submatrix: the oracle the tests hold the walk to, not the hot path.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, gcd
+from math import comb, gcd, prod
 
-from .errors import BadPrimeError, ConsistencyError, InputFormatError
-from .linalg import central_subsets, is_prime, rank_rows
+import numpy as np
+
+from .errors import (
+    BadPrimeError,
+    BudgetExceededError,
+    ConsistencyError,
+    InputFormatError,
+)
+from .finite_field import DEFAULT_BUDGET, power_fits
+from .linalg import (
+    central_subsets,
+    elementary_divisors,
+    extend_lattice,
+    is_prime,
+    lattice_index,
+    minor_gcd,
+    rank_rows,
+    subset_walk,
+)
 from .multipoly import MultiPoly
 from .tutte import expand_rank_table
 
@@ -76,99 +96,12 @@ class VectorConfig:
         return "VectorConfig(dim=%d, n=%d)" % (self.dim, self.n)
 
 
-def _minor_gcd(matrix, r):
-    """gcd of all r x r minors of an integer matrix (0 when r = 0 means empty)."""
-    if r == 0:
-        return 1
-    nrows, ncols = len(matrix), len(matrix[0])
-    g = 0
-    for rows in combinations(range(nrows), r):
-        for cols in combinations(range(ncols), r):
-            sub = [[matrix[i][j] for j in cols] for i in rows]
-            g = gcd(g, abs(_det_int(sub)))
-    return g
-
-
-def _det_int(m):
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        if m[col][col] == 0:
-            for i in range(col + 1, n):
-                if m[i][col]:
-                    m[col], m[i] = m[i], m[col]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                m[i][j] = (m[col][col] * m[i][j] - m[i][col] * m[col][j]) // prev
-            m[i][col] = 0
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
-
-
-def _smith_divisor_product(matrix):
-    """Product of the elementary divisors (Smith normal form diagonal).
-
-    Standard reduction by repeated gcd pivoting; for a matrix of rank r this
-    equals the gcd of the r x r minors, which is the fast path cross-check.
-    """
-    m = [row[:] for row in matrix]
-    if not m or not m[0]:
-        return 1
-    nrows, ncols = len(m), len(m[0])
-    prod = 1
-    top = 0
-    left = 0
-    while top < nrows and left < ncols:
-        piv = None
-        best = None
-        for i in range(top, nrows):
-            for j in range(left, ncols):
-                if m[i][j] and (best is None or abs(m[i][j]) < best):
-                    best = abs(m[i][j])
-                    piv = (i, j)
-        if piv is None:
-            break
-        i, j = piv
-        m[top], m[i] = m[i], m[top]
-        for row in m:
-            row[left], row[j] = row[j], row[left]
-        dirty = False
-        for i in range(top + 1, nrows):
-            qt = m[i][left] // m[top][left]
-            if qt:
-                for j in range(left, ncols):
-                    m[i][j] -= qt * m[top][j]
-            if m[i][left]:
-                dirty = True
-        for j in range(left + 1, ncols):
-            qt = m[top][j] // m[top][left]
-            if qt:
-                for i in range(top, nrows):
-                    m[i][j] -= qt * m[i][left]
-            if m[top][j]:
-                dirty = True
-        if dirty:
-            continue  # smaller remainders appeared; re-pivot this block
-        prod *= abs(m[top][left])
-        top += 1
-        left += 1
-    return prod
-
-
 def multiplicity(config, subset, cross_check=True):
     """m(B): index of ZB inside span(B) intersected with Z^d.
 
-    Computed as the gcd of the full-rank minors of the column submatrix; the
-    elementary-divisor product is asserted equal when cross_check is set.
+    The reference route, apart from the subset walk: the gcd of the
+    full-rank minors of the column submatrix, with the product of its
+    elementary divisors asserted equal when cross_check is set.
     """
     subset = sorted(subset)
     if not subset:
@@ -177,9 +110,9 @@ def multiplicity(config, subset, cross_check=True):
     r = config.rank_of(subset)
     if r == 0:
         return 1
-    g = _minor_gcd(mat, r)
+    g = minor_gcd(mat, r)
     if cross_check:
-        alt = _smith_divisor_product(mat)
+        alt = prod(elementary_divisors(mat))
         if alt != g:
             raise ConsistencyError(
                 "minor-gcd and elementary-divisor multiplicities differ "
@@ -187,17 +120,26 @@ def multiplicity(config, subset, cross_check=True):
     return g
 
 
-def _multiplicity_table(config):
-    """[rB][|B|] -> sum of m(B) over all subsets B, from one subset walk.
+def _lattice_walk(config, weigh):
+    """(rank, size, weigh(basis)) for every subset B of the columns.
 
-    With zero offsets every subset is central, so the walk visits them all
-    and gives each one's rank.
+    One depth-first walk carries the Hermite basis of ZB, one
+    `extend_lattice` step per added column, and weigh runs once per
+    distinct lattice.
     """
+    memo = {}
+    for _, size, basis in subset_walk(config.columns, extend_lattice, ()):
+        w = memo.get(basis)
+        if w is None:
+            w = memo[basis] = weigh(basis)
+        yield len(basis), size, w
+
+
+def _multiplicity_table(config):
+    """[rB][|B|] -> sum of m(B) over all subsets B, from one lattice walk."""
     table = [[0] * (config.n + 1) for _ in range(config.rank + 1)]
-    rows = [c + (0,) for c in config.columns]
-    for mask, size, rb in central_subsets(rows):
-        cols = [i for i in range(config.n) if mask >> i & 1]
-        table[rb][size] += _minor_gcd(config.matrix(cols), rb)
+    for rb, size, m in _lattice_walk(config, lattice_index):
+        table[rb][size] += m
     return table
 
 
@@ -260,47 +202,114 @@ def toric_evaluations(config, m_poly=None):
     return {"regions": regions, "poincare": poincare}
 
 
-def toric_point_profile(config, q, m_poly=None):
+# Largest number of (column, point) incidences tested in one numpy block;
+# the torus is cut along its coordinates so blocks stay this small.
+_BLOCK = 1 << 18
+
+
+def _torus_block(cols, q, base, counts):
+    """Add to counts[h] the number of points y of (Z/q)^k, k the number of
+    columns of cols, with b.y + base[i] = 0 mod q for exactly h rows b of
+    cols (i the index of b).
+
+    A block is a run of values of the first coordinate times all values of
+    the others; while the others alone are too many for a block, the first
+    coordinate is fixed in turn.  Entries are reduced mod q after every
+    product, so they stay below q^2.
+    """
+    n, k = cols.shape
+    if k == 0:
+        counts[int((base == 0).sum())] += 1
+        return
+    rest = q ** (k - 1)
+    width = max(n, 1) * rest
+    if width > _BLOCK:
+        for c in range(q):
+            _torus_block(cols[:, 1:], q, (base + cols[:, 0] * c) % q, counts)
+        return
+    tail = base[:, None]            # b.y + base over the other coordinates
+    if k > 1:
+        digits = np.arange(q, dtype=cols.dtype)
+        for j in range(1, k):
+            tail = ((tail[:, :, None] + cols[:, j, None, None] * digits)
+                    % q).reshape(n, -1)
+    step = max(1, _BLOCK // width)
+    for lo in range(0, q, step):
+        first = np.arange(lo, min(q, lo + step), dtype=cols.dtype)
+        head = (-cols[:, 0, None] * first) % q
+        hits = (tail[:, None, :] == head[:, :, None]).sum(axis=0)
+        for h, c in enumerate(np.bincount(hits.ravel(), minlength=n + 1)):
+            counts[h] += int(c)
+
+
+def _torus_counts(config, q):
+    """counts[k]: the points of (F*_{q+1})^d on exactly k hypertori t^b = 1.
+
+    t = g^y for a generator g of F*_{q+1} maps (Z/q)^d onto the torus, and
+    t^b = 1 becomes b.y = 0 mod q.  A coordinate that every column has
+    divisible by q changes no incidence, so the others are counted and each
+    point stands for q points per such coordinate.
+    """
+    n, d = config.n, config.dim
+    live = [i for i in range(d) if any(b[i] % q for b in config.columns)]
+    dtype = np.int64 if q < 1 << 31 else object
+    cols = np.array([[b[i] % q for i in live] for b in config.columns],
+                    dtype=dtype).reshape(n, len(live))
+    counts = [0] * (n + 1)
+    _torus_block(cols, q, np.zeros(n, dtype=dtype), counts)
+    fibre = q ** (d - len(live))
+    return [c * fibre for c in counts]
+
+
+def toric_point_profile(config, q, m_poly=None, budget=DEFAULT_BUDGET):
     """Point counts over the torus (F*_{q+1})^d, with the exact identity check.
 
-    q + 1 must be prime.  h(p) counts hypertori as a multiset over the
-    columns (two equal columns contribute two).  The displayed identity
-    sum_p t^h(p) = sum_B m(B) q^(d - rB) (t-1)^|B| is asserted exactly, and
-    the complement count must match the arithmetic characteristic polynomial
-    at q.
+    q + 1 must be prime, and the q^d points are charged to the budget.
+    h(p) counts hypertori as a multiset over the columns (two equal columns
+    contribute two).  A subset B with elementary divisors e_i cuts out a
+    subtorus of q^(d - rB) prod gcd(e_i, q) points, so the identity
+    sum_p t^h(p) = sum_B q^(d - rB) prod gcd(e_i, q) (t-1)^|B| is asserted
+    exactly; when every e_i divides q the product is m(B), and the
+    complement count must also match the arithmetic characteristic
+    polynomial at q.
     """
     P = q + 1
     if q < 1 or not is_prime(P):
         raise BadPrimeError("q + 1 = %d must be prime" % P)
-    counts = [0] * (config.n + 1)
-    units = range(1, P)
-    for point in product(units, repeat=config.dim):
-        h = 0
-        for col in config.columns:
-            val = 1
-            for x, a in zip(point, col):
-                if a:
-                    val = val * pow(x, a, P) % P if a > 0 else \
-                        val * pow(pow(x, -1, P), -a, P) % P
-            if val == 1:
-                h += 1
-        counts[h] += 1
-    table = _multiplicity_table(config)
-    if m_poly is None:
-        m_poly = expand_rank_table(table, config.rank)
+    d = config.dim
+    if not power_fits(q, d, budget):
+        # q^d itself may have more digits than an int prints
+        raise BudgetExceededError(
+            "q^d = %d^%d exceeds the enumeration budget %d" % (q, d, budget),
+            required=q ** d)
+    counts = _torus_counts(config, q)
+
+    def weigh(basis):
+        e = elementary_divisors([b for _, b in basis])
+        on = q ** (d - len(basis)) * prod(gcd(x, q) for x in e)
+        return prod(e), on, all(q % x == 0 for x in e)
+
+    table = [[0] * (config.n + 1) for _ in range(config.rank + 1)]
+    on_subtori = [0] * (config.n + 1)
+    split = True
+    for rb, size, (m, on, divides) in _lattice_walk(config, weigh):
+        table[rb][size] += m
+        on_subtori[size] += on
+        split = split and divides
     lhs = MultiPoly(("t",), {(k,): c for k, c in enumerate(counts)})
     rhs = {}
-    for rb, row in enumerate(table):
-        for size, weight in enumerate(row):
-            c = weight * q ** (config.dim - rb)
-            for j in range(size + 1):
-                rhs[(j,)] = rhs.get((j,), 0) + c * comb(size, j) * (-1) ** (size - j)
+    for size, c in enumerate(on_subtori):
+        for j in range(size + 1):
+            rhs[(j,)] = rhs.get((j,), 0) + c * comb(size, j) * (-1) ** (size - j)
     if lhs != MultiPoly(("t",), rhs):
         raise ConsistencyError("toric finite field identity fails at q=%d" % q)
-    chi_at_q = arithmetic_char_poly(config, m_poly).evaluate({"q": q})
-    if counts[0] != chi_at_q:
-        raise ConsistencyError("toric complement count disagrees with "
-                               "the arithmetic characteristic polynomial")
+    if split:
+        if m_poly is None:
+            m_poly = expand_rank_table(table, config.rank)
+        chi_at_q = arithmetic_char_poly(config, m_poly).evaluate({"q": q})
+        if counts[0] != chi_at_q:
+            raise ConsistencyError("toric complement count disagrees with "
+                                   "the arithmetic characteristic polynomial")
     return {"q": q, "counts": counts, "polynomial": lhs}
 
 

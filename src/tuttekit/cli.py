@@ -11,6 +11,7 @@ and the flat-lattice coboundary above that.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -186,14 +187,23 @@ def build_parser():
     p.add_argument("action", choices=["tutte", "zonotope", "toric", "char"])
     p.add_argument("--input", required=True)
     p.add_argument("--q", type=int)
+    p.add_argument("--budget", type=int, default=None)
     _add_output_flags(p)
 
     p = sub.add_parser("toric")
     p.add_argument("--input", required=True)
     p.add_argument("--q", type=int, required=True)
+    p.add_argument("--budget", type=int, default=None)
     _add_output_flags(p)
 
     return top
+
+
+@functools.cache
+def _parser():
+    """The parser, built on the first call and reused by later ones; a
+    parse leaves it unchanged, and building it costs some 30 parses."""
+    return build_parser()
 
 
 def _run_action(action, arr, args):
@@ -342,7 +352,7 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     argv = _reorder_family_argv(list(argv))
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.verb == "family":
             arr = _family_arrangement(args)
@@ -368,12 +378,12 @@ def main(argv=None):
             else:
                 if not args.q:
                     raise InputFormatError("toric point count needs --q")
-                prof = toric_point_profile(config, args.q)
+                prof = toric_point_profile(config, args.q, budget=_budget(args))
                 _emit_poly(prof["polynomial"], args,
                            {"q": args.q, "counts": list(prof["counts"])})
         elif args.verb == "toric":
             config = _load_config(args.input)
-            prof = toric_point_profile(config, args.q)
+            prof = toric_point_profile(config, args.q, budget=_budget(args))
             _emit_poly(prof["polynomial"], args,
                        {"q": args.q, "counts": list(prof["counts"])})
         else:

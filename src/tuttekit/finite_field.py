@@ -49,19 +49,43 @@ DEFAULT_BUDGET = 10 ** 8
 
 
 class PointProfile:
-    """Counts (c_0, ..., c_n) of points by number of incident hyperplanes."""
+    """Counts (c_0, ..., c_n) of points by number of incident hyperplanes.
 
-    __slots__ = ("prime", "counts")
+    They are held as c_k = quotient[k] * p^lift: a profile counted in the
+    quotient by the lineality space has lift d - r, and the fibre p^(d-r)
+    is multiplied in only when `counts` is read.
+    """
 
-    def __init__(self, prime, counts):
+    __slots__ = ("prime", "quotient", "lift")
+
+    def __init__(self, prime, counts, lift=0):
         self.prime = prime
-        self.counts = tuple(int(c) for c in counts)
+        self.quotient = tuple(int(c) for c in counts)
+        self.lift = lift
+
+    @property
+    def counts(self):
+        fibre = self.prime ** self.lift
+        return tuple(c * fibre for c in self.quotient)
 
     def polynomial(self, var="Y"):
         return MultiPoly((var,), {(k,): c for k, c in enumerate(self.counts)})
 
     def csv_row(self):
         return ",".join([str(self.prime)] + [str(c) for c in self.counts])
+
+
+def power_fits(base, exp, budget):
+    """base^exp <= budget for an integer base >= 1, without forming a power
+    beyond the budget, so a huge exponent costs no more than a small one."""
+    if base == 1:
+        return budget >= 1
+    acc = 1
+    for _ in range(exp):
+        acc *= base
+        if acc > budget:
+            return False
+    return acc <= budget
 
 
 def _primes_from(start):
@@ -231,24 +255,27 @@ def _quotient(arrangement, budget):
 
 def _profile(arrangement, r, rows, lo, hi):
     """The profile of the quotient points with first coordinate in range(lo, hi),
-    each standing for its fibre of p^(d-r) points of F_p^d."""
-    p = arrangement.prime
-    counts = np.zeros(len(rows) + 1, dtype=np.int64)
-    _count(rows, p, r, counts, lo, hi)
-    fibre = p ** (arrangement.dim - r)
-    return [0] * (arrangement.n - len(rows)) + [int(c) * fibre for c in counts]
+    each of which stands for its fibre of p^(d-r) points of F_p^d.
+
+    The totals are Python ints (a numpy array of objects), which stay exact
+    when p^r outgrows 64 bits.
+    """
+    counts = np.zeros(len(rows) + 1, dtype=object)
+    _count(rows, arrangement.prime, r, counts, lo, hi)
+    return [0] * (arrangement.n - len(rows)) + list(counts)
 
 
 def point_profile(arrangement, budget=DEFAULT_BUDGET):
     """Exact incidence counts over F_p^d of an arrangement over F_p.
 
     The points are counted in the quotient F_p^r by the lineality space
-    (`Arrangement.essentialize`) and each count is multiplied by the fibre
-    size p^(d-r).
+    (`Arrangement.essentialize`); each count stands for the fibre of p^(d-r)
+    points, the profile's lift.
     """
     r, rows = _quotient(arrangement, budget)
     p = arrangement.prime
-    return PointProfile(p, _profile(arrangement, r, rows, 0, p))
+    return PointProfile(p, _profile(arrangement, r, rows, 0, p),
+                        arrangement.dim - r)
 
 
 def point_profile_partitioned(arrangement, parts, budget=DEFAULT_BUDGET):
@@ -264,15 +291,19 @@ def point_profile_partitioned(arrangement, parts, budget=DEFAULT_BUDGET):
     for lo, hi in zip(bounds, bounds[1:]):
         total = [a + b for a, b in
                  zip(total, _profile(arrangement, r, rows, lo, hi))]
-    return PointProfile(p, total)
+    return PointProfile(p, total, arrangement.dim - r)
 
 
 def check_profile(profile, arrangement, chi=None):
-    """Invariant checks: counts sum to p^d; t=0 slice equals chi(p) if given."""
-    p, d = arrangement.prime, arrangement.dim
-    if sum(profile.counts) != p ** d:
+    """Invariant checks: counts sum to p^d; t=0 slice equals chi(p) if given.
+
+    The sum is compared before the lift, with p^(d - lift).
+    """
+    p, lift = arrangement.prime, profile.lift
+    if sum(profile.quotient) != p ** (arrangement.dim - lift):
         raise InconsistentSamplesError("profile counts do not sum to p^d")
-    if chi is not None and profile.counts[0] != chi.evaluate({"q": p}):
+    if chi is not None and \
+            profile.quotient[0] * p ** lift != chi.evaluate({"q": p}):
         raise InconsistentSamplesError("complement count disagrees with chi(p)")
     return True
 
@@ -292,16 +323,16 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
     floor = hadamard_prime_floor(arrangement)
     small = len(arrangement.rows) <= 14
     e = arrangement.dim if small else r
-    fits = (floor + 1) ** e <= budget
+    fits = power_fits(floor + 1, e, budget)
     if reduction == "auto":
-        cheap = fits and next(_primes_from(floor + 1)) ** e <= budget
+        cheap = fits and power_fits(next(_primes_from(floor + 1)), e, budget)
         reduction = "bound" if cheap or not small else "verified"
     out = []
     if reduction == "bound":
         p = floor + 1
         if fits:
             for p in _primes_from(p):
-                if p ** e > budget:
+                if not power_fits(p, e, budget):
                     break
                 out.append(reduce_mod_p(arrangement, p, "bound"))
                 if len(out) == count:
@@ -317,7 +348,7 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
         for p in _primes_from(2):
             if p in taken:
                 continue
-            if p ** r > budget:
+            if not power_fits(p, r, budget):
                 raise BudgetExceededError(
                     "cannot find %d verified primes within the budget" % count,
                     required=p ** r)
@@ -334,7 +365,7 @@ def coboundary_ffm(arrangement, primes=None, reduction="auto",
                    budget=DEFAULT_BUDGET):
     """Compute the coboundary polynomial by the finite field method.
 
-    Profiles at r+2 primes are divided by p^(d-r) and interpolated
+    Profiles at r+2 primes, divided by p^(d-r), are interpolated
     coefficient-wise in X; the extra prime must be consistent and the final
     coefficients must be integers, otherwise the degree bound or a reduction
     was wrong.
@@ -355,13 +386,14 @@ def coboundary_ffm(arrangement, primes=None, reduction="auto",
     for mod in mods:
         profile = point_profile(mod, budget=budget)
         check_profile(profile, mod)
-        fibre = mod.prime ** (d - r)
-        if any(c % fibre for c in profile.counts):
+        # p^(d-r) cobchi(p, Y): the quotient counts when the lift is d - r
+        fibre = mod.prime ** (d - r - profile.lift)
+        if any(c % fibre for c in profile.quotient):
             raise InconsistentSamplesError(
                 "profile at p=%d is not divisible by p^(d-r): "
                 "degree bound or reduction failure" % mod.prime)
         samples.append((Fraction(mod.prime), MultiPoly(
-            ("Y",), {(k,): c // fibre for k, c in enumerate(profile.counts)})))
+            ("Y",), {(k,): c // fibre for k, c in enumerate(profile.quotient)})))
     result = interpolate_in_X(samples, r, var="X")
     if not result.has_integer_coeffs():
         raise InconsistentSamplesError(

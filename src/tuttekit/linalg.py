@@ -11,10 +11,18 @@ integer rows over Q, or of rows mod p with pivot entry 1 over F_p, and
 reduces further rows against it one at a time;
 `pivot_columns` reads the pivots of a row space from it, and
 `central_subsets` walks every central subset of an arrangement on it.
+
+The lattice kernel (`extend_lattice`) keeps the Hermite basis of the
+integer span of integer rows, extended one row at a time by unimodular
+extended-gcd steps; `subset_walk` carries it along every subset of a vector
+configuration, and `lattice_index` and `elementary_divisors` read the
+arithmetic of the lattice off it.  `minor_gcd`, `det_int` and
+`elementary_divisors` on a whole matrix are the reference route.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 
 
 # Miller-Rabin with these bases decides primality exactly below
@@ -140,32 +148,209 @@ def pivot_columns(rows, prime=None):
     return sorted(c for c, _ in basis)
 
 
+def subset_walk(rows, step, root):
+    """Every subset of rows that `step` admits, depth first, with its basis.
+
+    Yields (mask, size, basis) in index order: each subset comes before the
+    subsets that extend it by larger indices.  root is the basis of the
+    empty subset, and step(basis, row) the basis of a subset with one more
+    row, or None when that subset and every superset of it are skipped; a
+    subset's basis is computed once and shared by every subset built on it.
+    """
+    n = len(rows)
+    stack = [(0, 0, 0, root)]     # next index, mask, size, basis
+    push = stack.append
+    while stack:
+        start, mask, size, basis = stack.pop()
+        yield mask, size, basis
+        # the children go on the stack last index first, so the first pops first
+        for j in range(n - 1, start - 1, -1):
+            child = step(basis, rows[j])
+            if child is not None:
+                push((j + 1, mask | 1 << j, size + 1, child))
+
+
 def central_subsets(rows, prime=None):
     """Every central subset of augmented rows [normal | offset], depth first.
 
-    Yields (mask, size, rank) in index order: each subset comes before the
-    subsets that extend it by larger indices, and rank is the rank of its
-    normals.  A subset keeps the reduced echelon basis of its rows, so adding
-    a row costs one reduction.  A remainder that is zero on the normals but
-    not on the offset leaves the subset with no common point, and every
-    superset too, so that subtree is skipped; a zero remainder keeps the rank.
+    Yields (mask, size, rank) in the order of `subset_walk`, and rank is the
+    rank of the subset's normals.  A subset keeps the reduced echelon basis
+    of its rows, so adding a row costs one reduction.  A remainder that is
+    zero on the normals but not on the offset leaves the subset with no
+    common point, and every superset too, so that subtree is skipped; a
+    zero remainder keeps the rank.
     """
-    n = len(rows)
-    stack = [(0, 0, 0, [])]     # next index, mask, size, basis
-    while stack:
-        start, mask, size, basis = stack.pop()
+    def step(basis, row):
+        rem = reduce_row(row, basis, prime)
+        if any(rem[:-1]):
+            return extend_basis(basis, normalise_row(rem, prime), prime)
+        return None if rem[-1] else basis
+
+    for mask, size, basis in subset_walk(rows, step, []):
         yield mask, size, len(basis)
-        children = []
-        for j in range(start, n):
-            rem = reduce_row(rows[j], basis, prime)
-            if any(rem[:-1]):
-                child = extend_basis(basis, normalise_row(rem, prime), prime)
-            elif rem[-1]:
-                continue
+
+
+# -- integer lattices ---------------------------------------------------------
+
+def _xgcd(a, b):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        k, rem = divmod(a, b)
+        a, b = b, rem
+        s0, s1 = s1, s0 - k * s1
+        t0, t1 = t1, t0 - k * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def extend_lattice(basis, row):
+    """The Hermite basis of the lattice spanned by basis and an integer row.
+
+    A Hermite basis is a tuple of (pivot column, row) in increasing pivot
+    order: each row is zero before its pivot, its pivot entry is positive,
+    and the entries of the rows above it at that pivot lie in [0, pivot).
+    Every lattice has exactly one, so equal lattices give equal tuples.  The
+    row is reduced against the basis by unimodular extended-gcd steps, and a
+    row already in the lattice returns basis itself.
+    """
+    if len(basis) == len(row) and all(b[c] == 1 for c, b in basis):
+        return basis    # it spans Z^d, and so every row
+    v = row
+    out = None          # a copy of basis, made at the first change
+    k = 0
+    for c in range(len(v)):
+        a = v[c]
+        if not a:
+            continue
+        rows = basis if out is None else out
+        while k < len(rows) and rows[k][0] < c:
+            k += 1
+        if k == len(rows) or rows[k][0] > c:
+            if out is None:
+                out = list(basis)
+            out.insert(k, (c, tuple(v) if a > 0 else tuple([-x for x in v])))
+            break
+        b = rows[k][1]
+        p = b[c]
+        f, rem = divmod(a, p)
+        if rem:
+            if out is None:
+                out = list(basis)
+            # replace b by the row of span(b, v) with pivot gcd(p, a)
+            g, s, t = _xgcd(p, a)
+            out[k] = (c, tuple([s * y + t * x for x, y in zip(v, b)]))
+            v = [p // g * x - a // g * y for x, y in zip(v, b)]
+        else:
+            v = [x - f * y for x, y in zip(v, b)]
+    if out is None:
+        return basis
+    for i, (c, b) in enumerate(out):
+        for j in range(i):
+            cj, bj = out[j]
+            f = bj[c] // b[c]
+            if f:
+                out[j] = (cj, tuple([x - f * y for x, y in zip(bj, b)]))
+    return tuple(out)
+
+
+def lattice_index(basis):
+    """The index of a lattice in the integer points of its span, from its
+    Hermite basis: the gcd of the maximal minors, which at full rank is
+    the product of the pivots."""
+    if basis and len(basis) < len(basis[0][1]):
+        return minor_gcd([b for _, b in basis], len(basis))
+    return prod(b[c] for c, b in basis)
+
+
+def det_int(m):
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    m = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for col in range(n - 1):
+        if m[col][col] == 0:
+            for i in range(col + 1, n):
+                if m[i][col]:
+                    m[col], m[i] = m[i], m[col]
+                    sign = -sign
+                    break
             else:
-                child = basis
-            children.append((j + 1, mask | 1 << j, size + 1, child))
-        stack.extend(reversed(children))
+                return 0
+        for i in range(col + 1, n):
+            for j in range(col + 1, n):
+                m[i][j] = (m[col][col] * m[i][j] - m[i][col] * m[col][j]) // prev
+            m[i][col] = 0
+        prev = m[col][col]
+    return sign * m[n - 1][n - 1]
+
+
+def minor_gcd(matrix, r):
+    """gcd of all r x r minors of an integer matrix (1 when r = 0)."""
+    if r == 0:
+        return 1
+    nrows, ncols = len(matrix), len(matrix[0])
+    g = 0
+    for rows in combinations(range(nrows), r):
+        for cols in combinations(range(ncols), r):
+            g = gcd(g, det_int([[matrix[i][j] for j in cols] for i in rows]))
+            if g == 1:
+                return 1
+    return g
+
+
+def elementary_divisors(matrix):
+    """The nonzero elementary divisors e_1 | e_2 | ... of an integer matrix.
+
+    The matrix is diagonalised by repeated gcd pivoting, and the diagonal is
+    made a divisor chain by gcd/lcm exchanges (the Smith normal form).  Their
+    product is the gcd of the maximal minors.
+    """
+    m = [list(row) for row in matrix]
+    diag = []
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    top = left = 0
+    while top < nrows and left < ncols:
+        piv = None
+        best = None
+        for i in range(top, nrows):
+            for j in range(left, ncols):
+                if m[i][j] and (best is None or abs(m[i][j]) < best):
+                    best = abs(m[i][j])
+                    piv = (i, j)
+        if piv is None:
+            break
+        i, j = piv
+        m[top], m[i] = m[i], m[top]
+        for row in m:
+            row[left], row[j] = row[j], row[left]
+        dirty = False
+        for i in range(top + 1, nrows):
+            qt = m[i][left] // m[top][left]
+            if qt:
+                for j in range(left, ncols):
+                    m[i][j] -= qt * m[top][j]
+            if m[i][left]:
+                dirty = True
+        for j in range(left + 1, ncols):
+            qt = m[top][j] // m[top][left]
+            if qt:
+                for i in range(top, nrows):
+                    m[i][j] -= qt * m[i][left]
+            if m[top][j]:
+                dirty = True
+        if dirty:
+            continue  # smaller remainders appeared; re-pivot this block
+        diag.append(abs(m[top][left]))
+        top += 1
+        left += 1
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
 
 
 def rank_int(rows):

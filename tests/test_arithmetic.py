@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd, prod
 
 import pytest
 
+from tuttekit import arithmetic
 from tuttekit.arithmetic import (
     VectorConfig,
+    _multiplicity_table,
+    _torus_counts,
     arithmetic_char_poly,
     arithmetic_tutte,
     multiplicity,
@@ -16,8 +20,14 @@ from tuttekit.arithmetic import (
     zonotope_evaluations,
 )
 from tuttekit.arrangement import Arrangement
-from tuttekit.errors import InputFormatError, TuttekitError
+from tuttekit.errors import BudgetExceededError, InputFormatError, TuttekitError
 from tuttekit.families import braid, thicken
+from tuttekit.linalg import (
+    elementary_divisors,
+    extend_lattice,
+    rank_rows,
+    subset_walk,
+)
 from tuttekit.multipoly import MultiPoly
 from tuttekit.tutte import tutte_subset
 
@@ -104,6 +114,71 @@ def test_multiplicity_cross_check_random():
         multiplicity(c, range(n), cross_check=True)
 
 
+# -- the lattice walk --------------------------------------------------------
+
+def _degenerate_config(rng, d):
+    """Random columns in Z^d with zero, repeated and parallel ones; one draw
+    in three lies in a sublattice of lower rank."""
+    span = d if d == 1 or rng.random() < 0.66 else rng.randint(1, d - 1)
+    gens = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(span)]
+    cols = []
+    for _ in range(rng.randint(1, 5 if d > 3 else 6)):
+        coeffs = [rng.randint(-2, 2) for _ in gens]
+        cols.append([sum(c * g[i] for c, g in zip(coeffs, gens))
+                     for i in range(d)])
+    first = cols[0]
+    cols += [[0] * d, list(first),
+             [rng.choice([-3, -2, 2, 3]) * x for x in first]]
+    rng.shuffle(cols)
+    return VectorConfig(d, cols)
+
+
+_LATTICE_CASES = [_degenerate_config(random.Random(1000 + k), 1 + k % 5)
+                  for k in range(25)]
+
+
+@pytest.mark.parametrize("config", _LATTICE_CASES, ids=repr)
+def test_lattice_walk_table_matches_per_subset_multiplicity(config):
+    want = [[0] * (config.n + 1) for _ in range(config.rank + 1)]
+    for mask in range(1 << config.n):
+        subset = [i for i in range(config.n) if mask >> i & 1]
+        # cross_check asserts gcd of minors == product of elementary divisors
+        m = multiplicity(config, subset, cross_check=True)
+        want[config.rank_of(subset)][len(subset)] += m
+    assert _multiplicity_table(config) == want
+
+
+@pytest.mark.parametrize("config", _LATTICE_CASES[:10], ids=repr)
+def test_walk_basis_spans_the_subset_lattice(config):
+    for mask, _, basis in subset_walk(config.columns, extend_lattice, ()):
+        subset = [i for i in range(config.n) if mask >> i & 1]
+        cols = [config.columns[i] for i in subset]
+        rows = [b for _, b in basis]
+        # ZB inside L, L inside span(B), and the same index: L = ZB
+        assert all(extend_lattice(basis, c) is basis for c in cols)
+        assert rank_rows(rows + cols) == rank_rows(cols) == len(basis)
+        assert prod(elementary_divisors(rows)) == multiplicity(config, subset)
+
+
+def test_extend_lattice_is_the_hermite_form():
+    rng = random.Random(61)
+    for _ in range(40):
+        d = rng.randint(1, 5)
+        cols = [tuple(rng.randint(-4, 4) for _ in range(d))
+                for _ in range(rng.randint(1, 6))]
+        forms = set()
+        for _ in range(3):
+            rng.shuffle(cols)
+            basis = ()
+            for c in cols:
+                basis = extend_lattice(basis, c)
+            forms.add(basis)
+        assert len(forms) == 1          # one basis per lattice
+        for i, (c, b) in enumerate(basis):
+            assert b[c] > 0 and not any(b[:c])
+            assert all(0 <= bj[c] < b[c] for _, bj in basis[:i])
+
+
 # -- arithmetic Tutte polynomial --------------------------------------------
 
 def test_arithmetic_tutte_examples():
@@ -160,6 +235,83 @@ def test_zonotope_brute_force_oracle():
 
 
 # -- toric point counts ------------------------------------------------------
+
+def _pow_loop_counts(config, q):
+    """The profile over (F*_{q+1})^d by evaluating t^b at every point."""
+    P = q + 1
+    counts = [0] * (config.n + 1)
+    for point in product(range(1, P), repeat=config.dim):
+        h = 0
+        for col in config.columns:
+            val = 1
+            for x, a in zip(point, col):
+                if a:
+                    val = val * pow(x, a, P) % P if a > 0 else \
+                        val * pow(pow(x, -1, P), -a, P) % P
+            if val == 1:
+                h += 1
+        counts[h] += 1
+    return counts
+
+
+def _torus_cases():
+    rng = random.Random(67)
+    cases = [VectorConfig(2, [(1, 0), (1, 2), (2, -1)]),
+             VectorConfig(3, [(2, 0, 0), (0, 0, 0), (0, 4, 6), (0, 4, 6)])]
+    for _ in range(8):
+        d = rng.randint(1, 3)
+        cases.append(VectorConfig(d, [[rng.randint(-5, 5) for _ in range(d)]
+                                      for _ in range(rng.randint(0, 4))]))
+    return cases
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 40])
+def test_torus_counts_match_the_pow_loop(monkeypatch, block):
+    # small blocks cut the torus along each coordinate and into runs of
+    # values of one coordinate
+    if block is not None:
+        monkeypatch.setattr(arithmetic, "_BLOCK", block)
+    for config in _torus_cases():
+        for qq in (2, 4, 6, 10, 12):        # q + 1 in {3, 5, 7, 11, 13}
+            if qq ** config.dim > 2000:
+                continue
+            assert _torus_counts(config, qq) == _pow_loop_counts(config, qq), \
+                (config.columns, qq)
+
+
+def _on_subtorus(config, subset, q):
+    """Points of (F*_{q+1})^d on every hypertorus of the subset, by brute force."""
+    sub = VectorConfig(config.dim, [config.columns[i] for i in subset])
+    return _pow_loop_counts(sub, q)[len(subset)]
+
+
+@pytest.mark.parametrize("qq", [4, 6, 10, 12])
+def test_toric_identity_holds_for_every_prime_q_plus_one(qq):
+    t = MultiPoly.variable("t")
+    for config in _torus_cases()[:6]:
+        if qq ** config.dim > 2000:
+            continue
+        prof = toric_point_profile(config, qq)
+        assert prof["counts"] == _pow_loop_counts(config, qq)
+        want = MultiPoly.zero()
+        for mask, size, basis in subset_walk(config.columns, extend_lattice, ()):
+            subset = [i for i in range(config.n) if mask >> i & 1]
+            on = _on_subtorus(config, subset, qq)
+            e = elementary_divisors([b for _, b in basis])
+            assert on == qq ** (config.dim - len(basis)) * \
+                prod(gcd(x, qq) for x in e)
+            want = want + on * (t - 1) ** size
+        assert prof["polynomial"] == want
+
+
+def test_toric_budget():
+    c = VectorConfig(3, [(1, 0, 0), (1, 1, 1)])
+    with pytest.raises(BudgetExceededError) as err:
+        toric_point_profile(c, 12, budget=12 ** 3 - 1)
+    assert err.value.required == 12 ** 3
+    assert toric_point_profile(c, 12, budget=12 ** 3)["counts"] == \
+        _pow_loop_counts(c, 12)
+
 
 def test_toric_identity_worked_configs():
     for cols in ([(1, 1), (1, -1)], [(2, 0), (0, 1)]):

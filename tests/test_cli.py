@@ -344,16 +344,50 @@ def test_check_on_a_loop_reports_only_ok(capsys, tmp_path):
 
 @pytest.fixture
 def toric_file(tmp_path):
-    # (1,0), (1,2), (2,-1): the pairs have multiplicities 2, 1 and 5, and the
-    # checked toric identity needs every multiplicity to divide q
+    # (1,0), (1,2), (2,-1): the pairs have multiplicities 2, 1 and 5
     path = tmp_path / "toric.txt"
     path.write_text("dim 2\n1 0\n1 2\n2 -1\n")
     return str(path)
 
 
-def test_toric_identity_failure_is_one_consistency_line(capsys, toric_file):
-    code, out, err = run(capsys, ["toric", "--input", toric_file, "--q", "4"])
-    assert code == 2 and out == "" and _one_error_line(err, "consistency")
+@pytest.mark.parametrize("q, counts", [
+    # brute force over (F*_{q+1})^2; 5 divides only q = 10
+    (4, [7, 7, 1, 1]), (6, [21, 13, 1, 1]), (10, [77, 17, 5, 1]),
+    (12, [111, 31, 1, 1])])
+def test_toric_counts_when_a_multiplicity_does_not_divide_q(capsys, toric_file,
+                                                            q, counts):
+    argv = ["toric", "--input", toric_file, "--q", str(q)]
+    code, out, err = run(capsys, argv + ["--format", "structured"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["counts"] == counts
+
+
+@pytest.mark.parametrize("verb", [["toric"], ["arith", "toric"]])
+def test_toric_over_budget_is_one_line(capsys, toric_file, verb):
+    argv = verb + ["--input", toric_file, "--q", "12"]
+    code, out, err = run(capsys, argv + ["--budget", "143"])
+    assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+    assert "q^d = 12^2 exceeds the enumeration budget 143" in err
+    code, out, _ = run(capsys, argv + ["--budget", "144"])
+    assert code == 0 and out == "t^3 + t^2 + 31*t + 111\n"
+
+
+def test_counts_above_64_bits_stay_exact(capsys):
+    # p^r > 2^63: the counts of the quotient are exact Python ints
+    primes = "10000000000000000051,10000000000000000087,10000000000000000091"
+    code, out, err = run(capsys, [
+        "family", "coordinate", "--n", "1", "tutte", "--method",
+        "finite-field", "--primes", primes, "--budget", str(10 ** 30)])
+    assert (code, out, err) == (0, "x\n", "")
+
+
+def test_a_huge_dim_costs_no_power_of_it(capsys, tmp_path):
+    # p^d for d = 10^8 would take seconds to form and gigabytes to hold
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dim": 10 ** 8, "hyperplanes": []}))
+    code, out, err = run(capsys, ["tutte", "--input", str(path),
+                                  "--method", "finite-field"])
+    assert (code, out, err) == (0, "1\n", "")
 
 
 def test_toric_q_plus_one_not_prime_is_a_bad_prime(capsys, toric_file):

@@ -20,6 +20,7 @@ from tuttekit.finite_field import (
     hadamard_prime_floor,
     point_profile,
     point_profile_partitioned,
+    power_fits,
     reduce_mod_p,
     select_primes,
 )
@@ -101,6 +102,13 @@ def test_budget(bench):
     assert err.value.required == 11 ** 3
     with pytest.raises(BudgetExceededError):
         point_profile_partitioned(modarr, 2, budget=100)
+
+
+def test_power_fits_stops_at_the_budget():
+    assert power_fits(2, 10, 1024) and not power_fits(2, 11, 1024)
+    assert power_fits(7, 0, 1) and power_fits(1, 10 ** 9, 1)
+    # stops after 17 products, long before 3^(10^18) could be formed
+    assert not power_fits(3, 10 ** 18, 10 ** 8)
 
 
 def test_no_certified_prime_fits_large_arrangement():
