@@ -219,26 +219,26 @@ class IntersectionPoset:
         polynomials (Crapo; Ardila 2007), returned with X = q and Y = t.
         The N_G are integer coefficient rows, finished one rank at a time
         from the top and subtracted from every flat below, then summed into
-        one table indexed by [|G|][q-exponent].
+        one table indexed by [|G|][X-exponent].  Every N_G is q^(d-r) times
+        a polynomial of degree at most r, so a row holds the r + 1
+        coefficients of q^(d-r) to q^d.
         """
-        d = self.arrangement.dim
-        shift = d - self.flats[-1].rank
-        counts = np.zeros((len(self.flats), d + 1), _dtype(self.arrangement.n))
-        counts[np.arange(len(self.flats)), [f.dim for f in self.flats]] = 1
+        r = self.flats[-1].rank
+        counts = np.zeros((len(self.flats), r + 1), _dtype(self.arrangement.n))
+        counts[np.arange(len(self.flats)), [r - f.rank for f in self.flats]] = 1
         table = {}
         for first, end in reversed(self._ranks()):
             own = counts[first:end]
             sizes = np.diff(self.starts[first:end + 1])
             targets = self.lower[self.starts[first]:self.starts[end]]
             # a column at a time, so the repeated rows take 8 bytes a pair
-            for e in range(d + 1):
+            for e in range(r + 1):
                 np.subtract.at(counts[:, e], targets, np.repeat(own[:, e], sizes))
             for g, row in zip(self.flats[first:end], own.tolist()):
                 size = len(g.hyperplane_set)
                 for e, c in enumerate(row):
                     if c:
-                        key = (size, e - shift)
-                        table[key] = table.get(key, 0) + c
+                        table[size, e] = table.get((size, e), 0) + c
         # the variable order of coboundary_ffm's result, which printing follows
         return MultiPoly(("Y", "X"), table)
 

@@ -7,6 +7,16 @@ flat-lattice coboundary (`IntersectionPoset.coboundary`) in `poset`.  All
 engines agree exactly; the test suite asserts this on randomized
 arrangements.
 
+All three run on the integer echelon kernel of `linalg`, over Q and F_p
+alike, on the augmented rows [normal | offset] of the hyperplanes.  The
+subset expansion walks the central subsets.  Deletion-contraction recurses
+on tuples of rows: a contraction is one elimination step per row, and the
+leaves are counted by (coloops, loops).  The basis-activity expansion walks
+the independent subsets and carries every row's remainder along, with one
+tag column per basis row, so that at a basis each remainder shows its
+fundamental circuit and whether it meets the basis.  Deletion-contraction
+and basis activity charge their work to a budget.
+
 The exact steps after a walk or a count work on integer coefficient
 tables: the rank-size table of the subset expansion, the coboundary
 transforms in both directions and the Whitney specialisation are binomial
@@ -16,12 +26,19 @@ the final table.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import compress, islice
 from math import comb
 
-from .errors import ConsistencyError
+from .errors import BudgetExceededError, ConsistencyError
 from .finite_field import DEFAULT_BUDGET
-from .linalg import central_subsets
+from .linalg import (
+    central_subsets,
+    eliminate,
+    extend_basis,
+    normalise_row,
+    reduce_row,
+    subset_walk,
+)
 from .multipoly import MultiPoly
 from .poset import intersection_poset
 
@@ -110,60 +127,187 @@ def tutte_subset(arrangement):
     return TutteResult(total, r, arrangement.n, "subset")
 
 
-def tutte_delcon(arrangement):
-    """Deletion-contraction recursion; identical result to the subset expansion."""
-    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+def _dependent(rows, rank, prime):
+    """Indices of the rows whose normal lies in the span of the normals
+    before it, ascending.  Once `rank` rows are independent, every later
+    row is dependent."""
+    basis = []
+    deps = []
+    for k, row in enumerate(rows):
+        if len(basis) == rank:
+            deps += range(k, len(rows))
+            break
+        rem = reduce_row(row[:-1], basis, prime)
+        if any(rem):
+            basis = extend_basis(basis, normalise_row(rem, prime), prime)
+        else:
+            deps.append(k)
+    return deps
 
-    def rec(arr):
-        loops = arr.loops()
-        if loops:
-            inner = rec(arr.restrict(arr.nonloops()))
-            return inner * y ** len(loops)
-        if arr.n == 0:
-            return MultiPoly.const(1)
-        for i in range(arr.n - 1, -1, -1):
-            if arr.classify(i) == "ordinary":
-                return rec(arr.delete(i)) + rec(arr.contract(i))
-        return x ** arr.n  # all coloops (loops already stripped)
 
-    return TutteResult(rec(arrangement), arrangement.rank, arrangement.n, "delcon")
+def _contract(rows, i, prime):
+    """The other rows restricted to row i's hyperplane, as
+    `Arrangement.contract` does: eliminated at the first nonzero column of
+    row i, that column dropped, and a row parallel to row i dropped."""
+    h = rows[i]
+    c = next(k for k, x in enumerate(h) if x)
+    out = []
+    for j, g in enumerate(rows):
+        if j == i:
+            continue
+        if not g[c]:
+            out.append(g[:c] + g[c + 1:])
+            continue
+        row = eliminate(g, h, c, prime)
+        del row[c]
+        if any(row[:-1]):
+            out.append(normalise_row(row, prime))
+        elif not row[-1]:
+            out.append(tuple(row))      # a loop
+    return out
 
 
-def tutte_activity(arrangement, order=None):
+def _xy_poly(counts):
+    """The MultiPoly of {(i, j): c} in x and y, declaring only those that
+    occur, x first."""
+    used = [any(key[k] for key in counts) for k in (0, 1)]
+    return MultiPoly(tuple(v for v, u in zip("xy", used) if u),
+                     {tuple(e for e, u in zip(key, used) if u): c
+                      for key, c in counts.items()})
+
+
+def _check_budget(work, budget, engine, unit):
+    if work > budget:
+        raise BudgetExceededError("%s needs at least %d %s, over the budget %d"
+                                  % (engine, work, unit, budget), required=work)
+
+
+def tutte_delcon(arrangement, budget=DEFAULT_BUDGET):
+    """Deletion-contraction recursion; identical result to the subset expansion.
+
+    A node is a tuple of augmented rows and the number of loops stripped on
+    the way to it; a contraction's loops are stripped when it is visited.
+    A node splits on its last ordinary row, which is the last row whose
+    normal depends on the rows before it: deleted, and contracted by one
+    elimination step per row.  Deleting it leaves the dependent rows before
+    it as they were, so only a contraction reduces its rows afresh.  A node
+    with no ordinary row is a leaf, all coloops, and adds 1 to the count of
+    x^coloops y^loops.  Every node is charged to the budget.
+    """
+    p = arrangement.prime
+    rows = arrangement.rows
+    counts = Counter()
+    nodes = 0
+    stack = [(rows, arrangement.n - len(rows), arrangement.rank, None)]
+    while stack:
+        rows, loops, rank, deps = stack.pop()
+        nodes += 1
+        _check_budget(nodes, budget, "deletion-contraction", "recursion nodes")
+        if deps is None:
+            kept = [row for row in rows if any(row)]
+            loops += len(rows) - len(kept)
+            rows = kept
+            deps = _dependent(rows, rank, p)
+        if not deps:
+            counts[len(rows), loops] += 1
+            continue
+        i = deps[-1]
+        stack.append((_contract(rows, i, p), loops, rank - 1, None))
+        stack.append((rows[:i] + rows[i + 1:], loops, rank, deps[:-1]))
+    return TutteResult(_xy_poly(counts), arrangement.rank, arrangement.n, "delcon")
+
+
+def _bases(rows, r, prime, budget):
+    """Every basis of the rows' normals, in `combinations` order, with the
+    remainders of all rows against it.
+
+    A walk state is (basis, remainders): the basis indices so far and each
+    row reduced against their rows, zero at their pivots.  Column d + 1 + k
+    tags the k-th basis row: it is set to 1 when that row joins, and every
+    later elimination carries it, so a remainder's tags are the
+    coefficients, up to nonzero scalars, of its row's normal on the basis
+    normals.  Adding row j to the basis takes one elimination step of each
+    remainder that is nonzero at its pivot, and a subset with too few rows
+    left to reach r is not extended.  Yields (basis, remainders) for the
+    bases, with the basis rows' remainders the zero row.  Each subset
+    visited is charged to the budget for its m steps, each of which reduces
+    at most m rows.
+    """
+    d = len(rows[0]) - 1 if rows else 0
+    m = len(rows)
+    zero = (0,) * (d + 1 + r)
+
+    def step(state, j):
+        basis, rems = state
+        s = len(basis)
+        if m - j < r - s:
+            return None
+        b = rems[j]
+        for c in range(d):
+            if b[c]:
+                break
+        else:
+            return None
+        b = list(b)
+        b[d + 1 + s] = 1
+        out = list(rems)
+        out[j] = zero           # a basis row is not reduced again
+        for g, v in enumerate(out):
+            if v[c]:
+                out[g] = normalise_row(eliminate(v, b, c, prime), prime)
+        return basis + (j,), out
+
+    work = 0
+    root = ((), [list(row) + [0] * r for row in rows])
+    for _, size, state in subset_walk(range(m), step, root):
+        work += m
+        _check_budget(work, budget, "the basis-activity expansion", "row steps")
+        if size == r:
+            yield state
+
+
+def tutte_activity(arrangement, order=None, budget=DEFAULT_BUDGET):
     """Basis-activity expansion for a fixed linear order on the hyperplanes.
 
-    Bases are the independent central subsets of size and rank r.  Returns
-    the TutteResult plus an ActivityCertificate listing (basis, i(B), e(B)).
+    Bases are the independent central subsets of size and rank r, found by
+    `_bases`.  Each non-basis row's remainder against a basis B gives, at
+    once, its fundamental circuit (its nonzero tags) and whether it has a
+    point in common with B (a zero offset).  h in B is internally active
+    when no hyperplane before h has h in its circuit; a non-basis h central
+    with B is externally active when it comes before the rest of its circuit,
+    and every loop is.  The walk is charged to the budget (see `_bases`).
+    Returns the TutteResult plus an ActivityCertificate listing
+    (basis, i(B), e(B)).
     """
     n = arrangement.n
     if order is None:
         order = list(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the hyperplane indices")
-    pos = {h: k for k, h in enumerate(order)}
+    pos = [0] * n
+    for k, h in enumerate(order):
+        pos[h] = k
     r = arrangement.rank
     nl = arrangement.nonloops()
-    loops = arrangement.loops()
+    npos = [pos[h] for h in nl]
+    d = arrangement.dim         # a remainder's offset column; its tags follow
     records = []
-    for combo in combinations(nl, r):
-        basis = frozenset(combo)
-        if arrangement.rank_normals(basis) != r or not arrangement.is_central(basis):
-            continue
-        internal = 0
-        for h in basis:
-            below = basis - {h} | {g for g in range(n) if pos[g] < pos[h]}
-            if arrangement.rank_normals(below) == r - 1:
-                internal += 1
-        external = len(loops)  # every loop is externally active w.r.t. every basis
-        for h in nl:
-            if h in basis:
-                continue
-            if not arrangement.is_central(basis | {h}):
-                continue
-            above = frozenset(g for g in basis if pos[g] > pos[h])
-            if arrangement.rank_normals(above | {h}) == arrangement.rank_normals(above):
+    for basis, rems in _bases(arrangement.rows, r, arrangement.prime, budget):
+        bpos = [npos[h] for h in basis]
+        first = [n] * r         # the first position whose circuit holds each tag
+        external = n - len(nl)  # every loop
+        for g, v in enumerate(rems):
+            circuit = list(compress(range(r), v[d + 1:]))
+            if not circuit:
+                continue        # a basis row: its remainder is zero
+            pg = npos[g]
+            for k in circuit:
+                if pg < first[k]:
+                    first[k] = pg
+            if not v[d] and pg < min([bpos[k] for k in circuit]):
                 external += 1
-        records.append((tuple(sorted(basis)), internal, external))
+        internal = sum(map(int.__lt__, bpos, first))
+        records.append((tuple(nl[h] for h in basis), internal, external))
     cert = ActivityCertificate(records)
     return TutteResult(cert.polynomial(), r, n, "activity"), cert
 
@@ -291,22 +435,23 @@ def validate_chi_shape(chi, var="q"):
     bug report.
     """
     d = chi.degree(var)
-    mags = []
-    violations = []
-    for k in range(d + 1):
-        c = chi.coefficient(var, d - k).constant_value()
-        if c != 0 and (c > 0) != (k % 2 == 0):
-            violations.append("sign of q^%d coefficient" % (d - k))
-        mags.append(abs(c))
+    # (k, the coefficient of q^(d-k)) for the nonzero ones, k ascending
+    coeffs = sorted((d - e, c) for (e,), c in chi.table((var,)).items())
+    violations = ["sign of q^%d coefficient" % (d - k)
+                  for k, c in coeffs if (c > 0) != (k % 2 == 0)]
+    mags = [0] * (d + 1)
+    for k, c in coeffs:
+        mags[k] = abs(c)
     rising = True
-    for j in range(1, len(mags)):
-        if rising and mags[j] < mags[j - 1]:
+    for j, (a, b) in enumerate(zip(mags, islice(mags, 1, None)), 1):
+        if rising and b < a:
             rising = False
-        elif not rising and mags[j] > mags[j - 1]:
+        elif not rising and b > a:
             violations.append("unimodality fails at position %d" % j)
             break
-    for j in range(1, len(mags) - 1):
-        if mags[j - 1] * mags[j + 1] > mags[j] ** 2:
+    for j, (a, b, c) in enumerate(zip(mags, islice(mags, 1, None),
+                                      islice(mags, 2, None)), 1):
+        if a * c > b * b:
             violations.append("log-concavity fails at position %d" % j)
     return {"ok": not violations, "violations": violations, "magnitudes": mags}
 

@@ -616,3 +616,36 @@ def test_undecodable_input_is_one_input_format_line(capsys, tmp_path, argv):
     path.write_bytes(b"\xff\xfe\x00dim 2\n")
     code, out, err = run(capsys, [str(path) if a == "FILE" else a for a in argv])
     assert code == 1 and out == "" and _one_error_line(err, "input-format")
+
+
+def test_check_on_a_huge_dim_reads_chi_once(capsys, tmp_path):
+    # chi = q^(10^6): the shape report and the profile sums take no pass
+    # over the powers of q beyond one list of magnitudes
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dim": 10 ** 6, "hyperplanes": []}))
+    code, out, err = run(capsys, ["check", "--input", str(path)])
+    lines = out.splitlines()
+    assert code == 0 and err == ""
+    assert len(lines) == 9 and all(line.startswith("ok   ") for line in lines)
+
+
+@pytest.mark.parametrize("method, unit", [("delcon", "recursion nodes"),
+                                          ("activity", "row steps")])
+def test_engine_over_budget_is_one_line(capsys, method, unit):
+    argv = ["family", "braid", "--n", "6", "tutte", "--method", method]
+    code, out, err = run(capsys, argv + ["--budget", "100"])
+    assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+    assert unit in err and "over the budget 100" in err
+
+
+def test_check_reports_an_engine_over_budget_and_goes_on(capsys):
+    # braid(4): delcon visits 33 nodes and the flat lattice fits in 100,
+    # but the activity walk charges 6 rows for each of its 31 subsets
+    code, out, err = run(capsys, ["family", "braid", "--n", "4", "check",
+                                  "--budget", "100"])
+    lines = out.splitlines()
+    assert code == 2 and err == ""
+    assert lines[:3] == ["ok   engine-agreement subset/delcon",
+                         "FAIL engine-agreement subset/activity (budget-exceeded)",
+                         "ok   engine-agreement subset/lattice"]
+    assert all(line.startswith("ok   ") for line in lines[3:])
