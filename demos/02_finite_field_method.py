@@ -24,9 +24,10 @@ arr = Arrangement(3, [([1, 0, 0], 0), ([0, 1, 0], 0),
                       ([1, -1, 0], 0), ([0, 0, 1], 0)])
 
 # Step 1: reduce mod a certified prime, which gives an Arrangement over F_5,
-# and count its points.
+# and count its points.  Each row has one +1 and at most one -1, so the rows
+# are totally unimodular: every nonzero minor is +-1, and every prime is safe.
 floor = hadamard_prime_floor(arr)
-print("Hadamard prime floor:", floor, "(any prime above it is safe)")
+print("prime floor:", floor, "(any prime above it is safe)")
 mod5 = reduce_mod_p(arr, 5, mode="bound")
 profile = point_profile(mod5)
 print("incidence profile at p=5:", profile.counts)
@@ -38,7 +39,7 @@ print("csv row:", profile.csv_row())
 merged = point_profile_partitioned(mod5, parts=3)
 print("partitioned run identical:", merged.counts == profile.counts)
 
-# Step 2: sample r+2 primes and interpolate.
+# Step 2: sample r+2 primes, the smallest above the floor, and interpolate.
 mods = select_primes(arr, arr.rank + 2)
 print("selected primes:", [m.prime for m in mods])
 cob = coboundary_ffm(arr)

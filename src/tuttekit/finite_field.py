@@ -7,12 +7,19 @@ sum_k c_k t^k = p^(d-r) cobchi(A; p, t).  Sampling r+2 primes (one extra as a
 consistency witness) and interpolating in the first coboundary variable
 reconstructs the whole polynomial.
 
+A prime is certified when it divides no nonzero minor of [normals | offsets]
+(`hadamard_prime_floor`).  The rows of braid, graphical, BC, D and threshold
+arrangements have at most two nonzero entries, all +-1; every odd prime is
+certified for them, and every prime when the rows are graphic, so the
+smallest primes serve.  Other rows take primes above the Hadamard bound, or
+small primes verified against the whole semimatroid.
+
 Point counting is the performance-critical kernel.  Its work per prime
 grows with p^r, and with p^(r-1) for a central arrangement, not with p^d:
 - translation by the lineality space (the common kernel of the normals
   mod p) maps every hyperplane to itself, so the points are counted in the
-  quotient F_p^r (`Arrangement.essentialize`), where each point stands for
-  p^(d-r) points;
+  quotient F_p^r, whose coordinates are the pivot columns of the normals
+  (`Arrangement.essentialize`), and each point stands for p^(d-r) points;
 - in a central arrangement x and c*x (c != 0) lie on the same hyperplanes,
   so the slices x_1 = c != 0 all have the profile of x_1 = 1, which leaves
   one affine slice per dimension;
@@ -42,7 +49,7 @@ from .errors import (
     MethodError,
 )
 from .interpolation import interpolate_in_X
-from .linalg import is_prime
+from .linalg import is_prime, pivot_columns
 from .multipoly import MultiPoly
 
 DEFAULT_BUDGET = 10 ** 8
@@ -100,13 +107,26 @@ def _primes_from(start):
 def hadamard_prime_floor(arrangement):
     """A bound B: no prime > B divides any nonzero minor of [normals | offsets].
 
-    Any k x k minor is bounded in absolute value by the product of the k
-    largest row norms (Hadamard), so reduction mod any prime above that
-    product preserves every subset rank and centrality.
+    The augmented rows are scanned first.  When every row has at most two
+    nonzero entries, all +-1, the matrix is the transposed incidence matrix
+    of a signed graph (braid, graphical, BC, D and threshold arrangements,
+    and x_i = +-1), and every nonzero minor is +-2^k (Zaslavsky 1982), so
+    B = 2; when no row has two nonzero entries of one sign it is totally
+    unimodular, every nonzero minor is +-1, and B = 1.  Otherwise any k x k minor is bounded in
+    absolute value by the product of the k largest row norms (Hadamard), and
+    B is that product.  Reduction mod any prime above B preserves every
+    subset rank and centrality.
     """
     rows = arrangement.rows
-    if not rows:
-        return 1
+    floor = 1
+    for row in rows:
+        nonzero = [x for x in row if x]
+        if len(nonzero) > 2 or any(abs(x) != 1 for x in nonzero):
+            break
+        if len(nonzero) == 2 and nonzero[0] == nonzero[1]:
+            floor = 2
+    else:
+        return floor
     norms_sq = sorted((sum(x * x for x in r) for r in rows), reverse=True)
     k = min(len(rows), arrangement.dim + 1)
     prod = 1
@@ -241,16 +261,23 @@ def _count(rows, p, k, counts, lo, hi):
 
 
 def _quotient(arrangement, budget):
-    """(r, rows): the essentialization, as rank and (normal, offset) rows of
-    its non-loops, after charging its p^r points to the budget."""
+    """(r, rows): the quotient by the lineality space, as its dimension r and
+    the (normal, offset) rows of the non-loops, after charging its p^r points
+    to the budget.
+
+    The normals are cut to their pivot columns, the coordinates of the
+    quotient (see `Arrangement.essentialize`); a non-loop keeps a nonzero
+    normal there, since the pivot columns span the others.
+    """
     p = arrangement.prime
-    ess = arrangement.essentialize()
-    r = ess.dim
+    rows = arrangement.rows
+    pivots = pivot_columns([row[:-1] for row in rows], p)
+    r = len(pivots)
     if p ** r > budget:
         raise BudgetExceededError(
             "p^r = %d exceeds the enumeration budget %d" % (p ** r, budget),
             required=p ** r)
-    return r, [(row[:-1], row[-1]) for row in ess.rows]
+    return r, [([row[j] for j in pivots], row[-1]) for row in rows]
 
 
 def _profile(arrangement, r, rows, lo, hi):
@@ -269,8 +296,8 @@ def point_profile(arrangement, budget=DEFAULT_BUDGET):
     """Exact incidence counts over F_p^d of an arrangement over F_p.
 
     The points are counted in the quotient F_p^r by the lineality space
-    (`Arrangement.essentialize`); each count stands for the fibre of p^(d-r)
-    points, the profile's lift.
+    (see `_quotient`); each count stands for the fibre of p^(d-r) points,
+    the profile's lift.
     """
     r, rows = _quotient(arrangement, budget)
     p = arrangement.prime
@@ -311,12 +338,14 @@ def check_profile(profile, arrangement, chi=None):
 def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
     """Choose `count` certified primes, smallest first.
 
-    bound mode takes the smallest primes above the Hadamard floor; verified
-    mode takes the smallest primes passing the exhaustive semimatroid check,
-    and is the default when no certified prime fits.  Counting visits p^r
-    points (r the rank), and that is what the budget is charged.  A small
-    arrangement (at most 14 hyperplanes) can always fall back to verified
-    primes, which are far smaller, so it takes certified primes only while
+    bound mode takes the smallest primes above `hadamard_prime_floor`: from
+    2 for graphic rows, from 3 for signed-graphic ones, and above the
+    Hadamard bound otherwise.  verified mode takes the smallest primes
+    passing the exhaustive semimatroid check, and is the default when no
+    bound prime fits.  Counting visits p^r points (r the rank), and that is
+    what the budget is charged.  A small arrangement (at most 14
+    hyperplanes) can always fall back to verified primes, which are smaller
+    than those above a Hadamard bound, so it takes bound primes only while
     p^d fits the budget, as when the count ran over all of F_p^d.
     """
     r = arrangement.rank

@@ -13,7 +13,7 @@ MultiPoly is built at the end.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InconsistentSamplesError
 from .multipoly import MultiPoly
@@ -21,19 +21,29 @@ from .multipoly import MultiPoly
 
 def _lagrange_basis(abscissae):
     """(common, weights): weights[j][e] / common is the X^e coefficient of
-    the j-th Lagrange basis polynomial of the abscissae; the weights are
-    integers."""
-    basis = []
-    for j, xj in enumerate(abscissae):
-        coeffs, scale = [Fraction(1)], Fraction(1)
-        for k, xk in enumerate(abscissae):
+    the j-th Lagrange basis polynomial of the abscissae, each given as a
+    pair (n, d) of integers standing for n/d with d > 0; the weights are
+    integers, and common is the least denominator that makes them so.
+
+    The j-th basis polynomial is the product over k != j of
+    d_j (d_k X - n_k) / (n_j d_k - n_k d_j): an integer polynomial over an
+    integer, both reduced by their gcd.
+    """
+    nums, dens = [], []
+    for j, (nj, dj) in enumerate(abscissae):
+        coeffs, scale = [1], 1
+        for k, (nk, dk) in enumerate(abscissae):
             if k != j:
-                # multiply by (X - xk)
-                coeffs = [b - xk * a for a, b in zip(coeffs + [0], [0] + coeffs)]
-                scale *= xj - xk
-        basis.append([c / scale for c in coeffs])
-    common = lcm(*(c.denominator for coeffs in basis for c in coeffs))
-    return common, [[int(c * common) for c in coeffs] for coeffs in basis]
+                # multiply by d_j (d_k X - n_k)
+                coeffs = [dj * (dk * a - nk * b)
+                          for a, b in zip([0] + coeffs, coeffs + [0])]
+                scale *= nj * dk - nk * dj
+        g = gcd(scale, *coeffs)
+        nums.append([c // g for c in coeffs])
+        dens.append(scale // g)
+    common = lcm(*dens)
+    return common, [[c * (common // s) for c in coeffs]
+                    for coeffs, s in zip(nums, dens)]
 
 
 def interpolate_in_X(samples, degree_bound, var="X"):
@@ -46,17 +56,18 @@ def interpolate_in_X(samples, degree_bound, var="X"):
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    pts = []
+    pts = []    # ((n, d), value) for the abscissa n/d in lowest terms, d > 0
     names = []  # the variables of sum_j v_j l_j(var), in order of appearance
     for absc, val in samples:
         absc = Fraction(absc)
+        x = (absc.numerator, absc.denominator)
         if isinstance(val, (int, Fraction)):
             val = MultiPoly.const(val)
         if val.degree(var):
             raise ValueError("sample values must not contain %s" % var)
-        if absc in (a for a, _ in pts):
+        if x in (a for a, _ in pts):
             raise InconsistentSamplesError("duplicate abscissa %s" % absc)
-        pts.append((absc, val))
+        pts.append((x, val))
         names += [v for v in val.vars + (var,) if v not in names]
     need = degree_bound + 1
     if len(pts) < need:
@@ -74,16 +85,19 @@ def interpolate_in_X(samples, degree_bound, var="X"):
                      for e in range(need)]
               for mono, col in columns.items()}
     for j in range(need, len(pts)):
-        xe = pts[j][0]
-        xe = xe.numerator if xe.denominator == 1 else xe
+        n, d = pts[j][0]
+        # d^degree_bound times the interpolant at n/d, by Horner's rule
+        # on the homogenised polynomial
+        top = d ** degree_bound
         for mono, nums in scaled.items():
-            acc = 0
+            acc, scale = 0, 1
             for c in reversed(nums):
-                acc = acc * xe + c
-            if acc != columns[mono][j] * common:
+                acc = acc * n + c * scale
+                scale *= d
+            if acc != columns[mono][j] * common * top:
                 raise InconsistentSamplesError(
                     "oversample at %s disagrees with the interpolant "
-                    "(wrong degree bound or bad prime)" % xe
+                    "(wrong degree bound or bad prime)" % Fraction(n, d)
                 )
     return MultiPoly(names, {mono[:at] + (e,) + mono[at + 1:]: Fraction(c, common)
                              for mono, nums in scaled.items()

@@ -432,14 +432,16 @@ def validate_chi_shape(chi, var="q"):
     The coefficient of q^(d-k) must have sign (-1)^k (or vanish); the
     magnitude sequence must be unimodal and log-concave.  Violations are
     returned, not raised: a violation would contradict the theorem and is a
-    bug report.
+    bug report.  The magnitudes are reported up to the last nonzero one:
+    trailing zeros can break neither property, so the walk spans the terms
+    of chi (r + 1 of them for an arrangement of rank r), not its degree.
     """
     d = chi.degree(var)
     # (k, the coefficient of q^(d-k)) for the nonzero ones, k ascending
     coeffs = sorted((d - e, c) for (e,), c in chi.table((var,)).items())
     violations = ["sign of q^%d coefficient" % (d - k)
                   for k, c in coeffs if (c > 0) != (k % 2 == 0)]
-    mags = [0] * (d + 1)
+    mags = [0] * (coeffs[-1][0] + 1 if coeffs else 0)
     for k, c in coeffs:
         mags[k] = abs(c)
     rising = True
@@ -459,8 +461,11 @@ def validate_chi_shape(chi, var="q"):
 def generalized_tg_evaluate(arrangement, a, b, coloop_value, loop_value):
     """Evaluate the generalized Tutte-Grothendieck recursion directly.
 
-    Used to sanity-check universality: the result must equal
-    a^(n-r) b^r T(coloop_value/b, loop_value/a).
+    Used to sanity-check universality: on a central arrangement the result
+    must equal a^(n-r) b^r T(coloop_value/b, loop_value/a).  On an affine
+    one it need not, since a contraction drops the hyperplanes parallel to
+    the one contracted: on 3x = 1, 3x = -1 (T = x + 1) it gives
+    a*coloop_value + b, not a*coloop_value + a*b.
     """
     a, b = Fraction(a), Fraction(b)
     cv, lv = Fraction(coloop_value), Fraction(loop_value)

@@ -274,8 +274,9 @@ def test_finite_field_skips_prime_search_above_budget(capsys, monkeypatch):
     ["family", "shi", "--n", "5", "tutte"],           # d = 5, r = 4
 ])
 def test_finite_field_budget_counts_the_quotient(capsys, argv):
-    # p^d exceeds the default budget for every certified prime, p^r does not:
-    # the points are counted in the quotient by the lineality space
+    # p^d exceeds the default budget for every certified prime of shi 5
+    # (braid 6, whose rows certify the primes 2..17, fits either way), p^r
+    # does not: the points are counted in the quotient by the lineality space
     code, out, _ = run(capsys, argv + ["--method", "finite-field"])
     assert code == 0
     assert run(capsys, argv)[1] == out      # the flat-lattice route (n > 10)
@@ -649,3 +650,29 @@ def test_check_reports_an_engine_over_budget_and_goes_on(capsys):
                          "FAIL engine-agreement subset/activity (budget-exceeded)",
                          "ok   engine-agreement subset/lattice"]
     assert all(line.startswith("ok   ") for line in lines[3:])
+
+
+def test_braid7_finite_field_on_small_certified_primes(capsys):
+    # braid rows are graphic, so every prime is certified: the r + 2 = 8
+    # primes are 2..19, and 19^6 fits the default budget (19^7 does not)
+    code, out, err = run(capsys, ["family", "braid", "--n", "7", "tutte",
+                                  "--method", "finite-field"])
+    assert code == 0 and err == ""
+    assert out == tutte_from_coboundary(oracle_coboundary("braid", 7), 6).format() + "\n"
+
+
+def test_threshold6_finite_field_still_exceeds_the_budget(capsys):
+    # the primes 3..23 above the floor 2 put 23^6 past the default budget
+    code, out, err = run(capsys, ["family", "threshold", "--n", "6", "tutte",
+                                  "--method", "finite-field"])
+    assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+
+
+def test_check_on_dim_1e7_is_as_long_as_chi(capsys, tmp_path):
+    # chi = q^(10^7) has one term, so the shape report has one magnitude
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dim": 10 ** 7, "hyperplanes": []}))
+    code, out, err = run(capsys, ["check", "--input", str(path)])
+    lines = out.splitlines()
+    assert code == 0 and err == ""
+    assert len(lines) == 9 and all(line.startswith("ok   ") for line in lines)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import isqrt, prod
 
 import pytest
 
@@ -11,7 +12,17 @@ from tuttekit.errors import (
     BudgetExceededError,
     InconsistentSamplesError,
 )
-from tuttekit.families import generic
+from tuttekit.families import (
+    bc,
+    braid,
+    catalan,
+    complete_bipartite,
+    dn,
+    generic,
+    graphical,
+    shi,
+    threshold,
+)
 from tuttekit.finite_field import (
     DEFAULT_BUDGET,
     PointProfile,
@@ -24,6 +35,7 @@ from tuttekit.finite_field import (
     reduce_mod_p,
     select_primes,
 )
+from tuttekit.linalg import det_int, is_prime
 from tuttekit.multipoly import MultiPoly
 from tuttekit.tutte import char_poly, coboundary_transform, tutte_subset
 
@@ -66,13 +78,13 @@ def test_bad_prime_witness():
     with pytest.raises(BadPrimeError) as err:
         reduce_mod_p(arr, 2, mode="verified")
     assert err.value.witness == [0, 1]
-    # the Hadamard floor also rejects 2
+    # the floor (2: the rows are signed-graphic) also rejects 2
     with pytest.raises(BadPrimeError):
         reduce_mod_p(arr, 2, mode="bound")
     # a good prime passes both modes
     assert reduce_mod_p(arr, 3, mode="verified").prime == 3
-    floor = hadamard_prime_floor(arr)
-    assert reduce_mod_p(arr, floor + 2, mode="bound").prime == floor + 2
+    p = next(finite_field._primes_from(hadamard_prime_floor(arr) + 1))
+    assert reduce_mod_p(arr, p, mode="bound").prime == p
 
 
 def test_hadamard_floor_certifies():
@@ -301,3 +313,103 @@ def test_composite_modulus_is_a_bad_prime(p):
     for mode in ("bound", "verified"):
         with pytest.raises(BadPrimeError, match="p=%d is not prime" % p):
             reduce_mod_p(arr, p, mode=mode)
+
+
+# -- primes certified from the rows -------------------------------------------
+
+def _square_minors(rows):
+    """Every square minor of an integer matrix."""
+    for k in range(1, min(len(rows), len(rows[0])) + 1):
+        for rs in itertools.combinations(rows, k):
+            for cols in itertools.combinations(range(len(rows[0])), k):
+                yield det_int([[row[j] for j in cols] for row in rs])
+
+
+def _hadamard(arr):
+    """The Hadamard bound: 1 + isqrt of the product of the dim + 1 largest
+    squared row norms of [normals | offsets]."""
+    norms = sorted((sum(x * x for x in row) for row in arr.rows), reverse=True)
+    return isqrt(prod(norms[:arr.dim + 1])) + 1
+
+
+def _signed_graphic(rng, graphic):
+    """Seeded rows with at most two nonzero entries, all +-1: x_i -+ x_j = 0,
+    x_i = 0 and x_i = +-1; `graphic` keeps one +1 and one -1 at most per
+    row (x_i - x_j = 0, x_i = 0, x_i = -1)."""
+    d = rng.randint(1, 4)
+    hs = []
+    for _ in range(rng.randint(1, 7)):
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+        if i != j and rng.random() < 0.6:
+            normal = [0] * d
+            normal[i], normal[j] = 1, -1 if graphic else rng.choice((1, -1))
+            hs.append((normal, 0))
+        else:
+            normal = [0] * d
+            normal[i] = rng.choice((1, -1))
+            offset = rng.choice((0, -normal[i]) if graphic else (0, 1, -1))
+            hs.append((normal, offset))
+    return Arrangement(d, hs)
+
+
+@pytest.mark.parametrize("arr, floor", [
+    (braid(4), 1),
+    (graphical(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)]), 1),
+    (complete_bipartite(2, 3), 1),
+    (bc(3), 2),
+    (dn(4), 2),
+    (threshold(4), 2),
+], ids=["braid4", "graph4", "K23", "BC3", "D4", "T4"])
+def test_signed_graphic_minors_set_the_floor(arr, floor):
+    # every nonzero minor of [normals | offsets] is +-1 (graphic) or +-2^k
+    # (signed-graphic), and the scan of the rows finds the largest prime
+    # dividing one
+    minors = {abs(m) for m in _square_minors(arr.rows)} - {0}
+    assert all(m & (m - 1) == 0 for m in minors)
+    assert (2 if max(minors) > 1 else 1) == floor
+    assert hadamard_prime_floor(arr) == floor
+
+
+def test_signed_graphic_rows_pass_verified_reduction_above_the_floor():
+    rng = random.Random(61)
+    for k in range(40):
+        graphic = k % 2 == 0
+        arr = _signed_graphic(rng, graphic)
+        floor = hadamard_prime_floor(arr)
+        assert floor <= 2 and (floor == 1 or not graphic)
+        for p in range(floor + 1, 32):
+            if is_prime(p):
+                assert reduce_mod_p(arr, p, mode="verified").prime == p
+                assert reduce_mod_p(arr, p, mode="bound").prime == p
+
+
+@pytest.mark.parametrize("arr", [
+    braid(4), braid(5), complete_bipartite(2, 3), bc(3), dn(4), threshold(4),
+    Arrangement(2, [([1, 0], 1), ([1, 0], -1), ([0, 1], 1), ([1, 1], 0)]),
+], ids=["braid4", "braid5", "K23", "BC3", "D4", "T4", "affine"])
+def test_coboundary_ffm_at_the_smallest_certified_primes(arr):
+    r = arr.rank
+    floor = hadamard_prime_floor(arr)
+    primes = [m.prime for m in select_primes(arr, r + 2, "bound")]
+    assert primes == list(itertools.islice(
+        finite_field._primes_from(floor + 1), r + 2))
+    want = coboundary_transform(tutte_subset(arr).tutte, r)
+    assert coboundary_ffm(arr, reduction="bound") == want
+    assert coboundary_ffm(arr) == want
+
+
+def test_seeded_signed_graphic_coboundary_ffm():
+    rng = random.Random(67)
+    for k in range(12):
+        arr = _signed_graphic(rng, k % 2 == 0)
+        want = coboundary_transform(tutte_subset(arr).tutte, arr.rank)
+        assert coboundary_ffm(arr, reduction="bound") == want
+
+
+@pytest.mark.parametrize("arr", [
+    shi(4), catalan(4), generic(6, 3),
+    Arrangement(2, [([1, 0], 0), ([0, 1], 0), ([2, 1], 0)]),
+    Arrangement(2, [([1, 1], 0), ([1, -1], 2)]),
+], ids=["Shi3", "Cat3", "generic63", "entry2", "offset2"])
+def test_other_rows_keep_the_hadamard_floor(arr):
+    assert hadamard_prime_floor(arr) == _hadamard(arr)

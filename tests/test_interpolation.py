@@ -40,3 +40,15 @@ def test_duplicate_abscissa():
 def test_too_few_samples():
     with pytest.raises(ValueError):
         interpolate_in_X([(1, 1)], 3)
+
+
+def test_fractional_abscissae_and_oversample():
+    # abscissae n/d with d > 1, the last one an oversample checked by
+    # Horner's rule on n and d
+    target = X ** 2 * Y - Fraction(3, 4) * X + 2
+    xs = [Fraction(1, 2), Fraction(-2, 3), 3, Fraction(5, 7)]
+    samples = [(a, target.substitute({"X": a})) for a in xs]
+    assert interpolate_in_X(samples, 2) == target
+    samples[-1] = (xs[-1], samples[-1][1] + Y)
+    with pytest.raises(InconsistentSamplesError, match="at 5/7"):
+        interpolate_in_X(samples, 2)

@@ -153,3 +153,60 @@ def test_universality(bench):
         want = a ** (n - r) * b ** r * \
             t.evaluate({"x": x0 / b, "y": y0 / a})
         assert generalized_tg_evaluate(arr, a, b, x0, y0) == want
+
+
+def _dense_chi_shape(chi, var="q"):
+    """The shape report over all d + 1 magnitudes, trailing zeros included."""
+    d = chi.degree(var)
+    coeffs = sorted((d - e, c) for (e,), c in chi.table((var,)).items())
+    violations = ["sign of q^%d coefficient" % (d - k)
+                  for k, c in coeffs if (c > 0) != (k % 2 == 0)]
+    mags = [0] * (d + 1)
+    for k, c in coeffs:
+        mags[k] = abs(c)
+    rising = True
+    for j in range(1, d + 1):
+        if rising and mags[j] < mags[j - 1]:
+            rising = False
+        elif not rising and mags[j] > mags[j - 1]:
+            violations.append("unimodality fails at position %d" % j)
+            break
+    for j in range(1, d):
+        if mags[j - 1] * mags[j + 1] > mags[j] ** 2:
+            violations.append("log-concavity fails at position %d" % j)
+    return violations, mags
+
+
+def test_chi_shape_stops_at_the_last_nonzero_magnitude():
+    # seeded polynomials with internal and trailing zeros, and some with the
+    # wrong signs: the violations are those of the walk over every power
+    rng = random.Random(71)
+    internal = 0
+    for _ in range(300):
+        d = rng.randint(0, 9)
+        coeffs = {(d,): rng.randint(1, 5)}
+        for e in range(d):
+            if rng.random() < 0.6:
+                c = rng.randint(1, 20) * (-1) ** (d - e)
+                coeffs[(e,)] = -c if rng.random() < 0.1 else c
+        chi = MultiPoly(("q",), coeffs)
+        violations, mags = _dense_chi_shape(chi)
+        while mags and not mags[-1]:
+            mags.pop()
+        internal += 0 in mags
+        report = validate_chi_shape(chi)
+        assert report["violations"] == violations
+        assert report["ok"] == (not violations)
+        assert report["magnitudes"] == mags
+    assert internal > 50
+    assert validate_chi_shape(q ** 10 ** 7)["magnitudes"] == [1]
+
+
+def test_tg_recursion_differs_from_tutte_off_central():
+    # 3x = 1, 3x = -1: T = x + 1, but contracting one point drops the other,
+    # so the recursion gives a*c + b where a^(n-r) b^r T(c/b, l/a) = a*c + a*b
+    arr = Arrangement(1, [([3], 1), ([3], -1)])
+    assert tutte_subset(arr).tutte == x + 1
+    a, b, c, l = (Fraction(v) for v in (2, 3, 5, 7))
+    assert generalized_tg_evaluate(arr, a, b, c, l) == a * c + b
+    assert a * b * (c / b + 1) == a * c + a * b != a * c + b
