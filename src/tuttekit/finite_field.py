@@ -112,10 +112,10 @@ def hadamard_prime_floor(arrangement):
     of a signed graph (braid, graphical, BC, D and threshold arrangements,
     and x_i = +-1), and every nonzero minor is +-2^k (Zaslavsky 1982), so
     B = 2; when no row has two nonzero entries of one sign it is totally
-    unimodular, every nonzero minor is +-1, and B = 1.  Otherwise any k x k minor is bounded in
-    absolute value by the product of the k largest row norms (Hadamard), and
-    B is that product.  Reduction mod any prime above B preserves every
-    subset rank and centrality.
+    unimodular, every nonzero minor is +-1, and B = 1.  Otherwise any k x k
+    minor is bounded in absolute value by the product of the k largest row
+    norms (Hadamard), and B exceeds that product.  Reduction mod any prime
+    above B preserves every subset rank and centrality.
     """
     rows = arrangement.rows
     floor = 1

@@ -658,7 +658,8 @@ def test_braid7_finite_field_on_small_certified_primes(capsys):
     code, out, err = run(capsys, ["family", "braid", "--n", "7", "tutte",
                                   "--method", "finite-field"])
     assert code == 0 and err == ""
-    assert out == tutte_from_coboundary(oracle_coboundary("braid", 7), 6).format() + "\n"
+    want = tutte_from_coboundary(oracle_coboundary("braid", 7), 6)
+    assert out == want.format() + "\n"
 
 
 def test_threshold6_finite_field_still_exceeds_the_budget(capsys):
