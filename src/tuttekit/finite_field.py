@@ -25,18 +25,22 @@ grows with p^r, and with p^(r-1) for a central arrangement, not with p^d:
   one affine slice per dimension;
 - on a line each hyperplane meets one point, so a line is counted from
   the roots alone, in O(n) whatever p is;
-- a larger affine slice is counted by solving each hyperplane for its
-  last nonzero coordinate and scattering 1 into an incidence array at its
-  points, then one bincount; a space of more than a fixed block of points
-  is cut along its first coordinate, so peak memory does not grow with n,
-  r or p.
-The work compared with the budget is p^r.  Partitioning the first quotient
-coordinate across workers and summing the per-range counts is bit-identical
-to the serial run.
+- a larger affine slice is counted from its n p^(k-1) incidences, not its
+  p^k points: the hyperplanes are grouped by their last nonzero coordinate
+  and each group is solved for it over the grid of the coordinates before
+  it in a few numpy steps; one += per hyperplane marks its points in an
+  incidence array of bytes, which is read back at those points only, and a
+  point on exactly j hyperplanes is met j times there, so the histogram of
+  those reads divided by j is the profile; a space of more than a fixed
+  block of points or incidences is cut along its first coordinate, so peak
+  memory does not grow with n, r or p.
+The budget is charged the points the count visits: (p^r - 1)/(p - 1) when
+every offset is 0, and p^r otherwise.  Partitioning the first quotient
+coordinate across workers and summing the per-range counts is
+bit-identical to the serial run.
 """
 
 from collections import Counter
-from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -45,6 +49,7 @@ from .arrangement import Arrangement
 from .errors import (
     BadPrimeError,
     BudgetExceededError,
+    ConsistencyError,
     InconsistentSamplesError,
     MethodError,
 )
@@ -95,6 +100,20 @@ def power_fits(base, exp, budget):
     return acc <= budget
 
 
+def _count_charge(p, r, central):
+    """The points a count over F_p^r visits, which is what the budget is
+    charged: (p^r - 1)/(p - 1) when every offset is 0, since the slices
+    y_1 = c != 0 of a central arrangement share one profile (see `_count`),
+    and p^r otherwise."""
+    return (p ** r - 1) // (p - 1) if central else p ** r
+
+
+def _charge_fits(p, r, central, budget):
+    """_count_charge(p, r, central) <= budget, with no power formed past the
+    budget."""
+    return power_fits(p, r, budget * (p - 1) + 1 if central else budget)
+
+
 def _primes_from(start):
     """Yield primes >= start."""
     m = max(2, start)
@@ -135,10 +154,11 @@ def hadamard_prime_floor(arrangement):
     return max(1, isqrt(prod) + 1)
 
 
-def reduce_mod_p(arrangement, p, mode="bound"):
+def reduce_mod_p(arrangement, p, mode="bound", floor=None):
     """The arrangement over F_p that a Q-arrangement reduces to, certified.
 
-    bound: require p > hadamard_prime_floor(A).
+    bound: require p > hadamard_prime_floor(A), which a caller reducing at
+    several primes computes once and passes as `floor`.
     verified: recompute the full semimatroid (centrality and rank of every
     subset) over F_p and compare with the rational one; reject with a witness
     subset on mismatch.
@@ -155,7 +175,8 @@ def reduce_mod_p(arrangement, p, mode="bound"):
         if not any(x % p for x in row[:-1]):
             raise BadPrimeError("p=%d kills the normal of %s" % (p, row))
     if mode == "bound":
-        floor = hadamard_prime_floor(arrangement)
+        if floor is None:
+            floor = hadamard_prime_floor(arrangement)
         if p <= floor:
             raise BadPrimeError(
                 "p=%d is not above the Hadamard floor %d" % (p, floor))
@@ -174,10 +195,14 @@ def reduce_mod_p(arrangement, p, mode="bound"):
     return reduced
 
 
-# Largest number of points scattered into one incidence array; a larger
+# Largest number of points, and of incidences, in one scatter; a larger
 # space is cut into slices along its first coordinate, so peak memory stays
 # O(_BLOCK) whatever n, r and p are.
 _BLOCK = 1 << 18
+
+# A block of more than _PASS reads per possible value is histogrammed by one
+# comparison per value, which is cheaper than a bincount there.
+_PASS = 512
 
 
 def _slice(rows, c, p):
@@ -185,27 +210,77 @@ def _slice(rows, c, p):
     return [(a[1:], (b - a[0] * c) % p) for a, b in rows]
 
 
-def _scatter(rows, p, k, counts):
-    """Add the profile over F_p^k of rows whose normals are all nonzero.
+def _incidences(rows, p, k):
+    """Yield (j, heads) per pivot column j: the m rows whose last nonzero
+    coordinate is x_j, as an (m, p^j) array of the indices into F_p^(j+1)
+    (the first coordinate most significant) of their points' first j + 1
+    coordinates, one line per row; the coordinates after x_j are free.
 
-    Each row is solved for its last nonzero coordinate x_j, and 1 is added
-    to an incidence array at its p^(k-1) points (distinct indices, so a
-    fancy-index += counts each once); one bincount turns incidences into
-    counts.
+    The m rows are solved for x_j = b' - sum_(i<j) a'_i x_i (a' = a / a_j)
+    together, adding one coordinate of the grid at a time; each partial sum
+    is below 2p, so the smaller of s and s - p in an unsigned type wraps it
+    where an integer % would divide.
     """
-    inc = np.zeros(p ** k, dtype=np.min_scalar_type(len(rows)))
-    digits = np.arange(p, dtype=np.int64)
+    groups = {}
     for a, b in rows:
         j = max(i for i, x in enumerate(a) if x)
         inv = pow(a[j], -1, p)
-        # x_j over the grid of the coordinates before it, the first most significant
-        xj = np.array([b * inv], dtype=np.int64)
-        for x in a[:j]:
-            xj = (xj[:, None] - (x * inv % p) * digits).ravel()
-        head = np.arange(p ** j, dtype=np.int64) * p + xj % p
-        tail = p ** (k - 1 - j)
-        inc[(head[:, None] * tail + np.arange(tail)).ravel()] += 1
-    counts[:len(rows) + 1] += np.bincount(inc, minlength=len(rows) + 1)
+        groups.setdefault(j, []).append([b * inv % p] + [-x * inv % p for x in a[:j]])
+    wrap = np.min_scalar_type(2 * p)
+    for j, coeffs in groups.items():
+        coeffs = np.array(coeffs, dtype=np.int64)
+        if not j:
+            yield j, coeffs     # x_0 = b'
+            continue
+        m = len(coeffs)
+        # steps[r, i, x] = a'_i x mod p: the term of coordinate i at x_i = x
+        steps = (coeffs[:, 1:, None] * np.arange(p) % p).astype(wrap)
+        xj = coeffs[:, :1].astype(wrap)
+        for i in range(j):
+            xj = (xj[:, :, None] + steps[:, i, None, :]).reshape(m, -1)
+            xj = np.minimum(xj, xj - p)
+        yield j, np.arange(0, p ** (j + 1), p) + xj
+
+
+def _scatter(rows, p, k, counts):
+    """Add the profile over F_p^k of rows whose normals are all nonzero.
+
+    Each row's points are distinct, so one fancy-index += per row adds 1 to
+    an incidence array at them (at the p^j runs of p^(k-1-j) points that
+    its first j + 1 coordinates fix).  A point on exactly j rows is met j
+    times among the rows' points, so the histogram h of the incidence array
+    read at them has h_j = j c_j, and c_0 is what is left of p^k: the work
+    grows with the n p^(k-1) incidences, not with the p^k points.  An h_j
+    that is not a multiple of j means two of a row's points coincided.
+    """
+    n = len(rows)
+    inc = np.zeros(p ** k, dtype=np.min_scalar_type(n))
+    # runs[h] is the run of points whose first j + 1 coordinates index h
+    blocks = [(inc.reshape(p ** (j + 1), -1) if j < k - 1 else inc, heads)
+              for j, heads in _incidences(rows, p, k)]
+    for runs, heads in blocks:
+        for line in heads:
+            runs[line] += 1
+    met = [0] * (n + 1)
+    for runs, heads in blocks:
+        seen = runs[heads]
+        top = int(seen.max())
+        if top * _PASS < seen.size:
+            for j in range(1, top + 1):
+                met[j] += int(np.count_nonzero(seen == j))
+        else:
+            for j, h in enumerate(np.bincount(seen.ravel()).tolist()):
+                met[j] += h
+    rest = p ** k
+    for j, h in enumerate(met[1:], 1):
+        c, bad = divmod(h, j)
+        if bad:
+            raise ConsistencyError(
+                "%d incidences over F_%d^%d lie at points on %d hyperplanes, "
+                "not a multiple of %d" % (h, p, k, j, j))
+        counts[j] += c
+        rest -= c
+    counts[0] += rest
 
 
 def _affine(rows, p, k, counts, lo=0, hi=None):
@@ -214,8 +289,8 @@ def _affine(rows, p, k, counts, lo=0, hi=None):
     the one point counts as first coordinate 0.
 
     On a line each row meets one point, its root; a larger space is
-    scattered whole when it fits in a block and is cut along its first
-    coordinate otherwise.
+    scattered whole when its points and incidences fit in a block, and is
+    cut along its first coordinate otherwise.
     """
     hi = p if hi is None else hi
     live, shift = [], 0
@@ -233,7 +308,8 @@ def _affine(rows, p, k, counts, lo=0, hi=None):
         counts[0] += hi - lo - len(hits)
         for m in hits:
             counts[m] += 1
-    elif (lo, hi) == (0, p) and p ** k <= _BLOCK:
+    elif (lo, hi) == (0, p) and p ** k <= _BLOCK and \
+            len(live) * p ** (k - 1) <= _BLOCK:
         _scatter(live, p, k, counts)
     else:
         for c in range(lo, hi):
@@ -262,8 +338,8 @@ def _count(rows, p, k, counts, lo, hi):
 
 def _quotient(arrangement, budget):
     """(r, rows): the quotient by the lineality space, as its dimension r and
-    the (normal, offset) rows of the non-loops, after charging its p^r points
-    to the budget.
+    the (normal, offset) rows of the non-loops, after charging the points its
+    count visits to the budget (`_count_charge`).
 
     The normals are cut to their pivot columns, the coordinates of the
     quotient (see `Arrangement.essentialize`); a non-loop keeps a nonzero
@@ -273,10 +349,13 @@ def _quotient(arrangement, budget):
     rows = arrangement.rows
     pivots = pivot_columns([row[:-1] for row in rows], p)
     r = len(pivots)
-    if p ** r > budget:
+    central = not any(row[-1] for row in rows)
+    if not _charge_fits(p, r, central, budget):
+        charge = _count_charge(p, r, central)
         raise BudgetExceededError(
-            "p^r = %d exceeds the enumeration budget %d" % (p ** r, budget),
-            required=p ** r)
+            "%s = %d exceeds the enumeration budget %d"
+            % ("(p^r - 1)/(p - 1)" if central else "p^r", charge, budget),
+            required=charge)
     return r, [([row[j] for j in pivots], row[-1]) for row in rows]
 
 
@@ -342,45 +421,49 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
     2 for graphic rows, from 3 for signed-graphic ones, and above the
     Hadamard bound otherwise.  verified mode takes the smallest primes
     passing the exhaustive semimatroid check, and is the default when no
-    bound prime fits.  Counting visits p^r points (r the rank), and that is
-    what the budget is charged.  A small arrangement (at most 14
+    bound prime fits.  A prime fits while the points its count visits
+    (`_count_charge`) fit the budget.  A small arrangement (at most 14
     hyperplanes) can always fall back to verified primes, which are smaller
     than those above a Hadamard bound, so it takes bound primes only while
-    p^d fits the budget, as when the count ran over all of F_p^d.
+    p^d fits the budget.
     """
     r = arrangement.rank
     floor = hadamard_prime_floor(arrangement)
     small = len(arrangement.rows) <= 14
-    e = arrangement.dim if small else r
-    fits = power_fits(floor + 1, e, budget)
+    central = not any(row[-1] for row in arrangement.rows)
+    # the test of a bound prime: p^d for a small arrangement, else the charge
+    e, e_central = (arrangement.dim, False) if small else (r, central)
+    fits = _charge_fits(floor + 1, e, e_central, budget)
     if reduction == "auto":
-        cheap = fits and power_fits(next(_primes_from(floor + 1)), e, budget)
+        cheap = fits and _charge_fits(next(_primes_from(floor + 1)), e,
+                                      e_central, budget)
         reduction = "bound" if cheap or not small else "verified"
     out = []
     if reduction == "bound":
         p = floor + 1
         if fits:
             for p in _primes_from(p):
-                if not power_fits(p, e, budget):
+                if not _charge_fits(p, e, e_central, budget):
                     break
-                out.append(reduce_mod_p(arrangement, p, "bound"))
+                out.append(reduce_mod_p(arrangement, p, "bound", floor))
                 if len(out) == count:
                     return out
-        # p^e exceeds the budget and larger primes only get worse; fill the
-        # remaining slots with small verified primes if the arrangement is small
+        # the charge exceeds the budget and larger primes only get worse; fill
+        # the remaining slots with small verified primes if the arrangement is small
         if not small:
             raise BudgetExceededError(
-                "no certified prime fits the enumeration budget", required=p ** e)
+                "no certified prime fits the enumeration budget",
+                required=_count_charge(p, e, e_central))
         reduction = "verified"
     if reduction == "verified":
         taken = {m.prime for m in out}
         for p in _primes_from(2):
             if p in taken:
                 continue
-            if not power_fits(p, r, budget):
+            if not _charge_fits(p, r, central, budget):
                 raise BudgetExceededError(
                     "cannot find %d verified primes within the budget" % count,
-                    required=p ** r)
+                    required=_count_charge(p, r, central))
             try:
                 out.append(reduce_mod_p(arrangement, p, "verified"))
             except BadPrimeError:
@@ -410,7 +493,8 @@ def coboundary_ffm(arrangement, primes=None, reduction="auto",
             raise MethodError("need at least r+1 = %d primes, got %d"
                               % (r + 1, len(primes)))
         mode = "verified" if reduction == "auto" else reduction
-        mods = [reduce_mod_p(arrangement, p, mode) for p in primes]
+        floor = hadamard_prime_floor(arrangement) if mode == "bound" else None
+        mods = [reduce_mod_p(arrangement, p, mode, floor) for p in primes]
     samples = []
     for mod in mods:
         profile = point_profile(mod, budget=budget)
@@ -421,9 +505,8 @@ def coboundary_ffm(arrangement, primes=None, reduction="auto",
             raise InconsistentSamplesError(
                 "profile at p=%d is not divisible by p^(d-r): "
                 "degree bound or reduction failure" % mod.prime)
-        samples.append((Fraction(mod.prime), MultiPoly(
-            ("Y",), {(k,): c // fibre for k, c in enumerate(profile.quotient)})))
-    result = interpolate_in_X(samples, r, var="X")
+        samples.append((mod.prime, [c // fibre for c in profile.quotient]))
+    result = interpolate_in_X(samples, r, var="X", count_var="Y")
     if not result.has_integer_coeffs():
         raise InconsistentSamplesError(
             "interpolated coboundary has non-integer coefficients: "

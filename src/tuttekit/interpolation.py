@@ -9,7 +9,8 @@ The work is done on integer tables.  The r+1 Lagrange basis polynomials are
 computed once per call, as integer coefficient lists over one common
 denominator; each monomial's column of sample values is then interpolated
 by a dot product, and each oversample is checked by Horner's rule.  One
-MultiPoly is built at the end.
+MultiPoly is built at the end, and a sample may be given as a list of
+integer counts, so the finite field method builds no polynomial per prime.
 """
 
 from fractions import Fraction
@@ -46,13 +47,15 @@ def _lagrange_basis(abscissae):
                     for coeffs, s in zip(nums, dens)]
 
 
-def interpolate_in_X(samples, degree_bound, var="X"):
+def interpolate_in_X(samples, degree_bound, var="X", count_var="Y"):
     """Fit the unique polynomial of degree <= degree_bound in `var` through samples.
 
-    samples: list of (abscissa, value) with Fraction/int abscissae and MultiPoly
-    (or scalar) values in variables other than `var`.  Extra samples beyond
-    degree_bound+1 are used as consistency checks; a mismatch raises
-    InconsistentSamplesError.
+    samples: list of (abscissa, value) with Fraction/int abscissae and values
+    in variables other than `var`: a MultiPoly, a scalar, or a list of
+    integers [c_0, c_1, ...] standing for sum_k c_k count_var^k, which the
+    finite field method passes so that no polynomial is built per sample.
+    Extra samples beyond degree_bound+1 are used as consistency checks; a
+    mismatch raises InconsistentSamplesError.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -61,14 +64,18 @@ def interpolate_in_X(samples, degree_bound, var="X"):
     for absc, val in samples:
         absc = Fraction(absc)
         x = (absc.numerator, absc.denominator)
-        if isinstance(val, (int, Fraction)):
-            val = MultiPoly.const(val)
-        if val.degree(var):
+        if isinstance(val, list):
+            used, bad = (count_var,), count_var == var
+        else:
+            if isinstance(val, (int, Fraction)):
+                val = MultiPoly.const(val)
+            used, bad = val.vars, val.degree(var)
+        if bad:
             raise ValueError("sample values must not contain %s" % var)
         if x in (a for a, _ in pts):
             raise InconsistentSamplesError("duplicate abscissa %s" % absc)
         pts.append((x, val))
-        names += [v for v in val.vars + (var,) if v not in names]
+        names += [v for v in used + (var,) if v not in names]
     need = degree_bound + 1
     if len(pts) < need:
         raise ValueError(
@@ -77,7 +84,13 @@ def interpolate_in_X(samples, degree_bound, var="X"):
     at = names.index(var)
     columns = {}    # monomial, var's exponent 0 -> [value at each abscissa]
     for j, (_, val) in enumerate(pts):
-        for mono, c in val.table(names).items():
+        if isinstance(val, list):
+            pos = names.index(count_var)
+            table = {(0,) * pos + (k,) + (0,) * (len(names) - pos - 1): c
+                     for k, c in enumerate(val) if c}
+        else:
+            table = val.table(names)
+        for mono, c in table.items():
             columns.setdefault(mono, [0] * len(pts))[j] = c
     common, weights = _lagrange_basis([a for a, _ in pts[:need]])
     # scaled[mono][e] = common * (the var^e coefficient of mono's column)

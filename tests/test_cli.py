@@ -16,7 +16,7 @@ from tuttekit.arrangement import Arrangement
 from tuttekit.cli import main
 from tuttekit.finite_field import DEFAULT_BUDGET
 from tuttekit.errors import BudgetExceededError
-from tuttekit.families import braid, catalan, oracle_coboundary
+from tuttekit.families import braid, catalan, dn, oracle_coboundary
 from tuttekit.poset import intersection_poset
 from tuttekit.tutte import tutte_from_coboundary
 
@@ -662,11 +662,54 @@ def test_braid7_finite_field_on_small_certified_primes(capsys):
     assert out == want.format() + "\n"
 
 
-def test_threshold6_finite_field_still_exceeds_the_budget(capsys):
-    # the primes 3..23 above the floor 2 put 23^6 past the default budget
-    code, out, err = run(capsys, ["family", "threshold", "--n", "6", "tutte",
-                                  "--method", "finite-field"])
+@pytest.mark.parametrize("tag", ["threshold", "bc", "dn"])
+def test_central_sixes_fit_the_central_charge(capsys, tag):
+    # the primes 3..23 above the floor 2 put 23^6 past the default budget,
+    # but a central count visits only (23^6 - 1)/22 = 6,728,904 points
+    argv = ["family", tag, "--n", "6", "tutte"]
+    code, out, err = run(capsys, argv + ["--method", "finite-field"])
+    assert code == 0 and err == ""
+    assert run(capsys, argv)[1] == out      # the flat-lattice route (n > 10)
+
+
+def test_dn5_finite_field_needs_the_central_charge_of_its_largest_prime(capsys):
+    # the r + 2 = 7 primes are 3..19, and the count at 19 visits
+    # (19^5 - 1)/18 = 137,561 points, where 19^5 = 2,476,099
+    argv = ["family", "dn", "--n", "5", "tutte"]
+    with pytest.raises(BudgetExceededError) as err:
+        finite_field.select_primes(dn(5), 7, budget=137560)
+    assert err.value.required == (19 ** 5 - 1) // 18 == 137561
+    code, out, err = run(capsys, argv + ["--method", "finite-field",
+                                         "--budget", "137560"])
     assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+    code, out, err = run(capsys, argv + ["--method", "finite-field",
+                                         "--budget", "137561"])
+    assert code == 0 and err == ""
+    assert run(capsys, argv)[1] == out      # the flat-lattice route (n > 10)
+
+
+def test_corrupted_incidences_exit_2_with_one_consistency_line(
+        capsys, tmp_path, monkeypatch):
+    # x = 0, x = 1, y = 0, x + y = 0: the first line of the pivot-1 group
+    # (y = 0) repeats its point at the origin, which lies on three lines; its
+    # += counts it once and the histogram reads it twice, so 4 incidences
+    # land at points on 3 hyperplanes
+    path = tmp_path / "corrupt.json"
+    path.write_text(Arrangement(2, [([1, 0], 0), ([1, 0], 1), ([0, 1], 0),
+                                    ([1, 1], 0)]).to_json())
+    incidences = finite_field._incidences
+
+    def repeated(*args):
+        for j, heads in incidences(*args):
+            heads[0, -1] = heads[0, 0]
+            yield j, heads
+
+    argv = ["coboundary", "--input", str(path), "--method", "finite-field"]
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setattr(finite_field, "_incidences", repeated)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and _one_error_line(err, "consistency")
+    assert "4 incidences over F_3^2 lie at points on 3 hyperplanes" in err
 
 
 def test_check_on_dim_1e7_is_as_long_as_chi(capsys, tmp_path):

@@ -10,6 +10,7 @@ from tuttekit import finite_field
 from tuttekit.errors import (
     BadPrimeError,
     BudgetExceededError,
+    ConsistencyError,
     InconsistentSamplesError,
 )
 from tuttekit.families import (
@@ -37,6 +38,7 @@ from tuttekit.finite_field import (
 )
 from tuttekit.linalg import det_int, is_prime
 from tuttekit.multipoly import MultiPoly
+from tuttekit.poset import intersection_poset
 from tuttekit.tutte import char_poly, coboundary_transform, tutte_subset
 
 
@@ -109,11 +111,19 @@ def test_partitioned_profile_bit_identical(bench):
 
 def test_budget(bench):
     modarr = reduce_mod_p(bench, 11, mode="verified")
+    # bench is central: the count visits (11^3 - 1)/(11 - 1) = 133 points
     with pytest.raises(BudgetExceededError) as err:
-        point_profile(modarr, budget=100)
-    assert err.value.required == 11 ** 3
+        point_profile(modarr, budget=132)
+    assert err.value.required == (11 ** 3 - 1) // 10 == 133
     with pytest.raises(BudgetExceededError):
-        point_profile_partitioned(modarr, 2, budget=100)
+        point_profile_partitioned(modarr, 2, budget=132)
+    assert point_profile(modarr, budget=133).counts == point_profile(modarr).counts
+    # an affine arrangement is charged all p^r points
+    affine = Arrangement(3, [([1, 0, 0], 1), ([0, 1, 0], 0), ([0, 0, 1], 0)], prime=11)
+    with pytest.raises(BudgetExceededError) as err:
+        point_profile(affine, budget=11 ** 3 - 1)
+    assert err.value.required == 11 ** 3
+    assert sum(point_profile(affine, budget=11 ** 3).counts) == 11 ** 3
 
 
 def test_power_fits_stops_at_the_budget():
@@ -129,7 +139,10 @@ def test_no_certified_prime_fits_large_arrangement():
     arr = generic(15, 5)
     with pytest.raises(BudgetExceededError) as err:
         select_primes(arr, 7)
-    assert err.value.required == (hadamard_prime_floor(arr) + 1) ** 5
+    # generic(15, 5) is central: the count would visit (q^5 - 1)/(q - 1)
+    # points at q = floor + 1
+    q = hadamard_prime_floor(arr) + 1
+    assert err.value.required == (q ** 5 - 1) // (q - 1)
     assert err.value.required > DEFAULT_BUDGET
 
 
@@ -251,7 +264,7 @@ def _random_reduction(rng, p, d, kind):
     return Arrangement(d, hs, prime=p)
 
 
-@pytest.mark.parametrize("block", [None, 5])
+@pytest.mark.parametrize("block", [None, 5, 64])
 def test_profile_matches_brute_force(monkeypatch, block):
     if block is not None:
         monkeypatch.setattr(finite_field, "_BLOCK", block)
@@ -259,6 +272,8 @@ def test_profile_matches_brute_force(monkeypatch, block):
 
     def bounded_scatter(rows, p, k, counts):
         assert p ** k <= finite_field._BLOCK, "scattered more than one block"
+        assert len(rows) * p ** (k - 1) <= finite_field._BLOCK, \
+            "scattered more than one block of incidences"
         assert k >= 2, "a line or a point is counted without scattering"
         return scatter(rows, p, k, counts)
 
@@ -280,6 +295,85 @@ def test_profile_matches_brute_force(monkeypatch, block):
         for parts in (2, 3, arr.prime):
             assert point_profile_partitioned(arr, parts).counts == want
     assert {0, 1, 2} <= nullities   # essential and nontrivial quotients both ran
+
+
+def _pm1_arrangement(rng, n, d, central):
+    """n hyperplanes in Q^d with normal entries +-1 and offsets +-1, or 0
+    for a central one (Hadamard floors 56 and 33, so 59 is certified)."""
+    return Arrangement(d, [([rng.choice((-1, 1)) for _ in range(d)],
+                            0 if central else rng.choice((-1, 1)))
+                           for _ in range(n)])
+
+
+@pytest.mark.parametrize("central", [False, True], ids=["affine", "central"])
+def test_profile_above_the_block_matches_the_flat_lattice(central):
+    # 59^4 points exceed the block, so the space is cut into slices of 59^3
+    # (affine), or its central slices are (central); the profile is
+    # p^(d-r) cobchi(59, Y), the flats' coboundary at X = 59 times the fibre
+    p, d = 59, 4
+    assert p ** d > finite_field._BLOCK >= p ** (d - 1)
+    rng = random.Random(71 + central)
+    for n in (5, 7, 10):
+        arr = _pm1_arrangement(rng, n, d, central)
+        cob = intersection_poset(arr).coboundary()
+        fibre = p ** (d - arr.rank)
+        want = cob.substitute({"X": p, "Y": MultiPoly.variable("Y")}) * fibre
+        profile = point_profile(reduce_mod_p(arr, p, "bound"))
+        assert profile.polynomial("Y") == want
+        assert sum(profile.counts) == p ** d
+
+
+def test_repeated_point_in_a_row_raises_consistency(monkeypatch):
+    # over F_5^2, x = 0, x = 1, y = 0, x + y = 0: the first line of the
+    # pivot-1 group (y = 0) repeats the origin, which lies on three lines
+    arr = Arrangement(2, [([1, 0], 0), ([1, 0], 1), ([0, 1], 0), ([1, 1], 0)],
+                      prime=5)
+    want = point_profile(arr).counts
+    assert want == _brute_profile(arr)
+    incidences = finite_field._incidences
+
+    def repeated(*args):
+        for j, heads in incidences(*args):
+            heads[0, -1] = heads[0, 0]
+            yield j, heads
+
+    monkeypatch.setattr(finite_field, "_incidences", repeated)
+    with pytest.raises(ConsistencyError, match="4 incidences over F_5"):
+        point_profile(arr)
+
+
+def test_select_primes_reads_the_floor_once(monkeypatch):
+    floor = finite_field.hadamard_prime_floor
+    calls = []
+
+    def counted(arr):
+        calls.append(arr)
+        return floor(arr)
+
+    monkeypatch.setattr(finite_field, "hadamard_prime_floor", counted)
+    arr = dn(4)
+    assert coboundary_ffm(arr, reduction="bound") == \
+        coboundary_transform(tutte_subset(arr).tutte, arr.rank)
+    assert len(calls) == 1
+    coboundary_ffm(arr, primes=[3, 5, 7, 11, 13], reduction="bound")
+    assert len(calls) == 2
+
+
+def test_coboundary_ffm_builds_one_polynomial(monkeypatch):
+    # each prime's counts go to the interpolation as integers: the only
+    # polynomial built is the result, however many primes are sampled
+    init = MultiPoly.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    arr = bc(3)
+    want = coboundary_transform(tutte_subset(arr).tutte, arr.rank)
+    monkeypatch.setattr(MultiPoly, "__init__", counted)
+    assert coboundary_ffm(arr) == want
+    assert len(built) == 1
 
 
 def test_essential_profile_times_fibre_is_the_full_profile():

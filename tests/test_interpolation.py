@@ -52,3 +52,24 @@ def test_fractional_abscissae_and_oversample():
     samples[-1] = (xs[-1], samples[-1][1] + Y)
     with pytest.raises(InconsistentSamplesError, match="at 5/7"):
         interpolate_in_X(samples, 2)
+
+
+def test_integer_counts_interpolate_as_polynomials():
+    # lists of the coefficients of Y give the same fit as the polynomials
+    target = 3 * X ** 2 * Y ** 2 - X * Y + 5 * X - 7
+    samples = [(p, target.substitute({"X": p})) for p in (2, 3, 5, 7)]
+    counts = [(p, [5 * p - 7, -p, 3 * p ** 2]) for p, _ in samples]
+    got = interpolate_in_X(counts, 2)
+    assert got == interpolate_in_X(samples, 2) == target
+    assert got.vars == ("Y", "X")
+    # a list may stand beside polynomials in other variables
+    mixed = [(p, v if p < 5 else vals)
+             for (p, v), (_, vals) in zip(samples, counts)]
+    assert interpolate_in_X(mixed, 2) == target
+    counts[-1][1][0] += 1
+    with pytest.raises(InconsistentSamplesError, match="at 7"):
+        interpolate_in_X(counts, 2)
+    with pytest.raises(InconsistentSamplesError, match="duplicate"):
+        interpolate_in_X([(2, [1]), (2, [1])], 1)
+    with pytest.raises(ValueError, match="must not contain X"):
+        interpolate_in_X([(2, [1]), (3, [1])], 1, count_var="X")
