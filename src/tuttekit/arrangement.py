@@ -14,6 +14,7 @@ and reductions mod p produce it.
 import json
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 
 from .errors import (
     InputFormatError,
@@ -115,6 +116,38 @@ class Arrangement:
     def rows(self):
         """The augmented rows (normal..., offset) of the non-loops, in order."""
         return tuple(h.row() for h in self.hyperplanes if not h.is_loop)
+
+    @cached_property
+    def prime_floor(self):
+        """A bound B: no prime > B divides any nonzero minor of the integer
+        matrix [normals | offsets] of the rows, which every reduction mod p
+        reads, so it is computed once per arrangement.
+
+        The rows are scanned first.  When every row has at most two nonzero
+        entries, all +-1, the matrix is the transposed incidence matrix of a
+        signed graph (braid, graphical, BC, D and threshold arrangements, and
+        x_i = +-1), and every nonzero minor is +-2^k (Zaslavsky 1982), so
+        B = 2; when no row has two nonzero entries of one sign it is totally
+        unimodular, every nonzero minor is +-1, and B = 1.  Otherwise any
+        k x k minor is bounded in absolute value by the product of the k
+        largest row norms (Hadamard), and B exceeds that product.
+        """
+        rows = self.rows
+        floor = 1
+        for row in rows:
+            nonzero = [x for x in row if x]
+            if len(nonzero) > 2 or any(abs(x) != 1 for x in nonzero):
+                break
+            if len(nonzero) == 2 and nonzero[0] == nonzero[1]:
+                floor = 2
+        else:
+            return floor
+        norms_sq = sorted((sum(x * x for x in r) for r in rows), reverse=True)
+        k = min(len(rows), self.dim + 1)
+        prod = 1
+        for v in norms_sq[:k]:
+            prod *= v
+        return max(1, isqrt(prod) + 1)
 
     def _check_indices(self, subset):
         for i in subset:

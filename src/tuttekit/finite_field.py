@@ -41,7 +41,6 @@ bit-identical to the serial run.
 """
 
 from collections import Counter
-from math import isqrt
 
 import numpy as np
 
@@ -100,11 +99,18 @@ def power_fits(base, exp, budget):
     return acc <= budget
 
 
+def _central(rows):
+    """Every offset of the rows (normal..., offset) is 0: the test by which
+    `_count` shares one profile among the slices y_1 = c != 0, and so the
+    one by which the count is charged."""
+    return not any(row[-1] for row in rows)
+
+
 def _count_charge(p, r, central):
     """The points a count over F_p^r visits, which is what the budget is
-    charged: (p^r - 1)/(p - 1) when every offset is 0, since the slices
-    y_1 = c != 0 of a central arrangement share one profile (see `_count`),
-    and p^r otherwise."""
+    charged: (p^r - 1)/(p - 1) when the rows are `_central`, since the
+    slices y_1 = c != 0 share one profile (see `_count`), and p^r
+    otherwise."""
     return (p ** r - 1) // (p - 1) if central else p ** r
 
 
@@ -124,41 +130,19 @@ def _primes_from(start):
 
 
 def hadamard_prime_floor(arrangement):
-    """A bound B: no prime > B divides any nonzero minor of [normals | offsets].
-
-    The augmented rows are scanned first.  When every row has at most two
-    nonzero entries, all +-1, the matrix is the transposed incidence matrix
-    of a signed graph (braid, graphical, BC, D and threshold arrangements,
-    and x_i = +-1), and every nonzero minor is +-2^k (Zaslavsky 1982), so
-    B = 2; when no row has two nonzero entries of one sign it is totally
-    unimodular, every nonzero minor is +-1, and B = 1.  Otherwise any k x k
-    minor is bounded in absolute value by the product of the k largest row
-    norms (Hadamard), and B exceeds that product.  Reduction mod any prime
-    above B preserves every subset rank and centrality.
+    """A bound B: no prime > B divides any nonzero minor of [normals | offsets]
+    (`Arrangement.prime_floor`, which says how B is found: 1 for graphic
+    rows, 2 for signed-graphic ones, the Hadamard bound otherwise).
+    Reduction mod any prime above B preserves every subset rank and
+    centrality.
     """
-    rows = arrangement.rows
-    floor = 1
-    for row in rows:
-        nonzero = [x for x in row if x]
-        if len(nonzero) > 2 or any(abs(x) != 1 for x in nonzero):
-            break
-        if len(nonzero) == 2 and nonzero[0] == nonzero[1]:
-            floor = 2
-    else:
-        return floor
-    norms_sq = sorted((sum(x * x for x in r) for r in rows), reverse=True)
-    k = min(len(rows), arrangement.dim + 1)
-    prod = 1
-    for v in norms_sq[:k]:
-        prod *= v
-    return max(1, isqrt(prod) + 1)
+    return arrangement.prime_floor
 
 
-def reduce_mod_p(arrangement, p, mode="bound", floor=None):
+def reduce_mod_p(arrangement, p, mode="bound"):
     """The arrangement over F_p that a Q-arrangement reduces to, certified.
 
-    bound: require p > hadamard_prime_floor(A), which a caller reducing at
-    several primes computes once and passes as `floor`.
+    bound: require p > hadamard_prime_floor(A).
     verified: recompute the full semimatroid (centrality and rank of every
     subset) over F_p and compare with the rational one; reject with a witness
     subset on mismatch.
@@ -175,8 +159,7 @@ def reduce_mod_p(arrangement, p, mode="bound", floor=None):
         if not any(x % p for x in row[:-1]):
             raise BadPrimeError("p=%d kills the normal of %s" % (p, row))
     if mode == "bound":
-        if floor is None:
-            floor = hadamard_prime_floor(arrangement)
+        floor = hadamard_prime_floor(arrangement)
         if p <= floor:
             raise BadPrimeError(
                 "p=%d is not above the Hadamard floor %d" % (p, floor))
@@ -201,7 +184,10 @@ def reduce_mod_p(arrangement, p, mode="bound", floor=None):
 _BLOCK = 1 << 18
 
 # A block of more than _PASS reads per possible value is histogrammed by one
-# comparison per value, which is cheaper than a bincount there.
+# comparison pass per value; a smaller one by a bincount, whose fixed cost
+# is lower but which copies the reads to int64.  On uint8 reads of at most
+# two values the comparison passes win from 170-512 reads per value, and
+# most points lie on one or two hyperplanes.
 _PASS = 512
 
 
@@ -324,7 +310,7 @@ def _count(rows, p, k, counts, lo, hi):
     slice y_1 = c != 0 has the profile of y_1 = 1, and y_1 = 0 is the
     central arrangement one dimension down.
     """
-    if k == 0 or any(b for _, b in rows):
+    if k == 0 or not _central(rows):
         _affine(rows, p, k, counts, lo, hi)
         return
     units = hi - lo - (lo <= 0 < hi)
@@ -349,7 +335,7 @@ def _quotient(arrangement, budget):
     rows = arrangement.rows
     pivots = pivot_columns([row[:-1] for row in rows], p)
     r = len(pivots)
-    central = not any(row[-1] for row in rows)
+    central = _central(rows)
     if not _charge_fits(p, r, central, budget):
         charge = _count_charge(p, r, central)
         raise BudgetExceededError(
@@ -430,7 +416,7 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
     r = arrangement.rank
     floor = hadamard_prime_floor(arrangement)
     small = len(arrangement.rows) <= 14
-    central = not any(row[-1] for row in arrangement.rows)
+    central = _central(arrangement.rows)
     # the test of a bound prime: p^d for a small arrangement, else the charge
     e, e_central = (arrangement.dim, False) if small else (r, central)
     fits = _charge_fits(floor + 1, e, e_central, budget)
@@ -445,7 +431,7 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
             for p in _primes_from(p):
                 if not _charge_fits(p, e, e_central, budget):
                     break
-                out.append(reduce_mod_p(arrangement, p, "bound", floor))
+                out.append(reduce_mod_p(arrangement, p, "bound"))
                 if len(out) == count:
                     return out
         # the charge exceeds the budget and larger primes only get worse; fill
@@ -493,8 +479,7 @@ def coboundary_ffm(arrangement, primes=None, reduction="auto",
             raise MethodError("need at least r+1 = %d primes, got %d"
                               % (r + 1, len(primes)))
         mode = "verified" if reduction == "auto" else reduction
-        floor = hadamard_prime_floor(arrangement) if mode == "bound" else None
-        mods = [reduce_mod_p(arrangement, p, mode, floor) for p in primes]
+        mods = [reduce_mod_p(arrangement, p, mode) for p in primes]
     samples = []
     for mod in mods:
         profile = point_profile(mod, budget=budget)
@@ -506,7 +491,7 @@ def coboundary_ffm(arrangement, primes=None, reduction="auto",
                 "profile at p=%d is not divisible by p^(d-r): "
                 "degree bound or reduction failure" % mod.prime)
         samples.append((mod.prime, [c // fibre for c in profile.quotient]))
-    result = interpolate_in_X(samples, r, var="X", count_var="Y")
+    result = interpolate_in_X(samples, r, var="X")
     if not result.has_integer_coeffs():
         raise InconsistentSamplesError(
             "interpolated coboundary has non-integer coefficients: "

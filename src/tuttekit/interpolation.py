@@ -47,13 +47,14 @@ def _lagrange_basis(abscissae):
                     for coeffs, s in zip(nums, dens)]
 
 
-def interpolate_in_X(samples, degree_bound, var="X", count_var="Y"):
+def interpolate_in_X(samples, degree_bound, var="X"):
     """Fit the unique polynomial of degree <= degree_bound in `var` through samples.
 
     samples: list of (abscissa, value) with Fraction/int abscissae and values
     in variables other than `var`: a MultiPoly, a scalar, or a list of
-    integers [c_0, c_1, ...] standing for sum_k c_k count_var^k, which the
-    finite field method passes so that no polynomial is built per sample.
+    integers [c_0, c_1, ...] standing for sum_k c_k Y^k, as in
+    `PointProfile.polynomial`, which the finite field method passes so that
+    no polynomial is built per sample.
     Extra samples beyond degree_bound+1 are used as consistency checks; a
     mismatch raises InconsistentSamplesError.
     """
@@ -65,7 +66,7 @@ def interpolate_in_X(samples, degree_bound, var="X", count_var="Y"):
         absc = Fraction(absc)
         x = (absc.numerator, absc.denominator)
         if isinstance(val, list):
-            used, bad = (count_var,), count_var == var
+            used, bad = ("Y",), var == "Y"
         else:
             if isinstance(val, (int, Fraction)):
                 val = MultiPoly.const(val)
@@ -85,7 +86,7 @@ def interpolate_in_X(samples, degree_bound, var="X", count_var="Y"):
     columns = {}    # monomial, var's exponent 0 -> [value at each abscissa]
     for j, (_, val) in enumerate(pts):
         if isinstance(val, list):
-            pos = names.index(count_var)
+            pos = names.index("Y")
             table = {(0,) * pos + (k,) + (0,) * (len(names) - pos - 1): c
                      for k, c in enumerate(val) if c}
         else:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import cached_property
 from math import isqrt, prod
 
 import pytest
@@ -343,20 +344,26 @@ def test_repeated_point_in_a_row_raises_consistency(monkeypatch):
 
 
 def test_select_primes_reads_the_floor_once(monkeypatch):
-    floor = finite_field.hadamard_prime_floor
-    calls = []
+    # the floor is kept on the arrangement: one scan of its rows however
+    # many primes are reduced, and none for the next call
+    scan = Arrangement.prime_floor.func
+    scans = []
 
     def counted(arr):
-        calls.append(arr)
-        return floor(arr)
+        scans.append(arr)
+        return scan(arr)
 
-    monkeypatch.setattr(finite_field, "hadamard_prime_floor", counted)
+    prop = cached_property(counted)
+    prop.__set_name__(Arrangement, "prime_floor")
+    monkeypatch.setattr(Arrangement, "prime_floor", prop)
     arr = dn(4)
     assert coboundary_ffm(arr, reduction="bound") == \
         coboundary_transform(tutte_subset(arr).tutte, arr.rank)
-    assert len(calls) == 1
+    assert len(scans) == 1
     coboundary_ffm(arr, primes=[3, 5, 7, 11, 13], reduction="bound")
-    assert len(calls) == 2
+    assert len(scans) == 1
+    coboundary_ffm(dn(4), primes=[3, 5, 7, 11, 13], reduction="bound")
+    assert len(scans) == 2
 
 
 def test_coboundary_ffm_builds_one_polynomial(monkeypatch):

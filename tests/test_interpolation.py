@@ -71,5 +71,6 @@ def test_integer_counts_interpolate_as_polynomials():
         interpolate_in_X(counts, 2)
     with pytest.raises(InconsistentSamplesError, match="duplicate"):
         interpolate_in_X([(2, [1]), (2, [1])], 1)
-    with pytest.raises(ValueError, match="must not contain X"):
-        interpolate_in_X([(2, [1]), (3, [1])], 1, count_var="X")
+    # a list stands for a polynomial in Y, so Y cannot be interpolated in
+    with pytest.raises(ValueError, match="must not contain Y"):
+        interpolate_in_X([(2, [1]), (3, [1])], 1, var="Y")
