@@ -161,11 +161,10 @@ def generic(n, d, base_point=1):
 
 
 def _is_generic(arr, n, d):
-    for m in range(1, min(n, d) + 1):
-        for combo in combinations(range(n), m):
-            if arr.rank_normals(combo) != m:
-                return False
-    return True
+    # every smaller subset lies in one of size min(n, d), and is independent
+    # when that one is
+    m = min(n, d)
+    return all(arr.rank_normals(combo) == m for combo in combinations(range(n), m))
 
 
 def thicken(arrangement, k):

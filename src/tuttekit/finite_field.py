@@ -410,14 +410,14 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
     bound prime fits.  A prime fits while the points its count visits
     (`_count_charge`) fit the budget.  A small arrangement (at most 14
     hyperplanes) can always fall back to verified primes, which are smaller
-    than those above a Hadamard bound, so it takes bound primes only while
-    p^d fits the budget.
+    than those above a Hadamard bound, so it tries bound primes at all only
+    when p^d fits the budget at the floor.
     """
     r = arrangement.rank
     floor = hadamard_prime_floor(arrangement)
     small = len(arrangement.rows) <= 14
     central = _central(arrangement.rows)
-    # the test of a bound prime: p^d for a small arrangement, else the charge
+    # whether bound primes are tried: p^d for a small arrangement, else the charge
     e, e_central = (arrangement.dim, False) if small else (r, central)
     fits = _charge_fits(floor + 1, e, e_central, budget)
     if reduction == "auto":
@@ -429,7 +429,7 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
         p = floor + 1
         if fits:
             for p in _primes_from(p):
-                if not _charge_fits(p, e, e_central, budget):
+                if not _charge_fits(p, r, central, budget):
                     break
                 out.append(reduce_mod_p(arrangement, p, "bound"))
                 if len(out) == count:
@@ -439,7 +439,7 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
         if not small:
             raise BudgetExceededError(
                 "no certified prime fits the enumeration budget",
-                required=_count_charge(p, e, e_central))
+                required=_count_charge(p, r, central))
         reduction = "verified"
     if reduction == "verified":
         taken = {m.prime for m in out}

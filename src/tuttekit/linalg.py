@@ -8,7 +8,8 @@ field use plain Gaussian elimination mod p.
 The echelon kernel (`normalise_row`, `reduce_row`, `extend_basis`, on one
 integer elimination step, `eliminate`) keeps a reduced echelon basis of
 integer rows over Q, or of rows mod p with pivot entry 1 over F_p, and
-reduces further rows against it one at a time;
+reduces further rows against it one at a time; `normalise_rows` is
+`normalise_row` on every row of a numpy array at once;
 `pivot_columns` reads the pivots of a row space from it, and
 `central_subsets` walks every central subset of an arrangement on it.
 
@@ -23,6 +24,8 @@ arithmetic of the lattice off it.  `minor_gcd`, `det_int` and
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
+
+import numpy as np
 
 
 # Miller-Rabin with these bases decides primality exactly below
@@ -80,6 +83,29 @@ def normalise_row(row, prime=None):
     if g in (0, 1):
         return tuple(row)
     return tuple([x // g for x in row])
+
+
+def normalise_rows(rows, prime=None):
+    """`normalise_row` on each row of a 2-D numpy integer array, as a new array.
+
+    The dtype is kept: int64 when every entry and the products of two of
+    them fit, or object (Python ints).  Over Q each row is divided by its
+    gcd, negated where its first nonzero entry is negative; over F_p it is
+    reduced mod p and multiplied by the inverse of its first nonzero entry,
+    one `pow` per distinct leading entry.
+    """
+    if prime is not None:
+        rows = rows % prime
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    if prime is not None:
+        lead[lead == 0] = 1
+        leads, where = np.unique(lead, return_inverse=True)
+        inverses = np.array([pow(int(x), -1, prime) for x in leads], rows.dtype)
+        return rows * inverses[where][:, None] % prime
+    g = np.gcd.reduce(rows, axis=1)
+    g[g == 0] = 1
+    g[lead < 0] *= -1
+    return rows // g[:, None]
 
 
 def clear_row(row):

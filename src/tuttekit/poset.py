@@ -16,15 +16,36 @@ So the covers of G take one elimination step of each other cover's
 remainder against k: a result that vanishes on the normals is parallel to G,
 and equal normalised results join one cover of G.
 
-The flats strictly below G are gathered as a bitset over flat indices while
-G's rank is built: the OR, over the lower covers F of G, of below(F) | {F}.
-Once a rank is complete its bitsets become ascending int32 index arrays, all
-flats' arrays concatenated into one array of comparable pairs, and its Möbius
-values are summed from them.  While the next rank is built, the bitsets come
-back from those arrays one numpy block at a time, so only the bitsets of the
-rank being built are held.  The budget is charged for the work done,
-reductions plus comparable pairs, and for the bitsets held, so it bounds the
-memory as well.
+Each rank is built by a fixed sequence of numpy steps on all its flats at
+once.  Every flat's candidates, the other covers of the flat that found it,
+are gathered into one row matrix; each is eliminated against its flat's
+added row in one operation, and the rows parallel to their flat dropped;
+`linalg.normalise_rows` normalises the rest.  A lexsort groups equal keys
+per flat and `bitwise_or.reduceat` joins their hyperplane masks into the
+flat's covers.  The covers' masks, with the flat's own, are the flats of the
+next rank: a stable argsort orders them and names each one's finder, the
+first flat in order that has it as a cover.  Hyperplane j is bit n - 1 - j of a
+mask, so descending masks order the flats of one rank by their sorted
+hyperplane lists.  Keys are int64 while the prime and every entry stay
+below 2^31, and masks while n < 63, so that no product overflows; beyond
+that both are numpy arrays of Python ints, through the same code.
+
+The flats strictly below G are gathered as a row of uint64 words over flat
+indices while G's rank is built: the OR, over the lower covers F of G, of
+below(F) | {F}.  Once a rank is complete its rows become ascending int32
+index arrays, all flats' arrays concatenated into one array of comparable
+pairs, and its Möbius values are summed from them.  While the next rank is
+built, the rows of below(F) | {F} come back from those pairs one block of
+`_BLOCK_BYTES` at a time, so only the words of the rank being built are
+held.  The budget is charged at each rank boundary, before the arrays that
+the charge sizes are made: the rank's comparable pairs, then the reductions
+that find its covers, then the words of the next rank, counted as 32-bit
+words of all flats so far for each of its flats.  So the smallest budget
+that fits is the largest running total of work done and words held, and the
+budget bounds the memory as well.
+
+Only numpy 1.24 API is used: bits are counted by a byte table, not
+`bitwise_count`, and no result relies on numpy 2 shapes.
 
 The characteristic and coboundary polynomials are summed from the Möbius
 values and the flats' point counts into integer coefficient tables, and one
@@ -37,19 +58,29 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConsistencyError, NonCentralError
 from .finite_field import DEFAULT_BUDGET
-from .linalg import extend_basis, normalise_row, reduce_row
+from .linalg import extend_basis, normalise_row, normalise_rows, reduce_row
 from .multipoly import MultiPoly
 
-# Bytes of bitsets per numpy block in `_bit_positions` and `_bitsets`.
-_BLOCK_BYTES = 1 << 22
+# Bytes per numpy block: of candidate key rows eliminated at once, of the
+# bits of a rank's below sets rebuilt from their pairs and their copies, of
+# words read back into pairs, and of the table rows `verify_mobius` ORs.
+_BLOCK_BYTES = 1 << 20
+
+# Keys are int64 while the prime and every entry lie below this bound, so
+# that a*v - b*w of four such entries fits in 63 bits; Python ints otherwise.
+_KEY_BOUND = 1 << 31
+
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
 
 def _dtype(n):
-    """Array dtype for Möbius values and point-count coefficients.
+    """Array dtype for hyperplane masks, Möbius values and point-count
+    coefficients.
 
-    Both are signed counts of subsets of the n hyperplanes, so below 2^n in
-    size; int64 holds them when n < 63.  Sums that overflow on the way wrap
-    modulo 2^64 and still end exact.  Larger n uses Python ints.
+    A mask has n bits; the others are signed counts of subsets of the n
+    hyperplanes, so below 2^n in size.  int64 holds them when n < 63, and
+    sums that overflow on the way wrap modulo 2^64 and still end exact.
+    Larger n uses Python ints.
     """
     return np.int64 if n < 63 else object
 
@@ -62,51 +93,64 @@ def _check_budget(required, budget):
             required=required)
 
 
-def _members(mask):
-    """Set-bit positions of a nonnegative int, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def _blocks(sizes):
+    """(start, end) ranges covering range(len(sizes)) in order, each of total
+    size at most _BLOCK_BYTES unless it is a single item."""
+    ends = np.cumsum(sizes)
+    s = 0
+    while s < len(ends):
+        limit = (ends[s - 1] if s else 0) + _BLOCK_BYTES
+        e = len(ends) if ends[-1] <= limit else \
+            max(s + 1, int(np.searchsorted(ends, limit, "right")))
+        yield s, e
+        s = e
 
 
-def _bit_positions(bitsets, width):
-    """Set-bit positions of ints below 2^width, in numpy blocks.
-
-    Returns one int32 array of every int's positions, ascending within each
-    int and the ints in order, and an array of the count per int.  Only the
-    nonzero bytes are unpacked.
-    """
-    nbytes = (width + 7) // 8 or 1
-    step = max(1, _BLOCK_BYTES // nbytes)
-    positions, counts = [], []
-    for s in range(0, len(bitsets), step):
-        block = bitsets[s:s + step]
-        raw = b"".join(x.to_bytes(nbytes, "little") for x in block)
-        table = np.frombuffer(raw, np.uint8).reshape(len(block), nbytes)
-        rows, cols = np.nonzero(table)
-        byte_rows, bits = np.nonzero(np.unpackbits(table[rows, cols, None], axis=1,
-                                                   bitorder="little"))
-        positions.append((cols[byte_rows] * 8 + bits).astype(np.int32))
-        counts.append(np.bincount(rows[byte_rows], minlength=len(block)))
-    return np.concatenate(positions), np.concatenate(counts)
+def _set_words(rows):
+    """The nonzero words of rows of uint64 words, a block of rows at a time:
+    yields the first row s of each block and the (row - s, column, value)
+    arrays of its nonzero words, in row-major order."""
+    for s, e in _blocks(np.full(len(rows), 8 * rows.shape[1])):
+        r, c = np.nonzero(rows[s:e])
+        yield s, r, c, rows[s + r, c]
 
 
-def _bitsets(positions, counts, width):
-    """The ints of `_bit_positions` back, one numpy block at a time."""
-    nbytes = (width + 7) // 8 or 1
-    step = max(1, _BLOCK_BYTES // (8 * nbytes))
-    ends = np.cumsum(counts)
-    for s in range(0, len(counts), step):
-        block = counts[s:s + step]
-        table = np.zeros((len(block), 8 * nbytes), bool)
-        table[np.repeat(np.arange(len(block)), block),
-              positions[ends[s] - counts[s]:ends[s + len(block) - 1]]] = True
-        raw = np.packbits(table, axis=1, bitorder="little").tobytes()
-        for r in range(len(block)):
-            yield int.from_bytes(raw[r * nbytes:(r + 1) * nbytes], "little")
+def _bit_counts(rows):
+    """The number of set bits in each row of uint64 words."""
+    counts = np.zeros(len(rows), np.int64)
+    for s, r, _, words in _set_words(rows):
+        bits = np.bincount(r, _POPCOUNT[words.view(np.uint8)].reshape(-1, 8).sum(axis=1))
+        counts[s:s + len(bits)] = bits
+    return counts
+
+
+def _bit_positions(rows):
+    """Set-bit positions of rows of uint64 words, ascending within each row
+    and the rows in order, as one int32 array.  Only the nonzero bytes of
+    nonzero words are unpacked."""
+    out = [np.zeros(0, np.int32)]
+    for _, _, c, words in _set_words(rows):
+        table = words.view(np.uint8).reshape(-1, 8)
+        w, b = np.nonzero(table)
+        byte, bits = np.nonzero(np.unpackbits(table[w, b, None], axis=1,
+                                              bitorder="little"))
+        out.append((c[w[byte]] * 64 + b[byte] * 8 + bits).astype(np.int32))
+    return np.concatenate(out)
+
+
+def _hyperplane_lists(masks, n):
+    """The ascending hyperplane list of each mask, hyperplane j at bit n - 1 - j."""
+    if masks.dtype == object:
+        nbytes = (n + 7) // 8
+        raw = b"".join(x.to_bytes(nbytes, "little") for x in masks.tolist())
+    else:
+        nbytes, raw = 8, masks.astype("<i8").tobytes()
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(masks), nbytes),
+                         axis=1, bitorder="little")
+    rows, cols = np.nonzero(bits[:, :n][:, ::-1])
+    cuts = np.cumsum(np.bincount(rows, minlength=len(masks))).tolist()
+    cols = cols.tolist()
+    return [cols[a:b] for a, b in zip([0] + cuts[:-1], cuts)]
 
 
 class Flat:
@@ -169,36 +213,46 @@ class IntersectionPoset:
 
         The flats strictly below G are recomputed from the hyperplane sets
         alone, as the flats of lower rank that contain no hyperplane outside
-        G: from one bitset per hyperplane of the flats that contain it,
-        n ORs per flat.  Then sum(mu(F), F <= G) must be 1 at the minimum
-        and 0 elsewhere.
+        G: the complement of the OR, over the hyperplanes h outside G, of
+        the words of the flats containing h.  The hyperplanes go in groups
+        of four, and each group's 16 ORs are tabled first by one OR pass per
+        hyperplane, so a row of a rank takes one table row per group.  Then
+        sum(mu(F), F <= G) must be 1 at the minimum and 0 elsewhere.
         """
         flats = self.flats
-        arr = self.arrangement
-        member = np.zeros((arr.n, len(flats)), bool)
+        n = self.arrangement.n
+        words, groups = (len(flats) + 63) // 64, (n + 3) // 4
+        member = np.zeros((4 * groups, 64 * words), bool)
         member[[h for f in flats for h in f.hyperplane_set],
                [i for i, f in enumerate(flats) for _ in f.hyperplane_set]] = True
-        containing = [int.from_bytes(row.tobytes(), "little")
-                      for row in np.packbits(member, axis=1, bitorder="little")]
-        mu = np.array([self.mobius[f.hyperplane_set] for f in flats], _dtype(arr.n))
+        containing = np.packbits(member, axis=1, bitorder="little").view(np.uint64)
+        # table[g, k]: the OR of the words of hyperplanes 4g + b over the bits b of k
+        table = np.zeros((groups, 16, words), np.uint64)
+        for b in range(4):
+            table[:, 1 << b:2 << b] = table[:, :1 << b] | containing[b::4, None]
+        # each flat's bits k of the hyperplanes of each group that it lacks
+        lacks = np.packbits(~member.reshape(groups, 4, 64 * words), axis=1,
+                            bitorder="little")[:, 0]
+        mu = np.array([self.mobius[f.hyperplane_set] for f in flats], _dtype(n))
         for first, end in self._ranks():
-            low = (1 << first) - 1
-            cut = [c & low for c in containing]
-            expected = []
-            for f in flats[first:end]:
-                outside = 0
-                for h, c in enumerate(cut):
-                    if h not in f.hyperplane_set:
-                        outside |= c
-                expected.append(low & ~outside)
-            positions, counts = _bit_positions(expected, first)
-            have = self.lower[self.starts[first]:self.starts[end]]
+            width = (first + 63) // 64
+            low = np.packbits(np.arange(64 * width) < first,
+                              bitorder="little").view(np.uint64)
+            for s, e in _blocks(np.full(end - first, 8 * width * max(groups, 1))):
+                s, e = first + s, first + e
+                outside = np.bitwise_or.reduce(
+                    table[np.arange(groups)[:, None], lacks[:, s:e], :width], axis=0)
+                expected = ~outside & low
+                counts = _bit_counts(expected)
+                have = self.lower[self.starts[s]:self.starts[e]]
+                if not (np.array_equal(counts, np.diff(self.starts[s:e + 1]))
+                        and np.array_equal(_bit_positions(expected), have)):
+                    bad = next(i for i in range(s, e) if not np.array_equal(
+                        self.lower[self.starts[i]:self.starts[i + 1]],
+                        _bit_positions(expected[i - s:i - s + 1])))
+                    raise ConsistencyError("wrong interval below %r" % flats[bad])
             sizes = np.diff(self.starts[first:end + 1])
-            if not (np.array_equal(counts, sizes) and np.array_equal(positions, have)):
-                bad = next(i for i in range(first, end) if not np.array_equal(
-                    self.lower[self.starts[i]:self.starts[i + 1]],
-                    _members(expected[i - first])))
-                raise ConsistencyError("wrong interval below %r" % flats[bad])
+            have = self.lower[self.starts[first]:self.starts[end]]
             totals = mu[first:end].copy()
             if first:
                 totals += np.add.reduceat(mu[have], np.cumsum(sizes) - sizes)
@@ -226,7 +280,6 @@ class IntersectionPoset:
         r = self.flats[-1].rank
         counts = np.zeros((len(self.flats), r + 1), _dtype(self.arrangement.n))
         counts[np.arange(len(self.flats)), [r - f.rank for f in self.flats]] = 1
-        table = {}
         for first, end in reversed(self._ranks()):
             own = counts[first:end]
             sizes = np.diff(self.starts[first:end + 1])
@@ -234,13 +287,11 @@ class IntersectionPoset:
             # a column at a time, so the repeated rows take 8 bytes a pair
             for e in range(r + 1):
                 np.subtract.at(counts[:, e], targets, np.repeat(own[:, e], sizes))
-            for g, row in zip(self.flats[first:end], own.tolist()):
-                size = len(g.hyperplane_set)
-                for e, c in enumerate(row):
-                    if c:
-                        table[size, e] = table.get((size, e), 0) + c
+        table = np.zeros((self.arrangement.n + 1, r + 1), counts.dtype)
+        np.add.at(table, [len(g.hyperplane_set) for g in self.flats], counts)
         # the variable order of coboundary_ffm's result, which printing follows
-        return MultiPoly(("Y", "X"), table)
+        return MultiPoly(("Y", "X"), {(size, e): c for size, row in enumerate(table.tolist())
+                                      for e, c in enumerate(row) if c})
 
 
 def closure(arrangement, subset):
@@ -262,78 +313,157 @@ def closure(arrangement, subset):
                      if not any(reduce_row(row, basis, p)))
 
 
+def _covers(ckeys, cmasks, start, count, own, pivot, p):
+    """The covers of one rank's flats from their candidates, or None if none.
+
+    Flat i's candidates are the covers start[i] .. start[i] + count[i] - 1
+    of the flat that found it, but its own cover own[i]: each key is
+    eliminated against ckeys[own[i]], the row the flat added, at its pivot
+    column pivot[i], and dropped if parallel to the flat.  The minimum has
+    no such row (own is None), and its candidates are the non-loops as they
+    are.  Equal keys of one flat join one cover.  Returns (keys, masks,
+    flat) arrays, grouped by flat in order.
+    """
+    out = []
+    for s, e in _blocks((count - (own is not None)) * 8 * ckeys.shape[1]):
+        total = int(count[s:e].sum())
+        offsets = np.cumsum(count[s:e]) - count[s:e]
+        idx = np.repeat(start[s:e] - offsets, count[s:e]) + np.arange(total)
+        gid = np.repeat(np.arange(s, e), count[s:e])
+        if own is not None:
+            keep = idx != np.repeat(own[s:e], count[s:e])
+            idx, gid = idx[keep], gid[keep]
+        keys, masks = ckeys[idx], cmasks[idx]
+        if own is not None:
+            step = ckeys[own[gid]]
+            if keys.dtype != object:
+                keys, step = keys.astype(np.int64), step.astype(np.int64)
+            at = np.arange(len(gid)), pivot[gid]
+            keys = step[at][:, None] * keys - keys[at][:, None] * step
+            keep = (keys[:, :-1] != 0).any(axis=1)
+            keys = normalise_rows(keys[keep], p)
+            masks, gid = masks[keep], gid[keep]
+        if not len(gid):
+            continue
+        order = np.lexsort(tuple(keys.T[::-1]) + (gid,))
+        keys, masks, gid = keys[order], masks[order], gid[order]
+        heads = np.ones(len(gid), bool)
+        heads[1:] = (gid[1:] != gid[:-1]) | (keys[1:] != keys[:-1]).any(axis=1)
+        heads = np.flatnonzero(heads)
+        keys = keys[heads]
+        if keys.dtype != object:
+            # kept in the narrowest type that holds them
+            top = int(np.abs(keys).max())
+            keys = keys.astype(object if top >= _KEY_BOUND else np.min_scalar_type(-top - 1))
+        out.append((keys, np.bitwise_or.reduceat(masks, heads), gid[heads]))
+    if not out:
+        return None
+    return tuple(np.concatenate(x) for x in zip(*out))
+
+
+def _below_rows(positions, counts, first, cstart, cflat, up, size):
+    """The below sets of the next rank as rows of uint64 words.
+
+    below(G) is the OR of below(F) | {F} over the lower covers F of G, the
+    flats F = first + cflat[c] of the covers c with up[c] = G; cstart[i]
+    is flat i's first cover.  The rows of below(F) | {F} are rebuilt from
+    F's pairs (positions, counts) a block at a time, each block sized for
+    them and for their copies, one per cover, and each pass ORs one lower
+    cover in the block into the row of every G.
+    """
+    words = (first + len(counts) + 63) // 64
+    below = np.zeros((size, words), np.uint64)
+    ends = np.cumsum(counts)
+    for s, e in _blocks(8 * words * (8 + np.diff(cstart))):
+        table = np.zeros((e - s, 64 * words), bool)
+        table[np.repeat(np.arange(e - s), counts[s:e]),
+              positions[ends[s] - counts[s]:ends[e - 1]]] = True
+        table[np.arange(e - s), np.arange(first + s, first + e)] = True
+        bits = np.packbits(table, axis=1, bitorder="little").view(np.uint64)
+        order = cstart[s] + np.argsort(up[cstart[s]:cstart[e]], kind="stable")
+        targets, sources = up[order], cflat[order] - s
+        # pass j takes the j-th lower cover of each G
+        nth = np.arange(len(targets)) - np.searchsorted(targets, targets)
+        passes = np.argsort(nth, kind="stable")
+        bounds = np.searchsorted(nth, np.arange(nth.max(initial=-1) + 2), sorter=passes)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            pick = passes[a:b]
+            below[targets[pick]] |= bits[sources[pick]]
+    return below
+
+
 def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
     """Enumerate all flats breadth-first by rank, with intervals and Möbius values.
 
-    Every row reduction and every comparable pair is charged to the budget
-    when it is done, and the bitsets of the rank being built count against
-    it while they are held, 32 bits to a pair; BudgetExceededError reports
-    that running total as `required` once it exceeds the budget.  A stored
+    The budget is charged at each rank boundary, before the arrays that the
+    charge sizes are made: the rank's comparable pairs, then the reductions
+    that find its covers, then the below sets of the next rank, 32 bits to a
+    pair, which are held while they are built.  BudgetExceededError reports
+    the running total as `required` once it exceeds the budget.  A stored
     pair takes 4 bytes, so the budget bounds the memory as well as the time.
     """
     p = arrangement.prime
-    d = arrangement.dim
+    n, d = arrangement.n, arrangement.dim
     rows = [h.row() for h in arrangement.hyperplanes]
-    dtype = _dtype(arrangement.n)
-    work = 0        # reductions and comparable pairs so far
-    held = 0        # bitsets of the rank being built, in pairs of 32 bits each
-    bottom = sum(1 << i for i in arrangement.loops())
-    # hyperplane bitmask -> [the row the flat adds to the normals of the flat
-    # that found it, as a one-row echelon basis; that flat's covers as
-    # (normalised remainder row, cover bitmask); the flat's own cover among
-    # them].  The minimum adds no row, and every non-loop is a cover.
-    level = {bottom: [[], [(normalise_row(rows[j], p), 1 << j)
-                           for j in arrangement.nonloops()], 0]}
-    below = {bottom: 0}     # hyperplane bitmask -> below bitset, for one rank
-    flats, lower, sizes = [], [], []
-    mu = np.ones(1, dtype)  # the minimum's
-    rank = 0
-    while level:
-        members = {m: _members(m) for m in level}
-        order = sorted(level, key=members.get)
-        first = len(flats)
-        flats += [Flat(members[m], rank, d - rank) for m in order]
-        positions, counts = _bit_positions([below[m] for m in order], first)
-        work += len(positions)
+    nonloops = arrangement.nonloops()
+    dtype = _dtype(n)
+    wide = (p or 0) >= _KEY_BOUND or any(abs(x) >= _KEY_BOUND for r in rows for x in r)
+    # the minimum's candidates: every non-loop
+    ckeys = np.array([rows[j] for j in nonloops], object if wide else np.int64)
+    ckeys = ckeys.reshape(len(nonloops), d + 1)
+    cmasks = np.array([1 << n - 1 - j for j in nonloops], dtype)
+    start, count = np.zeros(1, np.int64), np.array([len(nonloops)])
+    own = pivot = None
+    masks = np.array([sum(1 << n - 1 - j for j in arrangement.loops())], dtype)
+    below = np.zeros((1, 0), np.uint64)
+    work = held = first = 0
+    ranks, lower, sizes = [], [], []
+    mu = np.ones(1, dtype)
+    while True:
+        m = len(masks)
+        ranks.append(masks)
+        counts = _bit_counts(below)
+        work += int(counts.sum())
         _check_budget(work + held, budget)
-        below, held = {}, 0
+        positions = _bit_positions(below)
+        below, held = None, 0
         if first:
             mu = np.concatenate([mu, -np.add.reduceat(mu[positions],
                                                       np.cumsum(counts) - counts)])
         lower.append(positions)
         sizes.append(counts)
-        units = (first + len(order)) // 32 + 1     # of one bitset of the next rank
-        nxt = {}
-        for i, fmask, bits in zip(range(first, first + len(order)), order,
-                                  _bitsets(positions, counts, first)):
-            step, found_by, own = level[fmask]
-            pivot = step[0][0] if step else None
-            covers = {}
-            for key, cmask in found_by:
-                if cmask != own:
-                    if pivot is not None and key[pivot]:
-                        rem = reduce_row(key, step, p)
-                        if not any(rem[:-1]):  # parallel to the flat
-                            continue
-                        key = normalise_row(rem, p)
-                    covers[key] = covers.get(key, 0) | cmask
-            work += len(found_by) - (own != 0)
-            _check_budget(work + held, budget)
-            mine = list(covers.items())
-            up = bits | 1 << i
-            for key, cmask in mine:
-                gmask = fmask | cmask
-                if gmask in below:
-                    below[gmask] |= up
-                else:
-                    held += units
-                    _check_budget(work + held, budget)
-                    col = next(c for c, x in enumerate(key) if x)
-                    nxt[gmask] = [[(col, key)], mine, cmask]
-                    below[gmask] = up
-        level = nxt
-        rank += 1
 
+        work += int(count.sum()) - (0 if own is None else m)
+        _check_budget(work, budget)
+        covers = _covers(ckeys, cmasks, start, count, own, pivot, p)
+        if covers is None:
+            break
+        ckeys, cmasks, cflat = covers
+
+        # the covers' flats, ordered by descending mask; each is found by the
+        # first flat in order that has it as a cover, and up[c] is the flat
+        # of cover c
+        negated = -(masks[cflat] | cmasks)
+        order = np.argsort(negated, kind="stable")
+        heads = np.ones(len(order), bool)
+        heads[1:] = negated[order[1:]] != negated[order[:-1]]
+        found = order[heads]
+        up = np.empty(len(order), np.int64)
+        up[order] = np.cumsum(heads) - 1
+        held = len(found) * ((first + m) // 32 + 1)
+        _check_budget(work + held, budget)
+        cstart = np.searchsorted(cflat, np.arange(m + 1))
+        below = _below_rows(positions, counts, first, cstart, cflat, up, len(found))
+        masks = -negated[found]
+        finder = cflat[found]
+        start, count = cstart[finder], cstart[finder + 1] - cstart[finder]
+        own = found
+        pivot = np.argmax(ckeys[own] != 0, axis=1)
+        first += m
+
+    rank_of = np.repeat(np.arange(len(ranks)), [len(masks) for masks in ranks]).tolist()
+    flats = [Flat(hs, rank, d - rank)
+             for hs, rank in zip(_hyperplane_lists(np.concatenate(ranks), n), rank_of)]
     starts = np.zeros(len(flats) + 1, np.int64)
     np.cumsum(np.concatenate(sizes), out=starts[1:])
     lower = np.concatenate(lower)

@@ -282,6 +282,23 @@ def test_finite_field_budget_counts_the_quotient(capsys, argv):
     assert run(capsys, argv)[1] == out      # the flat-lattice route (n > 10)
 
 
+def test_small_budget_takes_bound_primes_by_their_charge(capsys, monkeypatch):
+    # braid 5 is central of rank 4: the bound primes 2..13 visit at most
+    # (13^4 - 1)/12 = 2380 points, within 5000, though 7^5 > 5000
+    modes = []
+    reduce = finite_field.reduce_mod_p
+
+    def spy(arr, p, mode="bound"):
+        modes.append((p, mode))
+        return reduce(arr, p, mode)
+
+    monkeypatch.setattr(finite_field, "reduce_mod_p", spy)
+    argv = ["family", "braid", "--n", "5", "tutte"]
+    code, out, _ = run(capsys, argv + ["--method", "finite-field", "--budget", "5000"])
+    assert code == 0 and out == run(capsys, argv)[1]
+    assert modes == [(p, "bound") for p in (2, 3, 5, 7, 11, 13)]
+
+
 def test_finite_field_counts_a_line_above_the_block(capsys, tmp_path):
     # 15 parallel lines are too many for verified reduction; the certified
     # primes (about 3.4e5) exceed the block, and the quotient is a line

@@ -1,6 +1,9 @@
+from math import comb
+
 import pytest
 
 from tuttekit import families as fam
+from tuttekit.arrangement import Arrangement
 from tuttekit.errors import FamilyError
 from tuttekit.multipoly import MultiPoly
 from tuttekit.tutte import char_poly, coboundary_transform, tutte_subset
@@ -113,6 +116,24 @@ def test_generic_tutte():
     for n, d in ((4, 2), (5, 2), (5, 3)):
         arr = fam.generic(n, d)
         assert tutte_subset(arr).tutte == fam.generic_tutte(n, d)
+
+
+def test_generic_check_ranks_the_largest_subsets_only(monkeypatch):
+    calls = []
+    rank = Arrangement.rank_normals
+
+    def counted(self, subset=None):
+        calls.append(subset)
+        return rank(self, subset)
+
+    monkeypatch.setattr(Arrangement, "rank_normals", counted)
+    arr = fam.generic(11, 4)
+    assert len(calls) == comb(11, 4)
+    assert tutte_subset(arr).tutte == fam.generic_tutte(11, 4)
+    # a repeated normal is caught inside every 3-subset that holds both copies
+    twice = Arrangement(3, [([1, 0, 0], 0), ([0, 1, 0], 0), ([2, 0, 0], 0), ([0, 0, 1], 0)])
+    assert not fam._is_generic(twice, 4, 3)
+    assert fam._is_generic(fam.generic(2, 3), 2, 3)
 
 
 # -- graphical arrangements -------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_arrangement, random_prime_arrangement
+from tuttekit import families
 from tuttekit import poset as poset_module
 from tuttekit.arrangement import Arrangement
 from tuttekit.errors import BudgetExceededError, ConsistencyError, NonCentralError
@@ -179,18 +180,102 @@ def test_verify_mobius_catches_one_changed_pair_or_value(arr):
             _rebuilt(poset, below, mobius).verify_mobius()
 
 
-def test_bit_positions_and_back_across_blocks(monkeypatch):
+def test_bit_counts_and_positions_across_blocks(monkeypatch):
     rng = random.Random(9)
     for width in (1, 7, 8, 9, 64, 200):
         ints = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(40)]
         want = [[b for b in range(width) if x >> b & 1] for x in ints]
+        words = (width + 63) // 64
+        table = np.zeros((len(ints), 64 * words), bool)
+        for i, w in enumerate(want):
+            table[i, w] = True
+        rows = np.packbits(table, axis=1, bitorder="little").view(np.uint64)
         for block in (1, 5, 1 << 22):
             monkeypatch.setattr(poset_module, "_BLOCK_BYTES", block)
-            positions, counts = poset_module._bit_positions(ints, width)
+            counts = poset_module._bit_counts(rows)
+            positions = poset_module._bit_positions(rows)
             assert positions.dtype == np.int32
             assert counts.tolist() == [len(w) for w in want]
             assert positions.tolist() == [b for w in want for b in w]
-            assert list(poset_module._bitsets(positions, counts, width)) == ints
+
+
+def _same_poset(got, want):
+    assert [f.hyperplane_set for f in got.flats] == [f.hyperplane_set for f in want.flats]
+    assert [f.rank for f in got.flats] == [f.rank for f in want.flats]
+    assert got.mobius == want.mobius
+    assert np.array_equal(got.lower, want.lower) and got.lower.dtype == np.int32
+    assert np.array_equal(got.starts, want.starts)
+    assert got.verify_mobius()
+    assert got.coboundary().format() == want.coboundary().format()
+
+
+def _wide_entry():
+    # one entry of 2^31 + 11 from the start
+    return Arrangement(3, [([1, 0, 0], 0), ([0, 1, 0], 0), ([2 ** 31 + 11, 3, 0], 1),
+                           ([1, 1, 1], 0), ([0, 5, 2 ** 31 + 11], 7), ([1, 0, 1], 0)])
+
+
+def _wide_prime():
+    # F_p with p = 2147483659 > 2^31: entries and products need Python ints
+    rng = random.Random(3)
+    p = 2147483659
+    rows = [[rng.randrange(p) for _ in range(4)] for _ in range(4)]
+    rows.append([(x + y) % p for x, y in zip(rows[0], rows[1])])
+    rows.append([(3 * x) % p for x in rows[2]])
+    return Arrangement(3, [(r[:3], r[3]) for r in rows], prime=p)
+
+
+def _wide_after_elimination():
+    # entries below 2^31 whose eliminations reach about 2^61
+    rng = random.Random(4)
+    return Arrangement(3, [([rng.randrange(2 ** 30, 2 ** 31) for _ in range(3)],
+                            rng.choice([0, rng.randrange(2 ** 30)])) for _ in range(5)])
+
+
+@pytest.mark.parametrize("make", [_wide_entry, _wide_prime, _wide_after_elimination])
+def test_python_int_keys_match_int64_and_brute_force(make, monkeypatch):
+    arr = make()
+    closed, flats, mu = _reference_flats(arr)
+    dtypes = []
+    normalise = poset_module.normalise_rows
+
+    def spy(rows, prime=None):
+        dtypes.append(rows.dtype)
+        return normalise(rows, prime)
+
+    monkeypatch.setattr(poset_module, "normalise_rows", spy)
+    poset = intersection_poset(arr)
+    assert [f.hyperplane_set for f in poset.flats] == flats
+    assert poset.mobius == mu
+    assert poset.below == [[i for i, f in enumerate(flats) if f < g] for g in flats]
+    if make is _wide_after_elimination:
+        # int64 for the first eliminations, Python ints once they outgrow it
+        assert np.dtype(np.int64) in dtypes and dtypes[-1] == object
+        assert max(abs(x) for h in arr.hyperplanes for x in h.row()) < 2 ** 31
+    else:
+        assert set(dtypes) == {np.dtype(object)}
+    # every key and mask a Python int from the start
+    monkeypatch.setattr(poset_module, "_KEY_BOUND", 0)
+    monkeypatch.setattr(poset_module, "_dtype", lambda n: object)
+    _same_poset(intersection_poset(arr), poset)
+
+
+@pytest.mark.parametrize("block", [1, 64, 4096])
+def test_small_blocks_give_the_same_poset(block, monkeypatch):
+    want = intersection_poset(braid(7))
+    monkeypatch.setattr(poset_module, "_BLOCK_BYTES", block)
+    _same_poset(intersection_poset(braid(7)), want)
+    # the smallest budget that fits is the same
+    with pytest.raises(BudgetExceededError):
+        intersection_poset(braid(7), budget=26242)
+    assert len(intersection_poset(braid(7), budget=26243).flats) == 877
+
+
+@pytest.mark.parametrize("tag, n", [("braid", 8), ("bc", 6), ("dn", 6),
+                                    ("threshold", 7), ("catalan", 5)])
+def test_lattice_coboundary_matches_the_generating_function(tag, n):
+    arr = getattr(families, tag)(n)
+    assert intersection_poset(arr).coboundary() == families.oracle_coboundary(tag, n)
 
 
 @pytest.mark.parametrize("arr", [braid(5), shi(3), thicken(braid(3), 2)], ids=repr)
