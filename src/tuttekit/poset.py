@@ -17,10 +17,10 @@ remainder against k: a result that vanishes on the normals is parallel to G,
 and equal normalised results join one cover of G.
 
 Each rank is built by a fixed sequence of numpy steps on all its flats at
-once.  Every flat's candidates, the other covers of the flat that found it,
-are gathered into one row matrix; each is eliminated against its flat's
-added row in one operation, and the rows parallel to their flat dropped;
-`linalg.normalise_rows` normalises the rest.  A lexsort groups equal keys
+once.  Every flat's candidates, the covers of the flat that found it, are
+gathered into one row matrix; each is eliminated against its flat's added
+row in one operation, and the rows parallel to their flat are dropped, the
+flat's own cover among them; `linalg.normalise_rows` normalises the rest.  A lexsort groups equal keys
 per flat and `bitwise_or.reduceat` joins their hyperplane masks into the
 flat's covers.  The covers' masks, with the flat's own, are the flats of the
 next rank: a stable argsort orders them and names each one's finder, the
@@ -317,22 +317,19 @@ def _covers(ckeys, cmasks, start, count, own, pivot, p):
     """The covers of one rank's flats from their candidates, or None if none.
 
     Flat i's candidates are the covers start[i] .. start[i] + count[i] - 1
-    of the flat that found it, but its own cover own[i]: each key is
-    eliminated against ckeys[own[i]], the row the flat added, at its pivot
-    column pivot[i], and dropped if parallel to the flat.  The minimum has
-    no such row (own is None), and its candidates are the non-loops as they
-    are.  Equal keys of one flat join one cover.  Returns (keys, masks,
-    flat) arrays, grouped by flat in order.
+    of the flat that found it: each key is eliminated against
+    ckeys[own[i]], the row the flat added, at its pivot column pivot[i],
+    and dropped if parallel to the flat, as the flat's own cover is.  The
+    minimum has no such row (own is None), and its candidates are the
+    non-loops as they are.  Equal keys of one flat join one cover.  Returns
+    (keys, masks, flat) arrays, grouped by flat in order.
     """
     out = []
-    for s, e in _blocks((count - (own is not None)) * 8 * ckeys.shape[1]):
+    for s, e in _blocks(count * 8 * ckeys.shape[1]):
         total = int(count[s:e].sum())
         offsets = np.cumsum(count[s:e]) - count[s:e]
         idx = np.repeat(start[s:e] - offsets, count[s:e]) + np.arange(total)
         gid = np.repeat(np.arange(s, e), count[s:e])
-        if own is not None:
-            keep = idx != np.repeat(own[s:e], count[s:e])
-            idx, gid = idx[keep], gid[keep]
         keys, masks = ckeys[idx], cmasks[idx]
         if own is not None:
             step = ckeys[own[gid]]

@@ -260,6 +260,22 @@ def test_python_int_keys_match_int64_and_brute_force(make, monkeypatch):
     _same_poset(intersection_poset(arr), poset)
 
 
+@pytest.mark.parametrize("top", [127, 128, 255, 32767, 32768, 2 ** 31 - 1])
+def test_keys_stored_at_the_edge_of_their_type(top):
+    # keys are kept in the narrowest integer type between ranks; an entry
+    # of 128 or 32768 needs the next type up.  a - b = c, which a key that
+    # wrapped to -top would break
+    half = top // 2
+    a, b, c = [1, top, 0], [1, half, 1], [0, top - half, -1]
+    arr = Arrangement(3, [([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0), (a, 0), (b, 0),
+                          (c, 0), ([1, 1, 1], 1)])
+    closed, flats, mu = _reference_flats(arr)
+    poset = intersection_poset(arr)
+    assert [f.hyperplane_set for f in poset.flats] == flats
+    assert poset.mobius == mu
+    assert poset.below == [[i for i, f in enumerate(flats) if f < g] for g in flats]
+
+
 @pytest.mark.parametrize("block", [1, 64, 4096])
 def test_small_blocks_give_the_same_poset(block, monkeypatch):
     want = intersection_poset(braid(7))
