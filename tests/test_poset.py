@@ -210,7 +210,7 @@ def _same_poset(got, want):
 
 
 def _wide_entry():
-    # one entry of 2^31 + 11 from the start
+    # entries of 2^31 + 11 from the start
     return Arrangement(3, [([1, 0, 0], 0), ([0, 1, 0], 0), ([2 ** 31 + 11, 3, 0], 1),
                            ([1, 1, 1], 0), ([0, 5, 2 ** 31 + 11], 7), ([1, 0, 1], 0)])
 
@@ -235,7 +235,7 @@ def _wide_after_elimination():
 @pytest.mark.parametrize("make", [_wide_entry, _wide_prime, _wide_after_elimination])
 def test_python_int_keys_match_int64_and_brute_force(make, monkeypatch):
     arr = make()
-    closed, flats, mu = _reference_flats(arr)
+    _, flats, mu = _reference_flats(arr)
     dtypes = []
     normalise = poset_module.normalise_rows
 
@@ -269,7 +269,7 @@ def test_keys_stored_at_the_edge_of_their_type(top):
     a, b, c = [1, top, 0], [1, half, 1], [0, top - half, -1]
     arr = Arrangement(3, [([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0), (a, 0), (b, 0),
                           (c, 0), ([1, 1, 1], 1)])
-    closed, flats, mu = _reference_flats(arr)
+    _, flats, mu = _reference_flats(arr)
     poset = intersection_poset(arr)
     assert [f.hyperplane_set for f in poset.flats] == flats
     assert poset.mobius == mu
