@@ -28,7 +28,8 @@ first flat in order that has it as a cover.  Hyperplane j is bit n - 1 - j of a
 mask, so descending masks order the flats of one rank by their sorted
 hyperplane lists.  Keys are int64 while the prime and every entry stay
 below 2^31, and masks while n < 63, so that no product overflows; beyond
-that both are numpy arrays of Python ints, through the same code.
+that both are numpy arrays of Python ints, through the same code.  Between
+ranks the keys are kept in the narrowest integer type that holds them.
 
 The flats strictly below G are gathered as a row of uint64 words over flat
 indices while G's rank is built: the OR, over the lower covers F of G, of
