@@ -329,13 +329,19 @@ class MultivariateTutte:
         return self.poly.substitute(sub)
 
 
-def multivariate_tutte(arrangement):
-    """q^r Ztilde = sum over central B of q^(r - rB) prod_{e in B} w_e."""
+def multivariate_tutte(arrangement, budget=DEFAULT_BUDGET):
+    """q^r Ztilde = sum over central B of q^(r - rB) prod_{e in B} w_e.
+
+    The central subsets are walked by `linalg.central_subsets`, charged to
+    the budget one unit per candidate subset.
+    """
     r = arrangement.rank
     n = arrangement.n
     rows = [h.row() for h in arrangement.hyperplanes]
-    terms = {(r - rb,) + tuple(mask >> e & 1 for e in range(n)): 1
-             for mask, _, rb in central_subsets(rows, arrangement.prime)}
+    terms = {}
+    for masks, _, ranks in central_subsets(rows, arrangement.prime, budget):
+        exps = np.column_stack([r - ranks, (masks[:, None] >> np.arange(n)) & 1])
+        terms.update(dict.fromkeys(map(tuple, exps.tolist()), 1))
     names = ("q",) + tuple("w_%d" % (e + 1) for e in range(n))
     total = MultiPoly(names, terms)
     mv = MultivariateTutte(total, r, n)

@@ -33,6 +33,21 @@ from .linalg import (
 )
 
 
+def _entry(x):
+    """An input entry as an int when `int` parses it, else as a Fraction.
+
+    Only ints and strings go to `int`, which would truncate a float or a
+    Fraction.  Every string that `int` parses, `Fraction` parses to the
+    same value, so a Fraction is made only for the entries that need one.
+    """
+    if isinstance(x, (int, str)):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    return Fraction(x)
+
+
 class Hyperplane:
     """A single hyperplane {x : normal . x = offset}, in canonical form."""
 
@@ -285,7 +300,8 @@ class Arrangement:
         """
         if self._semimatroid is None:
             self._semimatroid = tuple(sorted(
-                (mask, rank) for mask, _, rank in central_subsets(self.rows, self.prime)))
+                pair for masks, _, ranks in central_subsets(self.rows, self.prime)
+                for pair in zip(masks.tolist(), ranks.tolist())))
         return self._semimatroid
 
     # -- serialization -----------------------------------------------------
@@ -313,10 +329,8 @@ class Arrangement:
         """
         try:
             dim = int(data["dim"])
-            hs = [
-                ([Fraction(x) for x in h["normal"]], Fraction(h.get("offset", 0)))
-                for h in data["hyperplanes"]
-            ]
+            hs = [([_entry(x) for x in h["normal"]], _entry(h.get("offset", 0)))
+                  for h in data["hyperplanes"]]
         except (AttributeError, KeyError, TypeError, ValueError,
                 ArithmeticError) as exc:
             raise InputFormatError("bad arrangement record: %s" % exc)

@@ -117,7 +117,7 @@ def _method(arr, args):
 def _tutte_by_method(arr, args):
     method = _method(arr, args)
     if method == "subset":
-        return tutte_subset(arr)
+        return tutte_subset(arr, budget=_budget(args))
     if method == "delcon":
         return tutte_delcon(arr, budget=_budget(args))
     if method == "activity":
@@ -225,7 +225,8 @@ def _run_action(action, arr, args):
         if method in ("finite-field", "lattice"):
             cob = _coboundary(arr, args, method)
         else:
-            cob = coboundary_transform(tutte_subset(arr).tutte, arr.rank)
+            cob = coboundary_transform(tutte_subset(arr, budget=_budget(args)).tutte,
+                                       arr.rank)
         _emit_poly(cob, args, {"rank": arr.rank, "n": arr.n, "dim": arr.dim})
     elif action == "invariants":
         if _method(arr, args) == "lattice":
@@ -261,7 +262,7 @@ def _run_action(action, arr, args):
                 print("rank=%d dim=%d mu=%d hyperplanes=%s" % (
                     row["rank"], row["dim"], row["mobius"], row["hyperplanes"]))
     elif action == "multivariate":
-        mv = multivariate_tutte(arr)
+        mv = multivariate_tutte(arr, budget=_budget(args))
         _emit_poly(mv.poly, args, {"rank": mv.rank, "n": mv.n})
     elif action == "check":
         _run_check(arr, args)
@@ -279,7 +280,7 @@ def _run_check(arr, args):
             failures.append(name)
 
     budget = _budget(args)
-    t_sub = tutte_subset(arr).tutte
+    t_sub = tutte_subset(arr, budget=budget).tutte
 
     def agrees(name, engine):
         try:

@@ -8,10 +8,21 @@ field use plain Gaussian elimination mod p.
 The echelon kernel (`normalise_row`, `reduce_row`, `extend_basis`, on one
 integer elimination step, `eliminate`) keeps a reduced echelon basis of
 integer rows over Q, or of rows mod p with pivot entry 1 over F_p, and
-reduces further rows against it one at a time; `normalise_rows` is
-`normalise_row` on every row of a numpy array at once;
-`pivot_columns` reads the pivots of a row space from it, and
-`central_subsets` walks every central subset of an arrangement on it.
+reduces further rows against it one at a time; `pivot_columns` reads the
+pivots of a row space from it.
+
+Its array form works on 2-D numpy integer arrays, a row per item:
+`eliminate_rows` is `eliminate` and `normalise_rows` is `normalise_row` on
+every row at once.  Arrays are int64 while the prime and every entry lie
+below 2^31, so that no product of two entries overflows, and numpy arrays of
+Python ints otherwise (`integer_rows`); between steps `narrow_rows` stores
+them in the narrowest type that holds them.  The flat lattice (`poset`) and
+`echelon_walk` run on it.  `echelon_walk` walks subsets of the rows a size
+at a time, a block of subsets and their remainders per step: every central
+subset (`central_subsets`, for the subset expansion, the multivariate Tutte
+polynomial and the semimatroid fingerprint), or every independent subset up
+to the bases, with tag columns that record fundamental circuits (the
+basis-activity expansion).
 
 The lattice kernel (`extend_lattice`) keeps the Hermite basis of the
 integer span of integer rows, extended one row at a time by unimodular
@@ -27,6 +38,16 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
+from .errors import BudgetExceededError
+
+
+# Rows are int64 while the prime and every entry lie below this bound, so
+# that b[c]*v - v[c]*b of four such entries fits in 63 bits; Python ints
+# otherwise.
+_KEY_BOUND = 1 << 31
+
+# Bytes of int64 child rows that `echelon_walk` builds at once.
+_WALK_BYTES = 1 << 17
 
 # Miller-Rabin with these bases decides primality exactly below
 # 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2017).
@@ -108,12 +129,57 @@ def normalise_rows(rows, prime=None):
     return rows // g[:, None]
 
 
+def integer_rows(rows, width, prime=None):
+    """Integer rows of the given width as a 2-D numpy array: int64 while the
+    prime and every entry lie below _KEY_BOUND, Python ints otherwise."""
+    wide = (prime or 0) >= _KEY_BOUND or any(abs(x) >= _KEY_BOUND for row in rows for x in row)
+    return np.array(rows, object if wide else np.int64).reshape(len(rows), width)
+
+
+def eliminate_rows(rows, basis, cols):
+    """`eliminate` on every row of a 2-D numpy integer array at once:
+    b[c]*v - v[c]*b for each row v, with b and c the matching row of basis
+    and entry of cols.
+
+    Integer arrays are computed in int64, which holds the result while every
+    entry lies below _KEY_BOUND, as `narrow_rows` keeps them; object arrays
+    in Python ints.  Over F_p the result is reduced by `normalise_rows`.
+    """
+    if rows.dtype != object and basis.dtype != object:
+        rows, basis = rows.astype(np.int64), basis.astype(np.int64)
+    at = np.arange(len(cols)), cols
+    return basis[at][:, None] * rows - rows[at][:, None] * basis
+
+
+def narrow_rows(rows):
+    """Integer rows in the narrowest numpy type that holds them, or as Python
+    ints once an entry reaches _KEY_BOUND; Python-int rows stay as they are."""
+    if rows.dtype == object:
+        return rows
+    top = int(np.abs(rows).max(initial=0))
+    return rows.astype(object if top >= _KEY_BOUND else np.min_scalar_type(-top - 1))
+
+
+def blocks(sizes, limit):
+    """(start, end) ranges covering range(len(sizes)) in order, each of total
+    size at most limit unless it is a single item."""
+    ends = np.cumsum(sizes)
+    s = 0
+    while s < len(ends):
+        top = (ends[s - 1] if s else 0) + limit
+        e = len(ends) if ends[-1] <= top else \
+            max(s + 1, int(np.searchsorted(ends, top, "right")))
+        yield s, e
+        s = e
+
+
 def clear_row(row):
-    """Scale a row of Fractions to a primitive integer row, first nonzero > 0.
+    """Scale a row of ints and Fractions to a primitive integer row, first
+    nonzero > 0; other entries are made Fractions first.
 
     Returns a tuple of ints; the zero row maps to itself.
     """
-    fracs = [Fraction(x) for x in row]
+    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     denom = lcm(*[x.denominator for x in fracs])
     return normalise_row([x.numerator * (denom // x.denominator) for x in fracs])
 
@@ -196,24 +262,124 @@ def subset_walk(rows, step, root):
                 push((j + 1, mask | 1 << j, size + 1, child))
 
 
-def central_subsets(rows, prime=None):
-    """Every central subset of augmented rows [normal | offset], depth first.
+def echelon_walk(rows, prime=None, budget=None, rank=None):
+    """Blocks of subsets of augmented rows [normal | offset], each with the
+    remainders of rows against its reduced echelon basis.
 
-    Yields (mask, size, rank) in the order of `subset_walk`, and rank is the
-    rank of the subset's normals.  A subset keeps the reduced echelon basis
-    of its rows, so adding a row costs one reduction.  A remainder that is
-    zero on the normals but not on the offset leaves the subset with no
-    common point, and every superset too, so that subtree is skipped; a
-    zero remainder keeps the rank.
+    A subset's state is an integer array of remainders; a block holds
+    states of one size, and all its children (subset + j, j past the
+    subset's last index) are built together: row j's remainder b is the
+    new basis row, and every other remainder v takes one elimination step,
+    b[c]*v - v[c]*b at b's first nonzero normal column c, then
+    `normalise_rows`.  Children are built `_WALK_BYTES` of int64 rows at a
+    time and each child block is walked before the next is built, so a wide
+    size is never held whole; within each size the subsets come in
+    lexicographic order.  Yields (masks, size, ranks, rems) per block: bit j
+    of a mask stands for row j, ranks are the ranks of the normals, and
+    rems the states' remainder rows concatenated.  Between blocks they are
+    stored by `narrow_rows`.
+
+    With rank None the walk is central: a state holds the rows after its
+    subset's last index, a child whose remainder is zero on the normals but
+    not on the offset is skipped with every superset (no common point), and
+    one whose remainder is zero keeps its parent's rows and rank.  Each
+    candidate child costs one unit of the budget, and the empty set one, so
+    a central arrangement costs 2^n.
+
+    With a rank r the walk runs over the independent subsets that can reach
+    size r, and a state holds every row with r tag columns after the
+    offset: tag k is set to 1 in the k-th basis row as it joins, so that
+    every later elimination carries it, and a basis row's remainder is the
+    zero row.  A child is admitted when its remainder is nonzero on the
+    normals and rows j .. m - 1 can still complete it, and each admitted
+    subset, the empty one too, costs m units (its m row steps).  The walk
+    stops at size r, whose states are the bases.
+
+    Each block of children is charged before its arrays are made, and
+    BudgetExceededError reports the running total as `required` once it
+    exceeds the budget (None: no bound).
     """
-    def step(basis, row):
-        rem = reduce_row(row, basis, prime)
-        if any(rem[:-1]):
-            return extend_basis(basis, normalise_row(rem, prime), prime)
-        return None if rem[-1] else basis
+    m = len(rows)
+    d = len(rows[0]) - 1 if rows else 0
+    bits = np.array([1 << j for j in range(m)], np.int64 if m < 63 else object)
+    work = 0
 
-    for mask, size, basis in subset_walk(rows, step, []):
-        yield mask, size, len(basis)
+    def charge(units):
+        nonlocal work
+        work += units
+        if budget is not None and work > budget:
+            what = ("the central-subset walk needs at least %d candidate subsets"
+                    if rank is None else
+                    "the basis-activity expansion needs at least %d row steps")
+            raise BudgetExceededError((what + ", over the budget %d") % (work, budget),
+                                      required=work)
+
+    def children(masks, size, ranks, last, rems):
+        first = last + 1 if rank is None else np.zeros_like(last)
+        starts = np.cumsum(m - first) - (m - first)
+        # the candidates: (state, j) for j past the state's last index
+        ncand = m - 1 - last
+        state = np.repeat(np.arange(len(last)), ncand)
+        j = (np.arange(len(state)) - np.repeat(np.cumsum(ncand) - ncand, ncand)
+             + last[state] + 1)
+        at = starts[state] + j - first[state]
+        step = (rems[at, :d] != 0).any(axis=1)
+        if rank is None:
+            keep = step | (rems[at, d] == 0)
+            height = m - 1 - j
+        else:
+            step &= m - j >= rank - size
+            keep = step
+            height = np.full(len(j), m)
+        for lo, hi in blocks((height + 1) * keep * 8 * rems.shape[1], _WALK_BYTES):
+            pick = lo + np.flatnonzero(keep[lo:hi])
+            charge(hi - lo if rank is None else m * len(pick))
+            if not len(pick):
+                continue
+            cs, cj, b = state[pick], j[pick], rems[at[pick]]
+            cfirst = cj + 1 if rank is None else np.zeros_like(cj)
+            counts = m - cfirst
+            offsets = np.cumsum(counts) - counts
+            owner = np.repeat(np.arange(len(pick)), counts)
+            src = (np.arange(int(counts.sum())) - offsets[owner]
+                   + (starts[cs] - first[cs] + cfirst)[owner])
+            v = rems[src]
+            if rank:
+                b[:, d + 1 + size] = 1      # the tag of the new basis row
+            out = eliminate_rows(v, b[owner], np.argmax(b != 0, axis=1)[owner])
+            if rank is None:
+                # a zero remainder keeps its parent's rows
+                out = np.where(step[pick][owner, None], out, v)
+            else:
+                out[offsets + cj] = 0
+            yield (masks[cs] | bits[cj], size + 1, ranks[cs] + step[pick], cj,
+                   narrow_rows(normalise_rows(out, prime)))
+
+    rems = integer_rows(rows, d + 1, prime)
+    if rank:
+        rems = np.hstack([rems, np.zeros((m, rank), rems.dtype)])
+    root = (np.zeros(1, bits.dtype), 0, np.zeros(1, np.int64),
+            np.full(1, -1), narrow_rows(rems))
+    charge(1 if rank is None else m)
+    stack = [iter([root])]
+    while stack:
+        block = next(stack[-1], None)
+        if block is None:
+            stack.pop()
+            continue
+        masks, size, ranks, last, rems = block
+        yield masks, size, ranks, rems
+        if rank is None or size < rank:
+            stack.append(children(masks, size, ranks, last, rems))
+
+
+def central_subsets(rows, prime=None, budget=None):
+    """Every central subset of augmented rows [normal | offset], a block at
+    a time: yields (masks, sizes, ranks) arrays, in the order of
+    `echelon_walk`, where ranks are the ranks of the subsets' normals.  The
+    walk charges one unit per candidate subset to the budget."""
+    for masks, size, ranks, _ in echelon_walk(rows, prime, budget):
+        yield masks, np.full(len(masks), size), ranks
 
 
 # -- integer lattices ---------------------------------------------------------

@@ -28,8 +28,9 @@ first flat in order that has it as a cover.  Hyperplane j is bit n - 1 - j of a
 mask, so descending masks order the flats of one rank by their sorted
 hyperplane lists.  Keys are int64 while the prime and every entry stay
 below 2^31, and masks while n < 63, so that no product overflows; beyond
-that both are numpy arrays of Python ints, through the same code.  Between
-ranks the keys are kept in the narrowest integer type that holds them.
+that both are numpy arrays of Python ints, through the same code
+(`linalg.eliminate_rows`).  Between ranks the keys are kept in the
+narrowest integer type that holds them (`linalg.narrow_rows`).
 
 The flats strictly below G are gathered as a row of uint64 words over flat
 indices while G's rank is built: the OR, over the lower covers F of G, of
@@ -59,17 +60,22 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConsistencyError, NonCentralError
 from .finite_field import DEFAULT_BUDGET
-from .linalg import extend_basis, normalise_row, normalise_rows, reduce_row
+from .linalg import (
+    blocks,
+    eliminate_rows,
+    extend_basis,
+    integer_rows,
+    narrow_rows,
+    normalise_row,
+    normalise_rows,
+    reduce_row,
+)
 from .multipoly import MultiPoly
 
 # Bytes per numpy block: of candidate key rows eliminated at once, of the
 # bits of a rank's below sets rebuilt from their pairs and their copies, of
 # words read back into pairs, and of the table rows `verify_mobius` ORs.
 _BLOCK_BYTES = 1 << 20
-
-# Keys are int64 while the prime and every entry lie below this bound, so
-# that a*v - b*w of four such entries fits in 63 bits; Python ints otherwise.
-_KEY_BOUND = 1 << 31
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
@@ -94,24 +100,11 @@ def _check_budget(required, budget):
             required=required)
 
 
-def _blocks(sizes):
-    """(start, end) ranges covering range(len(sizes)) in order, each of total
-    size at most _BLOCK_BYTES unless it is a single item."""
-    ends = np.cumsum(sizes)
-    s = 0
-    while s < len(ends):
-        limit = (ends[s - 1] if s else 0) + _BLOCK_BYTES
-        e = len(ends) if ends[-1] <= limit else \
-            max(s + 1, int(np.searchsorted(ends, limit, "right")))
-        yield s, e
-        s = e
-
-
 def _set_words(rows):
     """The nonzero words of rows of uint64 words, a block of rows at a time:
     yields the first row s of each block and the (row - s, column, value)
     arrays of its nonzero words, in row-major order."""
-    for s, e in _blocks(np.full(len(rows), 8 * rows.shape[1])):
+    for s, e in blocks(np.full(len(rows), 8 * rows.shape[1]), _BLOCK_BYTES):
         r, c = np.nonzero(rows[s:e])
         yield s, r, c, rows[s + r, c]
 
@@ -239,7 +232,8 @@ class IntersectionPoset:
             width = (first + 63) // 64
             low = np.packbits(np.arange(64 * width) < first,
                               bitorder="little").view(np.uint64)
-            for s, e in _blocks(np.full(end - first, 8 * width * max(groups, 1))):
+            for s, e in blocks(np.full(end - first, 8 * width * max(groups, 1)),
+                               _BLOCK_BYTES):
                 s, e = first + s, first + e
                 outside = np.bitwise_or.reduce(
                     table[np.arange(groups)[:, None], lacks[:, s:e], :width], axis=0)
@@ -326,18 +320,14 @@ def _covers(ckeys, cmasks, start, count, own, pivot, p):
     (keys, masks, flat) arrays, grouped by flat in order.
     """
     out = []
-    for s, e in _blocks(count * 8 * ckeys.shape[1]):
+    for s, e in blocks(count * 8 * ckeys.shape[1], _BLOCK_BYTES):
         total = int(count[s:e].sum())
         offsets = np.cumsum(count[s:e]) - count[s:e]
         idx = np.repeat(start[s:e] - offsets, count[s:e]) + np.arange(total)
         gid = np.repeat(np.arange(s, e), count[s:e])
         keys, masks = ckeys[idx], cmasks[idx]
         if own is not None:
-            step = ckeys[own[gid]]
-            if keys.dtype != object:
-                keys, step = keys.astype(np.int64), step.astype(np.int64)
-            at = np.arange(len(gid)), pivot[gid]
-            keys = step[at][:, None] * keys - keys[at][:, None] * step
+            keys = eliminate_rows(keys, ckeys[own[gid]], pivot[gid])
             keep = (keys[:, :-1] != 0).any(axis=1)
             keys = normalise_rows(keys[keep], p)
             masks, gid = masks[keep], gid[keep]
@@ -348,11 +338,7 @@ def _covers(ckeys, cmasks, start, count, own, pivot, p):
         heads = np.ones(len(gid), bool)
         heads[1:] = (gid[1:] != gid[:-1]) | (keys[1:] != keys[:-1]).any(axis=1)
         heads = np.flatnonzero(heads)
-        keys = keys[heads]
-        if keys.dtype != object:
-            # kept in the narrowest type that holds them
-            top = int(np.abs(keys).max())
-            keys = keys.astype(object if top >= _KEY_BOUND else np.min_scalar_type(-top - 1))
+        keys = narrow_rows(keys[heads])
         out.append((keys, np.bitwise_or.reduceat(masks, heads), gid[heads]))
     if not out:
         return None
@@ -372,7 +358,7 @@ def _below_rows(positions, counts, first, cstart, cflat, up, size):
     words = (first + len(counts) + 63) // 64
     below = np.zeros((size, words), np.uint64)
     ends = np.cumsum(counts)
-    for s, e in _blocks(8 * words * (8 + np.diff(cstart))):
+    for s, e in blocks(8 * words * (8 + np.diff(cstart)), _BLOCK_BYTES):
         table = np.zeros((e - s, 64 * words), bool)
         table[np.repeat(np.arange(e - s), counts[s:e]),
               positions[ends[s] - counts[s]:ends[e - 1]]] = True
@@ -405,10 +391,8 @@ def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
     rows = [h.row() for h in arrangement.hyperplanes]
     nonloops = arrangement.nonloops()
     dtype = _dtype(n)
-    wide = (p or 0) >= _KEY_BOUND or any(abs(x) >= _KEY_BOUND for r in rows for x in r)
     # the minimum's candidates: every non-loop
-    ckeys = np.array([rows[j] for j in nonloops], object if wide else np.int64)
-    ckeys = ckeys.reshape(len(nonloops), d + 1)
+    ckeys = integer_rows([rows[j] for j in nonloops], d + 1, p)
     cmasks = np.array([1 << n - 1 - j for j in nonloops], dtype)
     start, count = np.zeros(1, np.int64), np.array([len(nonloops)])
     own = pivot = None

@@ -9,13 +9,17 @@ arrangements.
 
 All three run on the integer echelon kernel of `linalg`, over Q and F_p
 alike, on the augmented rows [normal | offset] of the hyperplanes.  The
-subset expansion walks the central subsets.  Deletion-contraction recurses
-on tuples of rows: a contraction is one elimination step per row, and the
-leaves are counted by (coloops, loops).  The basis-activity expansion walks
-the independent subsets and carries every row's remainder along, with one
-tag column per basis row, so that at a basis each remainder shows its
-fundamental circuit and whether it meets the basis.  Deletion-contraction
-and basis activity charge their work to a budget.
+subset expansion and the basis-activity expansion run on
+`linalg.echelon_walk`, which walks subsets a size at a time on integer
+arrays, a block of subsets per step.  The subset expansion counts the
+central subsets by rank and size with one bincount per block.  The
+basis-activity expansion walks the independent subsets and carries every
+row's remainder along, with one tag column per basis row, so that at a
+basis each remainder shows its fundamental circuit and whether it meets
+the basis; the activities of a block of bases are array reductions of
+these.  Deletion-contraction recurses on tuples of rows: a contraction is
+one elimination step per row, and the leaves are counted by (coloops,
+loops).  All three charge their work to a budget.
 
 The exact steps after a walk or a count work on integer coefficient
 tables: the rank-size table of the subset expansion, the coboundary
@@ -26,18 +30,20 @@ the final table.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import islice
 from math import comb
+
+import numpy as np
 
 from .errors import BudgetExceededError, ConsistencyError
 from .finite_field import DEFAULT_BUDGET
 from .linalg import (
     central_subsets,
+    echelon_walk,
     eliminate,
     extend_basis,
     normalise_row,
     reduce_row,
-    subset_walk,
 )
 from .multipoly import MultiPoly
 from .poset import intersection_poset
@@ -112,18 +118,21 @@ def expand_rank_table(table, r, loops=0):
     return MultiPoly(("x", "y"), _expand(terms))
 
 
-def tutte_subset(arrangement):
+def tutte_subset(arrangement, budget=DEFAULT_BUDGET):
     """Subset expansion: sum over central B of (x-1)^(r-rB) (y-1)^(|B|-rB).
 
     Central subsets of the non-loops are counted by rank and size in one
-    walk; each loop multiplies the sum by y.
+    walk, charged to the budget one unit per candidate subset (see
+    `linalg.echelon_walk`); each loop multiplies the sum by y.
     """
     r = arrangement.rank
     rows = arrangement.rows
-    table = [[0] * (len(rows) + 1) for _ in range(r + 1)]
-    for _, size, rb in central_subsets(rows, arrangement.prime):
-        table[rb][size] += 1
-    total = expand_rank_table(table, r, arrangement.n - len(rows))
+    width = len(rows) + 1
+    table = np.zeros((r + 1) * width, np.int64)
+    for _, sizes, ranks in central_subsets(rows, arrangement.prime, budget):
+        table += np.bincount(ranks * width + sizes, minlength=len(table))
+    total = expand_rank_table(table.reshape(r + 1, width).tolist(), r,
+                              arrangement.n - len(rows))
     return TutteResult(total, r, arrangement.n, "subset")
 
 
@@ -219,51 +228,24 @@ def tutte_delcon(arrangement, budget=DEFAULT_BUDGET):
 
 def _bases(rows, r, prime, budget):
     """Every basis of the rows' normals, in `combinations` order, with the
-    remainders of all rows against it.
+    remainders of all rows against it, a block at a time.
 
-    A walk state is (basis, remainders): the basis indices so far and each
-    row reduced against their rows, zero at their pivots.  Column d + 1 + k
-    tags the k-th basis row: it is set to 1 when that row joins, and every
-    later elimination carries it, so a remainder's tags are the
-    coefficients, up to nonzero scalars, of its row's normal on the basis
-    normals.  Adding row j to the basis takes one elimination step of each
-    remainder that is nonzero at its pivot, and a subset with too few rows
-    left to reach r is not extended.  Yields (basis, remainders) for the
-    bases, with the basis rows' remainders the zero row.  Each subset
-    visited is charged to the budget for its m steps, each of which reduces
-    at most m rows.
+    The walk is `linalg.echelon_walk` with r tag columns: at a basis, tag
+    k of a remainder is nonzero exactly when the k-th basis row lies in the
+    fundamental circuit of that row's normal, and a basis row's remainder
+    is the zero row.  Yields (members, central, circuit) arrays: the bases'
+    row indices, (bases, r); whether each row's remainder has a zero
+    offset, (bases, m); and its nonzero tags, (bases, m, r).  The walk
+    charges m row steps per subset it visits to the budget.
     """
-    d = len(rows[0]) - 1 if rows else 0
     m = len(rows)
-    zero = (0,) * (d + 1 + r)
-
-    def step(state, j):
-        basis, rems = state
-        s = len(basis)
-        if m - j < r - s:
-            return None
-        b = rems[j]
-        for c in range(d):
-            if b[c]:
-                break
-        else:
-            return None
-        b = list(b)
-        b[d + 1 + s] = 1
-        out = list(rems)
-        out[j] = zero           # a basis row is not reduced again
-        for g, v in enumerate(out):
-            if v[c]:
-                out[g] = normalise_row(eliminate(v, b, c, prime), prime)
-        return basis + (j,), out
-
-    work = 0
-    root = ((), [list(row) + [0] * r for row in rows])
-    for _, size, state in subset_walk(range(m), step, root):
-        work += m
-        _check_budget(work, budget, "the basis-activity expansion", "row steps")
+    for masks, size, _, rems in echelon_walk(rows, prime, budget, rank=r):
         if size == r:
-            yield state
+            members = np.nonzero((masks[:, None] >> np.arange(m)) & 1)[1]
+            rems = rems.reshape(len(masks), m, rems.shape[1])
+            d = rems.shape[2] - 1 - r       # the offset column; the tags follow
+            yield (members.reshape(len(masks), r), rems[:, :, d] == 0,
+                   rems[:, :, d + 1:] != 0)
 
 
 def tutte_activity(arrangement, order=None, budget=DEFAULT_BUDGET):
@@ -275,7 +257,8 @@ def tutte_activity(arrangement, order=None, budget=DEFAULT_BUDGET):
     point in common with B (a zero offset).  h in B is internally active
     when no hyperplane before h has h in its circuit; a non-basis h central
     with B is externally active when it comes before the rest of its circuit,
-    and every loop is.  The walk is charged to the budget (see `_bases`).
+    and every loop is.  Both are read off a block of bases at once by array
+    reductions.  The walk is charged to the budget (see `_bases`).
     Returns the TutteResult plus an ActivityCertificate listing
     (basis, i(B), e(B)).
     """
@@ -284,30 +267,24 @@ def tutte_activity(arrangement, order=None, budget=DEFAULT_BUDGET):
         order = list(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the hyperplane indices")
-    pos = [0] * n
-    for k, h in enumerate(order):
-        pos[h] = k
+    pos = np.empty(n, np.int64)
+    pos[order] = np.arange(n)
     r = arrangement.rank
-    nl = arrangement.nonloops()
-    npos = [pos[h] for h in nl]
-    d = arrangement.dim         # a remainder's offset column; its tags follow
+    nl = np.array(arrangement.nonloops(), np.int64)
+    npos = pos[nl]
+    loops = n - len(nl)
     records = []
-    for basis, rems in _bases(arrangement.rows, r, arrangement.prime, budget):
-        bpos = [npos[h] for h in basis]
-        first = [n] * r         # the first position whose circuit holds each tag
-        external = n - len(nl)  # every loop
-        for g, v in enumerate(rems):
-            circuit = list(compress(range(r), v[d + 1:]))
-            if not circuit:
-                continue        # a basis row: its remainder is zero
-            pg = npos[g]
-            for k in circuit:
-                if pg < first[k]:
-                    first[k] = pg
-            if not v[d] and pg < min([bpos[k] for k in circuit]):
-                external += 1
-        internal = sum(map(int.__lt__, bpos, first))
-        records.append((tuple(nl[h] for h in basis), internal, external))
+    for members, central, circuit in _bases(arrangement.rows, r, arrangement.prime,
+                                            budget):
+        bpos = npos[members]
+        # the first position whose circuit holds each basis row
+        first = np.where(circuit, npos[:, None], n).min(axis=1, initial=n)
+        internal = (bpos < first).sum(axis=1)
+        # a row central with B that comes before the rest of its circuit
+        least = np.where(circuit, bpos[:, None, :], n).min(axis=2, initial=n)
+        active = circuit.any(axis=2) & central & (npos < least)
+        records += zip(map(tuple, nl[members].tolist()), internal.tolist(),
+                       (loops + active.sum(axis=1)).tolist())
     cert = ActivityCertificate(records)
     return TutteResult(cert.polynomial(), r, n, "activity"), cert
 
@@ -318,26 +295,28 @@ def char_poly(arrangement, var="q", check_whitney=None, budget=DEFAULT_BUDGET):
     When check_whitney is true (default for n <= SUBSET_MAX_N), the Whitney
     route (-1)^r q^(d-r) T(1-q, 0) is also computed and must agree, or
     ConsistencyError is raised.  The budget bounds the work and memory of
-    the intersection poset (see `intersection_poset`).
+    the intersection poset (see `intersection_poset`) and the subset walk
+    of the Whitney route.
     """
     chi = intersection_poset(arrangement, budget=budget).char_poly(var)
     if check_whitney is None:
         check_whitney = arrangement.n <= SUBSET_MAX_N
     if check_whitney:
-        alt = whitney_char(arrangement, var=var)
+        alt = whitney_char(arrangement, var=var, budget=budget)
         if alt != chi:
             raise ConsistencyError(
                 "Mobius and Whitney routes disagree: %s vs %s" % (chi, alt))
     return chi
 
 
-def whitney_char(arrangement, tutte=None, var="q"):
+def whitney_char(arrangement, tutte=None, var="q", budget=DEFAULT_BUDGET):
     """chi(q) = (-1)^r q^(d-r) T(1-q, 0), from the y^0 column of T.
 
     T(1-q, 0) = sum_i t_i0 (-1)^i (q-1)^i, expanded by the binomial theorem.
+    When T is not given it comes from the subset expansion, under the budget.
     """
     if tutte is None:
-        tutte = tutte_subset(arrangement).tutte
+        tutte = tutte_subset(arrangement, budget).tutte
     r = arrangement.rank
     terms = {(arrangement.dim - r, i, 0, 0): (-1) ** (r + i) * c
              for (i, j), c in tutte.table(("x", "y")).items() if not j}
@@ -388,7 +367,8 @@ def scalar_invariants(arrangement, tutte=None, chi=None, budget=DEFAULT_BUDGET):
     invariant (reported only for n >= 2).  When T is not given and
     n > SUBSET_MAX_N, chi and T both come from one intersection poset (its
     Möbius values and its coboundary); otherwise chi comes from the poset
-    and T from the subset expansion.  The budget bounds the poset.
+    and T from the subset expansion.  The budget bounds the poset and the
+    subset walk.
     """
     d = arrangement.dim
     r = arrangement.rank
@@ -400,7 +380,7 @@ def scalar_invariants(arrangement, tutte=None, chi=None, budget=DEFAULT_BUDGET):
     if chi is None:
         chi = char_poly(arrangement, check_whitney=False, budget=budget)
     if tutte is None:
-        tutte = tutte_subset(arrangement).tutte
+        tutte = tutte_subset(arrangement, budget).tutte
     a = (-1) ** d * chi.evaluate({"q": -1})
     b = (-1) ** r * chi.evaluate({"q": 1})
     # (-q)^d chi(-1/q): coefficient of q^k in chi becomes (-1)^(d-k) q^(d-k)

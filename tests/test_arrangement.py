@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,36 @@ def test_json_roundtrip(bench):
         Arrangement.from_json("not json")
     with pytest.raises(InputFormatError):
         Arrangement.from_json('{"hyperplanes": []}')
+
+
+def test_int_parses_no_integer_string_that_fraction_reads_otherwise():
+    # entries that `int` parses skip the Fraction; both must read the same
+    # value from every such string: signs, whitespace, underscores and
+    # non-ASCII digits
+    chars = [chr(c) for c in range(sys.maxunicode + 1)
+             if chr(c).isspace() or chr(c).isdecimal()] + list("+-_")
+    parsed = 0
+    for c in chars:
+        for s in (c, c + "7", "7" + c, "1" + c + "2", c + "-3", "+" + c + "4", c + "1_0" + c):
+            try:
+                value = int(s)
+            except ValueError:
+                continue
+            parsed += 1
+            assert Fraction(s) == value, repr(s)
+    assert parsed > 1000
+
+
+def test_integer_strings_parse_as_fractions_did():
+    entries = [" 3 ", "+4", "-0", "1_000", "\u0663\u0664", "\u2003-5\u2003", 7, True,
+               "1.5", "2/4", 0.25, "1e3"]
+    got = Arrangement.from_dict({"dim": len(entries), "hyperplanes": [
+        {"normal": entries, "offset": "\u0661"}]})
+    want = Arrangement(len(entries), [([Fraction(x) for x in entries], 1)])
+    assert got.hyperplanes == want.hyperplanes
+    for bad in ("1__0", "0x10", "", "3 4", None, [1]):
+        with pytest.raises(InputFormatError):
+            Arrangement.from_dict({"dim": 1, "hyperplanes": [{"normal": [bad]}]})
 
 
 def test_prime_field_roundtrip():

@@ -669,6 +669,26 @@ def test_check_reports_an_engine_over_budget_and_goes_on(capsys):
     assert all(line.startswith("ok   ") for line in lines[3:])
 
 
+@pytest.mark.parametrize("verb", [["tutte", "--method", "subset"], ["multivariate"]])
+def test_subset_walks_fit_a_budget_of_2_to_the_n(capsys, verb):
+    # braid(5) is central with 10 hyperplanes: the walk costs 2^10
+    argv = ["family", "braid", "--n", "5"] + verb
+    code, out, _ = run(capsys, argv + ["--budget", "1024"])
+    assert code == 0 and out == run(capsys, argv)[1]
+    code, out, err = run(capsys, argv + ["--budget", "1023"])
+    assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+    assert "candidate subsets" in err and "over the budget 1023" in err
+
+
+def test_check_over_the_subset_budget_is_one_line(capsys):
+    # the reference walk of braid(4) costs 2^6 = 64
+    argv = ["family", "braid", "--n", "4", "check"]
+    code, out, err = run(capsys, argv + ["--budget", "63"])
+    assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+    code, out, err = run(capsys, argv + ["--budget", "64"])
+    assert code == 2 and "FAIL engine-agreement subset/activity (budget-exceeded)" in out
+
+
 def test_braid7_finite_field_on_small_certified_primes(capsys):
     # braid rows are graphic, so every prime is certified: the r + 2 = 8
     # primes are 2..19, and 19^6 fits the default budget (19^7 does not)

@@ -16,6 +16,8 @@ import pytest
 
 from conftest import random_arrangement, random_prime_arrangement
 from tuttekit import families
+from tuttekit import linalg as linalg_module
+from tuttekit.arrangement import Arrangement
 from tuttekit.errors import BudgetExceededError
 from tuttekit.multipoly import MultiPoly
 from tuttekit.tutte import (
@@ -153,3 +155,39 @@ def test_engines_charge_the_budget(engine):
         engine(arr, budget=100)
     assert info.value.required > 100
     assert engine(arr, budget=10 ** 6)
+
+
+def _wide_inputs():
+    rng = random.Random(12)
+    top, p = 2 ** 31, 2147483659
+    near = [([rng.choice([top - 1, top, top + 1, -top, 1, 0]) for _ in range(3)],
+             rng.choice([0, 0, top])) for _ in range(7)]
+    # entries below 2^31 whose eliminations reach about 2^61
+    below = [([rng.randrange(2 ** 30, 2 ** 31) for _ in range(3)],
+              rng.choice([0, rng.randrange(2 ** 30)])) for _ in range(7)]
+    over_p = [([rng.randrange(1, p), rng.randrange(p), rng.randrange(p)],
+               rng.choice([0, rng.randrange(p)])) for _ in range(7)]
+    return [Arrangement(3, [(n if any(n) else [1, 0, 0], b) for n, b in near]),
+            Arrangement(3, below), Arrangement(3, over_p, prime=p)]
+
+
+def test_wide_entries_match_the_former_activity():
+    rng = random.Random(13)
+    for arr in _wide_inputs():
+        assert tutte_activity(arr)[1].records == ref_activity(arr)
+        order = list(range(arr.n))
+        rng.shuffle(order)
+        assert tutte_activity(arr, order)[1].records == ref_activity(arr, order)
+
+
+@pytest.mark.parametrize("block", [1, 500])
+def test_small_walk_blocks_give_the_same_records_and_budgets(block, monkeypatch):
+    arrs = [f[2] for f in FAMILIES] + _random_inputs()[:20] + _wide_inputs()
+    want = [tutte_activity(arr)[1].records for arr in arrs]
+    monkeypatch.setattr(linalg_module, "_WALK_BYTES", block)
+    assert [tutte_activity(arr)[1].records for arr in arrs] == want
+    # braid(4): 6 row steps for each of the 31 subsets the walk visits
+    with pytest.raises(BudgetExceededError) as info:
+        tutte_activity(families.braid(4), budget=185)
+    assert info.value.required > 185
+    assert tutte_activity(families.braid(4), budget=186)

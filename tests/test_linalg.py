@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_arrangement, random_prime_arrangement
+from tuttekit import families
+from tuttekit import linalg as linalg_module
 from tuttekit.arithmetic import (
     VectorConfig,
     arithmetic_tutte,
@@ -12,7 +15,7 @@ from tuttekit.arithmetic import (
     toric_point_profile,
 )
 from tuttekit.arrangement import Arrangement
-from tuttekit.errors import BadPrimeError
+from tuttekit.errors import BadPrimeError, BudgetExceededError
 from tuttekit.finite_field import reduce_mod_p
 from tuttekit.linalg import (
     central_subsets,
@@ -23,7 +26,7 @@ from tuttekit.linalg import (
     rank_rows,
 )
 from tuttekit.multipoly import MultiPoly
-from tuttekit.tutte import tutte_subset
+from tuttekit.tutte import tutte_activity, tutte_subset
 
 
 def test_clear_row():
@@ -85,15 +88,18 @@ def _subsets(n):
 @pytest.mark.parametrize("arr", _walker_cases(), ids=repr)
 def test_walker_matches_brute_force(arr):
     rows = [h.row() for h in arr.hyperplanes]
-    walked = list(central_subsets(rows, arr.prime))
+    walked = [triple for block in central_subsets(rows, arr.prime)
+              for triple in zip(*(a.tolist() for a in block))]
     want = {sum(1 << i for i in s): arr.rank_normals(s)
             for s in _subsets(arr.n) if arr.is_central(s)}
     assert {mask: rank for mask, _, rank in walked} == want
     assert len(walked) == len(want)
     assert all(size == bin(mask).count("1") for mask, size, _ in walked)
-    # depth first in index order: subsets come in lexicographic order
+    # subsets of each size come in lexicographic order
     members = [[i for i in range(arr.n) if mask >> i & 1] for mask, _, _ in walked]
-    assert members == sorted(members)
+    for size in range(arr.n + 1):
+        of_size = [m for m in members if len(m) == size]
+        assert of_size == sorted(of_size)
 
 
 def _assert_same(got, want):
@@ -119,6 +125,87 @@ def test_subset_polynomials_match_per_subset_sums(arr):
         multi = multi + term
     _assert_same(tutte_subset(arr).tutte, tutte * y ** len(arr.loops()))
     _assert_same(multivariate_tutte(arr).poly, multi)
+
+
+def _near_the_bound():
+    # entries at 2^31 and either side of it: Python ints from the start
+    rng = random.Random(8)
+    top = 2 ** 31
+    hs = [([rng.choice([top - 1, top, top + 1, -top, 1, 0]) for _ in range(3)],
+           rng.choice([0, 0, 1, top])) for _ in range(7)]
+    return Arrangement(3, [(n if any(n) else [1, 0, 0], b) for n, b in hs])
+
+
+def _over_a_wide_prime():
+    # F_p with p = 2147483659 > 2^31: products of two entries overflow int64
+    p = 2147483659
+    rng = random.Random(9)
+    return Arrangement(3, [([rng.randrange(1, p), rng.randrange(p), rng.randrange(p)],
+                            rng.choice([0, rng.randrange(p)])) for _ in range(7)], prime=p)
+
+
+def _wide_after_elimination():
+    # entries below 2^31 whose eliminations reach about 2^61
+    rng = random.Random(4)
+    return Arrangement(3, [([rng.randrange(2 ** 30, 2 ** 31) for _ in range(3)],
+                            rng.choice([0, rng.randrange(2 ** 30)])) for _ in range(7)])
+
+
+@pytest.mark.parametrize("make", [_near_the_bound, _over_a_wide_prime,
+                                  _wide_after_elimination])
+def test_walker_on_wide_entries_matches_brute_force(make, monkeypatch):
+    arr = make()
+    dtypes = []
+    normalise = linalg_module.normalise_rows
+
+    def spy(rows, prime=None):
+        dtypes.append(rows.dtype)
+        return normalise(rows, prime)
+
+    monkeypatch.setattr(linalg_module, "normalise_rows", spy)
+    rows = [h.row() for h in arr.hyperplanes]
+    walked = {mask: rank for masks, _, ranks in central_subsets(rows, arr.prime)
+              for mask, rank in zip(masks.tolist(), ranks.tolist())}
+    want = {sum(1 << i for i in s): arr.rank_normals(s)
+            for s in _subsets(arr.n) if arr.is_central(s)}
+    assert walked == want
+    if make is _wide_after_elimination:
+        # int64 for the first eliminations, Python ints once they outgrow it
+        assert np.dtype(np.int64) in dtypes and dtypes[-1] == object
+        assert max(abs(x) for row in rows for x in row) < 2 ** 31
+    else:
+        assert set(dtypes) == {np.dtype(object)}
+    assert tutte_subset(arr).tutte == tutte_activity(arr)[0].tutte
+
+
+def _subset_results(arrs):
+    return [(tutte_subset(a).tutte.format(), multivariate_tutte(a).poly.format(),
+             Arrangement(a.dim, a.hyperplanes, prime=a.prime).semimatroid())
+            for a in arrs]
+
+
+@pytest.mark.parametrize("block", [1, 200])
+def test_small_walk_blocks_give_the_same_tables_and_budgets(block, monkeypatch):
+    arrs = _walker_cases()[:12] + [families.braid(5), families.shi(3), _near_the_bound()]
+    want = _subset_results(arrs)
+    monkeypatch.setattr(linalg_module, "_WALK_BYTES", block)
+    assert _subset_results(arrs) == want
+    # a central arrangement costs 2^n at any block size
+    for walk in (tutte_subset, multivariate_tutte):
+        with pytest.raises(BudgetExceededError) as info:
+            walk(families.braid(5), budget=1023)
+        assert info.value.required > 1023
+        assert walk(families.braid(5), budget=1024)
+
+
+def test_dropped_candidates_are_charged():
+    # x = 0 .. x = 4 are parallel: the empty set, its 5 candidates, and the
+    # 4 + 3 + 2 + 1 candidates of the singletons, which have no common point
+    arr = Arrangement(1, [([1], b) for b in range(5)])
+    assert tutte_subset(arr, budget=16).tutte.format() == "x + 4"
+    with pytest.raises(BudgetExceededError) as info:
+        tutte_subset(arr, budget=15)
+    assert info.value.required == 16
 
 
 def _config_cases():

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_arrangement, random_prime_arrangement
 from tuttekit import families
+from tuttekit import linalg as linalg_module
 from tuttekit import poset as poset_module
 from tuttekit.arrangement import Arrangement
 from tuttekit.errors import BudgetExceededError, ConsistencyError, NonCentralError
@@ -255,7 +256,7 @@ def test_python_int_keys_match_int64_and_brute_force(make, monkeypatch):
     else:
         assert set(dtypes) == {np.dtype(object)}
     # every key and mask a Python int from the start
-    monkeypatch.setattr(poset_module, "_KEY_BOUND", 0)
+    monkeypatch.setattr(linalg_module, "_KEY_BOUND", 0)
     monkeypatch.setattr(poset_module, "_dtype", lambda n: object)
     _same_poset(intersection_poset(arr), poset)
 
