@@ -208,6 +208,16 @@ def test_dropped_candidates_are_charged():
     assert info.value.required == 16
 
 
+def test_masks_are_python_ints_past_62_rows():
+    # x = 0 .. x = 65, y = 0, x + y = 0: 1 + 68 + 133 + 1 central subsets
+    arr = Arrangement(2, [([1, 0], b) for b in range(66)] + [([0, 1], 0), ([1, 1], 0)])
+    masks = [mask for block, _, _ in central_subsets(arr.rows) for mask in block.tolist()]
+    assert len(masks) == 203 and (1 << 66 | 1 << 67) in masks
+    assert len(multivariate_tutte(arr).poly.terms) == 203
+    assert tutte_subset(arr).tutte == tutte_activity(arr)[0].tutte
+    assert tutte_subset(arr).tutte.format() == "x^2 + 66*x + y + 65"
+
+
 def _config_cases():
     rng = random.Random(47)
     cases = [VectorConfig(2, [(1, 0), (1, 1), (0, 0), (1, 1), (1, -1)])]
