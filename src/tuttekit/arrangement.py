@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 
+import numpy as np
+
 from .errors import (
     InputFormatError,
     InvalidHyperplaneError,
@@ -26,7 +28,10 @@ from .linalg import (
     central_subsets,
     clear_row,
     eliminate,
+    extend_lattice,
+    hadamard_sq,
     is_prime,
+    maximal_minors,
     normalise_row,
     pivot_columns,
     rank_rows,
@@ -157,12 +162,39 @@ class Arrangement:
                 floor = 2
         else:
             return floor
-        norms_sq = sorted((sum(x * x for x in r) for r in rows), reverse=True)
-        k = min(len(rows), self.dim + 1)
-        prod = 1
-        for v in norms_sq[:k]:
-            prod *= v
-        return max(1, isqrt(prod) + 1)
+        return max(1, isqrt(hadamard_sq(rows, min(len(rows), self.dim + 1))) + 1)
+
+    @cached_property
+    def basis_multiplicities(self):
+        """The distinct multiplicities m(B) > 1 of the bases B of the cone
+        vectors, in increasing order, as Python ints.
+
+        The cone vectors are the rows (normal..., offset) of the non-loops
+        and e_(d+1); a set of non-loops is central when adding e_(d+1) raises
+        its rank, and its rank is that of its normals.  So reduction mod a
+        prime p keeps the semimatroid (which sets are central, and their
+        ranks) exactly when it keeps the matroid of the cone vectors, that
+        is when every basis B stays independent mod p, when p divides no
+        m(B), the gcd of the maximal minors of B (Athanasiadis 1996;
+        d'Adderio and Moci 2013).  Over Q only.
+
+        The columns of the cone matrix C span a lattice; the rows of its
+        Hermite basis K (`extend_lattice`) write C = K^T V with V integer
+        and the maximal minors of V coprime, so by Cauchy-Binet m(B) is the
+        absolute value of the maximal minor of K on the columns B.  Those
+        minors are taken a block at a time (`maximal_minors`); loops are not
+        cone vectors, and zero columns of C add nothing to the lattice.
+        """
+        rows = self.rows
+        cols = [col + (0,) for col in zip(*(row[:-1] for row in rows)) if any(col)]
+        cols.append(tuple(row[-1] for row in rows) + (1,))
+        basis = ()
+        for col in cols:
+            basis = extend_lattice(basis, col)
+        found = set()
+        for dets in maximal_minors(list(zip(*(row for _, row in basis)))):
+            found.update(np.abs(dets).tolist())
+        return tuple(sorted(found - {0, 1}))
 
     def _check_indices(self, subset):
         for i in subset:

@@ -21,7 +21,7 @@ from math import comb, factorial
 
 from .arrangement import Arrangement
 from .errors import FamilyError
-from .linalg import is_prime
+from .linalg import is_prime, maximal_minors
 from .multipoly import MultiPoly
 from .series import (
     deformed_exponential,
@@ -148,7 +148,8 @@ def generic(n, d, base_point=1):
     """A generic central arrangement: any m <= d hyperplanes meet in
     codimension m (the uniform matroid).  Hyperplane i has the Vandermonde
     normal (1, t, t^2, ..., t^(d-1)) through the origin, for distinct t, so
-    every d normals are independent; this is verified a posteriori.
+    every d normals are independent; this is verified a posteriori, by
+    every d x d minor of the normals (`linalg.maximal_minors`).
     """
     for attempt in range(8):
         start = base_point + attempt * n
@@ -162,9 +163,12 @@ def generic(n, d, base_point=1):
 
 def _is_generic(arr, n, d):
     # every smaller subset lies in one of size min(n, d), and is independent
-    # when that one is
-    m = min(n, d)
-    return all(arr.rank_normals(combo) == m for combo in combinations(range(n), m))
+    # when that one is: all n normals when n < d, else every d of them, whose
+    # d x d minors must all be nonzero
+    if n < d:
+        return arr.rank_normals() == n
+    return all(dets.all() for dets in
+               maximal_minors([h.normal for h in arr.hyperplanes]))
 
 
 def thicken(arrangement, k):

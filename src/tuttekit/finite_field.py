@@ -7,12 +7,18 @@ sum_k c_k t^k = p^(d-r) cobchi(A; p, t).  Sampling r+2 primes (one extra as a
 consistency witness) and interpolating in the first coboundary variable
 reconstructs the whole polynomial.
 
-A prime is certified when it divides no nonzero minor of [normals | offsets]
-(`hadamard_prime_floor`).  The rows of braid, graphical, BC, D and threshold
-arrangements have at most two nonzero entries, all +-1; every odd prime is
-certified for them, and every prime when the rows are graphic, so the
-smallest primes serve.  Other rows take primes above the Hadamard bound, or
-small primes verified against the whole semimatroid.
+A prime is certified in one of two ways.  A bound prime divides no nonzero
+minor of [normals | offsets] (`hadamard_prime_floor`).  The rows of braid,
+graphical, BC, D and threshold arrangements have at most two nonzero
+entries, all +-1; every odd prime is a bound prime for them, and every prime
+when the rows are graphic, so the smallest primes serve.  Other rows have
+their bound primes above the Hadamard bound.  A verified prime divides no
+multiplicity m(B) of a basis B of the cone vectors, which holds exactly when
+reduction keeps the semimatroid (`Arrangement.basis_multiplicities`, the
+maximal minors of one integer matrix, computed once per arrangement), so a
+small prime is verified without walking any subsets.  A small arrangement
+whose first bound prime would count more points than one scatter block
+takes verified primes instead (`select_primes`).
 
 Point counting is the performance-critical kernel.  Its work per prime
 grows with p^r, and with p^(r-1) for a central arrangement, not with p^d:
@@ -143,9 +149,12 @@ def reduce_mod_p(arrangement, p, mode="bound"):
     """The arrangement over F_p that a Q-arrangement reduces to, certified.
 
     bound: require p > hadamard_prime_floor(A).
-    verified: recompute the full semimatroid (centrality and rank of every
-    subset) over F_p and compare with the rational one; reject with a witness
-    subset on mismatch.
+    verified: require that p divide no basis multiplicity m(B) of the cone
+    vectors (`Arrangement.basis_multiplicities`), which holds exactly when
+    the semimatroid (centrality and rank of every subset) over F_p equals
+    the rational one.  A rejected p is reported with a witness, the first
+    subset, by mask, on which the two semimatroids differ; only then are
+    they walked.
     Loops stay loops; a p that is not prime, or that kills the normal of a
     non-loop, is rejected before the reduction is built.
     """
@@ -164,18 +173,23 @@ def reduce_mod_p(arrangement, p, mode="bound"):
             raise BadPrimeError(
                 "p=%d is not above the Hadamard floor %d" % (p, floor))
     reduced = Arrangement(arrangement.dim, arrangement.hyperplanes, prime=p)
-    if mode == "verified":
-        want = arrangement.semimatroid()
-        got = reduced.semimatroid()
-        if want != got:
-            want, got = dict(want), dict(got)
-            mask = min(m for m in want.keys() | got.keys()
-                       if want.get(m) != got.get(m))
-            nl = arrangement.nonloops()
-            raise BadPrimeError(
-                "p=%d changes the semimatroid" % p,
-                witness=[i for k, i in enumerate(nl) if mask >> k & 1])
+    if mode == "verified" and not _keeps_bases(arrangement, p):
+        want, got = dict(arrangement.semimatroid()), dict(reduced.semimatroid())
+        differ = [m for m in want.keys() | got.keys() if want.get(m) != got.get(m)]
+        if not differ:
+            raise ConsistencyError(
+                "p=%d divides a basis multiplicity but keeps the semimatroid" % p)
+        mask = min(differ)
+        raise BadPrimeError(
+            "p=%d changes the semimatroid" % p,
+            witness=[i for k, i in enumerate(arrangement.nonloops()) if mask >> k & 1])
     return reduced
+
+
+def _keeps_bases(arrangement, p):
+    """Reduction mod the prime p keeps the semimatroid of a Q-arrangement:
+    p divides none of its `Arrangement.basis_multiplicities`."""
+    return all(m % p for m in arrangement.basis_multiplicities)
 
 
 # Largest number of points, and of incidences, in one scatter; a larger
@@ -405,13 +419,16 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
 
     bound mode takes the smallest primes above `hadamard_prime_floor`: from
     2 for graphic rows, from 3 for signed-graphic ones, and above the
-    Hadamard bound otherwise.  verified mode takes the smallest primes
-    passing the exhaustive semimatroid check, and is the default when no
-    bound prime fits.  A prime fits while the points its count visits
-    (`_count_charge`) fit the budget.  A small arrangement (at most 14
-    hyperplanes) can always fall back to verified primes, which are smaller
-    than those above a Hadamard bound, so it tries bound primes at all only
-    when p^d fits the budget at the floor.
+    Hadamard bound otherwise.  verified mode takes the smallest primes that
+    divide no basis multiplicity (see `reduce_mod_p`); a prime is tested
+    against them before it is reduced, so a rejected one costs no walk.  A
+    prime fits while the points its count visits (`_count_charge`) fit the
+    budget.  A small arrangement (at most 14 non-loops) can always fall back
+    to verified primes, which are no larger than those above a Hadamard
+    bound, so in auto mode it takes bound primes only when p^d fits both
+    the budget and one scatter block (`_BLOCK`) at the first bound prime p;
+    otherwise, and for a larger one when no bound prime fits, it takes
+    verified primes.
     """
     r = arrangement.rank
     floor = hadamard_prime_floor(arrangement)
@@ -421,8 +438,9 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
     e, e_central = (arrangement.dim, False) if small else (r, central)
     fits = _charge_fits(floor + 1, e, e_central, budget)
     if reduction == "auto":
+        cap = min(budget, _BLOCK) if small else budget
         cheap = fits and _charge_fits(next(_primes_from(floor + 1)), e,
-                                      e_central, budget)
+                                      e_central, cap)
         reduction = "bound" if cheap or not small else "verified"
     out = []
     if reduction == "bound":
@@ -450,10 +468,9 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
                 raise BudgetExceededError(
                     "cannot find %d verified primes within the budget" % count,
                     required=_count_charge(p, r, central))
-            try:
-                out.append(reduce_mod_p(arrangement, p, "verified"))
-            except BadPrimeError:
+            if not _keeps_bases(arrangement, p):
                 continue
+            out.append(reduce_mod_p(arrangement, p, "verified"))
             if len(out) == count:
                 return out
     raise ValueError("reduction must be 'auto', 'bound', or 'verified'")

@@ -30,10 +30,15 @@ extended-gcd steps; `subset_walk` carries it along every subset of a vector
 configuration, and `lattice_index` and `elementary_divisors` read the
 arithmetic of the lattice off it.  `minor_gcd`, `det_int` and
 `elementary_divisors` on a whole matrix are the reference route.
+
+The determinant kernel (`det_stack`) runs Bareiss elimination on a stack of
+square integer matrices at once; `maximal_minors` feeds it every maximal
+minor of a matrix a block at a time (generic arrangements, and the basis
+multiplicities that certify small primes).
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -477,6 +482,71 @@ def det_int(m):
             m[i][col] = 0
         prev = m[col][col]
     return sign * m[n - 1][n - 1]
+
+
+def hadamard_sq(rows, k):
+    """The product of the k largest squared norms of integer rows, each taken
+    as at least 1: its square root bounds every minor with at most k rows
+    (Hadamard)."""
+    norms_sq = sorted((max(1, sum(x * x for x in row)) for row in rows), reverse=True)
+    return prod(norms_sq[:k])
+
+
+def det_stack(mats):
+    """Determinants of a stack of k x k integer matrices (k >= 1), an
+    (N, k, k) numpy array, by fraction-free (Bareiss) elimination on all of
+    them at once.
+
+    Step c swaps up the first row with a nonzero entry in column c and sets
+    m[i][j] = (m[c][c]*m[i][j] - m[i][c]*m[c][j]) / (pivot of step c - 1),
+    an exact division, for i, j > c; a matrix with no such row is singular,
+    its entries below and right of the pivot become 0, and its next divisor
+    is taken as 1.  Each entry after step c is a (c + 2) x (c + 2) minor, and
+    the last step multiplies two (k - 1) x (k - 1) minors, so an int64 stack
+    is exact while those minors lie below _KEY_BOUND; an object stack
+    (Python ints) always is.
+    """
+    m = np.array(mats)
+    n, k = m.shape[0], m.shape[1]
+    sign = np.ones(n, m.dtype)
+    prev = np.ones(n, m.dtype)
+    at = np.arange(n)
+    for c in range(k - 1):
+        piv = c + np.argmax(m[:, c:, c] != 0, axis=1)
+        swap = piv != c
+        if swap.any():
+            s, t = at[swap], piv[swap]
+            top = m[s, c].copy()
+            m[s, c] = m[s, t]
+            m[s, t] = top
+            sign[swap] = -sign[swap]
+        a = m[:, c, c]
+        m[:, c + 1:, c + 1:] = (a[:, None, None] * m[:, c + 1:, c + 1:]
+                                - m[:, c + 1:, c, None] * m[:, c, None, c + 1:]
+                                ) // prev[:, None, None]
+        prev = np.where(a == 0, 1, a)
+    return sign * m[:, k - 1, k - 1]
+
+
+def maximal_minors(rows):
+    """The k x k minors of an integer matrix of k >= 1 columns, one per
+    k-subset of its rows in lexicographic order, as numpy arrays a block at
+    a time.
+
+    Each block stacks `_WALK_BYTES` of int64 matrices for `det_stack`, in
+    int64 while the Hadamard bound of the (k - 1) x (k - 1) minors lies below
+    _KEY_BOUND, and in Python ints otherwise.
+    """
+    k = len(rows[0])
+    wide = hadamard_sq(rows, max(1, k - 1)) >= _KEY_BOUND ** 2
+    a = np.array(rows, object if wide else np.int64)
+    subsets = combinations(range(len(rows)), k)
+    per = max(1, _WALK_BYTES // (8 * k * k))
+    while True:
+        block = list(islice(subsets, per))
+        if not block:
+            return
+        yield det_stack(a[np.array(block)])
 
 
 def minor_gcd(matrix, r):

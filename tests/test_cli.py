@@ -16,7 +16,7 @@ from tuttekit.arrangement import Arrangement
 from tuttekit.cli import main
 from tuttekit.finite_field import DEFAULT_BUDGET
 from tuttekit.errors import BudgetExceededError
-from tuttekit.families import braid, catalan, dn, oracle_coboundary
+from tuttekit.families import braid, catalan, dn, oracle_coboundary, shi
 from tuttekit.poset import intersection_poset
 from tuttekit.tutte import tutte_from_coboundary
 
@@ -297,6 +297,63 @@ def test_small_budget_takes_bound_primes_by_their_charge(capsys, monkeypatch):
     code, out, _ = run(capsys, argv + ["--method", "finite-field", "--budget", "5000"])
     assert code == 0 and out == run(capsys, argv)[1]
     assert modes == [(p, "bound") for p in (2, 3, 5, 7, 11, 13)]
+
+
+CHECK_LINES = "".join("ok   %s\n" % name for name in (
+    "engine-agreement subset/delcon", "engine-agreement subset/activity",
+    "engine-agreement subset/lattice", "mobius-recursion", "whitney-theorem",
+    "chi-sign-and-logconcavity", "coboundary-roundtrip", "profile-sums-to-p^d",
+    "profile-t0-slice"))
+
+
+def _affine(seed, n, d, values):
+    rng = random.Random(seed)
+    hs = []
+    while len(hs) < n:
+        normal = [rng.choice(values) for _ in range(d)]
+        if any(normal):
+            hs.append((normal, rng.choice(values)))
+    return Arrangement(d, hs)
+
+
+@pytest.mark.parametrize("n", [7, 10])
+def test_check_counts_d4_sign_inputs_below_the_bound_primes(capsys, monkeypatch,
+                                                            tmp_path, n):
+    # +-1 entries in Q^4: the Hadamard floor is 56, and 59^4 points exceed
+    # one scatter block, so the count takes the smallest verified prime; 2
+    # divides a basis multiplicity and is passed over without a walk
+    arr = _affine(n, n, 4, (-1, 1))
+    assert arr.prime_floor == 56
+    assert not finite_field._keeps_bases(arr, 2) and finite_field._keeps_bases(arr, 3)
+    path = tmp_path / "affine.json"
+    path.write_text(arr.to_json())
+    primes, walks = [], []
+    reduce, walk = finite_field.reduce_mod_p, Arrangement.semimatroid
+
+    def spy(arr, p, mode="bound"):
+        primes.append((p, mode))
+        return reduce(arr, p, mode)
+
+    def walked(self):
+        walks.append(self.prime)
+        return walk(self)
+
+    monkeypatch.setattr(finite_field, "reduce_mod_p", spy)
+    monkeypatch.setattr(Arrangement, "semimatroid", walked)
+    assert run(capsys, ["check", "--input", str(path)]) == (0, CHECK_LINES, "")
+    assert primes == [(3, "verified")] and not walks
+
+
+def test_one_block_inputs_keep_their_bound_primes():
+    # shi(4): 17^4 points fit one block; d = 3 with entries in {-1, 0, 1}:
+    # p^3 fits for every floor
+    arr = shi(4)
+    assert [m.prime for m in finite_field.select_primes(arr, 5)] == [17, 19, 23, 29, 31]
+    affine = _affine(3, 12, 3, (-1, 0, 1))
+    p = next(finite_field._primes_from(affine.prime_floor + 1))
+    assert [m.prime for m in finite_field.select_primes(affine, 1)] == [p]
+    assert "basis_multiplicities" not in vars(arr)
+    assert "basis_multiplicities" not in vars(affine)
 
 
 def test_finite_field_counts_a_line_above_the_block(capsys, tmp_path):

@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from tuttekit import families as fam
+from tuttekit import linalg
 from tuttekit.arrangement import Arrangement
 from tuttekit.errors import FamilyError
 from tuttekit.multipoly import MultiPoly
@@ -118,18 +119,30 @@ def test_generic_tutte():
         assert tutte_subset(arr).tutte == fam.generic_tutte(n, d)
 
 
-def test_generic_check_ranks_the_largest_subsets_only(monkeypatch):
-    calls = []
+def test_generic_check_takes_the_largest_minors_only(monkeypatch):
+    calls, sizes = [], []
     rank = Arrangement.rank_normals
+    dets = linalg.det_stack
 
     def counted(self, subset=None):
         calls.append(subset)
         return rank(self, subset)
 
+    def stacked(mats):
+        sizes.append(mats.shape)
+        return dets(mats)
+
     monkeypatch.setattr(Arrangement, "rank_normals", counted)
+    monkeypatch.setattr(linalg, "det_stack", stacked)
     arr = fam.generic(11, 4)
-    assert len(calls) == comb(11, 4)
+    # every 4 x 4 minor, in int64 blocks, and no rank
+    assert not calls and sum(n for n, _, _ in sizes) == comb(11, 4)
+    assert all(shape[1:] == (4, 4) for shape in sizes)
     assert tutte_subset(arr).tutte == fam.generic_tutte(11, 4)
+    # fewer normals than coordinates: one rank of them all
+    calls.clear()
+    fam.generic(3, 5)
+    assert calls == [None]
     # a repeated normal is caught inside every 3-subset that holds both copies
     twice = Arrangement(3, [([1, 0, 0], 0), ([0, 1, 0], 0), ([2, 0, 0], 0), ([0, 0, 1], 0)])
     assert not fam._is_generic(twice, 4, 3)

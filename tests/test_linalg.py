@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,7 +21,10 @@ from tuttekit.finite_field import reduce_mod_p
 from tuttekit.linalg import (
     central_subsets,
     clear_row,
+    det_stack,
+    hadamard_sq,
     is_prime,
+    maximal_minors,
     rank_int,
     rank_mod_p,
     rank_rows,
@@ -69,6 +73,73 @@ def test_rank_rows_dispatch_agrees_with_fraction_elimination():
                     m[i][j] -= f * m[rank][j]
             rank += 1
         assert rank_rows(rows) == rank
+
+
+def _fraction_det(m):
+    # reference: rational Gaussian elimination
+    m = [list(map(Fraction, r)) for r in m]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return int(det)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_det_stack_matches_rational_elimination(dtype):
+    rng = random.Random(19)
+    for k in range(1, 6):
+        # sparse entries force pivot swaps and singular matrices
+        mats = [[[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(k)]
+                 for _ in range(k)] for _ in range(60)]
+        got = det_stack(np.array(mats, dtype).reshape(60, k, k))
+        assert got.dtype == np.dtype(dtype)
+        assert got.tolist() == [_fraction_det(m) for m in mats]
+    assert sum(d == 0 for d in got.tolist()) > 5
+
+
+def test_maximal_minors_come_in_subset_order_and_blocks(monkeypatch):
+    rng = random.Random(23)
+    rows = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(9)]
+    want = [_fraction_det([rows[i] for i in s]) for s in combinations(range(9), 3)]
+    for limit in (1, 8 * 9 * 5, 1 << 17):
+        monkeypatch.setattr(linalg_module, "_WALK_BYTES", limit)
+        blocks = list(maximal_minors(rows))
+        assert [d for b in blocks for d in b.tolist()] == want
+        assert len(blocks) == -(-len(want) // max(1, limit // 72))
+
+
+def test_maximal_minors_widen_past_2_31(monkeypatch):
+    # int64 holds a product of two (k - 1) x (k - 1) minors below 2^31;
+    # a larger bound takes Python ints, and the minors stay exact
+    dtypes = []
+    stack = linalg_module.det_stack
+
+    def spy(mats):
+        dtypes.append(mats.dtype)
+        return stack(mats)
+
+    monkeypatch.setattr(linalg_module, "det_stack", spy)
+    big = 2 ** 31 - 1
+    cases = ([[big, 2, 3], [5, big, 7], [11, 13, big], [big, big, 1]],
+             [[big, 1], [1, big], [3, 5]],
+             [[46340, 0, 1], [0, 46340, 1], [1, 1, 46340], [2, 3, 5]],
+             [[46341, 0, 1], [0, 46341, 1], [1, 1, 46341], [2, 3, 5]])
+    for rows in cases:
+        k = len(rows[0])
+        assert [d for b in maximal_minors(rows) for d in b.tolist()] == \
+            [_fraction_det([rows[i] for i in s]) for s in combinations(range(len(rows)), k)]
+    assert dtypes == [np.dtype(t) for t in (object, np.int64, np.int64, object)]
+    assert hadamard_sq([[46340, 0, 1], [0, 46340, 1]], 2) < 2 ** 62 <= \
+        hadamard_sq([[46341, 0, 1], [0, 46341, 1]], 2)
 
 
 # -- the central-subset walker ----------------------------------------------
