@@ -7,7 +7,8 @@ of ZB in the integer points of its span.  One depth-first walk over the
 subsets carries the Hermite basis of ZB (`linalg.extend_lattice`, one
 unimodular step per added vector) and reads m(B) off it once per distinct
 lattice; the toric identity reads the elementary divisors of ZB off the same
-basis.  `multiplicity` computes a single m(B) apart from the walk, as the
+basis.  The walk's 2^n subsets are charged to the budget before it
+starts.  `multiplicity` computes a single m(B) apart from the walk, as the
 gcd of the full-rank minors checked against the elementary divisors of the
 whole submatrix: the oracle the tests hold the walk to, not the hot path.
 """
@@ -120,13 +121,18 @@ def multiplicity(config, subset, cross_check=True):
     return g
 
 
-def _lattice_walk(config, weigh):
+def _lattice_walk(config, weigh, budget):
     """(rank, size, weigh(basis)) for every subset B of the columns.
 
     One depth-first walk carries the Hermite basis of ZB, one
     `extend_lattice` step per added column, and weigh runs once per
-    distinct lattice.
+    distinct lattice.  The 2^n subsets are charged to the budget before
+    the walk starts.
     """
+    if not power_fits(2, config.n, budget):
+        raise BudgetExceededError(
+            "the 2^%d subsets of the lattice walk exceed the enumeration "
+            "budget %d" % (config.n, budget), required=2 ** config.n)
     memo = {}
     for _, size, basis in subset_walk(config.columns, extend_lattice, ()):
         w = memo.get(basis)
@@ -135,23 +141,23 @@ def _lattice_walk(config, weigh):
         yield len(basis), size, w
 
 
-def _multiplicity_table(config):
+def _multiplicity_table(config, budget=DEFAULT_BUDGET):
     """[rB][|B|] -> sum of m(B) over all subsets B, from one lattice walk."""
     table = [[0] * (config.n + 1) for _ in range(config.rank + 1)]
-    for rb, size, m in _lattice_walk(config, lattice_index):
+    for rb, size, m in _lattice_walk(config, lattice_index, budget):
         table[rb][size] += m
     return table
 
 
-def arithmetic_tutte(config):
+def arithmetic_tutte(config, budget=DEFAULT_BUDGET):
     """M(A; x, y) = sum over subsets of m(B)(x-1)^(r-rB) (y-1)^(|B|-rB)."""
-    return expand_rank_table(_multiplicity_table(config), config.rank)
+    return expand_rank_table(_multiplicity_table(config, budget), config.rank)
 
 
-def arithmetic_char_poly(config, m_poly=None, var="q"):
+def arithmetic_char_poly(config, m_poly=None, var="q", budget=DEFAULT_BUDGET):
     """(-1)^r q^(d-r) M(1-q, 0)."""
     if m_poly is None:
-        m_poly = arithmetic_tutte(config)
+        m_poly = arithmetic_tutte(config, budget)
     q = MultiPoly.variable(var)
     r = config.rank
     sub = {v: w for v, w in (("x", 1 - q), ("y", MultiPoly.const(0)))
@@ -160,10 +166,10 @@ def arithmetic_char_poly(config, m_poly=None, var="q"):
     return spec * q ** (config.dim - r) * Fraction((-1) ** r)
 
 
-def zonotope_evaluations(config, m_poly=None):
+def zonotope_evaluations(config, m_poly=None, budget=DEFAULT_BUDGET):
     """Volume, lattice point count, interior count, and Ehrhart polynomial."""
     if m_poly is None:
-        m_poly = arithmetic_tutte(config)
+        m_poly = arithmetic_tutte(config, budget)
     r = config.rank
     volume = m_poly.evaluate({"x": 1, "y": 1})
     lattice = m_poly.evaluate({"x": 2, "y": 1})
@@ -264,7 +270,8 @@ def _torus_counts(config, q):
 def toric_point_profile(config, q, m_poly=None, budget=DEFAULT_BUDGET):
     """Point counts over the torus (F*_{q+1})^d, with the exact identity check.
 
-    q + 1 must be prime, and the q^d points are charged to the budget.
+    q + 1 must be prime.  The q^d points and, apart from them, the 2^n
+    subsets of the walk are charged to the budget.
     h(p) counts hypertori as a multiset over the columns (two equal columns
     contribute two).  A subset B with elementary divisors e_i cuts out a
     subtorus of q^(d - rB) prod gcd(e_i, q) points, so the identity
@@ -282,7 +289,6 @@ def toric_point_profile(config, q, m_poly=None, budget=DEFAULT_BUDGET):
         raise BudgetExceededError(
             "q^d = %d^%d exceeds the enumeration budget %d" % (q, d, budget),
             required=q ** d)
-    counts = _torus_counts(config, q)
 
     def weigh(basis):
         e = elementary_divisors([b for _, b in basis])
@@ -292,10 +298,11 @@ def toric_point_profile(config, q, m_poly=None, budget=DEFAULT_BUDGET):
     table = [[0] * (config.n + 1) for _ in range(config.rank + 1)]
     on_subtori = [0] * (config.n + 1)
     split = True
-    for rb, size, (m, on, divides) in _lattice_walk(config, weigh):
+    for rb, size, (m, on, divides) in _lattice_walk(config, weigh, budget):
         table[rb][size] += m
         on_subtori[size] += on
         split = split and divides
+    counts = _torus_counts(config, q)
     lhs = MultiPoly(("t",), {(k,): c for k, c in enumerate(counts)})
     rhs = {}
     for size, c in enumerate(on_subtori):

@@ -374,12 +374,12 @@ def main(argv=None):
         elif args.verb == "arith":
             config = _load_config(args.input)
             if args.action == "tutte":
-                _emit_poly(arithmetic_tutte(config), args,
+                _emit_poly(arithmetic_tutte(config, _budget(args)), args,
                            {"rank": config.rank, "n": config.n})
             elif args.action == "char":
-                _emit_poly(arithmetic_char_poly(config), args)
+                _emit_poly(arithmetic_char_poly(config, budget=_budget(args)), args)
             elif args.action == "zonotope":
-                z = zonotope_evaluations(config)
+                z = zonotope_evaluations(config, budget=_budget(args))
                 record = {"volume": str(z["volume"]),
                           "lattice_points": str(z["lattice_points"]),
                           "interior_points": str(z["interior_points"]),

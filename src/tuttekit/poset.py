@@ -35,26 +35,26 @@ narrowest integer type that holds them (`linalg.narrow_rows`).
 The flats strictly below G are gathered as a row of uint64 words over flat
 indices while G's rank is built: the OR, over the lower covers F of G, of
 below(F) | {F}.  Once a rank is complete its rows become ascending int32
-index arrays, all flats' arrays concatenated into one array of comparable
-pairs, and its Möbius values are summed from them.  While the next rank is
-built, the rows of below(F) | {F} come back from those pairs one block of
-`_BLOCK_BYTES` at a time, so only the words of the rank being built are
-held.  The budget is charged at each rank boundary, before the arrays that
-the charge sizes are made: the rank's comparable pairs, then the reductions
-that find its covers, then the words of the next rank, counted as 32-bit
-words of all flats so far for each of its flats.  So the smallest budget
-that fits is the largest running total of work done and words held, and the
-budget bounds the memory as well.
+index arrays.  Crapo's formula runs bottom-up over them: each flat H gets
+g_H(t) = sum_{G <= H} mu(G, H) t^|G| = t^|H| - sum_{G < H} g_G(t), summed a
+block of `_BLOCK_BYTES` at a time.  The arrays then rebuild the rows of
+below(F) | {F} for the next rank, a block at a time, and are dropped.  The
+budget is charged at each rank boundary, before the arrays that the charge
+sizes are made: the rank's comparable pairs, then the reductions that find
+its covers, then the words of the next rank, counted as 32-bit words of all
+flats so far for each of its flats.  So the smallest budget that fits is
+the largest running total of work done and words held, and it bounds the
+pairs and words held.  g keeps one integer per flat and flat size that
+occurs, and every flat above the minimum is charged at least one pair, so
+below 63 hyperplanes g takes at most 8(n + 1) bytes per unit of the budget.
 
 Only numpy 1.24 API is used: bits are counted by a byte table, not
 `bitwise_count`, and no result relies on numpy 2 shapes.
 
 The characteristic and coboundary polynomials are summed from the Möbius
-values and the flats' point counts into integer coefficient tables, and one
-MultiPoly is built from each table.
+values and g into integer coefficient tables, and one MultiPoly is built
+from each table.
 """
-
-from functools import cached_property
 
 import numpy as np
 
@@ -74,15 +74,15 @@ from .multipoly import MultiPoly
 
 # Bytes per numpy block: of candidate key rows eliminated at once, of the
 # bits of a rank's below sets rebuilt from their pairs and their copies, of
-# words read back into pairs, and of the table rows `verify_mobius` ORs.
+# words read back into pairs, of g columns gathered over intervals, and of the
+# table rows `verify_mobius` ORs.
 _BLOCK_BYTES = 1 << 20
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
 
 def _dtype(n):
-    """Array dtype for hyperplane masks, Möbius values and point-count
-    coefficients.
+    """Array dtype for hyperplane masks and g coefficients.
 
     A mask has n bits; the others are signed counts of subsets of the n
     hyperplanes, so below 2^n in size.  int64 holds them when n < 63, and
@@ -147,6 +147,25 @@ def _hyperplane_lists(masks, n):
     return [cols[a:b] for a, b in zip([0] + cuts[:-1], cuts)]
 
 
+def _sizes(masks):
+    """The number of hyperplanes of each mask."""
+    if masks.dtype == object:
+        return np.array([bin(x).count("1") for x in masks.tolist()], np.int64)
+    # the top byte of the product is the sum of the 8 bytes' bit counts
+    return (_POPCOUNT[masks.view(np.uint8)].view(np.int64) * 0x0101010101010101) >> 56
+
+
+def _interval_sums(cols, positions, counts):
+    """Sums of the columns cols[:, j] over the positions j of each interval, the
+    intervals given in order by their counts (each at least 1), in blocks."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return np.concatenate([
+        np.add.reduceat(cols.take(positions[starts[s]:ends[e - 1]], axis=1),
+                        starts[s:e] - starts[s], axis=1)
+        for s, e in blocks(8 * len(cols) * counts, _BLOCK_BYTES)], axis=1)
+
+
 class Flat:
     """A flat: closed index set plus its dimension and rank."""
 
@@ -163,25 +182,21 @@ class Flat:
 
 
 class IntersectionPoset:
-    """All flats of an arrangement with their intervals and Möbius values.
+    """All flats of an arrangement with their g_H and Möbius values.
 
-    The indices of the flats strictly below flats[i] are the ascending
-    int32 array lower[starts[i]:starts[i + 1]]; `below` lists them all.
+    g[j, i] is the coefficient of t^powers[j] in g_H for H = flats[i], the
+    powers being the flat sizes |H| that occur, ascending.  The first is the
+    minimum's, the number of loops, so g[0, i] is mobius[H] = mu(0, H).
     """
 
-    def __init__(self, arrangement, flats, mobius, lower, starts):
+    def __init__(self, arrangement, flats, g, powers):
         self.arrangement = arrangement
         self.flats = flats          # sorted by (rank, sorted index set)
-        self.mobius = mobius        # frozenset -> int
-        self.lower = lower          # int32: every flat's below, in flat order
-        self.starts = starts        # len(flats) + 1 offsets into lower
+        self.g = g                  # a row per power of t, a column per flat
+        self.powers = powers
         self.minimum = flats[0].hyperplane_set
-
-    @cached_property
-    def below(self):
-        """below[i] lists the indices of the flats strictly below flats[i]."""
-        return [self.lower[a:b].tolist()
-                for a, b in zip(self.starts[:-1], self.starts[1:])]
+        self.mobius = {f.hyperplane_set: mu for f, mu in     # frozenset -> int
+                       zip(flats, g[0].tolist())}
 
     def _ranks(self):
         """(first, end) flat indices of each rank, lowest rank first."""
@@ -203,7 +218,7 @@ class IntersectionPoset:
         return MultiPoly((var,), table)
 
     def verify_mobius(self):
-        """Check every interval and the Möbius recursion; True or raises.
+        """Check g and the Möbius values on every interval; True or raises.
 
         The flats strictly below G are recomputed from the hyperplane sets
         alone, as the flats of lower rank that contain no hyperplane outside
@@ -211,7 +226,8 @@ class IntersectionPoset:
         the words of the flats containing h.  The hyperplanes go in groups
         of four, and each group's 16 ORs are tabled first by one OR pass per
         hyperplane, so a row of a rank takes one table row per group.  Then
-        sum(mu(F), F <= G) must be 1 at the minimum and 0 elsewhere.
+        sum_{F <= G} g_F must be t^|G|.  Its coefficient of t^(number of
+        loops) is the Möbius recursion, once the Möbius values are g's.
         """
         flats = self.flats
         n = self.arrangement.n
@@ -227,7 +243,9 @@ class IntersectionPoset:
         # each flat's bits k of the hyperplanes of each group that it lacks
         lacks = np.packbits(~member.reshape(groups, 4, 64 * words), axis=1,
                             bitorder="little")[:, 0]
-        mu = np.array([self.mobius[f.hyperplane_set] for f in flats], _dtype(n))
+        if [self.mobius[f.hyperplane_set] for f in flats] != self.g[0].tolist():
+            raise ConsistencyError("Mobius values differ from g")
+        rows = np.searchsorted(self.powers, [len(f.hyperplane_set) for f in flats])
         for first, end in self._ranks():
             width = (first + 63) // 64
             low = np.packbits(np.arange(64 * width) < first,
@@ -238,52 +256,24 @@ class IntersectionPoset:
                 outside = np.bitwise_or.reduce(
                     table[np.arange(groups)[:, None], lacks[:, s:e], :width], axis=0)
                 expected = ~outside & low
-                counts = _bit_counts(expected)
-                have = self.lower[self.starts[s]:self.starts[e]]
-                if not (np.array_equal(counts, np.diff(self.starts[s:e + 1]))
-                        and np.array_equal(_bit_positions(expected), have)):
-                    bad = next(i for i in range(s, e) if not np.array_equal(
-                        self.lower[self.starts[i]:self.starts[i + 1]],
-                        _bit_positions(expected[i - s:i - s + 1])))
-                    raise ConsistencyError("wrong interval below %r" % flats[bad])
-            sizes = np.diff(self.starts[first:end + 1])
-            have = self.lower[self.starts[first]:self.starts[end]]
-            totals = mu[first:end].copy()
-            if first:
-                totals += np.add.reduceat(mu[have], np.cumsum(sizes) - sizes)
-            want = np.zeros(end - first, np.int64)
-            want[0] = not first
-            bad = np.flatnonzero(totals != want)
-            if len(bad):
-                raise ConsistencyError("Mobius recursion fails at %r" % flats[first + bad[0]])
+                totals = self.g[:, s:e] + (_interval_sums(
+                    self.g, _bit_positions(expected), _bit_counts(expected)) if first else 0)
+                totals[rows[s:e], np.arange(e - s)] -= 1
+                bad = np.flatnonzero(totals.any(axis=0))
+                if len(bad):
+                    raise ConsistencyError("Mobius recursion fails at %r" % flats[s + bad[0]])
         return True
 
     def coboundary(self):
         """Coboundary polynomial in X and Y from the flats alone, with no primes.
 
-        Over F_q a point lies on exactly the hyperplanes of one flat G, and
-        the points of G on no flat above it number
-        N_G(q) = q^dim G - sum_{G' > G} N_{G'}(q).  Hence
-        q^(d-r) cobchi(q, t) = sum_G t^|G| N_G(q), an identity of
-        polynomials (Crapo; Ardila 2007), returned with X = q and Y = t.
-        The N_G are integer coefficient rows, finished one rank at a time
-        from the top and subtracted from every flat below, then summed into
-        one table indexed by [|G|][X-exponent].  Every N_G is q^(d-r) times
-        a polynomial of degree at most r, so a row holds the r + 1
-        coefficients of q^(d-r) to q^d.
+        Crapo's formula read bottom-up (Crapo; Ardila 2007), with X = q and
+        Y = t: q^(d-r) cobchi(q, t) = sum_H q^dim H g_H(t).  Each rank's g_H
+        are summed into one column of the table [|H|][X-exponent], rank k's X^(r-k).
         """
-        r = self.flats[-1].rank
-        counts = np.zeros((len(self.flats), r + 1), _dtype(self.arrangement.n))
-        counts[np.arange(len(self.flats)), [r - f.rank for f in self.flats]] = 1
-        for first, end in reversed(self._ranks()):
-            own = counts[first:end]
-            sizes = np.diff(self.starts[first:end + 1])
-            targets = self.lower[self.starts[first]:self.starts[end]]
-            # a column at a time, so the repeated rows take 8 bytes a pair
-            for e in range(r + 1):
-                np.subtract.at(counts[:, e], targets, np.repeat(own[:, e], sizes))
-        table = np.zeros((self.arrangement.n + 1, r + 1), counts.dtype)
-        np.add.at(table, [len(g.hyperplane_set) for g in self.flats], counts)
+        sums = np.add.reduceat(self.g, [first for first, _ in self._ranks()], axis=1)
+        table = np.zeros((self.arrangement.n + 1, sums.shape[1]), self.g.dtype)
+        table[self.powers] = sums[:, ::-1]
         # the variable order of coboundary_ffm's result, which printing follows
         return MultiPoly(("Y", "X"), {(size, e): c for size, row in enumerate(table.tolist())
                                       for e, c in enumerate(row) if c})
@@ -377,14 +367,15 @@ def _below_rows(positions, counts, first, cstart, cflat, up, size):
 
 
 def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
-    """Enumerate all flats breadth-first by rank, with intervals and Möbius values.
+    """Enumerate all flats breadth-first by rank, with their g_H and Möbius values.
 
     The budget is charged at each rank boundary, before the arrays that the
     charge sizes are made: the rank's comparable pairs, then the reductions
     that find its covers, then the below sets of the next rank, 32 bits to a
     pair, which are held while they are built.  BudgetExceededError reports
-    the running total as `required` once it exceeds the budget.  A stored
-    pair takes 4 bytes, so the budget bounds the memory as well as the time.
+    the running total as `required` once it exceeds the budget.  A rank's
+    pairs are held only until the next rank's below sets are built.
+    ConsistencyError is raised if g_H(1) is not 0 for an H above the minimum.
     """
     p = arrangement.prime
     n, d = arrangement.n, arrangement.dim
@@ -399,8 +390,10 @@ def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
     masks = np.array([sum(1 << n - 1 - j for j in arrangement.loops())], dtype)
     below = np.zeros((1, 0), np.uint64)
     work = held = first = 0
-    ranks, lower, sizes = [], [], []
-    mu = np.ones(1, dtype)
+    ranks = []
+    # the flat sizes so far, and the minimum's g, t^(number of loops)
+    seen = np.arange(n + 1) == len(arrangement.loops())
+    powers, g = np.flatnonzero(seen), np.ones((1, 1), dtype)
     while True:
         m = len(masks)
         ranks.append(masks)
@@ -410,10 +403,20 @@ def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
         positions = _bit_positions(below)
         below, held = None, 0
         if first:
-            mu = np.concatenate([mu, -np.add.reduceat(mu[positions],
-                                                      np.cumsum(counts) - counts)])
-        lower.append(positions)
-        sizes.append(counts)
+            # g_H = t^|H| - sum_{G < H} g_G for the flats H of this rank
+            sizes = _sizes(masks)
+            seen[sizes] = True
+            row = np.cumsum(seen) - 1       # the row of each power of t
+            grown = np.zeros((row[-1] + 1, first + m), dtype)
+            old = row[powers]
+            grown[old, :first] = g
+            grown[old, first:] = -_interval_sums(g, positions, counts)
+            grown[row[sizes], np.arange(first, first + m)] = 1   # no lower g has t^|H|
+            g, powers = grown, np.flatnonzero(seen)
+            bad = np.flatnonzero(g[:, first:].sum(axis=0))
+            if len(bad):
+                raise ConsistencyError("g(1) is not 0 at the flat of hyperplanes %s"
+                                       % _hyperplane_lists(masks[bad[:1]], n)[0])
 
         work += int(count.sum()) - (0 if own is None else m)
         _check_budget(work, budget)
@@ -446,8 +449,4 @@ def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
     rank_of = np.repeat(np.arange(len(ranks)), [len(masks) for masks in ranks]).tolist()
     flats = [Flat(hs, rank, d - rank)
              for hs, rank in zip(_hyperplane_lists(np.concatenate(ranks), n), rank_of)]
-    starts = np.zeros(len(flats) + 1, np.int64)
-    np.cumsum(np.concatenate(sizes), out=starts[1:])
-    lower = np.concatenate(lower)
-    mobius = {f.hyperplane_set: m for f, m in zip(flats, mu.tolist())}
-    return IntersectionPoset(arrangement, flats, mobius, lower, starts)
+    return IntersectionPoset(arrangement, flats, g, powers)

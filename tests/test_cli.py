@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tuttekit import finite_field
+from tuttekit.arithmetic import VectorConfig, arithmetic_tutte
 from tuttekit.arrangement import Arrangement
 from tuttekit.cli import main
 from tuttekit.finite_field import DEFAULT_BUDGET
@@ -445,6 +446,48 @@ def test_toric_over_budget_is_one_line(capsys, toric_file, verb):
     assert "q^d = 12^2 exceeds the enumeration budget 143" in err
     code, out, _ = run(capsys, argv + ["--budget", "144"])
     assert code == 0 and out == "t^3 + t^2 + 31*t + 111\n"
+
+
+def _root_file(tmp_path, name, d, short):
+    """The positive roots e_i - e_j and e_i + e_j of B_d or D_d, with the
+    short roots e_i of B_d when short is set."""
+    rows = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            for s in (-1, 1):
+                rows.append(["1" if k == i else str(s) if k == j else "0" for k in range(d)])
+        if short:
+            rows.append(["1" if k == i else "0" for k in range(d)])
+    path = tmp_path / name
+    path.write_text("dim %d\n" % d + "".join(" ".join(r) + "\n" for r in rows))
+    return str(path)
+
+
+ARITH_WALK_VERBS = [["arith", "tutte"], ["arith", "zonotope"], ["arith", "char"],
+                    ["toric", "--q", "2"], ["arith", "toric", "--q", "2"]]
+
+
+@pytest.mark.parametrize("verb", ARITH_WALK_VERBS)
+def test_arithmetic_walk_over_budget_is_one_line(capsys, tmp_path, verb):
+    # the 20 roots of D_5: 2^20 subsets, over a budget of 1000 (2^5 points
+    # of the torus at q = 2 fit it)
+    path = _root_file(tmp_path, "d5.txt", 5, short=False)
+    code, out, err = run(capsys, verb + ["--input", path, "--budget", "1000"])
+    assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+    assert "2^20 subsets of the lattice walk exceed the enumeration budget 1000" in err
+    with pytest.raises(BudgetExceededError) as exc:
+        arithmetic_tutte(VectorConfig.from_text(open(path).read()), budget=1000)
+    assert exc.value.required == 1048576
+
+
+@pytest.mark.parametrize("verb", ARITH_WALK_VERBS)
+def test_arithmetic_walk_fits_at_two_to_the_n(capsys, tmp_path, verb):
+    # the 9 roots of B_3 take 512 subsets
+    argv = verb + ["--input", _root_file(tmp_path, "b3.txt", 3, short=True)]
+    code, out, err = run(capsys, argv + ["--budget", "511"])
+    assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+    code, out, err = run(capsys, argv + ["--budget", "512"])
+    assert (code, err) == (0, "") and out == run(capsys, argv)[1]
 
 
 def test_counts_above_64_bits_stay_exact(capsys):

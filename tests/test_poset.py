@@ -104,6 +104,21 @@ def _reference_flats(arr):
     return closed, flats, mu
 
 
+def _reference_g(flats):
+    """g[H] = t^|H| - sum_{G < H} g[G] over the flats, sorted by rank, in the
+    layout of `IntersectionPoset.g`: a row per flat size that occurs, and a
+    column per flat."""
+    powers = sorted({len(f) for f in flats})
+    g = {}
+    for h in flats:
+        col = [int(s == len(h)) for s in powers]
+        for f in flats:
+            if f < h:
+                col = [a - b for a, b in zip(col, g[f])]
+        g[h] = col
+    return [list(row) for row in zip(*(g[h] for h in flats))]
+
+
 def _kernel_cases():
     rng = random.Random(41)
     cases = [all_linear(2, 3), all_linear(3, 2), thicken(braid(4), 2)]
@@ -123,7 +138,7 @@ def test_kernel_matches_brute_force(arr):
     assert [f.hyperplane_set for f in poset.flats] == flats
     assert all(f.rank == arr.rank_normals(f.hyperplane_set) for f in poset.flats)
     assert poset.mobius == mu
-    assert poset.below == [[i for i, f in enumerate(flats) if f < g] for g in flats]
+    assert poset.g.tolist() == _reference_g(flats)
     poset.verify_mobius()
     for subset, want in closed.items():
         assert closure(arr, subset) == want
@@ -141,44 +156,66 @@ def test_poset_budget():
         intersection_poset(braid(4), budget=95)
     assert err.value.required > 95
     poset = intersection_poset(braid(4), budget=96)
-    assert len(poset.flats) == 15 and len(poset.lower) == 45
+    assert len(poset.flats) == 15
+    assert poset.g.tolist() == _reference_g([f.hyperplane_set for f in poset.flats])
 
 
-def _rebuilt(poset, below, mobius=None):
-    """The poset with its intervals replaced by the lists in below."""
-    lower = np.array([j for b in below for j in b], np.int32)
-    starts = np.cumsum([0] + [len(b) for b in below])
-    return IntersectionPoset(poset.arrangement, poset.flats,
-                             poset.mobius if mobius is None else mobius, lower, starts)
+def _rebuilt(poset, g):
+    """The poset with g in place of its own."""
+    return IntersectionPoset(poset.arrangement, poset.flats, g, poset.powers)
 
 
 @pytest.mark.parametrize("arr", [braid(5), shi(3), generic(6, 3)], ids=repr)
-def test_verify_mobius_catches_one_changed_pair_or_value(arr):
+def test_verify_mobius_catches_one_changed_g_row_or_value(arr):
     poset = intersection_poset(arr)
-    below = poset.below
-    assert _rebuilt(poset, below).verify_mobius()
+    flats = [f.hyperplane_set for f in poset.flats]
+    assert _rebuilt(poset, poset.g).verify_mobius()
     rng = random.Random(5)
     for _ in range(6):
-        i = rng.randrange(1, len(below))
-        # one comparable pair removed
-        fewer = [list(b) for b in below]
-        fewer[i].remove(rng.choice(below[i]))
+        i = rng.randrange(1, len(flats))
+        # one g coefficient changed
+        g = poset.g.copy()
+        g[rng.randrange(len(g)), i] += rng.choice([-1, 1, 2])
         with pytest.raises(ConsistencyError):
-            _rebuilt(poset, fewer).verify_mobius()
-        # one pair added: a flat of lower rank that is not below flats[i]
-        rank = poset.flats[i].rank
+            _rebuilt(poset, g).verify_mobius()
+        # g_H summed again over its interval with one lower flat dropped,
+        # or with a flat of lower rank that is not below it added
+        below = [j for j, f in enumerate(flats) if f < flats[i]]
+        dropped = rng.choice(below)
+        intervals = [[j for j in below if j != dropped]]
         others = [j for j, f in enumerate(poset.flats)
-                  if f.rank < rank and j not in below[i]]
+                  if f.rank < poset.flats[i].rank and j not in below]
         if others:
-            more = [list(b) for b in below]
-            more[i] = sorted(more[i] + [rng.choice(others)])
+            intervals.append(below + [rng.choice(others)])
+        for interval in [below] + intervals:
+            g = poset.g.copy()
+            g[:, i] = 0
+            g[poset.powers.tolist().index(len(flats[i])), i] = 1
+            g[:, i] -= g[:, interval].sum(axis=1)
+            if interval is below:
+                assert np.array_equal(g, poset.g)
+                continue
             with pytest.raises(ConsistencyError):
-                _rebuilt(poset, more).verify_mobius()
+                _rebuilt(poset, g).verify_mobius()
         # one Möbius value changed
-        mobius = dict(poset.mobius)
-        mobius[poset.flats[i].hyperplane_set] += rng.choice([-1, 1, 2])
+        changed = _rebuilt(poset, poset.g)
+        changed.mobius[flats[i]] += rng.choice([-1, 1, 2])
         with pytest.raises(ConsistencyError):
-            _rebuilt(poset, below, mobius).verify_mobius()
+            changed.verify_mobius()
+
+
+def test_build_checks_that_g_vanishes_at_one(monkeypatch):
+    # the last interval of each rank loses the minimum, its first position:
+    # its g_H(1) is 1, where above the minimum it is 0
+    positions = poset_module._bit_positions
+
+    def drop_minimum(rows):
+        out, last = positions(rows), positions(rows[-1:])
+        return np.delete(out, len(out) - len(last)) if len(last) > 1 else out
+
+    monkeypatch.setattr(poset_module, "_bit_positions", drop_minimum)
+    with pytest.raises(ConsistencyError, match=r"g\(1\) is not 0"):
+        intersection_poset(braid(4))
 
 
 def test_bit_counts_and_positions_across_blocks(monkeypatch):
@@ -204,8 +241,7 @@ def _same_poset(got, want):
     assert [f.hyperplane_set for f in got.flats] == [f.hyperplane_set for f in want.flats]
     assert [f.rank for f in got.flats] == [f.rank for f in want.flats]
     assert got.mobius == want.mobius
-    assert np.array_equal(got.lower, want.lower) and got.lower.dtype == np.int32
-    assert np.array_equal(got.starts, want.starts)
+    assert got.g.tolist() == _reference_g([f.hyperplane_set for f in want.flats])
     assert got.verify_mobius()
     assert got.coboundary().format() == want.coboundary().format()
 
@@ -248,7 +284,7 @@ def test_python_int_keys_match_int64_and_brute_force(make, monkeypatch):
     poset = intersection_poset(arr)
     assert [f.hyperplane_set for f in poset.flats] == flats
     assert poset.mobius == mu
-    assert poset.below == [[i for i, f in enumerate(flats) if f < g] for g in flats]
+    assert poset.g.tolist() == _reference_g(flats)
     if make is _wide_after_elimination:
         # int64 for the first eliminations, Python ints once they outgrow it
         assert np.dtype(np.int64) in dtypes and dtypes[-1] == object
@@ -274,7 +310,7 @@ def test_keys_stored_at_the_edge_of_their_type(top):
     poset = intersection_poset(arr)
     assert [f.hyperplane_set for f in poset.flats] == flats
     assert poset.mobius == mu
-    assert poset.below == [[i for i, f in enumerate(flats) if f < g] for g in flats]
+    assert poset.g.tolist() == _reference_g(flats)
 
 
 @pytest.mark.parametrize("block", [1, 64, 4096])
@@ -301,7 +337,7 @@ def test_python_int_arrays_match_int64(arr, monkeypatch):
     want = intersection_poset(arr)
     monkeypatch.setattr(poset_module, "_dtype", lambda n: object)
     got = intersection_poset(arr)
-    assert got.mobius == want.mobius and got.below == want.below
+    assert got.mobius == want.mobius and got.g.tolist() == want.g.tolist()
     assert got.verify_mobius()
     cob = got.coboundary()
     assert cob == want.coboundary() and cob.format() == want.coboundary().format()
