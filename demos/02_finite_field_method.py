@@ -39,8 +39,11 @@ print("csv row:", profile.csv_row())
 merged = point_profile_partitioned(mod5, parts=3)
 print("partitioned run identical:", merged.counts == profile.counts)
 
-# Step 2: sample r+2 primes, the smallest above the floor, and interpolate.
-mods = select_primes(arr, arr.rank + 2)
+# Step 2: the coefficients of X^r and X^(r-1) need no count, and since every
+# subset is central, cobchi(1, Y) = Y^n is a free sample.  The rest has degree
+# r - 2, so r - 1 samples fit it: q = 1 and r - 2 primes, the smallest above
+# the floor, plus one more prime as a check.
+mods = select_primes(arr, arr.rank - 1)
 print("selected primes:", [m.prime for m in mods])
 cob = coboundary_ffm(arr)
 print("coboundary polynomial:", cob)

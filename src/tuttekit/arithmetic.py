@@ -24,7 +24,7 @@ from .errors import (
     ConsistencyError,
     InputFormatError,
 )
-from .finite_field import DEFAULT_BUDGET, power_fits
+from .finite_field import DEFAULT_BUDGET
 from .linalg import (
     central_subsets,
     elementary_divisors,
@@ -32,6 +32,7 @@ from .linalg import (
     is_prime,
     lattice_index,
     minor_gcd,
+    power_fits,
     rank_rows,
     subset_walk,
 )

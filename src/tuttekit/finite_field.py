@@ -3,9 +3,12 @@
 For a prime p over which the arrangement reduces correctly, `reduce_mod_p`
 gives the reduced arrangement, an `Arrangement` over F_p, and its profile
 (c_0, ..., c_n) with c_k = #{points lying on exactly k hyperplanes} satisfies
-sum_k c_k t^k = p^(d-r) cobchi(A; p, t).  Sampling r+2 primes (one extra as a
-consistency witness) and interpolating in the first coboundary variable
-reconstructs the whole polynomial.
+sum_k c_k t^k = p^(d-r) cobchi(A; p, t).  Not every coefficient needs a
+count: cobchi is a sum over central subsets (Crapo; Ardila 2007), so its
+coefficients of q^r and q^(r-1) come from the loops and the classes of equal
+rows, and a central arrangement has cobchi(1, t) = t^n.  Counts at r - 1
+primes (r for an affine arrangement, one extra as a consistency witness)
+give the rest by interpolation in the first coboundary variable.
 
 A prime is certified in one of two ways.  A bound prime divides no nonzero
 minor of [normals | offsets] (`hadamard_prime_floor`).  The rows of braid,
@@ -47,6 +50,7 @@ bit-identical to the serial run.
 """
 
 from collections import Counter
+from math import comb
 
 import numpy as np
 
@@ -59,7 +63,7 @@ from .errors import (
     MethodError,
 )
 from .interpolation import interpolate_in_X
-from .linalg import is_prime, pivot_columns
+from .linalg import is_prime, pivot_columns, power_fits
 from .multipoly import MultiPoly
 
 DEFAULT_BUDGET = 10 ** 8
@@ -90,19 +94,6 @@ class PointProfile:
 
     def csv_row(self):
         return ",".join([str(self.prime)] + [str(c) for c in self.counts])
-
-
-def power_fits(base, exp, budget):
-    """base^exp <= budget for an integer base >= 1, without forming a power
-    beyond the budget, so a huge exponent costs no more than a small one."""
-    if base == 1:
-        return budget >= 1
-    acc = 1
-    for _ in range(exp):
-        acc *= base
-        if acc > budget:
-            return False
-    return acc <= budget
 
 
 def _central(rows):
@@ -145,16 +136,17 @@ def hadamard_prime_floor(arrangement):
     return arrangement.prime_floor
 
 
-def reduce_mod_p(arrangement, p, mode="bound"):
+def reduce_mod_p(arrangement, p, mode="bound", budget=None):
     """The arrangement over F_p that a Q-arrangement reduces to, certified.
 
     bound: require p > hadamard_prime_floor(A).
     verified: require that p divide no basis multiplicity m(B) of the cone
     vectors (`Arrangement.basis_multiplicities`), which holds exactly when
     the semimatroid (centrality and rank of every subset) over F_p equals
-    the rational one.  A rejected p is reported with a witness, the first
-    subset, by mask, on which the two semimatroids differ; only then are
-    they walked.
+    the rational one; taking the multiplicities is charged to the budget
+    (see `_keeps_bases`; None: no bound).  A rejected p is reported with a
+    witness, the first subset, by mask, on which the two semimatroids
+    differ; only then are they walked.
     Loops stay loops; a p that is not prime, or that kills the normal of a
     non-loop, is rejected before the reduction is built.
     """
@@ -173,7 +165,7 @@ def reduce_mod_p(arrangement, p, mode="bound"):
             raise BadPrimeError(
                 "p=%d is not above the Hadamard floor %d" % (p, floor))
     reduced = Arrangement(arrangement.dim, arrangement.hyperplanes, prime=p)
-    if mode == "verified" and not _keeps_bases(arrangement, p):
+    if mode == "verified" and not _keeps_bases(arrangement, p, budget):
         want, got = dict(arrangement.semimatroid()), dict(reduced.semimatroid())
         differ = [m for m in want.keys() | got.keys() if want.get(m) != got.get(m)]
         if not differ:
@@ -186,9 +178,19 @@ def reduce_mod_p(arrangement, p, mode="bound"):
     return reduced
 
 
-def _keeps_bases(arrangement, p):
+def _keeps_bases(arrangement, p, budget=None):
     """Reduction mod the prime p keeps the semimatroid of a Q-arrangement:
-    p divides none of its `Arrangement.basis_multiplicities`."""
+    p divides none of its `Arrangement.basis_multiplicities`.
+
+    Those are maximal minors of an (n' + 1) x (r + 1) matrix for n' non-loops
+    of rank r, and the budget is charged their C(n' + 1, r + 1) before they
+    are taken (None: no bound).
+    """
+    minors = comb(len(arrangement.rows) + 1, arrangement.rank + 1)
+    if budget is not None and minors > budget:
+        raise BudgetExceededError(
+            "the %d maximal minors of the basis multiplicities exceed the "
+            "enumeration budget %d" % (minors, budget), required=minors)
     return all(m % p for m in arrangement.basis_multiplicities)
 
 
@@ -468,7 +470,7 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
                 raise BudgetExceededError(
                     "cannot find %d verified primes within the budget" % count,
                     required=_count_charge(p, r, central))
-            if not _keeps_bases(arrangement, p):
+            if not _keeps_bases(arrangement, p, budget):
                 continue
             out.append(reduce_mod_p(arrangement, p, "verified"))
             if len(out) == count:
@@ -476,28 +478,55 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
     raise ValueError("reduction must be 'auto', 'bound', or 'verified'")
 
 
+def _known_top(arrangement):
+    """The coefficients of X^(r-1) and X^r in cobchi(X, Y), as integer
+    coefficient lists in Y, with no count.
+
+    cobchi is the sum over central subsets S of X^(r - r(S)) (Y - 1)^|S|
+    (Crapo; Ardila 2007).  The subsets of rank 0 are the sets of loops, which
+    give Y^loops.  Those of rank 1 add a nonempty set of rows on one
+    hyperplane, and the rows are canonical, so a class C of equal non-loop
+    rows gives Y^loops (Y^|C| - 1).
+    """
+    loops = arrangement.n - len(arrangement.rows)
+    below = [0] * (arrangement.n + 1)
+    for size in Counter(arrangement.rows).values():
+        below[loops + size] += 1
+        below[loops] -= 1
+    return below, [0] * loops + [1]
+
+
 def coboundary_ffm(arrangement, primes=None, reduction="auto",
                    budget=DEFAULT_BUDGET):
     """Compute the coboundary polynomial by the finite field method.
 
-    Profiles at r+2 primes, divided by p^(d-r), are interpolated
-    coefficient-wise in X; the extra prime must be consistent and the final
-    coefficients must be integers, otherwise the degree bound or a reduction
-    was wrong.
+    The coefficients of X^r and X^(r-1) are known from the loops and the
+    classes of equal rows (`_known_top`), and a central arrangement has
+    cobchi(1, Y) = Y^n, since every subset is central.  Profiles at primes,
+    divided by p^(d-r), give the rest: it is interpolated coefficient-wise in
+    X at degree bound r - 2 (for r <= 1 it must be 0), which takes r - 1
+    samples.  The default primes are one more than that needs, r - 1 on a
+    central arrangement and r otherwise, and at least one; explicit primes
+    must be at least what it needs, and at least one.  Every extra sample
+    must be consistent and the final coefficients must be integers,
+    otherwise the degree bound or a reduction was wrong.
     """
     if arrangement.prime is not None:
         raise MethodError("finite field method applies to Q-arrangements")
     d = arrangement.dim
     r = arrangement.rank
+    top = _known_top(arrangement)[-(r + 1):]    # no X^(r-1) when r = 0
+    bound = r - len(top)
+    samples = [(1, [0] * arrangement.n + [1])] if arrangement.is_central() else []
+    fit = bound + 1 - len(samples)      # the primes the fit needs
     if primes is None:
-        mods = select_primes(arrangement, r + 2, reduction, budget)
+        mods = select_primes(arrangement, max(1, fit + 1), reduction, budget)
     else:
-        if len(primes) < r + 1:
-            raise MethodError("need at least r+1 = %d primes, got %d"
-                              % (r + 1, len(primes)))
+        if len(primes) < max(1, fit):
+            raise MethodError("need at least %d primes, got %d"
+                              % (max(1, fit), len(primes)))
         mode = "verified" if reduction == "auto" else reduction
-        mods = [reduce_mod_p(arrangement, p, mode) for p in primes]
-    samples = []
+        mods = [reduce_mod_p(arrangement, p, mode, budget) for p in primes]
     for mod in mods:
         profile = point_profile(mod, budget=budget)
         check_profile(profile, mod)
@@ -508,7 +537,7 @@ def coboundary_ffm(arrangement, primes=None, reduction="auto",
                 "profile at p=%d is not divisible by p^(d-r): "
                 "degree bound or reduction failure" % mod.prime)
         samples.append((mod.prime, [c // fibre for c in profile.quotient]))
-    result = interpolate_in_X(samples, r, var="X")
+    result = interpolate_in_X(samples, bound, var="X", top=top)
     if not result.has_integer_coeffs():
         raise InconsistentSamplesError(
             "interpolated coboundary has non-integer coefficients: "

@@ -88,6 +88,19 @@ def is_prime(m):
     return True
 
 
+def power_fits(base, exp, budget):
+    """base^exp <= budget for an integer base >= 1, without forming a power
+    beyond the budget, so a huge exponent costs no more than a small one."""
+    if base == 1:
+        return budget >= 1
+    acc = 1
+    for _ in range(exp):
+        acc *= base
+        if acc > budget:
+            return False
+    return acc <= budget
+
+
 def normalise_row(row, prime=None):
     """The canonical nonzero scalar multiple of an integer row, as a tuple.
 
@@ -289,7 +302,9 @@ def echelon_walk(rows, prime=None, budget=None, rank=None):
     not on the offset is skipped with every superset (no common point), and
     one whose remainder is zero keeps its parent's rows and rank.  Each
     candidate child costs one unit of the budget, and the empty set one, so
-    a central arrangement costs 2^n.
+    a central arrangement costs 2^n; when the rows have a common point and
+    2^n exceeds the budget, that is known before the walk, which then does
+    not start.
 
     With a rank r the walk runs over the independent subsets that can reach
     size r, and a state holds every row with r tag columns after the
@@ -360,6 +375,11 @@ def echelon_walk(rows, prime=None, budget=None, rank=None):
             yield (masks[cs] | bits[cj], size + 1, ranks[cs] + step[pick], cj,
                    narrow_rows(normalise_rows(out, prime)))
 
+    if rank is None and budget is not None and not power_fits(2, m, budget) \
+            and rank_rows([row[:-1] for row in rows], prime) == rank_rows(rows, prime):
+        raise BudgetExceededError(
+            "the central-subset walk needs 2^%d candidate subsets, over the "
+            "budget %d" % (m, budget), required=2 ** m)
     rems = integer_rows(rows, d + 1, prime)
     if rank:
         rems = np.hstack([rems, np.zeros((m, rank), rems.dtype)])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tuttekit import finite_field
+from tuttekit import finite_field, linalg
 from tuttekit.arithmetic import VectorConfig, arithmetic_tutte
 from tuttekit.arrangement import Arrangement
 from tuttekit.cli import main
@@ -19,7 +19,7 @@ from tuttekit.finite_field import DEFAULT_BUDGET
 from tuttekit.errors import BudgetExceededError
 from tuttekit.families import braid, catalan, dn, oracle_coboundary, shi
 from tuttekit.poset import intersection_poset
-from tuttekit.tutte import tutte_from_coboundary
+from tuttekit.tutte import tutte_from_coboundary, tutte_subset
 
 
 @pytest.fixture
@@ -206,7 +206,9 @@ def test_bad_requests_exit_2_with_one_line(capsys, tmp_path, argv, code):
 
 
 def test_too_few_primes_exit_2_with_one_line(capsys, bench_file):
-    code, _, err = run(capsys, ["coboundary", "--input", bench_file,
+    # braid(5) is central of rank 4: with the top two coefficients known the
+    # rest has degree 2, and beside cobchi(1, t) = t^n it needs 2 primes
+    code, _, err = run(capsys, ["family", "braid", "--n", "5", "coboundary",
                                 "--method", "finite-field", "--primes", "101"])
     assert code == 2 and _one_error_line(err, "bad-method")
     code, _, err = run(capsys, ["coboundary", "--input", bench_file,
@@ -284,8 +286,9 @@ def test_finite_field_budget_counts_the_quotient(capsys, argv):
 
 
 def test_small_budget_takes_bound_primes_by_their_charge(capsys, monkeypatch):
-    # braid 5 is central of rank 4: the bound primes 2..13 visit at most
-    # (13^4 - 1)/12 = 2380 points, within 5000, though 7^5 > 5000
+    # braid 5 is central of rank 4, and takes r - 1 = 3 primes: the bound
+    # primes 2, 3, 5 visit at most (5^4 - 1)/4 = 156 points, within 5000,
+    # though 7^5 > 5000
     modes = []
     reduce = finite_field.reduce_mod_p
 
@@ -297,7 +300,7 @@ def test_small_budget_takes_bound_primes_by_their_charge(capsys, monkeypatch):
     argv = ["family", "braid", "--n", "5", "tutte"]
     code, out, _ = run(capsys, argv + ["--method", "finite-field", "--budget", "5000"])
     assert code == 0 and out == run(capsys, argv)[1]
-    assert modes == [(p, "bound") for p in (2, 3, 5, 7, 11, 13)]
+    assert modes == [(p, "bound") for p in (2, 3, 5)]
 
 
 CHECK_LINES = "".join("ok   %s\n" % name for name in (
@@ -810,17 +813,18 @@ def test_central_sixes_fit_the_central_charge(capsys, tag):
 
 
 def test_dn5_finite_field_needs_the_central_charge_of_its_largest_prime(capsys):
-    # the r + 2 = 7 primes are 3..19, and the count at 19 visits
-    # (19^5 - 1)/18 = 137,561 points, where 19^5 = 2,476,099
+    # seven primes are 3..19, and the count at 19 visits (19^5 - 1)/18 =
+    # 137,561 points, where 19^5 = 2,476,099; the method takes r - 1 = 4
+    # primes, 3..11, and the count at 11 visits (11^5 - 1)/10 = 16,105
     argv = ["family", "dn", "--n", "5", "tutte"]
     with pytest.raises(BudgetExceededError) as err:
         finite_field.select_primes(dn(5), 7, budget=137560)
     assert err.value.required == (19 ** 5 - 1) // 18 == 137561
     code, out, err = run(capsys, argv + ["--method", "finite-field",
-                                         "--budget", "137560"])
+                                         "--budget", "16104"])
     assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
     code, out, err = run(capsys, argv + ["--method", "finite-field",
-                                         "--budget", "137561"])
+                                         "--budget", "16105"])
     assert code == 0 and err == ""
     assert run(capsys, argv)[1] == out      # the flat-lattice route (n > 10)
 
@@ -857,3 +861,53 @@ def test_check_on_dim_1e7_is_as_long_as_chi(capsys, tmp_path):
     lines = out.splitlines()
     assert code == 0 and err == ""
     assert len(lines) == 9 and all(line.startswith("ok   ") for line in lines)
+
+
+def test_braid8_finite_field_fits_the_default_budget(capsys):
+    # r = 7: six bound primes 2..13, the largest visiting (13^7 - 1)/12 =
+    # 5,229,043 points, where r + 2 = 9 primes reached 23
+    code, out, err = run(capsys, ["family", "braid", "--n", "8", "tutte",
+                                  "--method", "finite-field"])
+    assert code == 0 and err == ""
+    assert out.strip() == tutte_from_coboundary(oracle_coboundary("braid", 8), 7).format()
+
+
+@pytest.mark.parametrize("verb", [["check"], ["tutte", "--method", "subset"]])
+@pytest.mark.parametrize("budget", [[], ["--budget", "1000000"]])
+def test_central_walk_over_budget_fails_before_it_starts(capsys, monkeypatch, verb, budget):
+    # braid(8) is central with 28 hyperplanes: its walk costs exactly 2^28
+    built = []
+    rows = linalg.integer_rows
+
+    def spy(*args):
+        built.append(args)
+        return rows(*args)
+
+    monkeypatch.setattr(linalg, "integer_rows", spy)
+    code, out, err = run(capsys, ["family", "braid", "--n", "8"] + verb + budget)
+    assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+    assert "needs 2^28 candidate subsets, over the budget %d" % (
+        int(budget[1]) if budget else DEFAULT_BUDGET) in err
+    assert not built
+    with pytest.raises(BudgetExceededError) as info:
+        tutte_subset(braid(8), budget=10 ** 6)
+    assert info.value.required == 2 ** 28
+
+
+def test_basis_multiplicities_are_charged_before_they_are_taken(capsys, tmp_path):
+    # 200 lines in three directions: the cone matrix has 201 rows and rank
+    # 3, so C(201, 3) = 1,333,300 maximal minors
+    lines = ([([1, 0], b) for b in range(67)] + [([0, 1], b) for b in range(67)]
+             + [([1, 2], b) for b in range(66)])
+    arr = Arrangement(2, lines)
+    with pytest.raises(BudgetExceededError) as info:
+        finite_field.reduce_mod_p(arr, 1000003, "verified", budget=10 ** 6)
+    assert info.value.required == 1333300
+    assert "basis_multiplicities" not in vars(arr)
+    path = tmp_path / "lines.json"
+    path.write_text(arr.to_json())
+    code, out, err = run(capsys, ["coboundary", "--input", str(path), "--method",
+                                  "finite-field", "--primes", "1000003",
+                                  "--budget", "1000000"])
+    assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+    assert "the 1333300 maximal minors" in err

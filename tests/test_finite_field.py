@@ -155,8 +155,10 @@ def test_coboundary_ffm_matches_transform(bench):
 def test_coboundary_ffm_explicit_primes(bench):
     cob = coboundary_ffm(bench, primes=[5, 7, 11, 13, 17])
     assert cob == coboundary_transform(tutte_subset(bench).tutte, bench.rank)
+    # bench needs one prime beside cobchi(1, t) = t^n
+    assert coboundary_ffm(bench, primes=[5]) == cob
     with pytest.raises(ValueError):
-        coboundary_ffm(bench, primes=[5, 7])
+        coboundary_ffm(bench, primes=[])
 
 
 def test_coboundary_ffm_random():
@@ -514,3 +516,133 @@ def test_seeded_signed_graphic_coboundary_ffm():
 ], ids=["Shi3", "Cat3", "generic63", "entry2", "offset2"])
 def test_other_rows_keep_the_hadamard_floor(arr):
     assert hadamard_prime_floor(arr) == _hadamard(arr)
+
+
+def _free_coefficient_cases():
+    """Fixed arrangements of each kind that the known top coefficients and
+    the free sample at q = 1 tell apart, then seeded random ones."""
+    fixed = [
+        braid(4), bc(3), shi(3),
+        # x = 1, y = 1, x + y = 2: central, translated off the origin
+        Arrangement(2, [([1, 0], 1), ([0, 1], 1), ([1, 1], 2)]),
+        Arrangement(3, [([1, 0, 0], 1), ([0, 1, 0], 1), ([1, 1, 0], 2),
+                        ([0, 0, 1], -1), ([2, 0, 0], 2)]),
+        # loops and duplicate rows, affine
+        Arrangement(2, [([0, 0], 0), ([1, 0], 0), ([2, 0], 0), ([0, 1], 1),
+                        ([1, 1], 0), ([0, 0], 0), ([0, 1], 1)]),
+        Arrangement(2, []), Arrangement(3, [([0, 0, 0], 0)] * 2),     # r = 0
+        Arrangement(2, [([1, 1], 0), ([2, 2], 0), ([0, 0], 0)]),      # r = 1
+        Arrangement(2, [([1, 1], 0), ([1, 1], 3), ([1, 1], 3)]),
+        Arrangement(2, [([1, 0], 0), ([0, 1], 0), ([1, -1], 0)]),     # r = 2
+        Arrangement(2, [([1, 0], 0), ([1, 0], 1), ([0, 1], 0), ([1, 1], 5)]),
+        Arrangement(0, []), Arrangement(0, [((), 0)] * 3),            # d = 0
+    ]
+    rng = random.Random(61)
+    return fixed + [random_arrangement(rng, max_n=6, max_d=3) for _ in range(30)]
+
+
+def _kinds(arr):
+    central = arr.is_central()
+    kinds = {"affine" if not central else
+             "translated" if any(row[-1] for row in arr.rows) else "central"}
+    if arr.loops():
+        kinds.add("loops")
+    if len(set(arr.rows)) < len(arr.rows):
+        kinds.add("duplicates")
+    if arr.rank <= 2:
+        kinds.add("r=%d" % arr.rank)
+    if arr.dim == 0:
+        kinds.add("d=0")
+    return kinds
+
+
+def test_coboundary_ffm_with_free_coefficients_matches_the_subset_expansion():
+    cases = _free_coefficient_cases()
+    assert set().union(*map(_kinds, cases)) == {
+        "central", "translated", "affine", "loops", "duplicates",
+        "r=0", "r=1", "r=2", "d=0"}
+    for arr in cases:
+        want = coboundary_transform(tutte_subset(arr).tutte, arr.rank)
+        got = coboundary_ffm(arr)
+        assert got == want and got.format() == want.format()
+
+
+def _trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def test_known_top_is_the_lattice_g_of_ranks_0_and_1():
+    # Crapo's formula bottom-up: the X^(r-k) coefficient of cobchi is the
+    # sum of g_H over the flats of rank k
+    for arr in _free_coefficient_cases():
+        poset = intersection_poset(arr)
+        by_rank = []
+        for first, end in poset._ranks()[:2]:
+            row = [0] * (arr.n + 1)
+            sums = poset.g[:, first:end].sum(axis=1).tolist()
+            for power, c in zip(poset.powers.tolist(), sums):
+                row[power] += c
+            by_rank.append(_trimmed(row))
+        below, loops = finite_field._known_top(arr)
+        assert by_rank == [_trimmed(loops), _trimmed(below)][:arr.rank + 1]
+        assert arr.rank or not any(below)
+
+
+@pytest.mark.parametrize("arr, count", [
+    (bc(4), 3), (braid(5), 3), (dn(5), 4), (threshold(5), 4), (shi(4), 3),
+    (catalan(4), 3),
+    (Arrangement(2, [([1, 1], 0), ([2, 2], 0)]), 1),                # r = 1
+    (Arrangement(2, [([1, 0], 0), ([1, 0], 1), ([0, 1], 0)]), 2),  # r = 2, affine
+], ids=["BC4", "braid5", "D4", "T5", "Shi4", "Cat4", "r1", "r2affine"])
+def test_default_primes_are_r_minus_1_central_and_r_affine(arr, count, monkeypatch):
+    asked = []
+    select = finite_field.select_primes
+
+    def spy(arrangement, n, *args):
+        asked.append(n)
+        return select(arrangement, n, *args)
+
+    monkeypatch.setattr(finite_field, "select_primes", spy)
+    want = coboundary_transform(tutte_subset(arr).tutte, arr.rank)
+    assert coboundary_ffm(arr) == want and asked == [count]
+
+
+@pytest.mark.parametrize("arr", [
+    Arrangement(2, [([1, 1], 0), ([1, 1], 3), ([0, 0], 0)]),
+    Arrangement(2, [([1, 1], 0), ([2, 2], 0)]),
+    Arrangement(2, [([0, 0], 0)]),
+], ids=["r1affine", "r1central", "r0"])
+def test_rank_at_most_one_checks_that_the_rest_is_zero(arr, monkeypatch):
+    # the known coefficients are all of cobchi, so every sample is a check:
+    # one fibre of points moved from c_0 to c_1 is reported at its prime
+    assert coboundary_ffm(arr, primes=[5, 7]) == \
+        coboundary_transform(tutte_subset(arr).tutte, arr.rank)
+    count = finite_field.point_profile
+
+    def corrupted(modarr, *args, **kwargs):
+        counts = list(count(modarr, *args, **kwargs).counts)
+        if modarr.prime == 7:
+            counts[0] -= modarr.prime ** (modarr.dim - modarr.rank)
+            counts[1] += modarr.prime ** (modarr.dim - modarr.rank)
+        return finite_field.PointProfile(modarr.prime, counts)
+
+    monkeypatch.setattr(finite_field, "point_profile", corrupted)
+    with pytest.raises(InconsistentSamplesError, match="oversample at 7 disagrees"):
+        coboundary_ffm(arr, primes=[5, 7])
+
+
+def test_explicit_primes_of_an_affine_arrangement_need_r_minus_1():
+    # Shi(3) is affine of rank 2: with no free sample the rest, of degree 0,
+    # needs one prime, and a second one checks it
+    arr = shi(3)
+    want = coboundary_transform(tutte_subset(arr).tutte, arr.rank)
+    p, q = [m.prime for m in select_primes(arr, 2)]
+    assert coboundary_ffm(arr, primes=[p]) == coboundary_ffm(arr, primes=[p, q]) == want
+    with pytest.raises(ValueError, match="need at least 1 primes, got 0"):
+        coboundary_ffm(arr, primes=[])
+    # Shi(4) is affine of rank 3, and its rest, of degree 1, needs two
+    with pytest.raises(ValueError, match="need at least 2 primes, got 1"):
+        coboundary_ffm(shi(4), primes=[p])

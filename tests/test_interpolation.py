@@ -74,3 +74,27 @@ def test_integer_counts_interpolate_as_polynomials():
     # a list stands for a polynomial in Y, so Y cannot be interpolated in
     with pytest.raises(ValueError, match="must not contain Y"):
         interpolate_in_X([(2, [1]), (3, [1])], 1, var="Y")
+
+
+def test_known_top_coefficients_are_subtracted_and_added_back():
+    target = 3 * X ** 3 * Y - X ** 2 + 5 * X * Y + 2
+    xs = [2, Fraction(1, 3), 5]
+    samples = [(a, target.substitute({"X": a})) for a in xs]
+    # X^2 and X^3 known: the rest, 5*X*Y + 2, has degree 1, and 5 checks it
+    assert interpolate_in_X(samples, 1, top=[-1, 3 * Y]) == target
+    counts = [(p, [2 - p ** 2, 5 * p + 3 * p ** 3]) for p in (2, 3, 7)]
+    got = interpolate_in_X(counts, 1, top=[[-1], [0, 3]])
+    assert got == target and got.vars == ("Y", "X")
+    with pytest.raises(InconsistentSamplesError, match="at 5"):
+        interpolate_in_X(samples, 1, top=[-1, 2 * Y])
+
+
+def test_degree_bound_minus_one_checks_every_sample_against_the_top():
+    # the top is the whole polynomial, so each sample must equal it
+    assert interpolate_in_X([(2, [1, 2]), (3, [1, 2])], -1,
+                            top=[[1, 2]]) == 1 + 2 * Y
+    assert interpolate_in_X([], -1, top=[[0, 1], [1]]) == Y + X
+    with pytest.raises(InconsistentSamplesError, match="at 3"):
+        interpolate_in_X([(2, [1, 2]), (3, [1, 3])], -1, top=[[1, 2]])
+    with pytest.raises(ValueError):
+        interpolate_in_X([(2, 1)], -2)
