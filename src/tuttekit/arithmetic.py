@@ -11,9 +11,17 @@ basis.  The walk's 2^n subsets are charged to the budget before it
 starts.  `multiplicity` computes a single m(B) apart from the walk, as the
 gcd of the full-rank minors checked against the elementary divisors of the
 whole submatrix: the oracle the tests hold the walk to, not the hot path.
+
+Every invariant here is a specialisation of M, and each is read off the
+walk's integer table of m(B) summed by rank and size as a signed sum: the
+characteristic polynomial, the zonotope's volume, lattice points and
+Ehrhart polynomial, and the toric regions and Poincare polynomial.  The
+Tutte polynomial of a thickening is read off the terms of the multivariate
+polynomial the same way, with one binomial expansion.  Each result is one
+MultiPoly built from an integer table; none is expanded from M and taken
+apart again.
 """
 
-from fractions import Fraction
 from math import comb, gcd, prod
 
 import numpy as np
@@ -37,7 +45,7 @@ from .linalg import (
     subset_walk,
 )
 from .multipoly import MultiPoly
-from .tutte import expand_rank_table
+from .tutte import _expand, expand_rank_table
 
 
 class VectorConfig:
@@ -155,58 +163,53 @@ def arithmetic_tutte(config, budget=DEFAULT_BUDGET):
     return expand_rank_table(_multiplicity_table(config, budget), config.rank)
 
 
-def arithmetic_char_poly(config, m_poly=None, var="q", budget=DEFAULT_BUDGET):
-    """(-1)^r q^(d-r) M(1-q, 0)."""
-    if m_poly is None:
-        m_poly = arithmetic_tutte(config, budget)
-    q = MultiPoly.variable(var)
-    r = config.rank
-    sub = {v: w for v, w in (("x", 1 - q), ("y", MultiPoly.const(0)))
-           if v in m_poly.vars}
-    spec = m_poly.substitute(sub) if sub else m_poly
-    return spec * q ** (config.dim - r) * Fraction((-1) ** r)
+def _alternating_rows(table):
+    """[rB] -> sum over sizes of (-1)^|B| table[rB][|B|]."""
+    return [sum((-1) ** size * m for size, m in enumerate(row)) for row in table]
 
 
-def zonotope_evaluations(config, m_poly=None, budget=DEFAULT_BUDGET):
-    """Volume, lattice point count, interior count, and Ehrhart polynomial."""
-    if m_poly is None:
-        m_poly = arithmetic_tutte(config, budget)
+def arithmetic_char_poly(config, budget=DEFAULT_BUDGET):
+    """(-1)^r q^(d-r) M(1-q, 0) = sum over subsets B of (-1)^|B| m(B) q^(d-rB)."""
+    rows = _alternating_rows(_multiplicity_table(config, budget))
+    return MultiPoly(("q",), {(config.dim - rb,): c for rb, c in enumerate(rows)})
+
+
+def zonotope_evaluations(config, budget=DEFAULT_BUDGET):
+    """Volume M(1, 1), lattice point count M(2, 1), interior count M(0, 1),
+    and Ehrhart polynomial q^r M(1 + 1/q, 1) of the zonotope.
+
+    M(x, 1) = sum_k c_k (x-1)^(r-k), c_k the sum of m(B) over the
+    independent subsets B of size k, so the volume is c_r, the two counts
+    are sum_k c_k and sum_k (-1)^(r-k) c_k, and the Ehrhart polynomial is
+    sum_k c_k q^k.
+    """
+    table = _multiplicity_table(config, budget)
     r = config.rank
-    volume = m_poly.evaluate({"x": 1, "y": 1})
-    lattice = m_poly.evaluate({"x": 2, "y": 1})
-    interior = m_poly.evaluate({"x": 0, "y": 1})
-    q = MultiPoly.variable("q")
-    my1 = m_poly.substitute({"y": MultiPoly.const(1)}) \
-        if "y" in m_poly.vars else m_poly
-    ehrhart = MultiPoly.zero()
-    for i in range(my1.degree("x") + 1):
-        ci = my1.coefficient("x", i).constant_value()
-        ehrhart = ehrhart + ci * (q + 1) ** i * q ** (r - i)
+    diag = [table[k][k] for k in range(r + 1)]
     return {
-        "volume": volume,
-        "lattice_points": lattice,
-        "interior_points": interior,
-        "ehrhart": ehrhart,
+        "volume": diag[r],
+        "lattice_points": sum(diag),
+        "interior_points": sum((-1) ** (r - k) * c for k, c in enumerate(diag)),
+        "ehrhart": MultiPoly(("q",), {(k,): c for k, c in enumerate(diag)}),
     }
 
 
-def toric_evaluations(config, m_poly=None):
+def toric_evaluations(config):
     """Region count of the compact toric complement, M(1, 0), and the
-    Poincare polynomial of the complex toric complement, q^r M(2 + 1/q, 0)
-    expanded to a genuine polynomial in q."""
-    if m_poly is None:
-        m_poly = arithmetic_tutte(config)
+    Poincare polynomial of the complex toric complement, q^r M(2 + 1/q, 0).
+
+    M(x, 0) = sum_k s_k (x-1)^(r-k), s_k the sum of (-1)^(|B|-k) m(B) over
+    the subsets B of rank k, so the regions are s_r and the Poincare
+    polynomial is sum_k s_k q^k (q+1)^(r-k), expanded.
+    """
     r = config.rank
-    regions = m_poly.evaluate({"x": 1, "y": 0})
-    mx0 = m_poly.substitute({"y": MultiPoly.const(0)}) \
-        if "y" in m_poly.vars else m_poly
-    q = MultiPoly.variable("q")
-    # q^r (2 + 1/q)^i = q^(r-i) (2q + 1)^i, so the expansion is polynomial
-    poincare = MultiPoly.zero()
-    for i in range(mx0.degree("x") + 1):
-        ci = mx0.coefficient("x", i).constant_value()
-        poincare = poincare + ci * q ** (r - i) * (2 * q + 1) ** i
-    return {"regions": regions, "poincare": poincare}
+    rows = _alternating_rows(_multiplicity_table(config))
+    signed = [(-1) ** k * c for k, c in enumerate(rows)]
+    poincare = {}
+    for k, s in enumerate(signed):
+        for j in range(r - k + 1):
+            poincare[(k + j,)] = poincare.get((k + j,), 0) + s * comb(r - k, j)
+    return {"regions": signed[r], "poincare": MultiPoly(("q",), poincare)}
 
 
 # Largest number of (column, point) incidences tested in one numpy block;
@@ -268,7 +271,7 @@ def _torus_counts(config, q):
     return [c * fibre for c in counts]
 
 
-def toric_point_profile(config, q, m_poly=None, budget=DEFAULT_BUDGET):
+def toric_point_profile(config, q, budget=DEFAULT_BUDGET):
     """Point counts over the torus (F*_{q+1})^d, with the exact identity check.
 
     q + 1 must be prime.  The q^d points and, apart from them, the 2^n
@@ -277,9 +280,10 @@ def toric_point_profile(config, q, m_poly=None, budget=DEFAULT_BUDGET):
     contribute two).  A subset B with elementary divisors e_i cuts out a
     subtorus of q^(d - rB) prod gcd(e_i, q) points, so the identity
     sum_p t^h(p) = sum_B q^(d - rB) prod gcd(e_i, q) (t-1)^|B| is asserted
-    exactly; when every e_i divides q the product is m(B), and the
-    complement count must also match the arithmetic characteristic
-    polynomial at q.
+    exactly, coefficient by coefficient; when every e_i divides q the
+    product is m(B), and the complement count must also equal the
+    arithmetic characteristic polynomial at q, read off the walk's
+    multiplicity table.
     """
     P = q + 1
     if q < 1 or not is_prime(P):
@@ -304,37 +308,29 @@ def toric_point_profile(config, q, m_poly=None, budget=DEFAULT_BUDGET):
         on_subtori[size] += on
         split = split and divides
     counts = _torus_counts(config, q)
-    lhs = MultiPoly(("t",), {(k,): c for k, c in enumerate(counts)})
-    rhs = {}
-    for size, c in enumerate(on_subtori):
-        for j in range(size + 1):
-            rhs[(j,)] = rhs.get((j,), 0) + c * comb(size, j) * (-1) ** (size - j)
-    if lhs != MultiPoly(("t",), rhs):
+    # sum over sizes of on_subtori[size] (t-1)^size, by the binomial theorem
+    rhs = [sum((-1) ** (size - j) * comb(size, j) * c
+               for size, c in enumerate(on_subtori)) for j in range(config.n + 1)]
+    if counts != rhs:
         raise ConsistencyError("toric finite field identity fails at q=%d" % q)
-    if split:
-        if m_poly is None:
-            m_poly = expand_rank_table(table, config.rank)
-        chi_at_q = arithmetic_char_poly(config, m_poly).evaluate({"q": q})
-        if counts[0] != chi_at_q:
-            raise ConsistencyError("toric complement count disagrees with "
-                                   "the arithmetic characteristic polynomial")
-    return {"q": q, "counts": counts, "polynomial": lhs}
+    chi_at_q = sum(c * q ** (d - rb) for rb, c in enumerate(_alternating_rows(table)))
+    if split and counts[0] != chi_at_q:
+        raise ConsistencyError("toric complement count disagrees with "
+                               "the arithmetic characteristic polynomial")
+    return {"q": q, "counts": counts,
+            "polynomial": MultiPoly(("t",), {(k,): c for k, c in enumerate(counts)})}
 
 
 class MultivariateTutte:
-    """q^r * Ztilde(A; q, w) stored as a genuine polynomial (no negative powers)."""
+    """q^r * Ztilde(A; q, w) of an arrangement, a polynomial in q and
+    w_1..w_n with no negative powers: one term q^(r - rB) prod_{e in B} w_e
+    per central subset B."""
 
-    def __init__(self, poly, rank, n):
-        self.poly = poly          # in q, w_1..w_n
-        self.rank = rank
-        self.n = n
-
-    def specialize_uniform(self, w_name="w"):
-        """Set every w_e = w; returns q^r * Ztilde(q, w)."""
-        w = MultiPoly.variable(w_name)
-        sub = {"w_%d" % (e + 1): w for e in range(self.n)
-               if "w_%d" % (e + 1) in self.poly.vars}
-        return self.poly.substitute(sub)
+    def __init__(self, poly, arrangement):
+        self.poly = poly
+        self.arrangement = arrangement
+        self.rank = arrangement.rank
+        self.n = arrangement.n
 
 
 def multivariate_tutte(arrangement, budget=DEFAULT_BUDGET):
@@ -351,49 +347,41 @@ def multivariate_tutte(arrangement, budget=DEFAULT_BUDGET):
         exps = np.column_stack([r - ranks, (masks[:, None] >> np.arange(n)) & 1])
         terms.update(dict.fromkeys(map(tuple, exps.tolist()), 1))
     names = ("q",) + tuple("w_%d" % (e + 1) for e in range(n))
-    total = MultiPoly(names, terms)
-    mv = MultivariateTutte(total, r, n)
-    mv.arrangement = arrangement
-    return mv
+    return MultivariateTutte(MultiPoly(names, terms), arrangement)
+
+
+def _geometric_product(lengths):
+    """Coefficients of prod (1 + y + ... + y^(k-1)) over k in lengths,
+    lowest power first; a factor with k = 0 is the empty sum, so the
+    product is then 0."""
+    coeffs = [1]
+    for k in lengths:
+        coeffs = [sum(coeffs[max(0, j - k + 1):j + 1])
+                  for j in range(len(coeffs) + k - 1)]
+    return coeffs
 
 
 def tutte_from_multivariate(mv, multiplicities):
     """Tutte polynomial of the thickened arrangement A(a) from q^r Ztilde.
 
-    Implements T(A(a); x, y) = (x-1)^(r(supp a)) Ztilde(A; (x-1)(y-1),
-    w_e = y^(a_e) - 1), the substitution fixed by matching independently
-    computed thickenings.  Division by the q-power is exact.
+    T(A(a); x, y) = (x-1)^(r_s - r) (y-1)^(-r) q^r Ztilde(A; (x-1)(y-1),
+    w_e = y^(a_e) - 1), r_s the rank of the support of a.  Since
+    y^k - 1 = (y-1)(1 + y + ... + y^(k-1)), the term of a central B is
+    (x-1)^(r_s - rB) (y-1)^(|B| - rB) prod_{e in B} (1 + ... + y^(a_e - 1)),
+    which is 0 unless B lies in the support; one binomial expansion of
+    these terms gives T.
     """
-    x = MultiPoly.variable("x")
-    y = MultiPoly.variable("y")
-    s = MultiPoly.variable("_s")  # stands for y - 1
-    n = mv.n
-    if len(multiplicities) != n:
+    if len(multiplicities) != mv.n:
         raise ValueError("need one multiplicity per hyperplane")
-    # q^r Ztilde with q -> (x-1)(y-1): substitute q -> (x-1)*_s
-    sub = {}
-    if "q" in mv.poly.vars:
-        sub["q"] = (x - 1) * s
-    for e in range(n):
-        name = "w_%d" % (e + 1)
-        if name in mv.poly.vars:
-            sub[name] = (s + 1) ** multiplicities[e] - 1
-    val = mv.poly.substitute(sub) if sub else mv.poly
-    # multiply by (x-1)^(r_supp - r) (y-1)^(-r): both divisions are exact
-    r_supp = _support_rank(mv, multiplicities)
-    if mv.rank > r_supp:
-        val = val.substitute({"x": 1 + MultiPoly.variable("_x")})
-        val = val.div_exact_var("_x", mv.rank - r_supp)
-        if "_x" in val.vars:
-            val = val.substitute({"_x": x - 1})
-    val = val.div_exact_var("_s", mv.rank) if mv.rank else val
-    return val.substitute({"_s": y - 1}) if "_s" in val.vars else val
-
-
-def _support_rank(mv, multiplicities):
-    # caller attaches the arrangement for rank-of-support queries
-    arr = getattr(mv, "arrangement", None)
-    if arr is None:
-        raise ValueError("attach .arrangement to the MultivariateTutte first")
-    support = [e for e, a in enumerate(multiplicities) if a > 0]
-    return arr.rank_normals(frozenset(support))
+    if not all(isinstance(k, int) and k >= 0 for k in multiplicities):
+        raise ValueError("multiplicities must be nonnegative integers")
+    r_s = mv.arrangement.rank_normals(
+        frozenset(e for e, k in enumerate(multiplicities) if k))
+    terms = {}
+    for (qexp, *ws), c in mv.poly.table(mv.poly.vars).items():
+        lengths = [k for k, w in zip(multiplicities, ws) if w]
+        rb = mv.rank - qexp
+        for j, g in enumerate(_geometric_product(lengths)):
+            key = (0, r_s - rb, j, len(lengths) - rb)
+            terms[key] = terms.get(key, 0) + c * g
+    return MultiPoly(("x", "y"), _expand(terms))

@@ -253,14 +253,6 @@ class Arrangement:
         """Rank of the whole arrangement (the height of its intersection poset)."""
         return self.rank_normals()
 
-    def classify(self, i):
-        """'loop', 'coloop', or 'ordinary' for hyperplane i."""
-        h = self.hyperplanes[i]
-        if h.is_loop:
-            return "loop"
-        rest = self.rank_normals(frozenset(range(self.n)) - {i})
-        return "coloop" if self.rank == rest + 1 else "ordinary"
-
     # -- constructions -----------------------------------------------------
 
     def delete(self, i):
@@ -292,12 +284,6 @@ class Arrangement:
             out.append((row[:-1], row[-1]))
         return Arrangement(self.dim - 1, out, prime=self.prime)
 
-    def cone(self):
-        """Homogenize into dimension d+1, adding the hyperplane x_{d+1} = 0."""
-        out = [(h.normal + (-h.offset,), 0) for h in self.hyperplanes]
-        out.append(((0,) * self.dim + (1,), 0))
-        return Arrangement(self.dim + 1, out, prime=self.prime)
-
     def essentialize(self):
         """The quotient by the lineality space, the common kernel of the normals.
 
@@ -322,17 +308,19 @@ class Arrangement:
 
     # -- semimatroid fingerprint ------------------------------------------
 
-    def semimatroid(self):
+    def semimatroid(self, budget=None):
         """Sorted tuple of (bitmask, rank) over all central subsets of non-loops.
 
         Bit k of a mask stands for the k-th non-loop.  Loops are excluded;
         the fingerprint is the object compared by the verified reduction
         mode, which compares one arrangement against many primes, so it is
-        computed once per arrangement.
+        computed once per arrangement.  The walk is charged to the budget as
+        `linalg.central_subsets` charges it (None: no bound).
         """
         if self._semimatroid is None:
             self._semimatroid = tuple(sorted(
-                pair for masks, _, ranks in central_subsets(self.rows, self.prime)
+                pair for masks, _, ranks in central_subsets(self.rows, self.prime,
+                                                            budget)
                 for pair in zip(masks.tolist(), ranks.tolist())))
         return self._semimatroid
 

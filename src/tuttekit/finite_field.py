@@ -146,7 +146,8 @@ def reduce_mod_p(arrangement, p, mode="bound", budget=None):
     the rational one; taking the multiplicities is charged to the budget
     (see `_keeps_bases`; None: no bound).  A rejected p is reported with a
     witness, the first subset, by mask, on which the two semimatroids
-    differ; only then are they walked.
+    differ; only then are they walked, each walk charged to the budget as
+    well.
     Loops stay loops; a p that is not prime, or that kills the normal of a
     non-loop, is rejected before the reduction is built.
     """
@@ -166,7 +167,8 @@ def reduce_mod_p(arrangement, p, mode="bound", budget=None):
                 "p=%d is not above the Hadamard floor %d" % (p, floor))
     reduced = Arrangement(arrangement.dim, arrangement.hyperplanes, prime=p)
     if mode == "verified" and not _keeps_bases(arrangement, p, budget):
-        want, got = dict(arrangement.semimatroid()), dict(reduced.semimatroid())
+        want = dict(arrangement.semimatroid(budget))
+        got = dict(reduced.semimatroid(budget))
         differ = [m for m in want.keys() | got.keys() if want.get(m) != got.get(m)]
         if not differ:
             raise ConsistencyError(

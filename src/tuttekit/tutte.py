@@ -29,7 +29,6 @@ the final table.
 """
 
 from collections import Counter
-from fractions import Fraction
 from itertools import islice
 from math import comb
 
@@ -436,30 +435,3 @@ def validate_chi_shape(chi, var="q"):
         if a * c > b * b:
             violations.append("log-concavity fails at position %d" % j)
     return {"ok": not violations, "violations": violations, "magnitudes": mags}
-
-
-def generalized_tg_evaluate(arrangement, a, b, coloop_value, loop_value):
-    """Evaluate the generalized Tutte-Grothendieck recursion directly.
-
-    Used to sanity-check universality: on a central arrangement the result
-    must equal a^(n-r) b^r T(coloop_value/b, loop_value/a).  On an affine
-    one it need not, since a contraction drops the hyperplanes parallel to
-    the one contracted: on 3x = 1, 3x = -1 (T = x + 1) it gives
-    a*coloop_value + b, not a*coloop_value + a*b.
-    """
-    a, b = Fraction(a), Fraction(b)
-    cv, lv = Fraction(coloop_value), Fraction(loop_value)
-
-    def rec(arr):
-        if arr.n == 0:
-            return Fraction(1)
-        for i in range(arr.n - 1, -1, -1):
-            kind = arr.classify(i)
-            if kind == "loop":
-                return lv * rec(arr.delete(i))
-            if kind == "coloop":
-                return cv * rec(arr.contract(i))
-        i = arr.n - 1
-        return a * rec(arr.delete(i)) + b * rec(arr.contract(i))
-
-    return rec(arrangement)

@@ -17,6 +17,14 @@ def bench():
                            ([1, -1, 0], 0), ([0, 0, 1], 0)], label="bench")
 
 
+def classify(arr, i):
+    """'loop', 'coloop', or 'ordinary' for hyperplane i of arr."""
+    if arr.hyperplanes[i].is_loop:
+        return "loop"
+    rest = arr.rank_normals(frozenset(range(arr.n)) - {i})
+    return "coloop" if arr.rank == rest + 1 else "ordinary"
+
+
 def random_arrangement(rng, max_n=7, max_d=4, allow_loops=True):
     """A random small arrangement with integer data, possibly with loops,
     duplicates, and parallel hyperplanes."""

@@ -20,7 +20,12 @@ from tuttekit.arithmetic import (
     zonotope_evaluations,
 )
 from tuttekit.arrangement import Arrangement
-from tuttekit.errors import BudgetExceededError, InputFormatError, TuttekitError
+from tuttekit.errors import (
+    BudgetExceededError,
+    ConsistencyError,
+    InputFormatError,
+    TuttekitError,
+)
 from tuttekit.families import braid, thicken
 from tuttekit.linalg import (
     elementary_divisors,
@@ -326,6 +331,17 @@ def test_toric_complement_count():
     assert prof["counts"][0] == 10
 
 
+def test_toric_checks_the_complement_against_chi(monkeypatch):
+    # chi(q) is read off the walk's table; one more in its constant row
+    # must fail the check of the complement count
+    c = VectorConfig(2, [(1, 1), (1, -1)])
+    rows = arithmetic._alternating_rows
+    monkeypatch.setattr(arithmetic, "_alternating_rows",
+                        lambda table: [rows(table)[0] + 1] + rows(table)[1:])
+    with pytest.raises(ConsistencyError, match="characteristic polynomial"):
+        toric_point_profile(c, 4)
+
+
 def test_toric_small_examples():
     prof = toric_point_profile(VectorConfig(2, [(1, 0), (0, 1)]), 2)
     assert prof["counts"] == [1, 2, 1]
@@ -393,7 +409,8 @@ def test_multivariate_specialization(bench):
             pk = shifted.coefficient("u", k)
             pk = pk.substitute({"y": w + 1}) if "y" in pk.vars else pk
             want = want + pk * q ** k * w ** (r - k)
-        assert mv.specialize_uniform("w") == want
+        uniform = {"w_%d" % (e + 1): w for e in range(arr.n)}
+        assert mv.poly.substitute(uniform) == want
 
 
 def test_multivariate_thickening_substitution(bench):

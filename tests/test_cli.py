@@ -16,7 +16,7 @@ from tuttekit.arithmetic import VectorConfig, arithmetic_tutte
 from tuttekit.arrangement import Arrangement
 from tuttekit.cli import main
 from tuttekit.finite_field import DEFAULT_BUDGET
-from tuttekit.errors import BudgetExceededError
+from tuttekit.errors import BadPrimeError, BudgetExceededError
 from tuttekit.families import braid, catalan, dn, oracle_coboundary, shi
 from tuttekit.poset import intersection_poset
 from tuttekit.tutte import tutte_from_coboundary, tutte_subset
@@ -911,3 +911,49 @@ def test_basis_multiplicities_are_charged_before_they_are_taken(capsys, tmp_path
                                   "--budget", "1000000"])
     assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
     assert "the 1333300 maximal minors" in err
+
+
+def _lines_through_the_origin(count):
+    # normals (1, k): mod 3 the lines k and k + 3 coincide, so p = 3 divides
+    # a basis multiplicity and a verified reduction rejects it
+    return Arrangement(2, [([1, k], 0) for k in range(1, count + 1)])
+
+
+def test_rejected_prime_witness_walk_is_charged_to_the_budget(capsys, monkeypatch,
+                                                              tmp_path):
+    # 40 lines: the C(41, 3) = 10660 minors fit the budget, and the
+    # semimatroid walk that names the witness is charged its 2^40 before it
+    # starts
+    walked = []
+    rows = linalg.integer_rows
+
+    def spy(*args):
+        walked.append(args)
+        return rows(*args)
+
+    monkeypatch.setattr(linalg, "integer_rows", spy)
+    path = tmp_path / "lines.json"
+    path.write_text(_lines_through_the_origin(40).to_json())
+    argv = ["tutte", "--method", "finite-field", "--primes", "3",
+            "--budget", "100000", "--input", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+    assert "the central-subset walk needs 2^40 candidate subsets, over the " \
+        "budget 100000" in err
+    assert not walked
+    with pytest.raises(BudgetExceededError) as info:
+        finite_field.reduce_mod_p(_lines_through_the_origin(40), 3, "verified",
+                                  budget=100000)
+    assert info.value.required == 2 ** 40
+
+
+def test_rejected_prime_within_the_budget_names_its_witness(capsys, tmp_path):
+    arr = _lines_through_the_origin(16)     # 2^16 subsets fit 100000
+    with pytest.raises(BadPrimeError) as info:
+        finite_field.reduce_mod_p(arr, 3, "verified", budget=100000)
+    assert info.value.witness == [0, 3]
+    path = tmp_path / "lines.json"
+    path.write_text(arr.to_json())
+    code, out, err = run(capsys, ["tutte", "--method", "finite-field", "--primes",
+                                  "3", "--budget", "100000", "--input", str(path)])
+    assert (code, out, err) == (2, "", "error: bad-prime: p=3 changes the semimatroid\n")

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_arrangement
+from test_engines_reference import generalized_tg_evaluate
 from tuttekit.arrangement import Arrangement
 from tuttekit.multipoly import MultiPoly
 from tuttekit.tutte import (
     char_poly,
     coboundary_transform,
-    generalized_tg_evaluate,
     scalar_invariants,
     tutte_activity,
     tutte_delcon,
