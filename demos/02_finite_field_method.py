@@ -11,7 +11,6 @@ from tuttekit import (
     Arrangement,
     coboundary_ffm,
     coboundary_transform,
-    hadamard_prime_floor,
     point_profile,
     point_profile_partitioned,
     reduce_mod_p,
@@ -26,14 +25,12 @@ arr = Arrangement(3, [([1, 0, 0], 0), ([0, 1, 0], 0),
 # Step 1: reduce mod a certified prime, which gives an Arrangement over F_5,
 # and count its points.  Each row has one +1 and at most one -1, so the rows
 # are totally unimodular: every nonzero minor is +-1, and every prime is safe.
-floor = hadamard_prime_floor(arr)
-print("prime floor:", floor, "(any prime above it is safe)")
+print("prime floor:", arr.prime_floor, "(any prime above it is safe)")
 mod5 = reduce_mod_p(arr, 5, mode="bound")
 profile = point_profile(mod5)
 print("incidence profile at p=5:", profile.counts)
 print("   %d points avoid all four planes; %d lie on exactly one; ..."
       % (profile.counts[0], profile.counts[1]))
-print("csv row:", profile.csv_row())
 
 # The same counts arrive if the first coordinate is split across workers.
 merged = point_profile_partitioned(mod5, parts=3)

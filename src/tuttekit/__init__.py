@@ -30,7 +30,6 @@ from .errors import (
 from .finite_field import (
     DEFAULT_BUDGET,
     coboundary_ffm,
-    hadamard_prime_floor,
     point_profile,
     point_profile_partitioned,
     reduce_mod_p,

@@ -106,12 +106,12 @@ class VectorConfig:
         return "VectorConfig(dim=%d, n=%d)" % (self.dim, self.n)
 
 
-def multiplicity(config, subset, cross_check=True):
+def multiplicity(config, subset):
     """m(B): index of ZB inside span(B) intersected with Z^d.
 
     The reference route, apart from the subset walk: the gcd of the
     full-rank minors of the column submatrix, with the product of its
-    elementary divisors asserted equal when cross_check is set.
+    elementary divisors checked equal to it (ConsistencyError otherwise).
     """
     subset = sorted(subset)
     if not subset:
@@ -121,12 +121,11 @@ def multiplicity(config, subset, cross_check=True):
     if r == 0:
         return 1
     g = minor_gcd(mat, r)
-    if cross_check:
-        alt = prod(elementary_divisors(mat))
-        if alt != g:
-            raise ConsistencyError(
-                "minor-gcd and elementary-divisor multiplicities differ "
-                "(%d vs %d) on %s" % (g, alt, subset))
+    alt = prod(elementary_divisors(mat))
+    if alt != g:
+        raise ConsistencyError(
+            "minor-gcd and elementary-divisor multiplicities differ "
+            "(%d vs %d) on %s" % (g, alt, subset))
     return g
 
 

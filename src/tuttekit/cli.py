@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import families
 from .arithmetic import (
@@ -56,11 +55,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _budget(args):
-    if getattr(args, "budget", None):
-        return int(args.budget)
+def _budget(flag):
+    """The work budget: --budget when given, else TUTTEKIT_BUDGET when set
+    and not empty, else DEFAULT_BUDGET."""
+    if flag is not None:
+        return flag
     env = os.environ.get("TUTTEKIT_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise InputFormatError("TUTTEKIT_BUDGET must be an integer, got %r" % env)
 
 
 def _read(path):
@@ -94,10 +100,9 @@ def _load_edges(path):
 
 
 def _emit_poly(poly, args, extra=None):
-    fmt = getattr(args, "format", "text")
-    if fmt == "latex":
+    if args.format == "latex":
         print(poly.to_latex())
-    elif fmt == "structured":
+    elif args.format == "structured":
         record = {"polynomial": poly.term_list(), "text": poly.format()}
         if extra:
             record.update(extra)
@@ -106,22 +111,31 @@ def _emit_poly(poly, args, extra=None):
         print(poly.format())
 
 
+def _emit_record(record, args):
+    """A record of named values: JSON when structured, else `key = value`
+    lines in key order."""
+    if args.format == "structured":
+        print(json.dumps(record, sort_keys=True))
+    else:
+        for key in sorted(record):
+            print("%s = %s" % (key, record[key]))
+
+
 def _method(arr, args):
     """The engine to run: `auto` is subset for n <= 10, else the flat lattice."""
-    method = getattr(args, "method", "auto") or "auto"
-    if method == "auto":
-        method = "subset" if arr.n <= SUBSET_MAX_N else "lattice"
-    return method
+    if args.method == "auto":
+        return "subset" if arr.n <= SUBSET_MAX_N else "lattice"
+    return args.method
 
 
 def _tutte_by_method(arr, args):
     method = _method(arr, args)
     if method == "subset":
-        return tutte_subset(arr, budget=_budget(args))
+        return tutte_subset(arr, budget=args.budget)
     if method == "delcon":
-        return tutte_delcon(arr, budget=_budget(args))
+        return tutte_delcon(arr, budget=args.budget)
     if method == "activity":
-        return tutte_activity(arr, budget=_budget(args))[0]
+        return tutte_activity(arr, budget=args.budget)[0]
     if method in ("finite-field", "lattice"):
         r = arr.rank
         tut = tutte_from_coboundary(_coboundary(arr, args, method), r)
@@ -132,18 +146,16 @@ def _tutte_by_method(arr, args):
 def _coboundary(arr, args, method):
     """Coboundary polynomial by the finite field method or the flat lattice."""
     if method == "lattice":
-        return intersection_poset(arr, budget=_budget(args)).coboundary()
+        return intersection_poset(arr, budget=args.budget).coboundary()
     primes = None
-    spec = getattr(args, "primes", None)
-    if spec and spec != "auto":
+    if args.primes and args.primes != "auto":
         try:
-            primes = [int(p) for p in spec.split(",")]
+            primes = [int(p) for p in args.primes.split(",")]
         except ValueError:
             raise InputFormatError("--primes must be 'auto' or comma-separated "
-                                   "integers, got %r" % spec)
-    reduction = getattr(args, "reduction", None) or "auto"
-    return coboundary_ffm(arr, primes=primes, reduction=reduction,
-                          budget=_budget(args))
+                                   "integers, got %r" % args.primes)
+    return coboundary_ffm(arr, primes=primes, reduction=args.reduction,
+                          budget=args.budget)
 
 
 def _add_output_flags(p):
@@ -163,6 +175,8 @@ def _add_method_flags(p):
 
 
 def build_parser():
+    """(the parser, its `family` subparser): main parses a `family` command
+    line with the subparser, so that its flags and words may mix."""
     top = _Parser(prog="tuttekit",
                   description="Tutte polynomials of hyperplane arrangements")
     sub = top.add_subparsers(dest="verb", required=True)
@@ -174,7 +188,7 @@ def build_parser():
         _add_method_flags(p)
         _add_output_flags(p)
 
-    p = sub.add_parser("family")
+    family = p = sub.add_parser("family")
     p.add_argument("tag")
     p.add_argument("action", nargs="?", default="char",
                    choices=["tutte", "char", "coboundary", "invariants",
@@ -187,6 +201,10 @@ def build_parser():
     p.add_argument("--graph", help="edge file, one 'i j' per line, 1-indexed")
     _add_method_flags(p)
     _add_output_flags(p)
+    # parse_intermixed_args formats the usage text on every call unless it
+    # is set, at several times the cost of the parse: set it once, to the
+    # text that it would format
+    p.usage = p.format_usage().removeprefix("usage: ")
 
     p = sub.add_parser("arith")
     p.add_argument("action", choices=["tutte", "zonotope", "toric", "char"])
@@ -199,15 +217,16 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--budget", type=int, default=None)
+    p.set_defaults(action="toric")
     _add_output_flags(p)
 
-    return top
+    return top, family
 
 
 @functools.cache
 def _parser():
-    """The parser, built on the first call and reused by later ones; a
-    parse leaves it unchanged, and building it costs some 30 parses."""
+    """`build_parser()`, built on the first call and reused by later ones;
+    a parse leaves it unchanged, and building it costs some 30 parses."""
     return build_parser()
 
 
@@ -218,51 +237,43 @@ def _run_action(action, arr, args):
                    {"method": result.engine, "rank": result.rank,
                     "n": result.n_hyperplanes, "dim": arr.dim})
     elif action == "char":
-        chi = char_poly(arr, budget=_budget(args))
+        chi = char_poly(arr, budget=args.budget)
         _emit_poly(chi, args, {"rank": arr.rank, "n": arr.n, "dim": arr.dim})
     elif action == "coboundary":
         method = _method(arr, args)
         if method in ("finite-field", "lattice"):
             cob = _coboundary(arr, args, method)
         else:
-            cob = coboundary_transform(tutte_subset(arr, budget=_budget(args)).tutte,
-                                       arr.rank)
+            cob = coboundary_transform(_tutte_by_method(arr, args).tutte, arr.rank)
         _emit_poly(cob, args, {"rank": arr.rank, "n": arr.n, "dim": arr.dim})
     elif action == "invariants":
         if _method(arr, args) == "lattice":
-            inv = scalar_invariants(arr, budget=_budget(args))
+            inv = scalar_invariants(arr, budget=args.budget)
         else:
-            chi = char_poly(arr, check_whitney=False, budget=_budget(args))
+            chi = char_poly(arr, check_whitney=False, budget=args.budget)
             inv = scalar_invariants(arr, _tutte_by_method(arr, args).tutte, chi)
-        fmt = getattr(args, "format", "text")
-        record = {
+        _emit_record({
             "regions": str(inv["regions"]),
             "bounded_regions": str(inv["bounded_regions"]),
             "poincare": inv["poincare"].format(),
             "complement_size": inv["complement_size"].format(),
             "general_position_bounded": str(inv["general_position_bounded"]),
             "beta": None if inv["beta"] is None else str(inv["beta"]),
-        }
-        if fmt == "structured":
-            print(json.dumps(record, sort_keys=True))
-        else:
-            for key in sorted(record):
-                print("%s = %s" % (key, record[key]))
+        }, args)
     elif action == "poset":
-        poset = intersection_poset(arr, budget=_budget(args))
+        poset = intersection_poset(arr, budget=args.budget)
         poset.verify_mobius()
-        fmt = getattr(args, "format", "text")
         rows = [{"hyperplanes": sorted(f.hyperplane_set), "rank": f.rank,
                  "dim": f.dim, "mobius": poset.mobius[f.hyperplane_set]}
                 for f in poset.flats]
-        if fmt == "structured":
+        if args.format == "structured":
             print(json.dumps(rows))
         else:
             for row in rows:
                 print("rank=%d dim=%d mu=%d hyperplanes=%s" % (
                     row["rank"], row["dim"], row["mobius"], row["hyperplanes"]))
     elif action == "multivariate":
-        mv = multivariate_tutte(arr, budget=_budget(args))
+        mv = multivariate_tutte(arr, budget=args.budget)
         _emit_poly(mv.poly, args, {"rank": mv.rank, "n": mv.n})
     elif action == "check":
         _run_check(arr, args)
@@ -279,7 +290,7 @@ def _run_check(arr, args):
         if not ok:
             failures.append(name)
 
-    budget = _budget(args)
+    budget = args.budget
     t_sub = tutte_subset(arr, budget=budget).tutte
 
     def agrees(name, engine):
@@ -334,72 +345,40 @@ def _family_arrangement(args):
     return arr
 
 
-_VALUE_FLAGS = {"--n", "--p", "--k", "--d", "--m", "--graph", "--method",
-                "--primes", "--reduction", "--budget", "--format", "--input",
-                "--q"}
-
-
-def _reorder_family_argv(argv):
-    """Allow `family braid --n 3 char`: move bare words before the flags.
-
-    argparse matches positionals in a single pass, so a trailing action word
-    after options would otherwise be rejected.
-    """
-    if not argv or argv[0] != "family":
-        return argv
-    positionals, flags = [], []
-    i = 1
-    while i < len(argv):
-        tok = argv[i]
-        if tok.startswith("-"):
-            flags.append(tok)
-            if "=" not in tok and tok in _VALUE_FLAGS and i + 1 < len(argv):
-                flags.append(argv[i + 1])
-                i += 1
-        else:
-            positionals.append(tok)
-        i += 1
-    return ["family"] + positionals + flags
-
-
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    argv = _reorder_family_argv(list(argv))
-    args = _parser().parse_args(argv)
+    top, family = _parser()
+    if argv and argv[0] == "family":
+        # its action word may come after the flags: `family braid --n 3 char`
+        args = family.parse_intermixed_args(argv[1:],
+                                            argparse.Namespace(verb="family"))
+    else:
+        args = top.parse_args(argv)
     try:
+        args.budget = _budget(args.budget)
         if args.verb == "family":
             arr = _family_arrangement(args)
             _run_action(args.action, arr, args)
-        elif args.verb == "arith":
+        elif args.verb in ("arith", "toric"):
             config = _load_config(args.input)
             if args.action == "tutte":
-                _emit_poly(arithmetic_tutte(config, _budget(args)), args,
+                _emit_poly(arithmetic_tutte(config, args.budget), args,
                            {"rank": config.rank, "n": config.n})
             elif args.action == "char":
-                _emit_poly(arithmetic_char_poly(config, budget=_budget(args)), args)
+                _emit_poly(arithmetic_char_poly(config, budget=args.budget), args)
             elif args.action == "zonotope":
-                z = zonotope_evaluations(config, budget=_budget(args))
-                record = {"volume": str(z["volume"]),
-                          "lattice_points": str(z["lattice_points"]),
-                          "interior_points": str(z["interior_points"]),
-                          "ehrhart": z["ehrhart"].format()}
-                if getattr(args, "format", "text") == "structured":
-                    print(json.dumps(record, sort_keys=True))
-                else:
-                    for key in sorted(record):
-                        print("%s = %s" % (key, record[key]))
+                z = zonotope_evaluations(config, budget=args.budget)
+                _emit_record({"volume": str(z["volume"]),
+                              "lattice_points": str(z["lattice_points"]),
+                              "interior_points": str(z["interior_points"]),
+                              "ehrhart": z["ehrhart"].format()}, args)
             else:
-                if not args.q:
+                if args.q is None:
                     raise InputFormatError("toric point count needs --q")
-                prof = toric_point_profile(config, args.q, budget=_budget(args))
+                prof = toric_point_profile(config, args.q, budget=args.budget)
                 _emit_poly(prof["polynomial"], args,
                            {"q": args.q, "counts": list(prof["counts"])})
-        elif args.verb == "toric":
-            config = _load_config(args.input)
-            prof = toric_point_profile(config, args.q, budget=_budget(args))
-            _emit_poly(prof["polynomial"], args,
-                       {"q": args.q, "counts": list(prof["counts"])})
         else:
             arr = _load_arrangement(args.input)
             _run_action(args.verb, arr, args)

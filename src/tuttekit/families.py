@@ -144,21 +144,19 @@ def all_linear(p, n):
                        label="A(%d,%d)" % (p, n))
 
 
-def generic(n, d, base_point=1):
+def generic(n, d):
     """A generic central arrangement: any m <= d hyperplanes meet in
     codimension m (the uniform matroid).  Hyperplane i has the Vandermonde
-    normal (1, t, t^2, ..., t^(d-1)) through the origin, for distinct t, so
-    every d normals are independent; this is verified a posteriori, by
-    every d x d minor of the normals (`linalg.maximal_minors`).
+    normal (1, t, t^2, ..., t^(d-1)) through the origin, for t = 1, ..., n;
+    the t are distinct, so every d normals are independent, and this is
+    verified a posteriori, by every d x d minor of the normals
+    (`linalg.maximal_minors`).
     """
-    for attempt in range(8):
-        start = base_point + attempt * n
-        hs = [([t ** k for k in range(d)], 0)
-              for t in range(start, start + n)]
-        arr = Arrangement(d, hs, label="generic(%d,%d)" % (n, d))
-        if _is_generic(arr, n, d):
-            return arr
-    raise FamilyError("failed to construct a verified generic arrangement")
+    hs = [([t ** k for k in range(d)], 0) for t in range(1, n + 1)]
+    arr = Arrangement(d, hs, label="generic(%d,%d)" % (n, d))
+    if not _is_generic(arr, n, d):
+        raise FamilyError("failed to construct a verified generic arrangement")
+    return arr
 
 
 def _is_generic(arr, n, d):
@@ -197,7 +195,7 @@ _FAMILY_PARAMS = {"coordinate": ("n",), "braid": ("n",), "graphical": ("n",),
                   "all_linear": ("p", "n"), "bipartite": ("m", "n")}
 
 
-def build_family(tag, n=None, p=None, k=None, d=None, edges=None, m=None):
+def build_family(tag, n=None, p=None, d=None, edges=None, m=None):
     """Dispatch a family tag and its parameters to the right constructor.
 
     Raises FamilyError for an unknown tag or a missing or nonpositive size.
@@ -235,9 +233,9 @@ def build_family(tag, n=None, p=None, k=None, d=None, edges=None, m=None):
 
 # -- closed-form characteristic polynomials --------------------------------
 
-def oracle_char(tag, n=None, p=None, var="q"):
+def oracle_char(tag, n=None, p=None):
     """The factored characteristic polynomial of a catalog family, expanded."""
-    q = MultiPoly.variable(var)
+    q = MultiPoly.variable("q")
 
     def prod(factors):
         total = MultiPoly.const(1)
@@ -403,13 +401,13 @@ def generic_tutte(n, d):
     return total
 
 
-def chromatic_polynomial(n_vertices, edges, var="q"):
+def chromatic_polynomial(n_vertices, edges):
     """Chromatic polynomial by deletion-contraction on the (multi)graph.
 
     Vertices are 1..n; an edge is an (i, j) pair.  Independent of the
     arrangement machinery: this is the oracle for the graphical identity.
     """
-    q = MultiPoly.variable(var)
+    q = MultiPoly.variable("q")
 
     def rec(verts, es):
         if any(u == v for u, v in es):

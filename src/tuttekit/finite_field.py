@@ -11,7 +11,7 @@ primes (r for an affine arrangement, one extra as a consistency witness)
 give the rest by interpolation in the first coboundary variable.
 
 A prime is certified in one of two ways.  A bound prime divides no nonzero
-minor of [normals | offsets] (`hadamard_prime_floor`).  The rows of braid,
+minor of [normals | offsets] (`Arrangement.prime_floor`).  The rows of braid,
 graphical, BC, D and threshold arrangements have at most two nonzero
 entries, all +-1; every odd prime is a bound prime for them, and every prime
 when the rows are graphic, so the smallest primes serve.  Other rows have
@@ -89,11 +89,8 @@ class PointProfile:
         fibre = self.prime ** self.lift
         return tuple(c * fibre for c in self.quotient)
 
-    def polynomial(self, var="Y"):
-        return MultiPoly((var,), {(k,): c for k, c in enumerate(self.counts)})
-
-    def csv_row(self):
-        return ",".join([str(self.prime)] + [str(c) for c in self.counts])
+    def polynomial(self):
+        return MultiPoly(("Y",), {(k,): c for k, c in enumerate(self.counts)})
 
 
 def _central(rows):
@@ -126,20 +123,10 @@ def _primes_from(start):
         m += 1
 
 
-def hadamard_prime_floor(arrangement):
-    """A bound B: no prime > B divides any nonzero minor of [normals | offsets]
-    (`Arrangement.prime_floor`, which says how B is found: 1 for graphic
-    rows, 2 for signed-graphic ones, the Hadamard bound otherwise).
-    Reduction mod any prime above B preserves every subset rank and
-    centrality.
-    """
-    return arrangement.prime_floor
-
-
 def reduce_mod_p(arrangement, p, mode="bound", budget=None):
     """The arrangement over F_p that a Q-arrangement reduces to, certified.
 
-    bound: require p > hadamard_prime_floor(A).
+    bound: require p > `Arrangement.prime_floor`.
     verified: require that p divide no basis multiplicity m(B) of the cone
     vectors (`Arrangement.basis_multiplicities`), which holds exactly when
     the semimatroid (centrality and rank of every subset) over F_p equals
@@ -161,7 +148,7 @@ def reduce_mod_p(arrangement, p, mode="bound", budget=None):
         if not any(x % p for x in row[:-1]):
             raise BadPrimeError("p=%d kills the normal of %s" % (p, row))
     if mode == "bound":
-        floor = hadamard_prime_floor(arrangement)
+        floor = arrangement.prime_floor
         if p <= floor:
             raise BadPrimeError(
                 "p=%d is not above the Hadamard floor %d" % (p, floor))
@@ -421,7 +408,7 @@ def check_profile(profile, arrangement, chi=None):
 def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
     """Choose `count` certified primes, smallest first.
 
-    bound mode takes the smallest primes above `hadamard_prime_floor`: from
+    bound mode takes the smallest primes above `Arrangement.prime_floor`: from
     2 for graphic rows, from 3 for signed-graphic ones, and above the
     Hadamard bound otherwise.  verified mode takes the smallest primes that
     divide no basis multiplicity (see `reduce_mod_p`); a prime is tested
@@ -435,7 +422,7 @@ def select_primes(arrangement, count, reduction="auto", budget=DEFAULT_BUDGET):
     verified primes.
     """
     r = arrangement.rank
-    floor = hadamard_prime_floor(arrangement)
+    floor = arrangement.prime_floor
     small = len(arrangement.rows) <= 14
     central = _central(arrangement.rows)
     # whether bound primes are tried: p^d for a small arrangement, else the charge
@@ -539,7 +526,7 @@ def coboundary_ffm(arrangement, primes=None, reduction="auto",
                 "profile at p=%d is not divisible by p^(d-r): "
                 "degree bound or reduction failure" % mod.prime)
         samples.append((mod.prime, [c // fibre for c in profile.quotient]))
-    result = interpolate_in_X(samples, bound, var="X", top=top)
+    result = interpolate_in_X(samples, bound, top=top)
     if not result.has_integer_coeffs():
         raise InconsistentSamplesError(
             "interpolated coboundary has non-integer coefficients: "

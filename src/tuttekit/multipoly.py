@@ -247,9 +247,6 @@ class MultiPoly:
         i = self.vars.index(var)
         return max((e[i] for e in self.terms), default=0)
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def coefficient(self, var, k):
         """The coefficient of var**k, as a polynomial in the remaining variables."""
         if var not in self.vars:
@@ -312,19 +309,6 @@ class MultiPoly:
                 if e:
                     key[k] = e
             out[tuple(key)] = coeff.numerator if coeff.denominator == 1 else coeff
-        return out
-
-    def univariate_coeffs(self, var, width=None):
-        """Coefficient list [c0, c1, ...] of a univariate polynomial, as Fractions."""
-        for v in self.vars:
-            if v != var and self.degree(v) > 0:
-                raise ValueError("polynomial is not univariate in %s" % var)
-        deg = self.degree(var)
-        n = deg + 1 if width is None else width
-        out = [Fraction(0)] * n
-        for exps, coeff in self.terms.items():
-            e = exps[self.vars.index(var)] if var in self.vars else 0
-            out[e] = coeff
         return out
 
     # -- printing ----------------------------------------------------------

@@ -204,7 +204,7 @@ class IntersectionPoset:
                 if self.flats[i].rank != self.flats[i - 1].rank]
         return list(zip([0] + cuts, cuts + [len(self.flats)]))
 
-    def char_poly(self, var="q"):
+    def char_poly(self):
         """Characteristic polynomial: sum of mu(F) q^dim(F), summed by dim.
 
         A loop hyperplane (0 = 0) covers the whole space, so an arrangement
@@ -215,7 +215,7 @@ class IntersectionPoset:
         if not self.arrangement.loops():
             for f in self.flats:
                 table[(f.dim,)] = table.get((f.dim,), 0) + self.mobius[f.hyperplane_set]
-        return MultiPoly((var,), table)
+        return MultiPoly(("q",), table)
 
     def verify_mobius(self):
         """Check g and the Möbius values on every interval; True or raises.

@@ -288,7 +288,7 @@ def tutte_activity(arrangement, order=None, budget=DEFAULT_BUDGET):
     return TutteResult(cert.polynomial(), r, n, "activity"), cert
 
 
-def char_poly(arrangement, var="q", check_whitney=None, budget=DEFAULT_BUDGET):
+def char_poly(arrangement, check_whitney=None, budget=DEFAULT_BUDGET):
     """Characteristic polynomial via the Möbius-weighted sum over flats.
 
     When check_whitney is true (default for n <= SUBSET_MAX_N), the Whitney
@@ -297,18 +297,18 @@ def char_poly(arrangement, var="q", check_whitney=None, budget=DEFAULT_BUDGET):
     the intersection poset (see `intersection_poset`) and the subset walk
     of the Whitney route.
     """
-    chi = intersection_poset(arrangement, budget=budget).char_poly(var)
+    chi = intersection_poset(arrangement, budget=budget).char_poly()
     if check_whitney is None:
         check_whitney = arrangement.n <= SUBSET_MAX_N
     if check_whitney:
-        alt = whitney_char(arrangement, var=var, budget=budget)
+        alt = whitney_char(arrangement, budget=budget)
         if alt != chi:
             raise ConsistencyError(
                 "Mobius and Whitney routes disagree: %s vs %s" % (chi, alt))
     return chi
 
 
-def whitney_char(arrangement, tutte=None, var="q", budget=DEFAULT_BUDGET):
+def whitney_char(arrangement, tutte=None, budget=DEFAULT_BUDGET):
     """chi(q) = (-1)^r q^(d-r) T(1-q, 0), from the y^0 column of T.
 
     T(1-q, 0) = sum_i t_i0 (-1)^i (q-1)^i, expanded by the binomial theorem.
@@ -319,10 +319,10 @@ def whitney_char(arrangement, tutte=None, var="q", budget=DEFAULT_BUDGET):
     r = arrangement.rank
     terms = {(arrangement.dim - r, i, 0, 0): (-1) ** (r + i) * c
              for (i, j), c in tutte.table(("x", "y")).items() if not j}
-    return MultiPoly((var,), {(k,): c for (k, _), c in _expand(terms).items()})
+    return MultiPoly(("q",), {(k,): c for (k, _), c in _expand(terms).items()})
 
 
-def coboundary_transform(tutte, r, xvar="X", yvar="Y"):
+def coboundary_transform(tutte, r):
     """Coboundary polynomial (Y-1)^r T((X+Y-1)/(Y-1), Y), expanded.
 
     Writing T = sum t_ij x^i y^j with i <= r, the term t_ij x^i y^j becomes
@@ -336,11 +336,11 @@ def coboundary_transform(tutte, r, xvar="X", yvar="Y"):
         for a in range(i + 1):
             key = (a, 0, j, r - a)
             terms[key] = terms.get(key, 0) + comb(i, a) * c
-    return MultiPoly((yvar, xvar),
+    return MultiPoly(("Y", "X"),
                      {(j, a): c for (a, j), c in _expand(terms).items()})
 
 
-def tutte_from_coboundary(cob, r, xvar="X", yvar="Y"):
+def tutte_from_coboundary(cob, r):
     """Inverse transform: T(x,y) = (y-1)^(-r) cob((x-1)(y-1), y), exact.
 
     The term Y^k X^a becomes (x-1)^a (y-1)^a y^k, and y^k is
@@ -348,7 +348,7 @@ def tutte_from_coboundary(cob, r, xvar="X", yvar="Y"):
     must have a (y-1)-exponent of at least r.
     """
     terms = {}
-    for (k, a), c in cob.table((yvar, xvar)).items():
+    for (k, a), c in cob.table(("Y", "X")).items():
         for l in range(k + 1):
             key = (0, a, 0, a + l - r)
             terms[key] = terms.get(key, 0) + comb(k, l) * c
@@ -405,7 +405,7 @@ def scalar_invariants(arrangement, tutte=None, chi=None, budget=DEFAULT_BUDGET):
     }
 
 
-def validate_chi_shape(chi, var="q"):
+def validate_chi_shape(chi):
     """Sign-alternation, unimodality, and log-concavity report for chi.
 
     The coefficient of q^(d-k) must have sign (-1)^k (or vanish); the
@@ -415,9 +415,9 @@ def validate_chi_shape(chi, var="q"):
     trailing zeros can break neither property, so the walk spans the terms
     of chi (r + 1 of them for an arrangement of rank r), not its degree.
     """
-    d = chi.degree(var)
+    d = chi.degree("q")
     # (k, the coefficient of q^(d-k)) for the nonzero ones, k ascending
-    coeffs = sorted((d - e, c) for (e,), c in chi.table((var,)).items())
+    coeffs = sorted((d - e, c) for (e,), c in chi.table(("q",)).items())
     violations = ["sign of q^%d coefficient" % (d - k)
                   for k, c in coeffs if (c > 0) != (k % 2 == 0)]
     mags = [0] * (coeffs[-1][0] + 1 if coeffs else 0)

@@ -64,3 +64,10 @@ def random_poly_data(rng, nvars=3, nterms=5, max_exp=3):
         exps = tuple(rng.randint(0, max_exp) for _ in range(nvars))
         terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
     return terms
+
+
+def counts_in_Y(value):
+    """A polynomial in Y with integer coefficients as the list
+    [c_0, c_1, ...] of its coefficients, as `interpolate_in_X` takes it."""
+    table = value.table(("Y",))
+    return [table.get((k,), 0) for k in range(value.degree("Y") + 1)]

@@ -115,8 +115,8 @@ def test_multiplicity_cross_check_random():
         n = rng.randint(1, 4)
         c = VectorConfig(d, [[rng.randint(-4, 4) for _ in range(d)]
                              for _ in range(n)])
-        # cross_check=True asserts gcd-of-minors == elementary-divisor product
-        multiplicity(c, range(n), cross_check=True)
+        # multiplicity checks gcd-of-minors == elementary-divisor product
+        multiplicity(c, range(n))
 
 
 # -- the lattice walk --------------------------------------------------------
@@ -147,8 +147,8 @@ def test_lattice_walk_table_matches_per_subset_multiplicity(config):
     want = [[0] * (config.n + 1) for _ in range(config.rank + 1)]
     for mask in range(1 << config.n):
         subset = [i for i in range(config.n) if mask >> i & 1]
-        # cross_check asserts gcd of minors == product of elementary divisors
-        m = multiplicity(config, subset, cross_check=True)
+        # multiplicity checks gcd of minors == product of elementary divisors
+        m = multiplicity(config, subset)
         want[config.rank_of(subset)][len(subset)] += m
     assert _multiplicity_table(config) == want
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tuttekit import finite_field, linalg
+from tuttekit import cli, finite_field, linalg
 from tuttekit.arithmetic import VectorConfig, arithmetic_tutte
 from tuttekit.arrangement import Arrangement
 from tuttekit.cli import main
@@ -135,6 +135,40 @@ def test_family_thicken(capsys):
     assert out2 == out  # flag order does not matter
 
 
+@pytest.mark.parametrize("argv", [
+    ["braid", "--n", "3", "char"],
+    ["braid", "char", "--n", "3"],
+    ["--n", "3", "braid", "char"],
+    ["--n", "3", "braid"],          # char is the default action
+])
+def test_family_words_and_flags_mix(capsys, argv):
+    code, out, err = run(capsys, ["family"] + argv)
+    assert (code, out, err) == (0, "q^3 - 3*q^2 + 2*q\n", "")
+
+
+def test_family_flags_before_the_action(capsys):
+    want = run(capsys, ["family", "braid", "--n", "3", "tutte",
+                        "--format", "structured"])
+    assert json.loads(want[1])["text"] == "x^2 + x + y"
+    assert run(capsys, ["family", "--n", "3", "braid", "tutte",
+                        "--format", "structured"]) == want
+    assert run(capsys, ["family", "--format=structured", "braid", "--n", "3",
+                        "tutte"]) == want
+
+
+def test_family_help_and_unknown_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--help"])
+    out = capsys.readouterr()
+    assert exc.value.code == 0 and out.err == ""
+    assert out.out.startswith("usage: tuttekit family ")
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "braid", "--n", "3", "--bogus", "char"])
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and out.out == ""
+    assert out.err == "error: parse: unrecognized arguments: --bogus char\n"
+
+
 def test_parse_error_exit_1(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -159,6 +193,46 @@ def test_budget_flag_overrides_env(capsys, bench_file, monkeypatch):
     assert code == 0 and out.strip() == "x^3 + x^2 + x*y"
 
 
+def test_budget_flag_is_read_first_and_zero_counts(capsys, monkeypatch):
+    # braid 5's subset walk is charged 2^10
+    monkeypatch.setenv("TUTTEKIT_BUDGET", "abc")
+    argv = ["family", "braid", "--n", "5", "tutte"]
+    for budget in ("0", "1", "1023"):
+        code, out, err = run(capsys, argv + ["--budget", budget])
+        assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+    code, out, err = run(capsys, argv + ["--budget", "1024"])
+    assert code == 0 and err == ""
+
+
+def test_budget_variable_when_no_flag(capsys, monkeypatch):
+    argv = ["family", "braid", "--n", "5", "tutte"]
+    for env in ("0", "1023"):
+        monkeypatch.setenv("TUTTEKIT_BUDGET", env)
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+    monkeypatch.setenv("TUTTEKIT_BUDGET", "1024")
+    assert run(capsys, argv)[0] == 0
+    for env in ("abc", "1e6", "10.5"):
+        monkeypatch.setenv("TUTTEKIT_BUDGET", env)
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "" and _one_error_line(err, "input-format")
+        assert repr(env) in err
+
+
+@pytest.mark.parametrize("env", [None, ""])
+def test_default_budget_when_neither_is_set(capsys, monkeypatch, env):
+    if env is None:
+        monkeypatch.delenv("TUTTEKIT_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("TUTTEKIT_BUDGET", env)
+    argv = ["family", "braid", "--n", "5", "tutte"]
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET", 1023)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET", 1024)
+    assert run(capsys, argv)[0] == 0
+
+
 def test_explicit_primes_and_bad_prime(capsys, tmp_path):
     arr = Arrangement(2, [([1, -1], 0), ([1, 1], 0)])
     path = tmp_path / "pair.json"
@@ -171,6 +245,21 @@ def test_explicit_primes_and_bad_prime(capsys, tmp_path):
                                 "--method", "finite-field",
                                 "--primes", "2,5,7,11"])
     assert code == 2 and err.startswith("error: bad-prime:")
+
+
+@pytest.mark.parametrize("method", ["delcon", "activity"])
+def test_coboundary_runs_the_engine_it_names(capsys, monkeypatch, bench_file,
+                                             method):
+    want = run(capsys, ["coboundary", "--input", bench_file])
+
+    def no_subsets(*args, **kwargs):
+        raise AssertionError("ran the subset expansion")
+
+    monkeypatch.setattr(cli, "tutte_subset", no_subsets)
+    assert run(capsys, ["coboundary", "--input", bench_file,
+                        "--method", method]) == want
+    assert want == (0, "Y^4 + Y^3*X - Y^3 + 3*Y^2*X + 4*Y*X^2 + X^3 - 3*Y^2 "
+                    "- 9*Y*X - 4*X^2 + 5*Y + 5*X - 2\n", "")
 
 
 def test_byte_identical_runs(capsys, bench_file):
@@ -511,11 +600,18 @@ def test_a_huge_dim_costs_no_power_of_it(capsys, tmp_path):
     assert (code, out, err) == (0, "1\n", "")
 
 
-def test_toric_q_plus_one_not_prime_is_a_bad_prime(capsys, toric_file):
-    code, out, err = run(capsys, ["toric", "--input", toric_file,
-                                  "--q", "100000"])
-    assert code == 2 and out == ""
-    assert err == "error: bad-prime: q + 1 = 100001 must be prime\n"
+@pytest.mark.parametrize("verb", [["toric"], ["arith", "toric"]],
+                         ids=["toric", "arith-toric"])
+def test_toric_q_plus_one_not_prime_is_a_bad_prime(capsys, toric_file, verb):
+    for q in (100000, 0):
+        code, out, err = run(capsys, verb + ["--input", toric_file,
+                                             "--q", str(q)])
+        assert code == 2 and out == ""
+        assert err == "error: bad-prime: q + 1 = %d must be prime\n" % (q + 1)
+    if verb == ["arith", "toric"]:
+        code, out, err = run(capsys, verb + ["--input", toric_file])
+        assert code == 1 and out == ""
+        assert err == "error: input-format: toric point count needs --q\n"
 
 
 # braid(6): 203 flats, 1322 reductions, 2268 comparable pairs and the

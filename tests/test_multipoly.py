@@ -79,7 +79,6 @@ def test_degree_and_coefficients():
     assert p.degree("x") == 2
     assert p.degree("y") == 1
     assert p.degree("z") == 0
-    assert p.total_degree() == 3
     assert p.coefficient("x", 1) == y
     assert p.coefficient("x", 0) == MultiPoly.const(-5)
     assert p.coeff_of_monomial({"x": 2, "y": 1}) == 3
@@ -107,13 +106,6 @@ def test_table_over_given_variables():
 def test_has_integer_coeffs():
     assert (x + 2).has_integer_coeffs()
     assert not (x / 2).has_integer_coeffs()
-
-
-def test_univariate_coeffs():
-    p = 2 * x ** 3 - x + 7
-    assert p.univariate_coeffs("x") == [7, -1, 0, 2]
-    with pytest.raises(ValueError):
-        (x * y).univariate_coeffs("x")
 
 
 def test_format_graded_lex():
