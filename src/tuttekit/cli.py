@@ -148,7 +148,7 @@ def _coboundary(arr, args, method):
     if method == "lattice":
         return intersection_poset(arr, budget=args.budget).coboundary()
     primes = None
-    if args.primes and args.primes != "auto":
+    if args.primes != "auto":
         try:
             primes = [int(p) for p in args.primes.split(",")]
         except ValueError:

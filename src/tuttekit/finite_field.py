@@ -64,7 +64,6 @@ from .errors import (
 )
 from .interpolation import interpolate_in_X
 from .linalg import is_prime, pivot_columns, power_fits
-from .multipoly import MultiPoly
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -88,9 +87,6 @@ class PointProfile:
     def counts(self):
         fibre = self.prime ** self.lift
         return tuple(c * fibre for c in self.quotient)
-
-    def polynomial(self):
-        return MultiPoly(("Y",), {(k,): c for k, c in enumerate(self.counts)})
 
 
 def _central(rows):

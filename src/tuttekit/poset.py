@@ -32,21 +32,23 @@ that both are numpy arrays of Python ints, through the same code
 (`linalg.eliminate_rows`).  Between ranks the keys are kept in the
 narrowest integer type that holds them (`linalg.narrow_rows`).
 
-The flats strictly below G are gathered as a row of uint64 words over flat
-indices while G's rank is built: the OR, over the lower covers F of G, of
-below(F) | {F}.  Once a rank is complete its rows become ascending int32
-index arrays.  Crapo's formula runs bottom-up over them: each flat H gets
+The flats strictly below G are kept as pairs: an ascending int32 array of
+flat indices per rank, all of its flats' below sets end to end, with their
+counts.  While G's rank is built, below(G) is gathered as the union, over
+the lower covers F of G, of below(F) | {F}, by sorting keys that join G and
+the entry a block of `_BLOCK_BYTES` at a time and dropping equal neighbours.
+Crapo's formula runs bottom-up over the pairs: each flat H gets
 g_H(t) = sum_{G <= H} mu(G, H) t^|G| = t^|H| - sum_{G < H} g_G(t), summed a
-block of `_BLOCK_BYTES` at a time.  The arrays then rebuild the rows of
-below(F) | {F} for the next rank, a block at a time, and are dropped.  The
-budget is charged at each rank boundary, before the arrays that the charge
-sizes are made: the rank's comparable pairs, then the reductions that find
-its covers, then the words of the next rank, counted as 32-bit words of all
-flats so far for each of its flats.  So the smallest budget that fits is
-the largest running total of work done and words held, and it bounds the
-pairs and words held.  g keeps one integer per flat and flat size that
-occurs, and every flat above the minimum is charged at least one pair, so
-below 63 hyperplanes g takes at most 8(n + 1) bytes per unit of the budget.
+block at a time.  A rank's pairs are dropped once the next rank's are made.
+The budget is charged at each rank boundary, before the arrays that the
+charge sizes are made: the rank's comparable pairs, then the reductions
+that find its covers, then the pairs gathered for the next rank,
+|below(F)| + 1 for each of its covers, which are held until that rank's
+pairs are charged.  So the smallest budget that fits is the largest running
+total of work done and pairs gathered, and it bounds the pairs held.  g
+keeps one integer per flat and flat size that occurs, and every flat above
+the minimum is charged at least one pair, so below 63 hyperplanes g takes
+at most 8(n + 1) bytes per unit of the budget.
 
 Only numpy 1.24 API is used: bits are counted by a byte table, not
 `bitwise_count`, and no result relies on numpy 2 shapes.
@@ -73,10 +75,12 @@ from .linalg import (
 from .multipoly import MultiPoly
 
 # Bytes per numpy block: of candidate key rows eliminated at once, of the
-# bits of a rank's below sets rebuilt from their pairs and their copies, of
-# words read back into pairs, of g columns gathered over intervals, and of the
-# table rows `verify_mobius` ORs.
+# keys sorted into the next rank's below sets, of g columns gathered over
+# intervals, and of the table rows and words `verify_mobius` reads.
 _BLOCK_BYTES = 1 << 20
+
+# A block's below-set keys are int32 when all are below this, int64 otherwise.
+_INT32_KEYS = 1 << 31
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
@@ -96,7 +100,7 @@ def _check_budget(required, budget):
     if required > budget:
         raise BudgetExceededError(
             "the flat lattice needs at least %d reductions, comparable pairs "
-            "and held 32-bit bitset words, over the budget %d" % (required, budget),
+            "and gathered below-set pairs, over the budget %d" % (required, budget),
             required=required)
 
 
@@ -335,35 +339,42 @@ def _covers(ckeys, cmasks, start, count, own, pivot, p):
     return tuple(np.concatenate(x) for x in zip(*out))
 
 
-def _below_rows(positions, counts, first, cstart, cflat, up, size):
-    """The below sets of the next rank as rows of uint64 words.
+def _below_pairs(positions, counts, first, flat, target, size):
+    """The below sets of the next rank as (positions, counts) pairs.
 
-    below(G) is the OR of below(F) | {F} over the lower covers F of G, the
-    flats F = first + cflat[c] of the covers c with up[c] = G; cstart[i]
-    is flat i's first cover.  The rows of below(F) | {F} are rebuilt from
-    F's pairs (positions, counts) a block at a time, each block sized for
-    them and for their copies, one per cover, and each pass ORs one lower
-    cover in the block into the row of every G.
+    below(G) is the union of below(F) | {F} over the lower covers F of G.
+    The covers come sorted by their flat G = target[c], and F is
+    first + flat[c]; positions and counts hold the current rank's below
+    sets.  A block of targets at a time, sized for its keys, each entry is
+    keyed (G - s) * width + entry, s the block's first target: in int32
+    when every key is below _INT32_KEYS, else in int64.  The keys are
+    sorted and equal neighbours dropped, so the positions come out
+    ascending within each G, as int32.
     """
-    words = (first + len(counts) + 63) // 64
-    below = np.zeros((size, words), np.uint64)
-    ends = np.cumsum(counts)
-    for s, e in blocks(8 * words * (8 + np.diff(cstart)), _BLOCK_BYTES):
-        table = np.zeros((e - s, 64 * words), bool)
-        table[np.repeat(np.arange(e - s), counts[s:e]),
-              positions[ends[s] - counts[s]:ends[e - 1]]] = True
-        table[np.arange(e - s), np.arange(first + s, first + e)] = True
-        bits = np.packbits(table, axis=1, bitorder="little").view(np.uint64)
-        order = cstart[s] + np.argsort(up[cstart[s]:cstart[e]], kind="stable")
-        targets, sources = up[order], cflat[order] - s
-        # pass j takes the j-th lower cover of each G
-        nth = np.arange(len(targets)) - np.searchsorted(targets, targets)
-        passes = np.argsort(nth, kind="stable")
-        bounds = np.searchsorted(nth, np.arange(nth.max(initial=-1) + 2), sorter=passes)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            pick = passes[a:b]
-            below[targets[pick]] |= bits[sources[pick]]
-    return below
+    width = first + len(counts)
+    starts = np.cumsum(counts) - counts
+    lens = counts[flat]
+    bounds = np.searchsorted(target, np.arange(size + 1))
+    out, sizes = [np.zeros(0, np.int32)], []
+    for s, e in blocks(8 * np.add.reduceat(lens + 1, bounds[:-1]), _BLOCK_BYTES):
+        a, b = bounds[s], bounds[e]
+        dtype = np.int32 if (e - s) * width <= _INT32_KEYS else np.int64
+        f, k = flat[a:b], lens[a:b]
+        base = ((target[a:b] - s) * width).astype(dtype)
+        # F's below set is positions[starts[F]:starts[F] + |below(F)|]
+        ends = np.cumsum(k)
+        idx = np.repeat(starts[f] - ends + k, k) + np.arange(ends[-1])
+        keys = np.concatenate((np.repeat(base, k) + positions[idx],
+                               base + (first + f).astype(dtype)))
+        keys.sort()
+        keep = np.empty(len(keys), bool)
+        keep[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
+        rows = keys // width
+        out.append((keys - rows * width).astype(np.int32))
+        sizes.append(np.bincount(rows, minlength=e - s))
+    return np.concatenate(out), np.concatenate(sizes)
 
 
 def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
@@ -371,10 +382,11 @@ def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
 
     The budget is charged at each rank boundary, before the arrays that the
     charge sizes are made: the rank's comparable pairs, then the reductions
-    that find its covers, then the below sets of the next rank, 32 bits to a
-    pair, which are held while they are built.  BudgetExceededError reports
-    the running total as `required` once it exceeds the budget.  A rank's
-    pairs are held only until the next rank's below sets are built.
+    that find its covers, then the pairs gathered for the below sets of the
+    next rank, which are held until that rank's pairs are charged.
+    BudgetExceededError reports the running total as `required` once it
+    exceeds the budget.  A rank's pairs are held only until the next rank's
+    below sets are built.
     ConsistencyError is raised if g_H(1) is not 0 for an H above the minimum.
     """
     p = arrangement.prime
@@ -388,7 +400,7 @@ def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
     start, count = np.zeros(1, np.int64), np.array([len(nonloops)])
     own = pivot = None
     masks = np.array([sum(1 << n - 1 - j for j in arrangement.loops())], dtype)
-    below = np.zeros((1, 0), np.uint64)
+    positions, counts = np.zeros(0, np.int32), np.zeros(1, np.int64)
     work = held = first = 0
     ranks = []
     # the flat sizes so far, and the minimum's g, t^(number of loops)
@@ -397,11 +409,9 @@ def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
     while True:
         m = len(masks)
         ranks.append(masks)
-        counts = _bit_counts(below)
         work += int(counts.sum())
         _check_budget(work + held, budget)
-        positions = _bit_positions(below)
-        below, held = None, 0
+        held = 0
         if first:
             # g_H = t^|H| - sum_{G < H} g_G for the flats H of this rank
             sizes = _sizes(masks)
@@ -426,19 +436,18 @@ def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
         ckeys, cmasks, cflat = covers
 
         # the covers' flats, ordered by descending mask; each is found by the
-        # first flat in order that has it as a cover, and up[c] is the flat
-        # of cover c
+        # first flat in order that has it as a cover, and the covers in that
+        # order go up to the flats np.cumsum(heads) - 1
         negated = -(masks[cflat] | cmasks)
         order = np.argsort(negated, kind="stable")
         heads = np.ones(len(order), bool)
         heads[1:] = negated[order[1:]] != negated[order[:-1]]
         found = order[heads]
-        up = np.empty(len(order), np.int64)
-        up[order] = np.cumsum(heads) - 1
-        held = len(found) * ((first + m) // 32 + 1)
+        held = int(counts[cflat].sum()) + len(cflat)
         _check_budget(work + held, budget)
+        positions, counts = _below_pairs(positions, counts, first, cflat[order],
+                                         np.cumsum(heads) - 1, len(found))
         cstart = np.searchsorted(cflat, np.arange(m + 1))
-        below = _below_rows(positions, counts, first, cstart, cflat, up, len(found))
         masks = -negated[found]
         finder = cflat[found]
         start, count = cstart[finder], cstart[finder + 1] - cstart[finder]

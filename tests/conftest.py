@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tuttekit.arrangement import Arrangement
+from tuttekit.multipoly import MultiPoly
 
 
 @pytest.fixture
@@ -15,6 +16,12 @@ def bench():
     """
     return Arrangement(3, [([1, 0, 0], 0), ([0, 1, 0], 0),
                            ([1, -1, 0], 0), ([0, 0, 1], 0)], label="bench")
+
+
+def profile_polynomial(profile):
+    """The point profile as a polynomial in Y: its count of points on
+    exactly k hyperplanes is the coefficient of Y^k."""
+    return MultiPoly(("Y",), {(k,): c for k, c in enumerate(profile.counts)})
 
 
 def classify(arr, i):

@@ -7,7 +7,7 @@ import random
 import time
 from itertools import combinations, product
 
-from conftest import classify, random_arrangement
+from conftest import classify, profile_polynomial, random_arrangement
 from tuttekit.arithmetic import (
     VectorConfig,
     arithmetic_char_poly,
@@ -251,7 +251,7 @@ def test_criterion_8_property_suites():
             ok &= profile.counts[0] == chi.evaluate({"q": 7})  # t=0 slice
             sub = {v: w for v, w in (("X", 7), ("Y", Y)) if v in cob.vars}
             want = (cob.substitute(sub) if sub else cob) * 7 ** (arr.dim - r)
-            ok &= profile.polynomial() == want
+            ok &= profile_polynomial(profile) == want
             profiles_done += 1
     ok &= profiles_done == 25
     _report("8 (property suites on 200 random arrangements)", ok)

@@ -305,6 +305,16 @@ def test_too_few_primes_exit_2_with_one_line(capsys, bench_file):
     assert code == 1 and _one_error_line(err, "input-format")
 
 
+def test_an_empty_prime_list_is_an_input_format_error(capsys, bench_file):
+    argv = ["coboundary", "--input", bench_file, "--method", "finite-field"]
+    for primes in ("", "5,,7"):
+        code, out, err = run(capsys, argv + ["--primes", primes])
+        assert code == 1 and out == "" and _one_error_line(err, "input-format")
+    # "auto" searches for primes, as no --primes does
+    want = run(capsys, argv)
+    assert want[0] == 0 and run(capsys, argv + ["--primes", "auto"]) == want
+
+
 def _structured_terms(out):
     return sorted((c, sorted(m.items())) for c, m in json.loads(out)["polynomial"])
 
@@ -614,9 +624,10 @@ def test_toric_q_plus_one_not_prime_is_a_bad_prime(capsys, toric_file, verb):
         assert err == "error: input-format: toric point count needs --q\n"
 
 
-# braid(6): 203 flats, 1322 reductions, 2268 comparable pairs and the
-# bitsets in hand (7 words at the end), against 203^2 = 41209 flat pairs
-BRAID6_WORK = 3597
+# braid(6): 203 flats; at its peak, the top of rank 4, 1260 reductions up to
+# rank 3, 2066 comparable pairs up to rank 4 and the 2835 pairs gathered for
+# rank 4's below sets, against 203^2 = 41209 flat pairs
+BRAID6_WORK = 6161
 
 
 @pytest.mark.parametrize("verb", ["poset", "tutte"])
@@ -856,10 +867,10 @@ def test_engine_over_budget_is_one_line(capsys, method, unit):
 
 
 def test_check_reports_an_engine_over_budget_and_goes_on(capsys):
-    # braid(4): delcon visits 33 nodes and the flat lattice fits in 100,
+    # braid(4): delcon visits 33 nodes and the flat lattice fits in 127,
     # but the activity walk charges 6 rows for each of its 31 subsets
     code, out, err = run(capsys, ["family", "braid", "--n", "4", "check",
-                                  "--budget", "100"])
+                                  "--budget", "127"])
     lines = out.splitlines()
     assert code == 2 and err == ""
     assert lines[:3] == ["ok   engine-agreement subset/delcon",

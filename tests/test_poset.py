@@ -150,12 +150,13 @@ def test_kernel_matches_brute_force(arr):
 
 def test_poset_budget():
     # braid(4): 50 reductions (6 at the minimum, 5 per atom, 2 per rank-2
-    # flat, none at the top), 45 comparable pairs, and the top's bitset,
-    # one 32-bit word, held while its pairs are charged
+    # flat, none at the top), 45 comparable pairs, and the 32 pairs
+    # gathered for the top's below set, |below(F)| + 1 over its 7 lower
+    # covers F (4 x 5 + 3 x 4), charged while its pairs are
     with pytest.raises(BudgetExceededError) as err:
-        intersection_poset(braid(4), budget=95)
-    assert err.value.required > 95
-    poset = intersection_poset(braid(4), budget=96)
+        intersection_poset(braid(4), budget=126)
+    assert err.value.required > 126
+    poset = intersection_poset(braid(4), budget=127)
     assert len(poset.flats) == 15
     assert poset.g.tolist() == _reference_g([f.hyperplane_set for f in poset.flats])
 
@@ -207,15 +208,52 @@ def test_verify_mobius_catches_one_changed_g_row_or_value(arr):
 def test_build_checks_that_g_vanishes_at_one(monkeypatch):
     # the last interval of each rank loses the minimum, its first position:
     # its g_H(1) is 1, where above the minimum it is 0
-    positions = poset_module._bit_positions
+    pairs = poset_module._below_pairs
 
-    def drop_minimum(rows):
-        out, last = positions(rows), positions(rows[-1:])
-        return np.delete(out, len(out) - len(last)) if len(last) > 1 else out
+    def drop_minimum(*args):
+        positions, counts = pairs(*args)
+        if counts[-1] > 1:
+            positions = np.delete(positions, len(positions) - counts[-1])
+            counts = counts.copy()
+            counts[-1] -= 1
+        return positions, counts
 
-    monkeypatch.setattr(poset_module, "_bit_positions", drop_minimum)
+    monkeypatch.setattr(poset_module, "_below_pairs", drop_minimum)
     with pytest.raises(ConsistencyError, match=r"g\(1\) is not 0"):
         intersection_poset(braid(4))
+
+
+@pytest.mark.parametrize("block", [1, 64, poset_module._BLOCK_BYTES])
+@pytest.mark.parametrize("arr, python_ints", [
+    (braid(5), False), (shi(3), False), (generic(6, 3), False),
+    (all_linear(3, 3), False), (braid(5), True)],
+    ids=["braid5", "shi3", "generic6-3", "all-linear-3-3", "braid5-python-ints"])
+@pytest.mark.parametrize("int32_keys", [poset_module._INT32_KEYS, 0], ids=["int32", "int64"])
+def test_below_pairs_are_the_flats_below_by_containment(arr, python_ints, block, int32_keys,
+                                                         monkeypatch):
+    made = []
+    pairs = poset_module._below_pairs
+
+    def spy(*args):
+        made.append(pairs(*args))
+        return made[-1]
+
+    monkeypatch.setattr(poset_module, "_below_pairs", spy)
+    monkeypatch.setattr(poset_module, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(poset_module, "_INT32_KEYS", int32_keys)
+    if python_ints:
+        monkeypatch.setattr(poset_module, "_dtype", lambda n: object)
+    poset = intersection_poset(arr)
+    flats = poset.flats
+    # the call that found rank k + 1 made its below sets
+    ranks = poset._ranks()[1:]
+    assert len(made) == len(ranks)
+    for (positions, counts), (first, end) in zip(made, ranks):
+        assert positions.dtype == np.int32
+        want = [[j for j in range(first) if flats[j].hyperplane_set <= flats[i].hyperplane_set]
+                for i in range(first, end)]
+        assert counts.tolist() == [len(w) for w in want]
+        assert positions.tolist() == [j for w in want for j in w]
 
 
 def test_bit_counts_and_positions_across_blocks(monkeypatch):
@@ -318,10 +356,12 @@ def test_small_blocks_give_the_same_poset(block, monkeypatch):
     want = intersection_poset(braid(7))
     monkeypatch.setattr(poset_module, "_BLOCK_BYTES", block)
     _same_poset(intersection_poset(braid(7)), want)
-    # the smallest budget that fits is the same
+    # the smallest budget that fits is the same: 7056 reductions up to rank
+    # 4, 17549 comparable pairs up to rank 5, and the 24276 pairs gathered
+    # for rank 5's below sets
     with pytest.raises(BudgetExceededError):
-        intersection_poset(braid(7), budget=26242)
-    assert len(intersection_poset(braid(7), budget=26243).flats) == 877
+        intersection_poset(braid(7), budget=48880)
+    assert len(intersection_poset(braid(7), budget=48881).flats) == 877
 
 
 @pytest.mark.parametrize("tag, n", [("braid", 8), ("bc", 6), ("dn", 6),
