@@ -14,7 +14,8 @@ point profile gives them, so no polynomial is built per sample.  The
 Lagrange basis polynomials are computed once per call, as integer
 coefficient lists over one common denominator; each power of Y's column of
 sample values is then interpolated by a dot product, and each oversample is
-checked by Horner's rule.  One MultiPoly in (Y, X) is built at the end.
+checked by Horner's rule.  One MultiPoly in (Y, X) is built at the end,
+its coefficients ints wherever the common denominator divides them.
 """
 
 from fractions import Fraction
@@ -53,7 +54,8 @@ def _lagrange_basis(xs):
 def interpolate_in_X(samples, degree_bound, top=()):
     """Fit the unique polynomial in X of degree <= degree_bound + len(top),
     with the given top coefficients, through samples; a MultiPoly in
-    ("Y", "X").
+    ("Y", "X").  A coefficient is an int when it is integral, else a
+    Fraction, so `has_integer_coeffs` tells whether the fit is integral.
 
     samples: list of (x, [c_0, c_1, ...]), x an integer and the counts
     integers standing for the value sum_k c_k Y^k at X = x.
@@ -105,6 +107,6 @@ def interpolate_in_X(samples, degree_bound, top=()):
                     "oversample at %s disagrees with the interpolant "
                     "(wrong degree bound or bad prime)" % x
                 )
-    fitted = {(k, e): Fraction(c, common)
+    fitted = {(k, e): c // common if c % common == 0 else Fraction(c, common)
               for k, nums in scaled.items() for e, c in enumerate(nums) if c}
     return MultiPoly(("Y", "X"), {**fitted, **known})

@@ -3,28 +3,33 @@
 MultiPoly is the universal value type of the package: Tutte polynomials,
 characteristic polynomials, coboundary polynomials, point-count identities
 and generating-function coefficients are all instances.  Coefficients are
-``fractions.Fraction``; no floating point is used anywhere.
+plain ints; a coefficient is a ``fractions.Fraction`` only where it is not
+integral (the generating-function oracles).  No floating point is used
+anywhere.
 
 Terms are kept in a dict mapping exponent tuples to nonzero coefficients.
 Printing uses graded lexicographic order (total degree first, then the
 exponent vector), highest term first, so output is deterministic.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import UnknownVariableError
 
 
 def _coerce(c):
-    if isinstance(c, Fraction):
-        return c
+    """c as an int (a bool or an integral Fraction becomes one), or as a
+    non-integral Fraction."""
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
 
 
 class MultiPoly:
-    """A polynomial in named variables with Fraction coefficients.
+    """A polynomial in named variables with int (or Fraction) coefficients.
 
     Instances are immutable; all operations return new polynomials.
     """
@@ -37,15 +42,15 @@ class MultiPoly:
         if terms:
             nv = len(self.vars)
             for exps, coeff in terms.items():
-                coeff = _coerce(coeff)
-                if coeff == 0:
+                if type(coeff) is not int:
+                    coeff = _coerce(coeff)
+                if not coeff:
                     continue
-                exps = tuple(exps)
+                if type(exps) is not tuple:
+                    exps = tuple(exps)
                 if len(exps) != nv:
                     raise ValueError("exponent vector length mismatch")
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-                if clean[exps] == 0:
-                    del clean[exps]
+                clean[exps] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_canon", None)
 
@@ -67,18 +72,18 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, name):
-        return cls((name,), {(1,): Fraction(1)})
+        return cls((name,), {(1,): 1})
 
     @classmethod
     def monomial(cls, variables, exps, coeff=1):
-        return cls(tuple(variables), {tuple(exps): _coerce(coeff)})
+        return cls(tuple(variables), {tuple(exps): coeff})
 
     # -- canonical form / comparison ---------------------------------------
 
     def canonical(self):
         """Terms keyed by frozensets of (var, exp) pairs; drops unused variables.
 
-        Used for equality and hashing across different variable orderings.
+        Used for hashing, and for equality across different variable orderings.
         """
         if self._canon is None:
             canon = frozenset(
@@ -93,6 +98,8 @@ class MultiPoly:
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
+        if self.vars == other.vars:
+            return self.terms == other.terms
         return self.canonical() == other.canonical()
 
     def __hash__(self):
@@ -105,9 +112,10 @@ class MultiPoly:
         return all(not any(e) for e in self.terms)
 
     def constant_value(self):
-        """The value of a constant polynomial, as a Fraction."""
+        """The value of a constant polynomial: an int, or a Fraction when it
+        is not integral."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("polynomial is not constant: %s" % self)
         return next(iter(self.terms.values()))
@@ -146,7 +154,7 @@ class MultiPoly:
         joint, a, b = self._aligned(other)
         out = dict(a)
         for exps, coeff in b.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
+            out[exps] = out.get(exps, 0) + coeff
         return MultiPoly(joint, out)
 
     __radd__ = __add__
@@ -177,7 +185,7 @@ class MultiPoly:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return MultiPoly(joint, out)
 
     __rmul__ = __mul__
@@ -195,8 +203,7 @@ class MultiPoly:
         return result
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        return self * Fraction(1, 1) * Fraction(other.denominator, other.numerator)
+        return self * Fraction(1, _coerce(other))
 
     # -- substitution / evaluation ----------------------------------------
 
@@ -226,8 +233,10 @@ class MultiPoly:
         return result
 
     def evaluate(self, assignment):
-        """Evaluate at a point; every variable that occurs must be assigned."""
-        total = Fraction(0)
+        """Evaluate at a point of ints or Fractions; every variable that occurs
+        must be assigned.  The value is an int when the point's coordinates
+        and the coefficients are, else a Fraction."""
+        total = 0
         for exps, coeff in self.terms.items():
             val = coeff
             for v, e in zip(self.vars, exps):
@@ -235,7 +244,7 @@ class MultiPoly:
                     continue
                 if v not in assignment:
                     raise UnknownVariableError("no value for variable %r" % v)
-                val *= Fraction(assignment[v]) ** e
+                val *= assignment[v] ** e
             total += val
         return total
 
@@ -257,13 +266,13 @@ class MultiPoly:
         for exps, coeff in self.terms.items():
             if exps[i] == k:
                 key = tuple(e for j, e in enumerate(exps) if j != i)
-                out[key] = out.get(key, Fraction(0)) + coeff
+                out[key] = out.get(key, 0) + coeff
         return MultiPoly(rest, out)
 
     def coeff_of_monomial(self, assignment):
         """Scalar coefficient of the monomial with the given {var: exp} exponents."""
         target = dict(assignment)
-        total = Fraction(0)
+        total = 0
         for exps, coeff in self.terms.items():
             ok = True
             for v, e in zip(self.vars, exps):
@@ -293,12 +302,11 @@ class MultiPoly:
         return MultiPoly(self.vars, out)
 
     def has_integer_coeffs(self):
-        return all(c.denominator == 1 for c in self.terms.values())
+        return all(type(c) is int for c in self.terms.values())
 
     def table(self, names):
-        """Terms keyed by exponent tuples over `names`, integral coefficients
-        as int (for exact table arithmetic); raises ValueError if a variable
-        outside `names` occurs."""
+        """Terms keyed by exponent tuples over `names` (for exact table
+        arithmetic); raises ValueError if a variable outside `names` occurs."""
         pos = [names.index(v) if v in names else None for v in self.vars]
         out = {}
         for exps, coeff in self.terms.items():
@@ -308,19 +316,16 @@ class MultiPoly:
                     raise ValueError("%s uses a variable outside %s" % (self, names))
                 if e:
                     key[k] = e
-            out[tuple(key)] = coeff.numerator if coeff.denominator == 1 else coeff
+            out[tuple(key)] = coeff
         return out
 
     # -- printing ----------------------------------------------------------
 
     def _sorted_terms(self):
-        used = [i for i, v in enumerate(self.vars) if any(e[i] for e in self.terms)]
-        items = []
-        for exps, coeff in self.terms.items():
-            key = (sum(exps), tuple(exps[i] for i in used))
-            items.append((key, exps, coeff))
-        items.sort(key=lambda t: t[0], reverse=True)
-        return [(e, c) for _, e, c in items]
+        """(exps, coeff) pairs, highest first by total degree, then by the
+        exponent vector.  A variable that occurs in no term adds the same
+        zero to every key, so it cannot change the order."""
+        return sorted(self.terms.items(), key=_grlex, reverse=True)
 
     def __str__(self):
         return self.format()
@@ -331,44 +336,25 @@ class MultiPoly:
     def format(self, mul="*", pow_="^"):
         if not self.terms:
             return "0"
+        names = self.vars
         parts = []
         for exps, coeff in self._sorted_terms():
-            factors = []
-            for v, e in zip(self.vars, exps):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append("%s%s%d" % (v, pow_, e))
-            mag = abs(coeff)
-            if factors and mag == 1:
-                body = mul.join(factors)
-            elif factors:
-                body = mul.join([_fmt_frac(mag)] + factors)
+            factors = [v if e == 1 else "%s%s%d" % (v, pow_, e)
+                       for v, e in zip(names, exps) if e]
+            if coeff < 0:
+                parts.append(" - ")
+                coeff = -coeff
             else:
-                body = _fmt_frac(mag)
-            parts.append(("-" if coeff < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += " %s %s" % (sign, body)
-        return text
+                parts.append(" + ")
+            if coeff != 1 or not factors:
+                factors.insert(0, str(coeff))
+            parts.append(mul.join(factors))
+        parts[0] = "-" if parts[0] == " - " else ""
+        return "".join(parts)
 
     def to_latex(self):
-        text = self.format(mul=" ", pow_="^")
-        # wrap multi-digit exponents in braces
-        out = []
-        i = 0
-        while i < len(text):
-            if text[i] == "^":
-                j = i + 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                out.append("^{" + text[i + 1 : j] + "}")
-                i = j
-            else:
-                out.append(text[i])
-                i += 1
-        return "".join(out)
+        # every exponent in braces, so that multi-digit ones set right
+        return re.sub(r"\^(\d*)", r"^{\1}", self.format(mul=" "))
 
     def term_list(self):
         """Terms as [[coeff-string, {var: exp}], ...] in graded-lex order."""
@@ -380,7 +366,6 @@ class MultiPoly:
         return out
 
 
-def _fmt_frac(f):
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
+def _grlex(item):
+    exps = item[0]
+    return sum(exps), exps

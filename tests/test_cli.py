@@ -879,6 +879,22 @@ def test_check_reports_an_engine_over_budget_and_goes_on(capsys):
     assert all(line.startswith("ok   ") for line in lines[3:])
 
 
+def test_check_reports_the_lattice_over_budget_and_goes_on(capsys):
+    # braid(4)'s flat lattice needs 127: at 100 it is one FAIL line, the
+    # two checks that read it are skipped, and chi comes from Whitney
+    code, out, err = run(capsys, ["family", "braid", "--n", "4", "check",
+                                  "--budget", "100"])
+    lines = out.splitlines()
+    assert code == 2 and err == ""
+    assert lines[:3] == ["ok   engine-agreement subset/delcon",
+                         "FAIL engine-agreement subset/activity (budget-exceeded)",
+                         "FAIL engine-agreement subset/lattice (budget-exceeded)"]
+    assert lines[3:] == ["ok   chi-sign-and-logconcavity",
+                         "ok   coboundary-roundtrip",
+                         "ok   profile-sums-to-p^d",
+                         "ok   profile-t0-slice"]
+
+
 @pytest.mark.parametrize("verb", [["tutte", "--method", "subset"], ["multivariate"]])
 def test_subset_walks_fit_a_budget_of_2_to_the_n(capsys, verb):
     # braid(5) is central with 10 hyperplanes: the walk costs 2^10

@@ -19,11 +19,16 @@ def test_exact_reconstruction():
     got = interpolate_in_X(samples, 2)
     assert got == target
     assert got.vars == ("Y", "X")
+    assert not got.has_integer_coeffs()
+    assert got.coeff_of_monomial({"X": 2, "Y": 1}) == Fraction(1, 2)
 
 
 def test_counts_without_Y():
     samples = [(0, [1]), (1, [2]), (2, [5])]
-    assert interpolate_in_X(samples, 2) == X ** 2 + 1
+    got = interpolate_in_X(samples, 2)
+    assert got == X ** 2 + 1
+    # the common denominator 2 divides every fitted coefficient
+    assert all(type(c) is int for c in got.terms.values())
 
 
 def test_constant_with_oversample():

@@ -140,3 +140,149 @@ def test_term_list():
 def test_immutability():
     with pytest.raises(AttributeError):
         x.vars = ("z",)
+
+
+# -- the printing order and text, against the formatter that stored every
+# coefficient as a Fraction and sorted by the exponents of used variables
+
+def _reference_sorted_terms(p):
+    used = [i for i, v in enumerate(p.vars) if any(e[i] for e in p.terms)]
+    items = []
+    for exps, coeff in p.terms.items():
+        key = (sum(exps), tuple(exps[i] for i in used))
+        items.append((key, exps, Fraction(coeff)))
+    items.sort(key=lambda t: t[0], reverse=True)
+    return [(e, c) for _, e, c in items]
+
+
+def _reference_frac(f):
+    if f.denominator == 1:
+        return str(f.numerator)
+    return "%d/%d" % (f.numerator, f.denominator)
+
+
+def _reference_format(p, mul="*", pow_="^"):
+    if not p.terms:
+        return "0"
+    parts = []
+    for exps, coeff in _reference_sorted_terms(p):
+        factors = []
+        for v, e in zip(p.vars, exps):
+            if e == 1:
+                factors.append(v)
+            elif e > 1:
+                factors.append("%s%s%d" % (v, pow_, e))
+        mag = abs(coeff)
+        if factors and mag == 1:
+            body = mul.join(factors)
+        elif factors:
+            body = mul.join([_reference_frac(mag)] + factors)
+        else:
+            body = _reference_frac(mag)
+        parts.append(("-" if coeff < 0 else "+", body))
+    sign, body = parts[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in parts[1:]:
+        text += " %s %s" % (sign, body)
+    return text
+
+
+def _reference_latex(p):
+    text = _reference_format(p, mul=" ", pow_="^")
+    out = []
+    i = 0
+    while i < len(text):
+        if text[i] == "^":
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            out.append("^{" + text[i + 1 : j] + "}")
+            i = j
+        else:
+            out.append(text[i])
+            i += 1
+    return "".join(out)
+
+
+def _reference_term_list(p):
+    return [[str(c), {v: e for v, e in zip(p.vars, exps) if e}]
+            for exps, c in _reference_sorted_terms(p)]
+
+
+def _random_poly(rng, names, used):
+    """Up to 8 terms in `used` (a subset of `names`), exponents 0-12, with
+    int, integral Fraction and non-integral Fraction coefficients."""
+    terms = {}
+    for _ in range(rng.randint(0, 8)):
+        exps = tuple(rng.randint(0, 12) if v in used and rng.random() < 0.7
+                     else 0 for v in names)
+        kind = rng.randrange(3)
+        c = rng.randint(-3, 3)
+        if kind == 1:
+            c = Fraction(c * 2, 2)
+        elif kind == 2:
+            c = Fraction(c, rng.randint(2, 5))
+        terms[exps] = c
+    return MultiPoly(names, terms)
+
+
+@pytest.mark.parametrize("names,used", [
+    (("x", "y"), "xy"), (("y", "x"), "xy"), (("x", "z", "y"), "xy"),
+    (("q",), "q"), (("x", "y"), "y"), (("w_1", "w_2", "w_10", "q"), ("w_1", "w_10", "q")),
+])
+@pytest.mark.parametrize("seed", range(25))
+def test_text_matches_the_reference_formatter(names, used, seed):
+    p = _random_poly(random.Random("%s-%d" % (names, seed)), names, used)
+    assert p.format() == _reference_format(p)
+    assert p.to_latex() == _reference_latex(p)
+    assert p.term_list() == _reference_term_list(p)
+
+
+@pytest.mark.parametrize("p", [
+    MultiPoly.zero(), MultiPoly(("x", "y"), {}), MultiPoly.const(-1),
+    MultiPoly.const(7), MultiPoly.const(Fraction(-5, 3)),
+    MultiPoly(("x", "y"), {(0, 0): 1}), MultiPoly(("x",), {(2,): -1, (0,): 1}),
+    MultiPoly(("x", "y"), {(1, 1): Fraction(-1, 2), (2, 0): -1, (0, 2): 1}),
+    MultiPoly(("x", "y", "z"), {(3, 0, 0): -2, (0, 3, 0): 1, (1, 1, 0): Fraction(6, 2)}),
+])
+def test_edge_cases_match_the_reference_formatter(p):
+    assert p.format() == _reference_format(p)
+    assert p.to_latex() == _reference_latex(p)
+    assert p.term_list() == _reference_term_list(p)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    p = MultiPoly(("x", "y"), {(1, 0): Fraction(4, 2), (0, 1): True,
+                               (1, 1): Fraction(1, 2), (0, 0): False})
+    assert p.terms == {(1, 0): 2, (0, 1): 1, (1, 1): Fraction(1, 2)}
+    assert type(p.terms[(1, 0)]) is int and type(p.terms[(0, 1)]) is int
+    assert type(p.terms[(1, 1)]) is Fraction
+    assert all(type(c) is int for c in ((x / 2) * 2 + 3 * y).terms.values())
+    assert type(MultiPoly.const(Fraction(6, 3)).constant_value()) is int
+    assert type(MultiPoly.zero().constant_value()) is int
+    assert (x + 2).table(("x",)) == {(1,): 1, (0,): 2}
+
+
+def test_evaluate_stays_in_ints_at_int_points():
+    p = 3 * x ** 2 * y - 2 * y + 1
+    assert p.evaluate({"x": 3, "y": 2}) == 51
+    assert type(p.evaluate({"x": 3, "y": 2})) is int
+    assert type(MultiPoly.zero().evaluate({})) is int
+    assert p.evaluate({"x": Fraction(1, 2), "y": 4}) == -4
+    assert (p / 2).evaluate({"x": 1, "y": 1}) == Fraction(1, 1)
+    assert (p / 3).evaluate({"x": 1, "y": 1}) == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_equality_and_hash_agree_across_orders_and_unused_variables(seed):
+    rng = random.Random(seed)
+    a = _random_poly(rng, ("x", "y"), "xy")
+    swapped = MultiPoly(("y", "x"), {(j, i): c for (i, j), c in a.terms.items()})
+    padded = MultiPoly(("x", "z", "y"), {(i, 0, j): c for (i, j), c in a.terms.items()})
+    for b in (swapped, padded, MultiPoly(("x", "y"), dict(a.terms))):
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+    # an unused variable changes neither the order nor the text
+    assert padded.format() == a.format()
+    other = a + MultiPoly(("y",), {(1,): 1})
+    assert other != a and other != swapped and other != padded
