@@ -26,7 +26,7 @@ arr = Arrangement(3, [([1, 0, 0], 0), ([0, 1, 0], 0),
 # and count its points.  Each row has one +1 and at most one -1, so the rows
 # are totally unimodular: every nonzero minor is +-1, and every prime is safe.
 print("prime floor:", arr.prime_floor, "(any prime above it is safe)")
-mod5 = reduce_mod_p(arr, 5, mode="bound")
+mod5 = reduce_mod_p(arr, 5)
 profile = point_profile(mod5)
 print("incidence profile at p=5:", profile.counts)
 print("   %d points avoid all four planes; %d lie on exactly one; ..."

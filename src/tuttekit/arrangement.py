@@ -312,9 +312,9 @@ class Arrangement:
         """Sorted tuple of (bitmask, rank) over all central subsets of non-loops.
 
         Bit k of a mask stands for the k-th non-loop.  Loops are excluded;
-        the fingerprint is the object compared by the verified reduction
-        mode, which compares one arrangement against many primes, so it is
-        computed once per arrangement.  The walk is charged to the budget as
+        the fingerprint is what `finite_field.reduce_mod_p` compares to name
+        the witness of a rejected prime, so it is computed once per
+        arrangement.  The walk is charged to the budget as
         `linalg.central_subsets` charges it (None: no bound).
         """
         if self._semimatroid is None:
@@ -344,11 +344,15 @@ class Arrangement:
     def from_dict(cls, data):
         """The arrangement of a `to_dict` record; InputFormatError if malformed.
 
-        A `prime` field must be a prime integer, and the entries of an
-        arrangement over F_p must be integers.
+        `dim` must be an integer or a string of one, a `prime` field a prime
+        integer, and the entries of an arrangement over F_p integers.
         """
         try:
-            dim = int(data["dim"])
+            dim = data["dim"]
+            if type(dim) is not int:
+                if not isinstance(dim, str):
+                    raise TypeError("dim must be an integer, got %r" % (dim,))
+                dim = int(dim)
             hs = [([_entry(x) for x in h["normal"]], _entry(h.get("offset", 0)))
                   for h in data["hyperplanes"]]
         except (AttributeError, KeyError, TypeError, ValueError,

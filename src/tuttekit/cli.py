@@ -57,16 +57,21 @@ class _Parser(argparse.ArgumentParser):
 
 def _budget(flag):
     """The work budget: --budget when given, else TUTTEKIT_BUDGET when set
-    and not empty, else DEFAULT_BUDGET."""
-    if flag is not None:
-        return flag
-    env = os.environ.get("TUTTEKIT_BUDGET")
-    if not env:
-        return DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise InputFormatError("TUTTEKIT_BUDGET must be an integer, got %r" % env)
+    and not empty, else DEFAULT_BUDGET; a negative one is an input-format
+    error."""
+    budget, source = flag, "--budget"
+    if flag is None:
+        source = "TUTTEKIT_BUDGET"
+        env = os.environ.get(source)
+        if not env:
+            return DEFAULT_BUDGET
+        try:
+            budget = int(env)
+        except ValueError:
+            raise InputFormatError("TUTTEKIT_BUDGET must be an integer, got %r" % env)
+    if budget < 0:
+        raise InputFormatError("%s must be >= 0, got %d" % (source, budget))
+    return budget
 
 
 def _read(path):
@@ -154,8 +159,7 @@ def _coboundary(arr, args, method):
         except ValueError:
             raise InputFormatError("--primes must be 'auto' or comma-separated "
                                    "integers, got %r" % args.primes)
-    return coboundary_ffm(arr, primes=primes, reduction=args.reduction,
-                          budget=args.budget)
+    return coboundary_ffm(arr, primes=primes, budget=args.budget)
 
 
 def _add_output_flags(p):
@@ -169,8 +173,6 @@ def _add_method_flags(p):
                             "finite-field"], default="auto")
     p.add_argument("--primes", default="auto",
                    help="'auto' or comma-separated primes for finite-field")
-    p.add_argument("--reduction", choices=["auto", "bound", "verified"],
-                   default="auto")
     p.add_argument("--budget", type=int, default=None)
 
 
@@ -324,7 +326,7 @@ def _run_check(arr, args):
            tutte_from_coboundary(cob, arr.rank) == t_sub)
     if arr.prime is None:
         try:
-            mods = select_primes(arr, 1, reduction="auto", budget=budget)
+            mods = select_primes(arr, 1, budget=budget)
             profile = point_profile(mods[0], budget=budget)
             p, lift = mods[0].prime, profile.lift
             # compared before the lift, as `check_profile` does

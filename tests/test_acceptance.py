@@ -79,7 +79,7 @@ def test_criterion_1_benchmark_reproduction():
         + (4 * X ** 2 - 9 * X + 5) * Y + (X ** 3 - 4 * X ** 2 + 5 * X - 2)
     ok &= _cob(arr) == want_cob
     ok &= coboundary_ffm(arr) == want_cob
-    profile = point_profile(reduce_mod_p(arr, 5, mode="verified"))
+    profile = point_profile(reduce_mod_p(arr, 5))
     ok &= profile.counts == (48, 60, 12, 4, 1)
     _report("1 (benchmark arrangement: T, chi, coboundary, p=5 profile)", ok)
 
@@ -243,7 +243,7 @@ def test_criterion_8_property_suites():
         ok &= tutte_from_coboundary(cob, r) == t
         if profiles_done < 25 and arr.dim <= 3:
             try:
-                modarr = reduce_mod_p(arr, 7, mode="verified")
+                modarr = reduce_mod_p(arr, 7)
             except Exception:
                 continue
             profile = point_profile(modarr)

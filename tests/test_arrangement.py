@@ -250,6 +250,8 @@ def test_essentialize_keeps_tutte_and_has_dim_rank(make):
     '{"dim": 2, "prime": true, "hyperplanes": []}',
     '{"dim": 2, "prime": 5, "hyperplanes": [{"normal": ["1/2", 1]}]}',
     '{"dim": -1, "hyperplanes": []}',
+    '{"dim": 2.9, "hyperplanes": [{"normal": ["1", "0"]}]}',
+    '{"dim": true, "hyperplanes": [{"normal": ["1"]}]}',
     '{"dim": 1, "hyperplanes": [[1]]}',
     '[1, 2]',
 ])

@@ -38,7 +38,7 @@ def test_every_traced_name_resolves():
 
 def test_reduction_has_what_the_point_hook_reads():
     arr = Arrangement(2, [([1, 0], 0), ([0, 0], 0), ([1, 1], 1)])
-    red = reduce_mod_p(arr, 5, mode="verified")
+    red = reduce_mod_p(arr, 5)
     assert (red.prime, red.dim, len(red.rows)) == (5, 2, 2)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -169,6 +170,33 @@ def test_family_help_and_unknown_flags(capsys):
     assert out.err == "error: parse: unrecognized arguments: --bogus char\n"
 
 
+@pytest.mark.parametrize("argv", [["tutte", "--input", "arr.json"],
+                                  ["family", "braid", "--n", "3", "tutte"]])
+def test_reduction_is_not_a_flag(capsys, argv):
+    # every prime is certified by the one rule of reduce_mod_p
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--reduction", "bound"])
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and out.out == ""
+    assert out.err == "error: parse: unrecognized arguments: --reduction bound\n"
+
+
+def test_readme_names_every_flag_the_parser_takes():
+    # no flag is added or removed without README's "Command line" following
+    top, _ = cli.build_parser()
+    verbs = next(a for a in top._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    taken = {opt for parser in verbs.values() for action in parser._actions
+             if not isinstance(action, argparse._HelpAction)
+             for opt in action.option_strings}
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as f:
+        section = f.read().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert taken and taken - named == set()
+    assert named - taken == set()
+
+
 def test_parse_error_exit_1(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -217,6 +245,21 @@ def test_budget_variable_when_no_flag(capsys, monkeypatch):
         code, out, err = run(capsys, argv)
         assert code == 1 and out == "" and _one_error_line(err, "input-format")
         assert repr(env) in err
+
+
+def test_negative_budget_is_an_input_format_error(capsys, monkeypatch):
+    argv = ["family", "braid", "--n", "3", "tutte"]
+    monkeypatch.delenv("TUTTEKIT_BUDGET", raising=False)
+    code, out, err = run(capsys, argv + ["--budget", "-5"])
+    assert (code, out, err) == (1, "", "error: input-format: --budget must be "
+                                ">= 0, got -5\n")
+    monkeypatch.setenv("TUTTEKIT_BUDGET", "-1")
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", "error: input-format: TUTTEKIT_BUDGET "
+                                "must be >= 0, got -1\n")
+    # --budget 0 is still a budget of 0, which the walk exceeds
+    code, out, err = run(capsys, argv + ["--budget", "0"])
+    assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
 
 
 @pytest.mark.parametrize("env", [None, ""])
@@ -388,18 +431,18 @@ def test_small_budget_takes_bound_primes_by_their_charge(capsys, monkeypatch):
     # braid 5 is central of rank 4, and takes r - 1 = 3 primes: the bound
     # primes 2, 3, 5 visit at most (5^4 - 1)/4 = 156 points, within 5000,
     # though 7^5 > 5000
-    modes = []
+    primes = []
     reduce = finite_field.reduce_mod_p
 
-    def spy(arr, p, mode="bound"):
-        modes.append((p, mode))
-        return reduce(arr, p, mode)
+    def spy(arr, p, *args):
+        primes.append(p)
+        return reduce(arr, p, *args)
 
     monkeypatch.setattr(finite_field, "reduce_mod_p", spy)
     argv = ["family", "braid", "--n", "5", "tutte"]
     code, out, _ = run(capsys, argv + ["--method", "finite-field", "--budget", "5000"])
     assert code == 0 and out == run(capsys, argv)[1]
-    assert modes == [(p, "bound") for p in (2, 3, 5)]
+    assert primes == [2, 3, 5]
 
 
 CHECK_LINES = "".join("ok   %s\n" % name for name in (
@@ -433,9 +476,9 @@ def test_check_counts_d4_sign_inputs_below_the_bound_primes(capsys, monkeypatch,
     primes, walks = [], []
     reduce, walk = finite_field.reduce_mod_p, Arrangement.semimatroid
 
-    def spy(arr, p, mode="bound"):
-        primes.append((p, mode))
-        return reduce(arr, p, mode)
+    def spy(arr, p, *args):
+        primes.append(p)
+        return reduce(arr, p, *args)
 
     def walked(self):
         walks.append(self.prime)
@@ -444,7 +487,7 @@ def test_check_counts_d4_sign_inputs_below_the_bound_primes(capsys, monkeypatch,
     monkeypatch.setattr(finite_field, "reduce_mod_p", spy)
     monkeypatch.setattr(Arrangement, "semimatroid", walked)
     assert run(capsys, ["check", "--input", str(path)]) == (0, CHECK_LINES, "")
-    assert primes == [(3, "verified")] and not walks
+    assert primes == [3] and not walks
 
 
 def test_one_block_inputs_keep_their_bound_primes():
@@ -460,8 +503,8 @@ def test_one_block_inputs_keep_their_bound_primes():
 
 
 def test_finite_field_counts_a_line_above_the_block(capsys, tmp_path):
-    # 15 parallel lines are too many for verified reduction; the certified
-    # primes (about 3.4e5) exceed the block, and the quotient is a line
+    # 15 parallel lines are too many to take primes below the floor; those
+    # above it (about 3.4e5) exceed the block, and the quotient is a line
     path = tmp_path / "lines.json"
     offsets = list(range(12)) + [60, 70, 80]
     path.write_text(Arrangement(2, [([1, 0], c) for c in offsets]).to_json())
@@ -1019,26 +1062,44 @@ def test_central_walk_over_budget_fails_before_it_starts(capsys, monkeypatch, ve
 
 def test_basis_multiplicities_are_charged_before_they_are_taken(capsys, tmp_path):
     # 200 lines in three directions: the cone matrix has 201 rows and rank
-    # 3, so C(201, 3) = 1,333,300 maximal minors
+    # 3, so C(201, 3) = 1,333,300 maximal minors, which certify 3, a prime
+    # below the floor
     lines = ([([1, 0], b) for b in range(67)] + [([0, 1], b) for b in range(67)]
              + [([1, 2], b) for b in range(66)])
     arr = Arrangement(2, lines)
     with pytest.raises(BudgetExceededError) as info:
-        finite_field.reduce_mod_p(arr, 1000003, "verified", budget=10 ** 6)
+        finite_field.reduce_mod_p(arr, 3, budget=10 ** 6)
     assert info.value.required == 1333300
     assert "basis_multiplicities" not in vars(arr)
     path = tmp_path / "lines.json"
     path.write_text(arr.to_json())
     code, out, err = run(capsys, ["coboundary", "--input", str(path), "--method",
-                                  "finite-field", "--primes", "1000003",
+                                  "finite-field", "--primes", "3",
                                   "--budget", "1000000"])
     assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
     assert "the 1333300 maximal minors" in err
 
 
+def test_primes_above_the_floor_take_no_multiplicities(capsys, tmp_path):
+    # 100 copies each of x = 0, y = 0, x + y = 0 and x - y = 0: the rows are
+    # signed-graphic, so 3 is above the floor and certified without the
+    # C(401, 3) = 10,666,600 maximal minors, which exceed the budget
+    lines = [(normal, 0) for normal in ([1, 0], [0, 1], [1, 1], [1, -1])
+             for _ in range(100)]
+    arr = Arrangement(2, lines)
+    assert arr.prime_floor == 2
+    path = tmp_path / "lines.json"
+    path.write_text(arr.to_json())
+    code, out, err = run(capsys, ["coboundary", "--input", str(path), "--method",
+                                  "finite-field", "--primes", "3",
+                                  "--budget", "1000000"])
+    assert (code, err) == (0, "")
+    assert out == "Y^400 + 4*Y^100*X - 4*Y^100 + X^2 - 4*X + 3\n"
+
+
 def _lines_through_the_origin(count):
     # normals (1, k): mod 3 the lines k and k + 3 coincide, so p = 3 divides
-    # a basis multiplicity and a verified reduction rejects it
+    # a basis multiplicity and reduce_mod_p rejects it
     return Arrangement(2, [([1, k], 0) for k in range(1, count + 1)])
 
 
@@ -1065,15 +1126,14 @@ def test_rejected_prime_witness_walk_is_charged_to_the_budget(capsys, monkeypatc
         "budget 100000" in err
     assert not walked
     with pytest.raises(BudgetExceededError) as info:
-        finite_field.reduce_mod_p(_lines_through_the_origin(40), 3, "verified",
-                                  budget=100000)
+        finite_field.reduce_mod_p(_lines_through_the_origin(40), 3, budget=100000)
     assert info.value.required == 2 ** 40
 
 
 def test_rejected_prime_within_the_budget_names_its_witness(capsys, tmp_path):
     arr = _lines_through_the_origin(16)     # 2^16 subsets fit 100000
     with pytest.raises(BadPrimeError) as info:
-        finite_field.reduce_mod_p(arr, 3, "verified", budget=100000)
+        finite_field.reduce_mod_p(arr, 3, budget=100000)
     assert info.value.witness == [0, 3]
     path = tmp_path / "lines.json"
     path.write_text(arr.to_json())

@@ -43,7 +43,7 @@ from tuttekit.tutte import char_poly, coboundary_transform, tutte_subset
 
 
 def test_bench_profile_p5(bench):
-    modarr = reduce_mod_p(bench, 5, mode="verified")
+    modarr = reduce_mod_p(bench, 5)
     profile = point_profile(modarr)
     assert profile.counts == (48, 60, 12, 4, 1)
 
@@ -55,7 +55,7 @@ def test_profile_identity_random():
     while done < 12:
         arr = random_arrangement(rng, max_n=5, max_d=3)
         try:
-            mods = select_primes(arr, 1, reduction="verified")
+            mods = select_primes(arr, 1)
         except BadPrimeError:
             continue
         modarr = mods[0]
@@ -77,30 +77,29 @@ def test_bad_prime_witness():
     # x - y = 0 and x + y = 0 collapse mod 2
     arr = Arrangement(2, [([1, -1], 0), ([1, 1], 0)])
     with pytest.raises(BadPrimeError) as err:
-        reduce_mod_p(arr, 2, mode="verified")
+        reduce_mod_p(arr, 2)
     assert err.value.witness == [0, 1]
-    # the floor (2: the rows are signed-graphic) also rejects 2
-    with pytest.raises(BadPrimeError):
-        reduce_mod_p(arr, 2, mode="bound")
-    # a good prime passes both modes
-    assert reduce_mod_p(arr, 3, mode="verified").prime == 3
-    p = next(finite_field._primes_from(arr.prime_floor + 1))
-    assert reduce_mod_p(arr, p, mode="bound").prime == p
+    # a good prime passes: 3, the first above the floor (2: the rows are
+    # signed-graphic)
+    assert next(finite_field._primes_from(arr.prime_floor + 1)) == 3
+    assert reduce_mod_p(arr, 3).prime == 3
 
 
 def test_hadamard_floor_certifies():
-    # any prime above the floor preserves the semimatroid
+    # any prime above the floor divides no basis multiplicity, so it
+    # preserves the semimatroid
     rng = random.Random(43)
     from tuttekit.finite_field import _primes_from
     for _ in range(10):
         arr = random_arrangement(rng, max_n=4, max_d=3)
         floor = arr.prime_floor
         p = next(_primes_from(floor + 1))
-        reduce_mod_p(arr, p, mode="verified")  # must not raise
+        assert finite_field._keeps_bases(arr, p)
+        reduce_mod_p(arr, p)  # must not raise
 
 
 def test_partitioned_profile_bit_identical(bench):
-    modarr = reduce_mod_p(bench, 7, mode="verified")
+    modarr = reduce_mod_p(bench, 7)
     serial = point_profile(modarr)
     for parts in (2, 3, 7):
         merged = point_profile_partitioned(modarr, parts)
@@ -109,7 +108,7 @@ def test_partitioned_profile_bit_identical(bench):
 
 
 def test_budget(bench):
-    modarr = reduce_mod_p(bench, 11, mode="verified")
+    modarr = reduce_mod_p(bench, 11)
     # bench is central: the count visits (11^3 - 1)/(11 - 1) = 133 points
     with pytest.raises(BudgetExceededError) as err:
         point_profile(modarr, budget=132)
@@ -179,14 +178,14 @@ def test_ffm_rejects_prime_field_arrangement():
 
 def test_d0_and_loops():
     arr = Arrangement(1, [([0], 0), ([1], 0)])  # one loop, one coloop
-    modarr = reduce_mod_p(arr, 3, mode="verified")
+    modarr = reduce_mod_p(arr, 3)
     profile = point_profile(modarr)
     # every point lies on the loop; one point also on x=0
     assert profile.counts == (0, 2, 1)
 
 
 def test_check_profile_rejects_corrupted_counts(bench):
-    modarr = reduce_mod_p(bench, 5, mode="verified")
+    modarr = reduce_mod_p(bench, 5)
     profile = point_profile(modarr)
     chi = char_poly(bench)
     assert check_profile(profile, modarr, chi)
@@ -225,7 +224,6 @@ def test_small_arrangement_keeps_verified_primes():
     # floor (about 3e5), verified ones need only avoid 2, 3, 5 and 7
     arr = Arrangement(2, [([1, 0], 0), ([1, 0], 300), ([1, 0], 1000)])
     assert [m.prime for m in select_primes(arr, 3)] == [11, 13, 17]
-    assert [m.prime for m in select_primes(arr, 3, "bound")] == [11, 13, 17]
 
 
 def _brute_profile(arr):
@@ -319,7 +317,7 @@ def test_profile_above_the_block_matches_the_flat_lattice(central):
         cob = intersection_poset(arr).coboundary()
         fibre = p ** (d - arr.rank)
         want = cob.substitute({"X": p, "Y": MultiPoly.variable("Y")}) * fibre
-        profile = point_profile(reduce_mod_p(arr, p, "bound"))
+        profile = point_profile(reduce_mod_p(arr, p))
         assert profile_polynomial(profile) == want
         assert sum(profile.counts) == p ** d
 
@@ -357,12 +355,12 @@ def test_select_primes_reads_the_floor_once(monkeypatch):
     prop.__set_name__(Arrangement, "prime_floor")
     monkeypatch.setattr(Arrangement, "prime_floor", prop)
     arr = dn(4)
-    assert coboundary_ffm(arr, reduction="bound") == \
+    assert coboundary_ffm(arr) == \
         coboundary_transform(tutte_subset(arr).tutte, arr.rank)
     assert len(scans) == 1
-    coboundary_ffm(arr, primes=[3, 5, 7, 11, 13], reduction="bound")
+    coboundary_ffm(arr, primes=[3, 5, 7, 11, 13])
     assert len(scans) == 1
-    coboundary_ffm(dn(4), primes=[3, 5, 7, 11, 13], reduction="bound")
+    coboundary_ffm(dn(4), primes=[3, 5, 7, 11, 13])
     assert len(scans) == 2
 
 
@@ -401,7 +399,7 @@ def test_essential_profile_times_fibre_is_the_full_profile():
 def test_reduction_is_an_arrangement_over_the_prime_field():
     # loops stay loops and keep their places; the non-loops are reduced mod p
     arr = Arrangement(2, [([1, 0], 0), ([0, 0], 0), ([3, 1], 7)])
-    red = reduce_mod_p(arr, 5, mode="verified")
+    red = reduce_mod_p(arr, 5)
     assert isinstance(red, Arrangement)
     assert (red.prime, red.dim, red.n) == (5, 2, 3)
     assert red.loops() == [1]
@@ -411,9 +409,8 @@ def test_reduction_is_an_arrangement_over_the_prime_field():
 @pytest.mark.parametrize("p", [1, 4, 9, 15, 25])
 def test_composite_modulus_is_a_bad_prime(p):
     arr = Arrangement(2, [([1, 0], 0), ([0, 1], 0), ([1, 3], 0)])
-    for mode in ("bound", "verified"):
-        with pytest.raises(BadPrimeError, match="p=%d is not prime" % p):
-            reduce_mod_p(arr, p, mode=mode)
+    with pytest.raises(BadPrimeError, match="p=%d is not prime" % p):
+        reduce_mod_p(arr, p)
 
 
 # -- primes certified from the rows -------------------------------------------
@@ -480,8 +477,8 @@ def test_signed_graphic_rows_pass_verified_reduction_above_the_floor():
         assert floor <= 2 and (floor == 1 or not graphic)
         for p in range(floor + 1, 32):
             if is_prime(p):
-                assert reduce_mod_p(arr, p, mode="verified").prime == p
-                assert reduce_mod_p(arr, p, mode="bound").prime == p
+                assert finite_field._keeps_bases(arr, p)
+                assert reduce_mod_p(arr, p).prime == p
 
 
 @pytest.mark.parametrize("arr", [
@@ -491,11 +488,10 @@ def test_signed_graphic_rows_pass_verified_reduction_above_the_floor():
 def test_coboundary_ffm_at_the_smallest_certified_primes(arr):
     r = arr.rank
     floor = arr.prime_floor
-    primes = [m.prime for m in select_primes(arr, r + 2, "bound")]
+    primes = [m.prime for m in select_primes(arr, r + 2)]
     assert primes == list(itertools.islice(
         finite_field._primes_from(floor + 1), r + 2))
     want = coboundary_transform(tutte_subset(arr).tutte, r)
-    assert coboundary_ffm(arr, reduction="bound") == want
     assert coboundary_ffm(arr) == want
 
 
@@ -504,7 +500,7 @@ def test_seeded_signed_graphic_coboundary_ffm():
     for k in range(12):
         arr = _signed_graphic(rng, k % 2 == 0)
         want = coboundary_transform(tutte_subset(arr).tutte, arr.rank)
-        assert coboundary_ffm(arr, reduction="bound") == want
+        assert coboundary_ffm(arr) == want
 
 
 @pytest.mark.parametrize("arr", [

@@ -334,10 +334,10 @@ def test_verified_reduction_witness_is_smallest_mismatch(arr):
                 witness = sorted(qs)
                 break
         if witness is None:
-            assert reduce_mod_p(arr, p, mode="verified").prime == p
+            assert reduce_mod_p(arr, p).prime == p
         else:
             with pytest.raises(BadPrimeError) as err:
-                reduce_mod_p(arr, p, mode="verified")
+                reduce_mod_p(arr, p)
             assert err.value.witness == witness
 
 

@@ -2,7 +2,7 @@
 
 A prime certifies a Q-arrangement when it divides no basis multiplicity
 (`Arrangement.basis_multiplicities`).  The reference is the comparison that
-verified reduction made before: the central subsets and their ranks,
+names the witness of a rejected prime: the central subsets and their ranks,
 walked over Q and over F_p.
 """
 
@@ -96,11 +96,11 @@ def test_multiplicities_certify_exactly_the_primes_the_walk_accepts():
             keeps = _walk_keeps(arr, p)
             assert finite_field._keeps_bases(arr, p) == keeps, (arr.rows, p)
             if keeps:
-                assert reduce_mod_p(arr, p, "verified").prime == p
+                assert reduce_mod_p(arr, p).prime == p
             else:
                 rejected += 1
                 with pytest.raises(BadPrimeError):
-                    reduce_mod_p(arr, p, "verified")
+                    reduce_mod_p(arr, p)
     # the seeds reach floors past int64 minors and reject a fair share
     assert wide >= 50 and rejected >= 500
 
@@ -130,7 +130,7 @@ def test_pivot_minors_overstate_a_multiplicity():
     # the lattice of their columns is Z^2: no prime is bad, 2 included
     arr = Arrangement(2, [([2, 3], 0)])
     assert arr.basis_multiplicities == ()
-    assert reduce_mod_p(arr, 2, "verified").prime == 2
+    assert reduce_mod_p(arr, 2).prime == 2
 
 
 def test_floors_past_2_31_take_python_ints(monkeypatch):
@@ -153,22 +153,39 @@ def test_floors_past_2_31_take_python_ints(monkeypatch):
 
 
 def test_a_prime_above_every_multiplicity_is_not_reduced_mod_int64():
-    # the divisibility test runs on Python ints: a prime past 2^63 is fine
-    arr = Arrangement(2, [([1, 0], 0), ([0, 1], 0), ([1, 1], 6)])
+    # the divisibility test runs on Python ints: a prime past 2^63, at or
+    # below a floor past 2^64, is tested against the multiplicity 2^64
+    arr = Arrangement(2, [([1, 0], 0), ([0, 1], 0), ([1, 1], 2 ** 64)])
     p = 10000000000000000051
-    assert arr.basis_multiplicities == (6,)
-    assert reduce_mod_p(arr, p, "verified").prime == p
+    assert 2 ** 63 < p <= arr.prime_floor
+    assert arr.basis_multiplicities == (2 ** 64,)
+    assert reduce_mod_p(arr, p).prime == p
+
+
+def test_a_prime_above_the_floor_takes_no_multiplicities():
+    # shi(4) has the Hadamard floor; a prime above it divides no minor of
+    # the rows, so no multiplicity, and none is taken
+    arr = shi(4)
+    p = next(finite_field._primes_from(arr.prime_floor + 1))
+    assert reduce_mod_p(arr, p).prime == p
+    assert "basis_multiplicities" not in vars(arr)
+    # at or below the floor they are taken
+    assert reduce_mod_p(arr, 5).prime == 5
+    assert arr.basis_multiplicities == (2, 3)
 
 
 def test_killed_normal_is_reported_before_the_multiplicities():
     arr = Arrangement(2, [([3, 6], 1), ([1, 0], 0)])
     with pytest.raises(BadPrimeError, match="kills the normal"):
-        reduce_mod_p(arr, 3, "verified")
+        reduce_mod_p(arr, 3)
     assert "basis_multiplicities" not in vars(arr)
 
 
 def test_a_certificate_the_walk_contradicts_is_a_consistency_error(monkeypatch):
-    arr = Arrangement(2, [([1, 0], 0), ([0, 1], 0)])
+    # the multiplicities (3, 4) are replaced by (5,), and 5 is at or below
+    # the floor, so it is tested against them
+    arr = Arrangement(2, [([1, 0], 0), ([0, 1], 0), ([3, 4], 0)])
+    assert arr.prime_floor == 6
     monkeypatch.setitem(vars(arr), "basis_multiplicities", (5,))
     with pytest.raises(ConsistencyError):
-        reduce_mod_p(arr, 5, "verified")
+        reduce_mod_p(arr, 5)
