@@ -24,7 +24,8 @@ print("arrangement:", arr)
 print("rank:", arr.rank)
 
 # Three independent engines, one answer.
-print("Tutte (subset expansion):   ", tutte_subset(arr).tutte)
+tutte = tutte_subset(arr).tutte
+print("Tutte (subset expansion):   ", tutte)
 print("Tutte (deletion-contraction):", tutte_delcon(arr).tutte)
 result, cert = tutte_activity(arr)
 print("Tutte (basis activities):   ", result.tutte)
@@ -41,9 +42,12 @@ for f in poset.flats:
 chi = char_poly(arr)
 print("characteristic polynomial:", chi)
 
-# Numeric specializations: regions of the real complement, Poincare
-# polynomial of the complex complement, and the complement size over F_q.
-inv = scalar_invariants(arr)
+# Numeric specializations, all read off the Tutte polynomial: chi by
+# Whitney's theorem, chi(q) = (-1)^r q^(d-r) T(1-q, 0), and from it the
+# regions of the real complement, the Poincare polynomial of the complex
+# complement, and the complement size over F_q.
+inv = scalar_invariants(arr, tutte)
+print("chi read off T agrees with the poset:", inv["complement_size"] == chi)
 print("regions:", inv["regions"])
 print("bounded regions:", inv["bounded_regions"])
 print("Poincare polynomial:", inv["poincare"])

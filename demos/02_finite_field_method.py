@@ -12,7 +12,6 @@ from tuttekit import (
     coboundary_ffm,
     coboundary_transform,
     point_profile,
-    point_profile_partitioned,
     reduce_mod_p,
     select_primes,
     tutte_from_coboundary,
@@ -31,10 +30,6 @@ profile = point_profile(mod5)
 print("incidence profile at p=5:", profile.counts)
 print("   %d points avoid all four planes; %d lie on exactly one; ..."
       % (profile.counts[0], profile.counts[1]))
-
-# The same counts arrive if the first coordinate is split across workers.
-merged = point_profile_partitioned(mod5, parts=3)
-print("partitioned run identical:", merged.counts == profile.counts)
 
 # Step 2: the coefficients of X^r and X^(r-1) need no count, and since every
 # subset is central, cobchi(1, Y) = Y^n is a free sample.  The rest has degree

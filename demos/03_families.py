@@ -26,14 +26,15 @@ for n in (2, 3, 4):
     chi = char_poly(arr)
     print("braid(%d): chi = %s" % (n, chi))
     assert chi == oracle_char("braid", n)
-    assert scalar_invariants(arr)["regions"] == factorial(n)
+    assert scalar_invariants(arr, tutte_subset(arr).tutte)["regions"] == factorial(n)
 print("region count of braid(n) is n!, one per ordering of the coordinates")
 print()
 
-# Catalan and Shi arrangements: region counts n! C_n and (n+1)^(n-1).
+# Catalan and Shi arrangements: region counts n! C_n and (n+1)^(n-1), read
+# off each one's Tutte polynomial.
 for n in (2, 3):
-    inv_c = scalar_invariants(catalan(n))
-    inv_s = scalar_invariants(shi(n))
+    inv_c = scalar_invariants(catalan(n), tutte_subset(catalan(n)).tutte)
+    inv_s = scalar_invariants(shi(n), tutte_subset(shi(n)).tutte)
     print("catalan(%d): %d regions (n! C_n = %d)"
           % (n, inv_c["regions"], factorial(n) * catalan_number(n)))
     print("shi(%d):     %d regions (n!(n+1)^(n-1)/n! = %d^%d)"

@@ -31,7 +31,6 @@ from .finite_field import (
     DEFAULT_BUDGET,
     coboundary_ffm,
     point_profile,
-    point_profile_partitioned,
     reduce_mod_p,
     select_primes,
 )

@@ -7,7 +7,8 @@ input-format problem, 2 a computation error (bad prime, non-central query,
 exceeded budget, bad family parameters, a method that does not apply); either
 prints a one-line machine-readable `error:` record.  Without `--method`,
 `tutte`, `coboundary` and `invariants` use the subset expansion for n <= 10
-and the flat-lattice coboundary above that.
+and the flat-lattice coboundary above that; `invariants` reads every value
+off the one Tutte polynomial that engine gives.
 """
 
 import argparse
@@ -249,11 +250,7 @@ def _run_action(action, arr, args):
             cob = coboundary_transform(_tutte_by_method(arr, args).tutte, arr.rank)
         _emit_poly(cob, args, {"rank": arr.rank, "n": arr.n, "dim": arr.dim})
     elif action == "invariants":
-        if _method(arr, args) == "lattice":
-            inv = scalar_invariants(arr, budget=args.budget)
-        else:
-            chi = char_poly(arr, check_whitney=False, budget=args.budget)
-            inv = scalar_invariants(arr, _tutte_by_method(arr, args).tutte, chi)
+        inv = scalar_invariants(arr, _tutte_by_method(arr, args).tutte)
         _emit_record({
             "regions": str(inv["regions"]),
             "bounded_regions": str(inv["bounded_regions"]),

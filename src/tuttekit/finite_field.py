@@ -46,9 +46,7 @@ grows with p^r, and with p^(r-1) for a central arrangement, not with p^d:
   block of points or incidences is cut along its first coordinate, so peak
   memory does not grow with n, r or p.
 The budget is charged the points the count visits: (p^r - 1)/(p - 1) when
-every offset is 0, and p^r otherwise.  Partitioning the first quotient
-coordinate across workers and summing the per-range counts is
-bit-identical to the serial run.
+every offset is 0, and p^r otherwise.
 """
 
 from collections import Counter
@@ -265,16 +263,13 @@ def _scatter(rows, p, k, counts):
     counts[0] += rest
 
 
-def _affine(rows, p, k, counts, lo=0, hi=None):
-    """Add to counts[j] the number of points of F_p^k on exactly j rows whose
-    first coordinate is in range(lo, hi) (all of them by default); for k = 0
-    the one point counts as first coordinate 0.
+def _affine(rows, p, k, counts):
+    """Add to counts[j] the number of points of F_p^k on exactly j rows.
 
     On a line each row meets one point, its root; a larger space is
     scattered whole when its points and incidences fit in a block, and is
     cut along its first coordinate otherwise.
     """
-    hi = p if hi is None else hi
     live, shift = [], 0
     for a, b in rows:
         if any(a):
@@ -283,39 +278,33 @@ def _affine(rows, p, k, counts, lo=0, hi=None):
             shift += 1          # a zero row holds everywhere
     counts = counts[shift:]     # a view: index j now stands for shift + j
     if k == 0:
-        counts[0] += lo <= 0 < hi
+        counts[0] += 1
     elif k == 1:
         roots = Counter(b * pow(a, -1, p) % p for (a,), b in live)
-        hits = [m for y, m in roots.items() if lo <= y < hi]
-        counts[0] += hi - lo - len(hits)
-        for m in hits:
+        counts[0] += p - len(roots)
+        for m in roots.values():
             counts[m] += 1
-    elif (lo, hi) == (0, p) and p ** k <= _BLOCK and \
-            len(live) * p ** (k - 1) <= _BLOCK:
+    elif p ** k <= _BLOCK and len(live) * p ** (k - 1) <= _BLOCK:
         _scatter(live, p, k, counts)
     else:
-        for c in range(lo, hi):
+        for c in range(p):
             _affine(_slice(live, c, p), p, k - 1, counts)
 
 
-def _count(rows, p, k, counts, lo, hi):
-    """Add the profile of the points of F_p^k whose first coordinate is in
-    range(lo, hi); for k = 0 the one point counts as first coordinate 0.
+def _count(rows, p, k, counts):
+    """Add the profile of the points of F_p^k.
 
     A central arrangement puts y and c*y (c != 0) on the same rows, so every
     slice y_1 = c != 0 has the profile of y_1 = 1, and y_1 = 0 is the
     central arrangement one dimension down.
     """
     if k == 0 or not _central(rows):
-        _affine(rows, p, k, counts, lo, hi)
+        _affine(rows, p, k, counts)
         return
-    units = hi - lo - (lo <= 0 < hi)
-    if units:
-        line = np.zeros_like(counts)
-        _affine(_slice(rows, 1, p), p, k - 1, line)
-        counts += units * line
-    if lo <= 0 < hi:
-        _count(_slice(rows, 0, p), p, k - 1, counts, 0, p)
+    line = np.zeros_like(counts)
+    _affine(_slice(rows, 1, p), p, k - 1, line)
+    counts += (p - 1) * line
+    _count(_slice(rows, 0, p), p, k - 1, counts)
 
 
 def _quotient(arrangement, budget):
@@ -341,45 +330,20 @@ def _quotient(arrangement, budget):
     return r, [([row[j] for j in pivots], row[-1]) for row in rows]
 
 
-def _profile(arrangement, r, rows, lo, hi):
-    """The profile of the quotient points with first coordinate in range(lo, hi),
-    each of which stands for its fibre of p^(d-r) points of F_p^d.
-
-    The totals are Python ints (a numpy array of objects), which stay exact
-    when p^r outgrows 64 bits.
-    """
-    counts = np.zeros(len(rows) + 1, dtype=object)
-    _count(rows, arrangement.prime, r, counts, lo, hi)
-    return [0] * (arrangement.n - len(rows)) + list(counts)
-
-
 def point_profile(arrangement, budget=DEFAULT_BUDGET):
     """Exact incidence counts over F_p^d of an arrangement over F_p.
 
     The points are counted in the quotient F_p^r by the lineality space
     (see `_quotient`); each count stands for the fibre of p^(d-r) points,
-    the profile's lift.
+    the profile's lift.  The totals are Python ints (a numpy array of
+    objects), which stay exact when p^r outgrows 64 bits.
     """
     r, rows = _quotient(arrangement, budget)
-    p = arrangement.prime
-    return PointProfile(p, _profile(arrangement, r, rows, 0, p),
+    counts = np.zeros(len(rows) + 1, dtype=object)
+    _count(rows, arrangement.prime, r, counts)
+    return PointProfile(arrangement.prime,
+                        [0] * (arrangement.n - len(rows)) + list(counts),
                         arrangement.dim - r)
-
-
-def point_profile_partitioned(arrangement, parts, budget=DEFAULT_BUDGET):
-    """Partition the quotient's first coordinate into `parts` ranges; merge by addition.
-
-    The merged profile is bit-identical to the serial one; the ranges are
-    independent and may be dispatched to concurrent workers.
-    """
-    p = arrangement.prime
-    r, rows = _quotient(arrangement, budget)
-    bounds = [round(i * p / parts) for i in range(parts + 1)]
-    total = [0] * (arrangement.n + 1)
-    for lo, hi in zip(bounds, bounds[1:]):
-        total = [a + b for a, b in
-                 zip(total, _profile(arrangement, r, rows, lo, hi))]
-    return PointProfile(p, total, arrangement.dim - r)
 
 
 def check_profile(profile, arrangement, chi=None):

