@@ -262,9 +262,8 @@ def _run_action(action, arr, args):
     elif action == "poset":
         poset = intersection_poset(arr, budget=args.budget)
         poset.verify_mobius()
-        rows = [{"hyperplanes": sorted(f.hyperplane_set), "rank": f.rank,
-                 "dim": f.dim, "mobius": poset.mobius[f.hyperplane_set]}
-                for f in poset.flats]
+        rows = [{"hyperplanes": hyperplanes, "rank": rank, "dim": arr.dim - rank,
+                 "mobius": mu} for hyperplanes, rank, mu in poset.table()]
         if args.format == "structured":
             print(json.dumps(rows))
         else:
@@ -344,9 +343,9 @@ def _family_arrangement(args):
             raise InputFormatError("graphical family needs --graph edges.txt")
         edges = _load_edges(args.graph)
     arr = families.build_family(args.tag, n=args.n, p=args.p, d=args.d,
-                                m=args.m, edges=edges)
+                                m=args.m, edges=edges, budget=args.budget)
     if args.k is not None:
-        arr = families.thicken(arr, args.k)
+        arr = families.thicken(arr, args.k, args.budget)
     return arr
 
 

@@ -16,11 +16,12 @@ q (see `_catalan_coboundary`).
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial
 
 from .arrangement import Arrangement
-from .errors import FamilyError
+from .errors import BudgetExceededError, FamilyError
+from .finite_field import DEFAULT_BUDGET
 from .linalg import is_prime, maximal_minors
 from .multipoly import MultiPoly
 from .series import (
@@ -121,37 +122,43 @@ def shi(n):
     return Arrangement(n, hs, label="Shi_%d" % (n - 1))
 
 
-def all_linear(p, n):
-    """A(p, n): every linear hyperplane in F_p^n (one per normal up to scaling)."""
+def _charge(count, budget, what):
+    """Raise BudgetExceededError when a builder's count of steps, which what
+    describes, exceeds the budget.  The charge is the builder's own, apart
+    from that of the engine that reads the arrangement."""
+    if count > budget:
+        raise BudgetExceededError("%s, over the budget %d" % (what, budget), required=count)
+
+
+def all_linear(p, n, budget=DEFAULT_BUDGET):
+    """A(p, n): every linear hyperplane in F_p^n (one per normal up to scaling).
+
+    The normals are the canonical ones, first nonzero entry 1, in sorted
+    order: those with the most leading zeros first.  Listing them is
+    charged their number, (p^n - 1) / (p - 1), to the budget.
+    """
     if not is_prime(p):
         raise FamilyError("all_linear requires a prime p, got %d" % p)
-    normals = []
-    seen = set()
-    for mask in range(1, p ** n):
-        v = []
-        m = mask
-        for _ in range(n):
-            v.append(m % p)
-            m //= p
-        lead = next(x for x in v if x)
-        inv = pow(lead, -1, p)
-        canon = tuple(x * inv % p for x in v)
-        if canon not in seen:
-            seen.add(canon)
-            normals.append(canon)
-    normals.sort()
+    count = (p ** n - 1) // (p - 1)
+    _charge(count, budget, "all_linear(%d, %d) lists %d normals" % (p, n, count))
+    normals = [(0,) * (n - 1 - k) + (1,) + tail for k in range(n)
+               for tail in product(range(p), repeat=k)]
     return Arrangement(n, [(v, 0) for v in normals], prime=p,
                        label="A(%d,%d)" % (p, n))
 
 
-def generic(n, d):
+def generic(n, d, budget=DEFAULT_BUDGET):
     """A generic central arrangement: any m <= d hyperplanes meet in
     codimension m (the uniform matroid).  Hyperplane i has the Vandermonde
     normal (1, t, t^2, ..., t^(d-1)) through the origin, for t = 1, ..., n;
     the t are distinct, so every d normals are independent, and this is
     verified a posteriori, by every d x d minor of the normals
-    (`linalg.maximal_minors`).
+    (`linalg.maximal_minors`), C(n, d) of them when n >= d, charged to the
+    budget before the first.
     """
+    if n >= d:
+        count = comb(n, d)
+        _charge(count, budget, "generic(%d, %d) checks %d minors" % (n, d, count))
     hs = [([t ** k for k in range(d)], 0) for t in range(1, n + 1)]
     arr = Arrangement(d, hs, label="generic(%d,%d)" % (n, d))
     if not _is_generic(arr, n, d):
@@ -169,10 +176,11 @@ def _is_generic(arr, n, d):
                maximal_minors([h.normal for h in arr.hyperplanes]))
 
 
-def thicken(arrangement, k):
+def thicken(arrangement, k, budget=DEFAULT_BUDGET):
     """Replace each hyperplane by k copies (uniform) or a_e copies (vector).
 
-    A zero multiplicity removes the hyperplane.
+    A zero multiplicity removes the hyperplane.  The copies made, n*k or
+    the sum of the a_e, are charged to the budget first.
     """
     if isinstance(k, int):
         if k < 1:
@@ -182,6 +190,8 @@ def thicken(arrangement, k):
         mults = list(k)
         if len(mults) != arrangement.n or any(a < 0 for a in mults):
             raise FamilyError("multiplicity vector must be nonnegative, length n")
+    count = sum(mults)
+    _charge(count, budget, "thickening makes %d copies" % count)
     hs = []
     for h, a in zip(arrangement.hyperplanes, mults):
         hs.extend([h] * a)
@@ -195,10 +205,11 @@ _FAMILY_PARAMS = {"coordinate": ("n",), "braid": ("n",), "graphical": ("n",),
                   "all_linear": ("p", "n"), "bipartite": ("m", "n")}
 
 
-def build_family(tag, n=None, p=None, d=None, edges=None, m=None):
+def build_family(tag, n=None, p=None, d=None, edges=None, m=None, budget=DEFAULT_BUDGET):
     """Dispatch a family tag and its parameters to the right constructor.
 
     Raises FamilyError for an unknown tag or a missing or nonpositive size.
+    The budget goes to the builders that charge it (`generic`, `all_linear`).
     """
     if tag not in _FAMILY_PARAMS:
         raise FamilyError("unknown family tag %r" % tag)
@@ -219,7 +230,7 @@ def build_family(tag, n=None, p=None, d=None, edges=None, m=None):
     if tag == "dn":
         return dn(n)
     if tag == "generic":
-        return generic(n, d)
+        return generic(n, d, budget)
     if tag == "catalan":
         return catalan(n)
     if tag == "shi":
@@ -227,7 +238,7 @@ def build_family(tag, n=None, p=None, d=None, edges=None, m=None):
     if tag == "threshold":
         return threshold(n)
     if tag == "all_linear":
-        return all_linear(p, n)
+        return all_linear(p, n, budget)
     return complete_bipartite(m, n)  # the last tag left: "bipartite"
 
 

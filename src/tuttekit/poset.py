@@ -20,17 +20,23 @@ Each rank is built by a fixed sequence of numpy steps on all its flats at
 once.  Every flat's candidates, the covers of the flat that found it, are
 gathered into one row matrix; each is eliminated against its flat's added
 row in one operation, and the rows parallel to their flat are dropped, the
-flat's own cover among them; `linalg.normalise_rows` normalises the rest.  A lexsort groups equal keys
-per flat and `bitwise_or.reduceat` joins their hyperplane masks into the
-flat's covers.  The covers' masks, with the flat's own, are the flats of the
-next rank: a stable argsort orders them and names each one's finder, the
-first flat in order that has it as a cover.  Hyperplane j is bit n - 1 - j of a
-mask, so descending masks order the flats of one rank by their sorted
-hyperplane lists.  Keys are int64 while the prime and every entry stay
-below 2^31, and masks while n < 63, so that no product overflows; beyond
-that both are numpy arrays of Python ints, through the same code
-(`linalg.eliminate_rows`).  Between ranks the keys are kept in the
-narrowest integer type that holds them (`linalg.narrow_rows`).
+flat's own cover among them; `linalg.normalise_rows` normalises the rest.
+One stable argsort groups equal keys per flat: it sorts an int64 code of
+(flat, key) in mixed radix, each key column shifted by its minimum and
+weighted by the product of the later columns' ranges, so that equal codes
+are equal rows and the order is that of a lexsort by flat and then by key.
+Only keys whose code would reach `_CODE_BOUND`, and Python-int keys, take
+the lexsort itself.  `bitwise_or.reduceat` joins the grouped rows'
+hyperplane masks into the flat's covers.  The covers' masks, with the
+flat's own, are the flats of the next rank: a stable argsort orders them
+and names each one's finder, the first flat in order that has it as a
+cover.  Hyperplane j is bit n - 1 - j of a mask, so descending masks order
+the flats of one rank by their sorted hyperplane lists.  Keys are int64
+while the prime and every entry stay below 2^31, and masks while n < 63, so
+that no product overflows; beyond that both are numpy arrays of Python
+ints, through the same code (`linalg.eliminate_rows`).  Between ranks the
+keys are kept in the narrowest integer type that holds them
+(`linalg.narrow_rows`).
 
 The flats strictly below G are kept as pairs: an ascending int32 array of
 flat indices per rank, all of its flats' below sets end to end, with their
@@ -53,10 +59,14 @@ at most 8(n + 1) bytes per unit of the budget.
 Only numpy 1.24 API is used: bits are counted by a byte table, not
 `bitwise_count`, and no result relies on numpy 2 shapes.
 
-The characteristic and coboundary polynomials are summed from the Möbius
-values and g into integer coefficient tables, and one MultiPoly is built
-from each table.
+The poset keeps each flat as its mask, with the number of flats of each
+rank; the `Flat` objects and the Möbius dict are built only when read.  The
+characteristic and coboundary polynomials are summed from g into integer
+coefficient tables, and one MultiPoly is built from each table.
 """
+
+from functools import cached_property
+from math import prod
 
 import numpy as np
 
@@ -81,6 +91,10 @@ _BLOCK_BYTES = 1 << 20
 
 # A block's below-set keys are int32 when all are below this, int64 otherwise.
 _INT32_KEYS = 1 << 31
+
+# A block's (flat, key) sort codes are int64 while its flat count times the
+# product of its key columns' ranges stays below this.
+_CODE_BOUND = 1 << 62
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
@@ -136,8 +150,9 @@ def _bit_positions(rows):
     return np.concatenate(out)
 
 
-def _hyperplane_lists(masks, n):
-    """The ascending hyperplane list of each mask, hyperplane j at bit n - 1 - j."""
+def _mask_bits(masks, n):
+    """A 0/1 uint8 row per mask, column j set when the mask has hyperplane j
+    (bit n - 1 - j)."""
     if masks.dtype == object:
         nbytes = (n + 7) // 8
         raw = b"".join(x.to_bytes(nbytes, "little") for x in masks.tolist())
@@ -145,7 +160,12 @@ def _hyperplane_lists(masks, n):
         nbytes, raw = 8, masks.astype("<i8").tobytes()
     bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(masks), nbytes),
                          axis=1, bitorder="little")
-    rows, cols = np.nonzero(bits[:, :n][:, ::-1])
+    return bits[:, :n][:, ::-1]
+
+
+def _hyperplane_lists(masks, n):
+    """The ascending hyperplane list of each mask, hyperplane j at bit n - 1 - j."""
+    rows, cols = np.nonzero(_mask_bits(masks, n))
     cuts = np.cumsum(np.bincount(rows, minlength=len(masks))).tolist()
     cols = cols.tolist()
     return [cols[a:b] for a, b in zip([0] + cuts[:-1], cuts)]
@@ -188,25 +208,47 @@ class Flat:
 class IntersectionPoset:
     """All flats of an arrangement with their g_H and Möbius values.
 
-    g[j, i] is the coefficient of t^powers[j] in g_H for H = flats[i], the
-    powers being the flat sizes |H| that occur, ascending.  The first is the
-    minimum's, the number of loops, so g[0, i] is mobius[H] = mu(0, H).
+    masks holds the flats' hyperplane masks (hyperplane j at bit n - 1 - j),
+    sorted by (rank, sorted index set), and rank_sizes the number of flats
+    of each rank.  g[j, i] is the coefficient of t^powers[j] in g_H for the
+    flat H of masks[i], the powers being the flat sizes |H| that occur,
+    ascending.  The first is the minimum's, the number of loops, so g[0, i]
+    is mu(0, H).  `flats`, `mobius` and `minimum` are built on first read.
     """
 
-    def __init__(self, arrangement, flats, g, powers):
+    def __init__(self, arrangement, masks, rank_sizes, g, powers):
         self.arrangement = arrangement
-        self.flats = flats          # sorted by (rank, sorted index set)
+        self.masks = masks
+        self.rank_sizes = rank_sizes
         self.g = g                  # a row per power of t, a column per flat
         self.powers = powers
-        self.minimum = flats[0].hyperplane_set
-        self.mobius = {f.hyperplane_set: mu for f, mu in     # frozenset -> int
-                       zip(flats, g[0].tolist())}
+
+    def table(self):
+        """(sorted hyperplane list, rank, Möbius value) of each flat, in order."""
+        ranks = np.repeat(np.arange(len(self.rank_sizes)), self.rank_sizes).tolist()
+        return list(zip(_hyperplane_lists(self.masks, self.arrangement.n), ranks,
+                        self.g[0].tolist()))
+
+    @cached_property
+    def flats(self):
+        """The flats as `Flat` objects, sorted by (rank, sorted index set)."""
+        d = self.arrangement.dim
+        return [Flat(hs, rank, d - rank) for hs, rank, _ in self.table()]
+
+    @cached_property
+    def mobius(self):
+        """{hyperplane frozenset: mu(0, H)} over the flats H."""
+        return {f.hyperplane_set: mu for f, mu in zip(self.flats, self.g[0].tolist())}
+
+    @cached_property
+    def minimum(self):
+        """The minimum's hyperplanes, the loops, as a frozenset."""
+        return frozenset(_hyperplane_lists(self.masks[:1], self.arrangement.n)[0])
 
     def _ranks(self):
         """(first, end) flat indices of each rank, lowest rank first."""
-        cuts = [i for i in range(1, len(self.flats))
-                if self.flats[i].rank != self.flats[i - 1].rank]
-        return list(zip([0] + cuts, cuts + [len(self.flats)]))
+        ends = np.cumsum(self.rank_sizes).tolist()
+        return list(zip([0] + ends[:-1], ends))
 
     def _rank_sums(self):
         """table[s][k]: the coefficient of t^s in the sum of g_H over the
@@ -236,14 +278,14 @@ class IntersectionPoset:
         of four, and each group's 16 ORs are tabled first by one OR pass per
         hyperplane, so a row of a rank takes one table row per group.  Then
         sum_{F <= G} g_F must be t^|G|.  Its coefficient of t^(number of
-        loops) is the Möbius recursion, once the Möbius values are g's.
+        loops) is the Möbius recursion, once the Möbius values are g's: the
+        Möbius dict, once it has been built, must equal g's first row.
         """
-        flats = self.flats
-        n = self.arrangement.n
-        words, groups = (len(flats) + 63) // 64, (n + 3) // 4
+        n, m = self.arrangement.n, len(self.masks)
+        bits = _mask_bits(self.masks, n)
+        words, groups = (m + 63) // 64, (n + 3) // 4
         member = np.zeros((4 * groups, 64 * words), bool)
-        member[[h for f in flats for h in f.hyperplane_set],
-               [i for i, f in enumerate(flats) for _ in f.hyperplane_set]] = True
+        member[:n, :m] = bits.T
         containing = np.packbits(member, axis=1, bitorder="little").view(np.uint64)
         # table[g, k]: the OR of the words of hyperplanes 4g + b over the bits b of k
         table = np.zeros((groups, 16, words), np.uint64)
@@ -252,9 +294,10 @@ class IntersectionPoset:
         # each flat's bits k of the hyperplanes of each group that it lacks
         lacks = np.packbits(~member.reshape(groups, 4, 64 * words), axis=1,
                             bitorder="little")[:, 0]
-        if [self.mobius[f.hyperplane_set] for f in flats] != self.g[0].tolist():
+        if "mobius" in self.__dict__ and \
+                [self.mobius[f.hyperplane_set] for f in self.flats] != self.g[0].tolist():
             raise ConsistencyError("Mobius values differ from g")
-        rows = np.searchsorted(self.powers, [len(f.hyperplane_set) for f in flats])
+        rows = np.searchsorted(self.powers, bits.sum(axis=1))
         for first, end in self._ranks():
             width = (first + 63) // 64
             low = np.packbits(np.arange(64 * width) < first,
@@ -270,7 +313,8 @@ class IntersectionPoset:
                 totals[rows[s:e], np.arange(e - s)] -= 1
                 bad = np.flatnonzero(totals.any(axis=0))
                 if len(bad):
-                    raise ConsistencyError("Mobius recursion fails at %r" % flats[s + bad[0]])
+                    raise ConsistencyError("Mobius recursion fails at %r"
+                                           % self.flats[s + bad[0]])
         return True
 
     def coboundary(self):
@@ -306,6 +350,29 @@ def closure(arrangement, subset):
                      if not any(reduce_row(row, basis, p)))
 
 
+def _sort_code(keys, gid, count):
+    """An int64 code of each row (gid, key), gid in range(count): equal
+    exactly when the rows are equal, and in the order of a lexsort by gid
+    and then by the key's columns in turn.  None for Python-int keys, or
+    when the code could reach _CODE_BOUND.
+    """
+    if keys.dtype == object:
+        return None
+    # a contiguous row per key column: numpy reduces the few columns of a
+    # row-major array at the cost of one inner-loop call per row
+    columns = keys.T.copy()
+    low = columns.min(axis=1)
+    ranges = [b - a + 1 for a, b in zip(low.tolist(), columns.max(axis=1).tolist())]
+    # the place value of each column, the last column's 1
+    weights = [1]
+    for size in ranges[:0:-1]:
+        weights.append(weights[-1] * size)
+    span = weights[-1] * ranges[0]
+    if count * span >= _CODE_BOUND:
+        return None
+    return gid * span + np.array(weights[::-1]) @ (columns - low[:, None])
+
+
 def _covers(ckeys, cmasks, start, count, own, pivot, p):
     """The covers of one rank's flats from their candidates, or None if none.
 
@@ -314,8 +381,9 @@ def _covers(ckeys, cmasks, start, count, own, pivot, p):
     ckeys[own[i]], the row the flat added, at its pivot column pivot[i],
     and dropped if parallel to the flat, as the flat's own cover is.  The
     minimum has no such row (own is None), and its candidates are the
-    non-loops as they are.  Equal keys of one flat join one cover.  Returns
-    (keys, masks, flat) arrays, grouped by flat in order.
+    non-loops as they are.  Equal keys of one flat join one cover, grouped
+    by one stable argsort of their `_sort_code`, or by a lexsort when there
+    is none.  Returns (keys, masks, flat) arrays, grouped by flat in order.
     """
     out = []
     for s, e in blocks(count * 8 * ckeys.shape[1], _BLOCK_BYTES):
@@ -326,18 +394,27 @@ def _covers(ckeys, cmasks, start, count, own, pivot, p):
         keys, masks = ckeys[idx], cmasks[idx]
         if own is not None:
             keys = eliminate_rows(keys, ckeys[own[gid]], pivot[gid])
-            keep = (keys[:, :-1] != 0).any(axis=1)
+            # column-major, as in _sort_code
+            keep = np.asfortranarray(keys[:, :-1]).any(axis=1)
             keys = normalise_rows(keys[keep], p)
             masks, gid = masks[keep], gid[keep]
         if not len(gid):
             continue
-        order = np.lexsort(tuple(keys.T[::-1]) + (gid,))
-        keys, masks, gid = keys[order], masks[order], gid[order]
+        code = _sort_code(keys, gid - s, e - s)
         heads = np.ones(len(gid), bool)
-        heads[1:] = (gid[1:] != gid[:-1]) | (keys[1:] != keys[:-1]).any(axis=1)
+        if code is None:
+            order = np.lexsort(tuple(keys.T[::-1]) + (gid,))
+            sorted_keys, sorted_gid = keys[order], gid[order]
+            heads[1:] = (sorted_gid[1:] != sorted_gid[:-1]) | \
+                (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+        else:
+            order = np.argsort(code, kind="stable")
+            code = code[order]
+            heads[1:] = code[1:] != code[:-1]
         heads = np.flatnonzero(heads)
-        keys = narrow_rows(keys[heads])
-        out.append((keys, np.bitwise_or.reduceat(masks, heads), gid[heads]))
+        firsts = order[heads]
+        out.append((narrow_rows(keys[firsts]), np.bitwise_or.reduceat(masks[order], heads),
+                    gid[firsts]))
     if not out:
         return None
     return tuple(np.concatenate(x) for x in zip(*out))
@@ -459,7 +536,5 @@ def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
         pivot = np.argmax(ckeys[own] != 0, axis=1)
         first += m
 
-    rank_of = np.repeat(np.arange(len(ranks)), [len(masks) for masks in ranks]).tolist()
-    flats = [Flat(hs, rank, d - rank)
-             for hs, rank in zip(_hyperplane_lists(np.concatenate(ranks), n), rank_of)]
-    return IntersectionPoset(arrangement, flats, g, powers)
+    return IntersectionPoset(arrangement, np.concatenate(ranks),
+                             [len(masks) for masks in ranks], g, powers)

@@ -7,12 +7,14 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tuttekit import cli, finite_field, linalg
+from tuttekit import poset as poset_module
 from tuttekit.arithmetic import VectorConfig, arithmetic_tutte
 from tuttekit.arrangement import Arrangement
 from tuttekit.cli import main
@@ -335,6 +337,19 @@ def test_bad_requests_exit_2_with_one_line(capsys, tmp_path, argv, code):
     argv = [str(edges) if a == "EDGES" else a for a in argv]
     exit_code, out, err = run(capsys, argv)
     assert exit_code == 2 and out == "" and _one_error_line(err, code)
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "generic", "--n", "30", "--d", "8", "char", "--budget", "10"],
+    ["family", "all_linear", "--p", "101", "--n", "3", "char", "--budget", "1000"],
+    ["family", "braid", "--n", "4", "--k", "1000", "char", "--budget", "5999"],
+])
+def test_family_builders_exit_2_at_once_over_budget(capsys, argv):
+    # C(30, 8) minors, 10303 normals and 6000 copies: charged before they are made
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
 
 
 def test_too_few_primes_exit_2_with_one_line(capsys, bench_file):
@@ -687,6 +702,24 @@ def test_budget_below_the_charged_work_reports_required():
         intersection_poset(braid(6), budget=BRAID6_WORK - 1)
     assert err.value.required > BRAID6_WORK - 1
     assert len(intersection_poset(braid(6), budget=BRAID6_WORK).flats) == 203
+
+
+@pytest.mark.parametrize("tag, n", [("braid", 6), ("shi", 4)])
+def test_lattice_verbs_build_no_flat_objects(capsys, monkeypatch, tag, n):
+    # n > 10, so every verb reads the flat lattice; the poset verb prints
+    # from the masks too
+    argvs = [["family", tag, "--n", str(n), verb]
+             for verb in ("char", "coboundary", "tutte", "invariants", "poset")]
+    want = [run(capsys, argv) for argv in argvs]
+    assert all(code == 0 and err == "" for code, _, err in want)
+    for argv, expected in zip(argvs[1:4], want[1:4]):
+        assert run(capsys, argv + ["--method", "subset"]) == expected
+
+    def no_flat(*args):
+        raise AssertionError("a Flat was built")
+
+    monkeypatch.setattr(poset_module.Flat, "__init__", no_flat)
+    assert [run(capsys, argv) for argv in argvs] == want
 
 
 def test_invariants_honours_the_budget(capsys):

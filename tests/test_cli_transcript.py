@@ -48,6 +48,9 @@ COMMANDS = [
     "tutte --input {dir}/affine.json",
     "invariants --input {dir}/affine.json --format structured",
     "family bc --n 3 multivariate --format latex",
+    "family braid --n 5 poset",
+    "family braid --n 5 poset --format structured",
+    "family shi --n 3 poset",
 ]
 
 

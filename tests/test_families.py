@@ -5,7 +5,7 @@ import pytest
 from tuttekit import families as fam
 from tuttekit import linalg
 from tuttekit.arrangement import Arrangement
-from tuttekit.errors import FamilyError
+from tuttekit.errors import BudgetExceededError, FamilyError
 from tuttekit.multipoly import MultiPoly
 from tuttekit.poset import intersection_poset
 from tuttekit.tutte import coboundary_transform, scalar_invariants, tutte_subset
@@ -67,6 +67,41 @@ def test_all_linear_char():
         assert _engine_char(arr) == fam.oracle_char("all_linear", n=n, p=p)
     with pytest.raises(FamilyError):
         fam.all_linear(4, 2)
+
+
+def _scanned_normals(p, n):
+    """Every nonzero vector of F_p^n scaled to first nonzero entry 1, duplicates
+    dropped, sorted."""
+    normals = set()
+    for mask in range(1, p ** n):
+        v = [mask // p ** i % p for i in range(n)]
+        inv = pow(next(x for x in v if x), -1, p)
+        normals.add(tuple(x * inv % p for x in v))
+    return sorted(normals)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_all_linear_lists_the_scanned_normals_in_order(p, n):
+    arr = fam.all_linear(p, n)
+    assert [tuple(h.normal) for h in arr.hyperplanes] == _scanned_normals(p, n)
+    assert all(h.offset == 0 for h in arr.hyperplanes)
+    assert (arr.prime, arr.dim, arr.label) == (p, n, "A(%d,%d)" % (p, n))
+
+
+def test_builders_charge_the_budget_before_they_loop():
+    # generic checks C(n, d) minors, all_linear lists (p^n - 1)/(p - 1)
+    # normals, thicken makes n*k copies; a budget that equals the count fits
+    for build, count in [(lambda b: fam.generic(30, 8, b), comb(30, 8)),
+                         (lambda b: fam.all_linear(101, 3, b), 10303),
+                         (lambda b: fam.thicken(fam.braid(4), 10 ** 12, b), 6 * 10 ** 12),
+                         (lambda b: fam.thicken(fam.braid(4), [10 ** 12] * 6, b), 6 * 10 ** 12)]:
+        with pytest.raises(BudgetExceededError) as err:
+            build(count - 1)
+        assert err.value.required == count
+    assert fam.generic(6, 3, 20).n == 6
+    assert fam.all_linear(3, 3, 13).n == 13
+    assert fam.thicken(fam.braid(4), 3, 18).n == 18
 
 
 def test_oracle_char_unknown():

@@ -163,7 +163,7 @@ def test_poset_budget():
 
 def _rebuilt(poset, g):
     """The poset with g in place of its own."""
-    return IntersectionPoset(poset.arrangement, poset.flats, g, poset.powers)
+    return IntersectionPoset(poset.arrangement, poset.masks, poset.rank_sizes, g, poset.powers)
 
 
 @pytest.mark.parametrize("arr", [braid(5), shi(3), generic(6, 3)], ids=repr)
@@ -362,6 +362,52 @@ def test_small_blocks_give_the_same_poset(block, monkeypatch):
     with pytest.raises(BudgetExceededError):
         intersection_poset(braid(7), budget=48880)
     assert len(intersection_poset(braid(7), budget=48881).flats) == 877
+
+
+def _sort_codes(monkeypatch):
+    """The list that every `_sort_code` result is appended to from now on."""
+    codes = []
+    sort_code = poset_module._sort_code
+
+    def spy(*args):
+        codes.append(sort_code(*args))
+        return codes[-1]
+
+    monkeypatch.setattr(poset_module, "_sort_code", spy)
+    return codes
+
+
+@pytest.mark.parametrize("make, packed", [
+    (lambda: braid(7), True), (lambda: shi(3), True), (lambda: all_linear(3, 3), True),
+    (_wide_entry, False), (_wide_after_elimination, False)],
+    ids=["braid7", "shi3", "all-linear-3-3", "wide-entry", "wide-after-elimination"])
+def test_lexsort_groups_as_the_sort_code_does(make, packed, monkeypatch):
+    codes = _sort_codes(monkeypatch)
+    want = intersection_poset(make())
+    # the wide inputs' keys are Python ints or span too much to pack
+    assert codes and all((code is not None) == packed for code in codes)
+    codes.clear()
+    monkeypatch.setattr(poset_module, "_CODE_BOUND", 0)
+    _same_poset(intersection_poset(make()), want)
+    assert codes and all(code is None for code in codes)
+
+
+def test_keys_too_wide_for_a_sort_code_take_the_lexsort(monkeypatch):
+    # int64 entries spanning +-2^20 over 4 columns: the ranges' product
+    # passes 2^62 at the minimum, whose candidates are the rows themselves
+    rng = random.Random(6)
+    arr = Arrangement(3, [([rng.randrange(-2 ** 20, 2 ** 20) for _ in range(3)],
+                           rng.randrange(-2 ** 20, 2 ** 20)) for _ in range(5)]
+                      + [([2 ** 20, 0, 0], -2 ** 20), ([-2 ** 20, 1, 1], 2 ** 20)])
+    codes = _sort_codes(monkeypatch)
+    _, flats, mu = _reference_flats(arr)
+    poset = intersection_poset(arr)
+    assert max(abs(x) for h in arr.hyperplanes for x in h.row()) < 2 ** 31   # int64 keys
+    assert codes[0] is None
+    assert [f.hyperplane_set for f in poset.flats] == flats
+    assert poset.mobius == mu
+    assert poset.g.tolist() == _reference_g(flats)
+    assert poset.verify_mobius()
 
 
 @pytest.mark.parametrize("tag, n", [("braid", 8), ("bc", 6), ("dn", 6),
