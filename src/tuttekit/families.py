@@ -20,7 +20,7 @@ from itertools import combinations, product
 from math import comb, factorial
 
 from .arrangement import Arrangement
-from .errors import BudgetExceededError, FamilyError
+from .errors import FamilyError
 from .finite_field import DEFAULT_BUDGET
 from .linalg import is_prime, maximal_minors
 from .multipoly import MultiPoly
@@ -32,6 +32,7 @@ from .series import (
     series_pow,
     truncate,
 )
+from .tutte import _check_budget
 
 
 def _unit(dim, i, sign=1):
@@ -122,14 +123,6 @@ def shi(n):
     return Arrangement(n, hs, label="Shi_%d" % (n - 1))
 
 
-def _charge(count, budget, what):
-    """Raise BudgetExceededError when a builder's count of steps, which what
-    describes, exceeds the budget.  The charge is the builder's own, apart
-    from that of the engine that reads the arrangement."""
-    if count > budget:
-        raise BudgetExceededError("%s, over the budget %d" % (what, budget), required=count)
-
-
 def all_linear(p, n, budget=DEFAULT_BUDGET):
     """A(p, n): every linear hyperplane in F_p^n (one per normal up to scaling).
 
@@ -139,8 +132,7 @@ def all_linear(p, n, budget=DEFAULT_BUDGET):
     """
     if not is_prime(p):
         raise FamilyError("all_linear requires a prime p, got %d" % p)
-    count = (p ** n - 1) // (p - 1)
-    _charge(count, budget, "all_linear(%d, %d) lists %d normals" % (p, n, count))
+    _check_budget((p ** n - 1) // (p - 1), budget, "all_linear(%d, %d)" % (p, n), "normals")
     normals = [(0,) * (n - 1 - k) + (1,) + tail for k in range(n)
                for tail in product(range(p), repeat=k)]
     return Arrangement(n, [(v, 0) for v in normals], prime=p,
@@ -157,8 +149,7 @@ def generic(n, d, budget=DEFAULT_BUDGET):
     budget before the first.
     """
     if n >= d:
-        count = comb(n, d)
-        _charge(count, budget, "generic(%d, %d) checks %d minors" % (n, d, count))
+        _check_budget(comb(n, d), budget, "generic(%d, %d)" % (n, d), "minor checks")
     hs = [([t ** k for k in range(d)], 0) for t in range(1, n + 1)]
     arr = Arrangement(d, hs, label="generic(%d,%d)" % (n, d))
     if not _is_generic(arr, n, d):
@@ -190,8 +181,7 @@ def thicken(arrangement, k, budget=DEFAULT_BUDGET):
         mults = list(k)
         if len(mults) != arrangement.n or any(a < 0 for a in mults):
             raise FamilyError("multiplicity vector must be nonnegative, length n")
-    count = sum(mults)
-    _charge(count, budget, "thickening makes %d copies" % count)
+    _check_budget(sum(mults), budget, "thickening", "copies")
     hs = []
     for h, a in zip(arrangement.hyperplanes, mults):
         hs.extend([h] * a)

@@ -141,9 +141,7 @@ def normalise_rows(rows, prime=None):
         leads, where = np.unique(lead, return_inverse=True)
         inverses = np.array([pow(int(x), -1, prime) for x in leads], rows.dtype)
         return rows * inverses[where][:, None] % prime
-    # reduced a column at a time: on rows in C order the reduce makes one
-    # inner-loop call per row
-    g = np.gcd.reduce(np.asfortranarray(rows), axis=1)
+    g = np.gcd.reduce(rows, axis=1)
     g[g == 0] = 1
     g[lead < 0] *= -1
     return rows // g[:, None]

@@ -394,8 +394,7 @@ def _covers(ckeys, cmasks, start, count, own, pivot, p):
         keys, masks = ckeys[idx], cmasks[idx]
         if own is not None:
             keys = eliminate_rows(keys, ckeys[own[gid]], pivot[gid])
-            # column-major, as in _sort_code
-            keep = np.asfortranarray(keys[:, :-1]).any(axis=1)
+            keep = (keys[:, :-1] != 0).any(axis=1)
             keys = normalise_rows(keys[keep], p)
             masks, gid = masks[keep], gid[keep]
         if not len(gid):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tuttekit import cli, finite_field, linalg
+from tuttekit import cli, families, finite_field, linalg
 from tuttekit import poset as poset_module
 from tuttekit.arithmetic import VectorConfig, arithmetic_tutte
 from tuttekit.arrangement import Arrangement
@@ -344,12 +344,24 @@ def test_bad_requests_exit_2_with_one_line(capsys, tmp_path, argv, code):
     ["family", "all_linear", "--p", "101", "--n", "3", "char", "--budget", "1000"],
     ["family", "braid", "--n", "4", "--k", "1000", "char", "--budget", "5999"],
 ])
-def test_family_builders_exit_2_at_once_over_budget(capsys, argv):
-    # C(30, 8) minors, 10303 normals and 6000 copies: charged before they are made
+def test_family_builders_exit_2_at_once_over_budget(capsys, monkeypatch, argv):
+    # C(30, 8) minors, 10303 normals and 6000 copies are charged first: no
+    # minor is checked and no arrangement of the normals or copies is built
+    def unreached(*args):
+        raise AssertionError("built before the budget was charged")
+
+    def small_only(dim, hyperplanes, **kwargs):
+        if len(hyperplanes) > 30:
+            unreached()
+        return Arrangement(dim, hyperplanes, **kwargs)
+
+    monkeypatch.setattr(families, "maximal_minors", unreached)
+    monkeypatch.setattr(families, "Arrangement", small_only)
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
-    assert time.perf_counter() - start < 1
+    assert time.perf_counter() - start < 10   # loose; the patches are the check
     assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
+    assert "needs at least" in err
 
 
 def test_too_few_primes_exit_2_with_one_line(capsys, bench_file):
