@@ -336,13 +336,27 @@ def multivariate_tutte(arrangement, budget=DEFAULT_BUDGET):
     """q^r Ztilde = sum over central B of q^(r - rB) prod_{e in B} w_e.
 
     The central subsets are walked by `linalg.central_subsets`, charged to
-    the budget one unit per candidate subset.
+    the budget one unit per candidate subset.  The terms held are charged
+    apart, n + 1 units (their exponents) per term: when the arrangement is
+    central its 2^n terms are checked against the budget before the walk,
+    and otherwise each block of terms is charged as the walk yields it.
     """
     r = arrangement.rank
     n = arrangement.n
+    if budget is not None and not power_fits(2, n, budget // (n + 1)) \
+            and arrangement.is_central():
+        raise BudgetExceededError(
+            "the multivariate Tutte polynomial needs 2^%d terms of %d exponents, "
+            "over the budget %d" % (n, n + 1, budget), required=(n + 1) << n)
     rows = [h.row() for h in arrangement.hyperplanes]
     terms = {}
+    held = 0
     for masks, _, ranks in central_subsets(rows, arrangement.prime, budget):
+        held += (n + 1) * len(masks)
+        if budget is not None and held > budget:
+            raise BudgetExceededError(
+                "the multivariate Tutte polynomial needs at least %d term "
+                "exponents, over the budget %d" % (held, budget), required=held)
         exps = np.column_stack([r - ranks, (masks[:, None] >> np.arange(n)) & 1])
         terms.update(dict.fromkeys(map(tuple, exps.tolist()), 1))
     names = ("q",) + tuple("w_%d" % (e + 1) for e in range(n))

@@ -13,16 +13,21 @@ pivots of a row space from it.
 
 Its array form works on 2-D numpy integer arrays, a row per item:
 `eliminate_rows` is `eliminate` and `normalise_rows` is `normalise_row` on
-every row at once.  Arrays are int64 while the prime and every entry lie
-below 2^31, so that no product of two entries overflows, and numpy arrays of
-Python ints otherwise (`integer_rows`); between steps `narrow_rows` stores
-them in the narrowest type that holds them.  The flat lattice (`poset`) and
-`echelon_walk` run on it.  `echelon_walk` walks subsets of the rows a size
-at a time, a block of subsets and their remainders per step: every central
-subset (`central_subsets`, for the subset expansion, the multivariate Tutte
-polynomial and the semimatroid fingerprint), or every independent subset up
-to the bases, with tag columns that record fundamental circuits (the
-basis-activity expansion).
+every row at once, and `primitive_rows` only divides each row by its gcd
+(reduces it mod p), for readers of zero patterns alone.  Arrays are int64
+while the prime and every entry lie below 2^31, so that no product of two
+entries overflows, and numpy arrays of Python ints otherwise
+(`integer_rows`); between steps `narrow_rows` stores them in the narrowest
+type that holds them.  The flat lattice (`poset`) and `echelon_walk` run on
+it.  `echelon_walk` walks subsets of the rows a size at a time, a block of
+subsets and their remainders per step: every central subset
+(`central_subsets`, for the subset expansion, the multivariate Tutte
+polynomial and the semimatroid fingerprint), whose remainder rows carry
+their owner subset and row index so that each held row is a candidate
+child, or every independent subset up to the bases, held as one (subsets,
+rows, columns) array with tag columns that record fundamental circuits (the
+basis-activity expansion).  Its readers use only the zero patterns of the
+remainders, so it reduces them by `primitive_rows`.
 
 The lattice kernel (`extend_lattice`) keeps the Hermite basis of the
 integer span of integer rows, extended one row at a time by unimodular
@@ -145,6 +150,18 @@ def normalise_rows(rows, prime=None):
     g[g == 0] = 1
     g[lead < 0] *= -1
     return rows // g[:, None]
+
+
+def primitive_rows(rows, prime=None):
+    """A nonzero multiple of each row of a numpy integer array (rows along
+    the last axis) with the same zero pattern and small entries: over Q the
+    row divided by the gcd of its entries, over F_p the row reduced mod p.
+    Unlike `normalise_rows`, the sign or leading entry is left as it is."""
+    if prime is not None:
+        return rows % prime
+    if np.abs(rows).max(initial=0) <= 1:
+        return rows     # every gcd is 0 or 1
+    return rows // np.maximum(np.gcd.reduce(rows, axis=-1, keepdims=True), 1)
 
 
 def integer_rows(rows, width, prime=None):
@@ -288,32 +305,40 @@ def echelon_walk(rows, prime=None, budget=None, rank=None):
     states of one size, and all its children (subset + j, j past the
     subset's last index) are built together: row j's remainder b is the
     new basis row, and every other remainder v takes one elimination step,
-    b[c]*v - v[c]*b at b's first nonzero normal column c, then
-    `normalise_rows`.  Children are built `_WALK_BYTES` of int64 rows at a
-    time and each child block is walked before the next is built, so a wide
-    size is never held whole; within each size the subsets come in
-    lexicographic order.  Yields (masks, size, ranks, rems) per block: bit j
-    of a mask stands for row j, ranks are the ranks of the normals, and
-    rems the states' remainder rows concatenated.  Between blocks they are
-    stored by `narrow_rows`.
+    b[c]*v - v[c]*b at b's first nonzero normal column c.  The walk and its
+    readers use only which entries of a remainder are zero, so a step
+    divides each remainder by the gcd of its entries over Q, which keeps
+    them small, and reduces it mod p over F_p; remainders are determined up
+    to a nonzero scalar per row (and per tag column).  Children are built
+    `_WALK_BYTES` of int64 rows at a time and each child block is walked
+    before the next is built, so a wide size is never held whole; within
+    each size the subsets come in lexicographic order.  Yields (masks,
+    size, ranks, rems) per block: bit j of a mask stands for row j, ranks
+    are the ranks of the normals, and rems the remainders.  Between blocks
+    they are stored by `narrow_rows`.
 
-    With rank None the walk is central: a state holds the rows after its
-    subset's last index, a child whose remainder is zero on the normals but
-    not on the offset is skipped with every superset (no common point), and
-    one whose remainder is zero keeps its parent's rows and rank.  Each
-    candidate child costs one unit of the budget, and the empty set one, so
-    a central arrangement costs 2^n; when the rows have a common point and
-    2^n exceeds the budget, that is known before the walk, which then does
-    not start.
+    With rank None the walk is central, and rems holds the states' rows
+    concatenated, one row per (state, j) with j past the state's last
+    index; each row carries that owner state and index j.  So the held rows
+    are the candidates: the child (state, j) is the row itself, and its
+    rows are the next m - 1 - j rows of the block.  A child whose remainder
+    is zero on the normals but not on the offset is skipped with every
+    superset (no common point), and one whose remainder is zero keeps its
+    parent's rows and rank.  Each candidate child costs one unit of the
+    budget, and the empty set one, so a central arrangement costs 2^n; when
+    the rows have a common point and 2^n exceeds the budget, that is known
+    before the walk, which then does not start.
 
     With a rank r the walk runs over the independent subsets that can reach
-    size r, and a state holds every row with r tag columns after the
-    offset: tag k is set to 1 in the k-th basis row as it joins, so that
-    every later elimination carries it, and a basis row's remainder is the
-    zero row.  A child is admitted when its remainder is nonzero on the
-    normals and rows j .. m - 1 can still complete it, and each admitted
-    subset, the empty one too, costs m units (its m row steps).  The walk
-    stops at size r, whose states are the bases.
+    size r, and rems is a (states, m, w) array: every row of each state,
+    with r tag columns after the offset.  Tag k is set in the k-th basis
+    row as it joins, so that every later elimination carries it, and a
+    basis row's remainder is the zero row.  The candidates are read off one
+    (states, m) grid: a child is admitted when j is past the state's last
+    index, its remainder is nonzero on the normals and rows j .. m - 1 can
+    still complete it.  Each admitted subset, the empty one too, costs m
+    units (its m row steps).  The walk stops at size r, whose states are
+    the bases.
 
     Each block of children is charged before its arrays are made, and
     BudgetExceededError reports the running total as `required` once it
@@ -321,6 +346,7 @@ def echelon_walk(rows, prime=None, budget=None, rank=None):
     """
     m = len(rows)
     d = len(rows[0]) - 1 if rows else 0
+    width = d + 1 + (rank or 0)
     bits = np.array([1 << j for j in range(m)], np.int64 if m < 63 else object)
     work = 0
 
@@ -334,46 +360,56 @@ def echelon_walk(rows, prime=None, budget=None, rank=None):
             raise BudgetExceededError((what + ", over the budget %d") % (work, budget),
                                       required=work)
 
-    def children(masks, size, ranks, last, rems):
-        first = last + 1 if rank is None else np.zeros_like(last)
-        starts = np.cumsum(m - first) - (m - first)
-        # the candidates: (state, j) for j past the state's last index
-        ncand = m - 1 - last
-        state = np.repeat(np.arange(len(last)), ncand)
-        j = (np.arange(len(state)) - np.repeat(np.cumsum(ncand) - ncand, ncand)
-             + last[state] + 1)
-        at = starts[state] + j - first[state]
-        step = (rems[at, :d] != 0).any(axis=1)
-        if rank is None:
-            keep = step | (rems[at, d] == 0)
-            height = m - 1 - j
-        else:
-            step &= m - j >= rank - size
-            keep = step
-            height = np.full(len(j), m)
-        for lo, hi in blocks((height + 1) * keep * 8 * rems.shape[1], _WALK_BYTES):
+    def wide(rems):
+        return rems if rems.dtype == object else rems.astype(np.int64)
+
+    def central(masks, size, ranks, rems, owner, index):
+        step = (rems[:, :d] != 0).any(axis=1)
+        keep = step | (rems[:, d] == 0)
+        height = m - 1 - index
+
+        def child(pick):
+            # the rows of child k are rows pick[k] + 1 .. pick[k] + counts[k]
+            counts = height[pick]
+            rep = np.repeat(np.arange(len(pick)), counts)
+            src = np.arange(len(rep)) + (pick + 1 - np.cumsum(counts) + counts)[rep]
+            v, b = wide(rems[src]), wide(rems[pick])
+            c = np.argmax(b != 0, axis=1)
+            bc = b[np.arange(len(pick)), c]
+            bc[bc == 0] = 1         # a zero remainder keeps its parent's rows
+            out = bc[rep, None] * v - v[np.arange(len(rep)), c[rep], None] * b[rep]
+            parent = owner[pick]
+            return (masks[parent] | bits[index[pick]], size + 1, ranks[parent] + step[pick],
+                    narrow_rows(primitive_rows(out, prime)), rep, index[src])
+
+        for lo, hi in blocks((height + 1) * keep * (8 * width), _WALK_BYTES):
             pick = lo + np.flatnonzero(keep[lo:hi])
-            charge(hi - lo if rank is None else m * len(pick))
-            if not len(pick):
-                continue
-            cs, cj, b = state[pick], j[pick], rems[at[pick]]
-            cfirst = cj + 1 if rank is None else np.zeros_like(cj)
-            counts = m - cfirst
-            offsets = np.cumsum(counts) - counts
-            owner = np.repeat(np.arange(len(pick)), counts)
-            src = (np.arange(int(counts.sum())) - offsets[owner]
-                   + (starts[cs] - first[cs] + cfirst)[owner])
-            v = rems[src]
-            if rank:
-                b[:, d + 1 + size] = 1      # the tag of the new basis row
-            out = eliminate_rows(v, b[owner], np.argmax(b != 0, axis=1)[owner])
-            if rank is None:
-                # a zero remainder keeps its parent's rows
-                out = np.where(step[pick][owner, None], out, v)
-            else:
-                out[offsets + cj] = 0
-            yield (masks[cs] | bits[cj], size + 1, ranks[cs] + step[pick], cj,
-                   narrow_rows(normalise_rows(out, prime)))
+            charge(hi - lo)
+            if len(pick):
+                yield child(pick)
+
+    def independent(masks, size, ranks, rems, last):
+        j = np.arange(m)
+        keep = ((rems[:, :, :d] != 0).any(axis=2) & (j > last[:, None])
+                & (m - j >= rank - size)).ravel()
+
+        def child(pick):
+            s, cj = np.divmod(pick, m)
+            at = np.arange(len(pick))
+            v = wide(rems[s])
+            b = v[at, cj]
+            b[:, d + 1 + size] = 1      # the tag of the new basis row
+            c = np.argmax(b != 0, axis=1)
+            out = b[at, c, None, None] * v - v[at, :, c][:, :, None] * b[:, None]
+            out[at, cj] = 0
+            return (masks[s] | bits[cj], size + 1, ranks[s] + 1,
+                    narrow_rows(primitive_rows(out, prime)), cj)
+
+        for lo, hi in blocks(keep * ((m + 1) * 8 * width), _WALK_BYTES):
+            pick = lo + np.flatnonzero(keep[lo:hi])
+            if len(pick):
+                charge(m * len(pick))
+                yield child(pick)
 
     if rank is None and budget is not None and not power_fits(2, m, budget) \
             and rank_rows([row[:-1] for row in rows], prime) == rank_rows(rows, prime):
@@ -381,10 +417,14 @@ def echelon_walk(rows, prime=None, budget=None, rank=None):
             "the central-subset walk needs 2^%d candidate subsets, over the "
             "budget %d" % (m, budget), required=2 ** m)
     rems = integer_rows(rows, d + 1, prime)
-    if rank:
+    root = np.zeros(1, bits.dtype), 0, np.zeros(1, np.int64)
+    if rank is None:
+        grow = central
+        root += narrow_rows(rems), np.zeros(m, np.int64), np.arange(m)
+    else:
+        grow = independent
         rems = np.hstack([rems, np.zeros((m, rank), rems.dtype)])
-    root = (np.zeros(1, bits.dtype), 0, np.zeros(1, np.int64),
-            np.full(1, -1), narrow_rows(rems))
+        root += narrow_rows(rems)[None], np.full(1, -1)
     charge(1 if rank is None else m)
     stack = [iter([root])]
     while stack:
@@ -392,10 +432,9 @@ def echelon_walk(rows, prime=None, budget=None, rank=None):
         if block is None:
             stack.pop()
             continue
-        masks, size, ranks, last, rems = block
-        yield masks, size, ranks, rems
-        if rank is None or size < rank:
-            stack.append(children(masks, size, ranks, last, rems))
+        yield block[:4]
+        if rank is None or block[1] < rank:
+            stack.append(grow(*block))
 
 
 def central_subsets(rows, prime=None, budget=None):

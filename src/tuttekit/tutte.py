@@ -245,7 +245,6 @@ def _bases(rows, r, prime, budget):
     for masks, size, _, rems in echelon_walk(rows, prime, budget, rank=r):
         if size == r:
             members = np.nonzero((masks[:, None] >> np.arange(m)) & 1)[1]
-            rems = rems.reshape(len(masks), m, rems.shape[1])
             d = rems.shape[2] - 1 - r       # the offset column; the tags follow
             yield (members.reshape(len(masks), r), rems[:, :, d] == 0,
                    rems[:, :, d + 1:] != 0)

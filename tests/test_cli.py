@@ -1049,13 +1049,16 @@ def test_check_reports_the_lattice_over_budget_and_goes_on(capsys):
 
 @pytest.mark.parametrize("verb", [["tutte", "--method", "subset"], ["multivariate"]])
 def test_subset_walks_fit_a_budget_of_2_to_the_n(capsys, verb):
-    # braid(5) is central with 10 hyperplanes: the walk costs 2^10
+    # braid(5) is central with 10 hyperplanes: the walk costs 2^10, and the
+    # multivariate polynomial holds 2^10 terms of 11 exponents each
+    fit, unit = (1024, "candidate subsets") if verb[0] == "tutte" else \
+        (1024 * 11, "2^10 terms of 11 exponents")
     argv = ["family", "braid", "--n", "5"] + verb
-    code, out, _ = run(capsys, argv + ["--budget", "1024"])
+    code, out, _ = run(capsys, argv + ["--budget", str(fit)])
     assert code == 0 and out == run(capsys, argv)[1]
-    code, out, err = run(capsys, argv + ["--budget", "1023"])
+    code, out, err = run(capsys, argv + ["--budget", str(fit - 1)])
     assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
-    assert "candidate subsets" in err and "over the budget 1023" in err
+    assert unit in err and "over the budget %d" % (fit - 1) in err
 
 
 def test_check_over_the_subset_budget_is_one_line(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_arrangement, random_prime_arrangement
+from tuttekit import arithmetic as arithmetic_module
 from tuttekit import families
 from tuttekit import linalg as linalg_module
 from tuttekit.arithmetic import (
@@ -227,13 +228,13 @@ def _wide_after_elimination():
 def test_walker_on_wide_entries_matches_brute_force(make, monkeypatch):
     arr = make()
     dtypes = []
-    normalise = linalg_module.normalise_rows
+    primitive = linalg_module.primitive_rows
 
     def spy(rows, prime=None):
         dtypes.append(rows.dtype)
-        return normalise(rows, prime)
+        return primitive(rows, prime)
 
-    monkeypatch.setattr(linalg_module, "normalise_rows", spy)
+    monkeypatch.setattr(linalg_module, "primitive_rows", spy)
     rows = [h.row() for h in arr.hyperplanes]
     walked = {mask: rank for masks, _, ranks in central_subsets(rows, arr.prime)
               for mask, rank in zip(masks.tolist(), ranks.tolist())}
@@ -261,12 +262,33 @@ def test_small_walk_blocks_give_the_same_tables_and_budgets(block, monkeypatch):
     want = _subset_results(arrs)
     monkeypatch.setattr(linalg_module, "_WALK_BYTES", block)
     assert _subset_results(arrs) == want
-    # a central arrangement costs 2^n at any block size
-    for walk in (tutte_subset, multivariate_tutte):
+    # a central arrangement costs 2^n at any block size, and its
+    # multivariate polynomial n + 1 units for each of its 2^n terms
+    for walk, fit in ((tutte_subset, 1024), (multivariate_tutte, 1024 * 11)):
         with pytest.raises(BudgetExceededError) as info:
-            walk(families.braid(5), budget=1023)
-        assert info.value.required > 1023
-        assert walk(families.braid(5), budget=1024)
+            walk(families.braid(5), budget=fit - 1)
+        assert info.value.required == fit
+        assert walk(families.braid(5), budget=fit)
+
+
+def test_multivariate_terms_are_charged_per_block(monkeypatch):
+    # x = 0 .. x = 4 have no common point: the walk costs 16 candidates, and
+    # the 6 terms (the empty set and the singletons) 6 exponents each
+    arr = Arrangement(1, [([1], b) for b in range(5)])
+    assert len(multivariate_tutte(arr, budget=36).poly.terms) == 6
+    for block in (1, 1 << 17):
+        monkeypatch.setattr(linalg_module, "_WALK_BYTES", block)
+        with pytest.raises(BudgetExceededError) as info:
+            multivariate_tutte(arr, budget=35)
+        assert info.value.required == 36 and "term exponents" in str(info.value)
+    # past 2^n (n + 1) a central arrangement fails before its walk starts
+    def no_walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(arithmetic_module, "central_subsets", no_walk)
+    with pytest.raises(BudgetExceededError) as info:
+        multivariate_tutte(families.bc(5))
+    assert info.value.required == 26 << 25
 
 
 def test_dropped_candidates_are_charged():
