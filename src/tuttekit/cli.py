@@ -160,6 +160,9 @@ def _coboundary(arr, args, method):
         except ValueError:
             raise InputFormatError("--primes must be 'auto' or comma-separated "
                                    "integers, got %r" % args.primes)
+        repeated = next((p for i, p in enumerate(primes) if p in primes[:i]), None)
+        if repeated is not None:
+            raise InputFormatError("--primes lists %d more than once" % repeated)
     return coboundary_ffm(arr, primes=primes, budget=args.budget)
 
 

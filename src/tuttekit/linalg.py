@@ -43,6 +43,7 @@ multiplicities that certify small primes).
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, islice
 from math import gcd, lcm, prod
 
@@ -133,23 +134,29 @@ def normalise_rows(rows, prime=None):
     """`normalise_row` on each row of a 2-D numpy integer array, as a new array.
 
     The dtype is kept: int64 when every entry and the products of two of
-    them fit, or object (Python ints).  Over Q each row is divided by its
-    gcd, negated where its first nonzero entry is negative; over F_p it is
-    reduced mod p and multiplied by the inverse of its first nonzero entry,
-    one `pow` per distinct leading entry.
+    them fit, or object (Python ints).  Over Q each row is negated where its
+    first nonzero entry is negative, and the rows whose gcd exceeds 1 are
+    divided by it; when every entry lies within +-1, no gcd does, and only
+    the signs change.  The gcd is taken a column at a time, which numpy
+    does faster than along each short row.  Over F_p a row is reduced mod p
+    and multiplied by the inverse of its first nonzero entry, one `pow` per
+    distinct leading entry.
     """
     if prime is not None:
         rows = rows % prime
-    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
     if prime is not None:
         lead[lead == 0] = 1
         leads, where = np.unique(lead, return_inverse=True)
         inverses = np.array([pow(int(x), -1, prime) for x in leads], rows.dtype)
         return rows * inverses[where][:, None] % prime
-    g = np.gcd.reduce(rows, axis=1)
-    g[g == 0] = 1
-    g[lead < 0] *= -1
-    return rows // g[:, None]
+    out = rows * np.where(lead < 0, -1, 1).astype(rows.dtype)[:, None]
+    if -1 <= rows.min(initial=0) and rows.max(initial=0) <= 1:
+        return out
+    g = reduce(np.gcd, rows.T, 0)
+    big = (g > 1).nonzero()[0]
+    out[big] //= g[big, None]
+    return out
 
 
 def primitive_rows(rows, prime=None):
@@ -197,13 +204,13 @@ def narrow_rows(rows):
 
 def blocks(sizes, limit):
     """(start, end) ranges covering range(len(sizes)) in order, each of total
-    size at most limit unless it is a single item."""
-    ends = np.cumsum(sizes)
+    size at most limit unless it is a single item; sizes is a numpy array."""
+    ends = sizes.cumsum()
     s = 0
     while s < len(ends):
         top = (ends[s - 1] if s else 0) + limit
         e = len(ends) if ends[-1] <= top else \
-            max(s + 1, int(np.searchsorted(ends, top, "right")))
+            max(s + 1, int(ends.searchsorted(top, "right")))
         yield s, e
         s = e
 

@@ -20,23 +20,29 @@ Each rank is built by a fixed sequence of numpy steps on all its flats at
 once.  Every flat's candidates, the covers of the flat that found it, are
 gathered into one row matrix; each is eliminated against its flat's added
 row in one operation, and the rows parallel to their flat are dropped, the
-flat's own cover among them; `linalg.normalise_rows` normalises the rest.
+flat's own cover among them; `linalg.normalise_rows` normalises the rest,
+changing only signs when every entry lies within +-1.
 One stable argsort groups equal keys per flat: it sorts an int64 code of
 (flat, key) in mixed radix, each key column shifted by its minimum and
 weighted by the product of the later columns' ranges, so that equal codes
 are equal rows and the order is that of a lexsort by flat and then by key.
 Only keys whose code would reach `_CODE_BOUND`, and Python-int keys, take
 the lexsort itself.  `bitwise_or.reduceat` joins the grouped rows'
-hyperplane masks into the flat's covers.  The covers' masks, with the
-flat's own, are the flats of the next rank: a stable argsort orders them
-and names each one's finder, the first flat in order that has it as a
-cover.  Hyperplane j is bit n - 1 - j of a mask, so descending masks order
-the flats of one rank by their sorted hyperplane lists.  Keys are int64
+hyperplane masks into the flat's covers, and `add.reduceat` their
+hyperplane counts, which add up since one flat's candidates share no
+hyperplane.  The covers' masks, with the flat's own, are the flats of the
+next rank: a stable argsort orders them and names each one's finder, the
+first flat in order that has it as a cover.  A flat's size is its
+finder's plus that cover's, so no mask is popcounted.  Hyperplane j is bit
+n - 1 - j of a mask, so descending masks order the flats of one rank by
+their sorted hyperplane lists.  Keys are int64
 while the prime and every entry stay below 2^31, and masks while n < 63, so
 that no product overflows; beyond that both are numpy arrays of Python
 ints, through the same code (`linalg.eliminate_rows`).  Between ranks the
 keys are kept in the narrowest integer type that holds them
-(`linalg.narrow_rows`).
+(`linalg.narrow_rows`).  On posets of a few hundred flats the time goes to
+the fixed number of numpy calls per rank, not to the flats, so the steps
+call ndarray methods rather than their `np.*` wrappers.
 
 The flats strictly below G are kept as pairs: an ascending int32 array of
 flat indices per rank, all of its flats' below sets end to end, with their
@@ -56,8 +62,14 @@ keeps one integer per flat and flat size that occurs, and every flat above
 the minimum is charged at least one pair, so below 63 hyperplanes g takes
 at most 8(n + 1) bytes per unit of the budget.
 
-Only numpy 1.24 API is used: bits are counted by a byte table, not
-`bitwise_count`, and no result relies on numpy 2 shapes.
+`verify_mobius` recounts every interval from the hyperplane masks alone,
+in one pass over all flats: F <= G exactly when F has no hyperplane
+outside G, and no other flat of G's rank or above passes that test, so no
+rank loop is needed.  One `nonzero` pass over each block's words gives the
+positions and counts of its intervals.
+
+Only numpy 1.24 API is used: bits are counted from their unpacked
+positions, not by `bitwise_count`, and no result relies on numpy 2 shapes.
 
 The poset keeps each flat as its mask, with the number of flats of each
 rank; the `Flat` objects and the Möbius dict are built only when read.  The
@@ -66,7 +78,6 @@ coefficient tables, and one MultiPoly is built from each table.
 """
 
 from functools import cached_property
-from math import prod
 
 import numpy as np
 
@@ -86,7 +97,7 @@ from .multipoly import MultiPoly
 
 # Bytes per numpy block: of candidate key rows eliminated at once, of the
 # keys sorted into the next rank's below sets, of g columns gathered over
-# intervals, and of the table rows and words `verify_mobius` reads.
+# intervals, and of the words and table rows `verify_mobius` ORs together.
 _BLOCK_BYTES = 1 << 20
 
 # A block's below-set keys are int32 when all are below this, int64 otherwise.
@@ -95,8 +106,6 @@ _INT32_KEYS = 1 << 31
 # A block's (flat, key) sort codes are int64 while its flat count times the
 # product of its key columns' ranges stays below this.
 _CODE_BOUND = 1 << 62
-
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
 
 def _dtype(n):
@@ -118,36 +127,21 @@ def _check_budget(required, budget):
             required=required)
 
 
-def _set_words(rows):
-    """The nonzero words of rows of uint64 words, a block of rows at a time:
-    yields the first row s of each block and the (row - s, column, value)
-    arrays of its nonzero words, in row-major order."""
+def _set_bits(rows):
+    """The set bits of rows of uint64 words as (positions, counts): the bit
+    positions, ascending within each row and the rows in order, as one int32
+    array, and the number in each row.  A block of rows at a time, only the
+    nonzero bytes of nonzero words are unpacked."""
+    positions, counts = [np.zeros(0, np.int32)], []
     for s, e in blocks(np.full(len(rows), 8 * rows.shape[1]), _BLOCK_BYTES):
-        r, c = np.nonzero(rows[s:e])
-        yield s, r, c, rows[s + r, c]
-
-
-def _bit_counts(rows):
-    """The number of set bits in each row of uint64 words."""
-    counts = np.zeros(len(rows), np.int64)
-    for s, r, _, words in _set_words(rows):
-        bits = np.bincount(r, _POPCOUNT[words.view(np.uint8)].reshape(-1, 8).sum(axis=1))
-        counts[s:s + len(bits)] = bits
-    return counts
-
-
-def _bit_positions(rows):
-    """Set-bit positions of rows of uint64 words, ascending within each row
-    and the rows in order, as one int32 array.  Only the nonzero bytes of
-    nonzero words are unpacked."""
-    out = [np.zeros(0, np.int32)]
-    for _, _, c, words in _set_words(rows):
-        table = words.view(np.uint8).reshape(-1, 8)
-        w, b = np.nonzero(table)
-        byte, bits = np.nonzero(np.unpackbits(table[w, b, None], axis=1,
-                                              bitorder="little"))
-        out.append((c[w[byte]] * 64 + b[byte] * 8 + bits).astype(np.int32))
-    return np.concatenate(out)
+        r, c = rows[s:e].nonzero()
+        table = rows[s:e][r, c].view(np.uint8).reshape(-1, 8)
+        w, b = table.nonzero()
+        byte, bits = np.unpackbits(table[w, b, None], axis=1, bitorder="little").nonzero()
+        w = w[byte]
+        positions.append((c[w] * 64 + b[byte] * 8 + bits).astype(np.int32))
+        counts.append(np.bincount(r[w], minlength=e - s))
+    return np.concatenate(positions), np.concatenate(counts)
 
 
 def _mask_bits(masks, n):
@@ -171,18 +165,10 @@ def _hyperplane_lists(masks, n):
     return [cols[a:b] for a, b in zip([0] + cuts[:-1], cuts)]
 
 
-def _sizes(masks):
-    """The number of hyperplanes of each mask."""
-    if masks.dtype == object:
-        return np.array([bin(x).count("1") for x in masks.tolist()], np.int64)
-    # the top byte of the product is the sum of the 8 bytes' bit counts
-    return (_POPCOUNT[masks.view(np.uint8)].view(np.int64) * 0x0101010101010101) >> 56
-
-
 def _interval_sums(cols, positions, counts):
     """Sums of the columns cols[:, j] over the positions j of each interval, the
     intervals given in order by their counts (each at least 1), in blocks."""
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     starts = ends - counts
     return np.concatenate([
         np.add.reduceat(cols.take(positions[starts[s]:ends[e - 1]], axis=1),
@@ -271,12 +257,17 @@ class IntersectionPoset:
     def verify_mobius(self):
         """Check g and the Möbius values on every interval; True or raises.
 
-        The flats strictly below G are recomputed from the hyperplane sets
-        alone, as the flats of lower rank that contain no hyperplane outside
-        G: the complement of the OR, over the hyperplanes h outside G, of
-        the words of the flats containing h.  The hyperplanes go in groups
-        of four, and each group's 16 ORs are tabled first by one OR pass per
-        hyperplane, so a row of a rank takes one table row per group.  Then
+        The flats F <= G are recomputed from the hyperplane sets alone, for
+        every flat G in one pass: F <= G exactly when F contains no
+        hyperplane outside G, and of the flats of G's rank or above only G
+        itself passes.  They are the complement of the OR, over the
+        hyperplanes h outside G, of the words of the flats containing h.
+        The hyperplanes go in groups of four, and each group's 16 ORs are
+        tabled first by one OR pass per hyperplane, so a flat takes one
+        table row per group, ORed in a group at a time.  The flats are in
+        rank order, so a block of flats reads only the words up to its last
+        flat.  One `nonzero` pass
+        over these words gives each interval's positions and counts, and
         sum_{F <= G} g_F must be t^|G|.  Its coefficient of t^(number of
         loops) is the Möbius recursion, once the Möbius values are g's: the
         Möbius dict, once it has been built, must equal g's first row.
@@ -297,24 +288,20 @@ class IntersectionPoset:
         if "mobius" in self.__dict__ and \
                 [self.mobius[f.hyperplane_set] for f in self.flats] != self.g[0].tolist():
             raise ConsistencyError("Mobius values differ from g")
-        rows = np.searchsorted(self.powers, bits.sum(axis=1))
-        for first, end in self._ranks():
-            width = (first + 63) // 64
-            low = np.packbits(np.arange(64 * width) < first,
-                              bitorder="little").view(np.uint64)
-            for s, e in blocks(np.full(end - first, 8 * width * max(groups, 1)),
-                               _BLOCK_BYTES):
-                s, e = first + s, first + e
-                outside = np.bitwise_or.reduce(
-                    table[np.arange(groups)[:, None], lacks[:, s:e], :width], axis=0)
-                expected = ~outside & low
-                totals = self.g[:, s:e] + (_interval_sums(
-                    self.g, _bit_positions(expected), _bit_counts(expected)) if first else 0)
-                totals[rows[s:e], np.arange(e - s)] -= 1
-                bad = np.flatnonzero(totals.any(axis=0))
-                if len(bad):
-                    raise ConsistencyError("Mobius recursion fails at %r"
-                                           % self.flats[s + bad[0]])
+        present = np.packbits(np.arange(64 * words) < m, bitorder="little").view(np.uint64)
+        rows = self.powers.searchsorted(bits.sum(axis=1))
+        # a block holds its flats' words and one gathered table row per flat
+        for s, e in blocks(np.full(m, 16 * words), _BLOCK_BYTES):
+            width = (e + 63) // 64      # the words of the flats before e
+            outside = np.zeros((e - s, width), np.uint64)
+            for part, lack in zip(table[:, :, :width], lacks[:, s:e]):
+                outside |= part[lack]
+            totals = _interval_sums(self.g, *_set_bits(~outside & present[:width]))
+            totals[rows[s:e], np.arange(e - s)] -= 1
+            bad = totals.any(axis=0).nonzero()[0]
+            if len(bad):
+                raise ConsistencyError("Mobius recursion fails at %r"
+                                       % self.flats[s + bad[0]])
         return True
 
     def coboundary(self):
@@ -370,10 +357,13 @@ def _sort_code(keys, gid, count):
     span = weights[-1] * ranges[0]
     if count * span >= _CODE_BOUND:
         return None
-    return gid * span + np.array(weights[::-1]) @ (columns - low[:, None])
+    # w . (key - low) < span, as w @ columns - w @ low: int64 products that
+    # wrap modulo 2^64 on the way still end exact
+    weights = np.array(weights[::-1])
+    return gid * span + (weights @ columns - weights @ low)
 
 
-def _covers(ckeys, cmasks, start, count, own, pivot, p):
+def _covers(ckeys, cmasks, csizes, start, count, own, pivot, p):
     """The covers of one rank's flats from their candidates, or None if none.
 
     Flat i's candidates are the covers start[i] .. start[i] + count[i] - 1
@@ -383,37 +373,40 @@ def _covers(ckeys, cmasks, start, count, own, pivot, p):
     minimum has no such row (own is None), and its candidates are the
     non-loops as they are.  Equal keys of one flat join one cover, grouped
     by one stable argsort of their `_sort_code`, or by a lexsort when there
-    is none.  Returns (keys, masks, flat) arrays, grouped by flat in order.
+    is none.  csizes holds the candidates' hyperplane counts; a cover's is
+    their sum, since the candidates of one flat share no hyperplane.
+    Returns (keys, masks, sizes, flat) arrays, grouped by flat in order.
     """
     out = []
     for s, e in blocks(count * 8 * ckeys.shape[1], _BLOCK_BYTES):
-        total = int(count[s:e].sum())
-        offsets = np.cumsum(count[s:e]) - count[s:e]
-        idx = np.repeat(start[s:e] - offsets, count[s:e]) + np.arange(total)
-        gid = np.repeat(np.arange(s, e), count[s:e])
-        keys, masks = ckeys[idx], cmasks[idx]
+        k = count[s:e]
+        ends = k.cumsum()
+        idx = (start[s:e] - ends + k).repeat(k) + np.arange(ends[-1])
+        gid = np.arange(s, e).repeat(k)
+        keys, masks, sizes = ckeys[idx], cmasks[idx], csizes[idx]
         if own is not None:
             keys = eliminate_rows(keys, ckeys[own[gid]], pivot[gid])
             keep = (keys[:, :-1] != 0).any(axis=1)
             keys = normalise_rows(keys[keep], p)
-            masks, gid = masks[keep], gid[keep]
+            masks, sizes, gid = masks[keep], sizes[keep], gid[keep]
         if not len(gid):
             continue
         code = _sort_code(keys, gid - s, e - s)
-        heads = np.ones(len(gid), bool)
+        heads = np.empty(len(gid), bool)
+        heads[0] = True
         if code is None:
             order = np.lexsort(tuple(keys.T[::-1]) + (gid,))
             sorted_keys, sorted_gid = keys[order], gid[order]
             heads[1:] = (sorted_gid[1:] != sorted_gid[:-1]) | \
                 (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
         else:
-            order = np.argsort(code, kind="stable")
+            order = code.argsort(kind="stable")
             code = code[order]
-            heads[1:] = code[1:] != code[:-1]
-        heads = np.flatnonzero(heads)
+            np.not_equal(code[1:], code[:-1], out=heads[1:])
+        heads = heads.nonzero()[0]
         firsts = order[heads]
         out.append((narrow_rows(keys[firsts]), np.bitwise_or.reduceat(masks[order], heads),
-                    gid[firsts]))
+                    np.add.reduceat(sizes[order], heads, dtype=sizes.dtype), gid[firsts]))
     if not out:
         return None
     return tuple(np.concatenate(x) for x in zip(*out))
@@ -432,9 +425,9 @@ def _below_pairs(positions, counts, first, flat, target, size):
     ascending within each G, as int32.
     """
     width = first + len(counts)
-    starts = np.cumsum(counts) - counts
+    starts = counts.cumsum() - counts
     lens = counts[flat]
-    bounds = np.searchsorted(target, np.arange(size + 1))
+    bounds = target.searchsorted(np.arange(size + 1))
     out, sizes = [np.zeros(0, np.int32)], []
     for s, e in blocks(8 * np.add.reduceat(lens + 1, bounds[:-1]), _BLOCK_BYTES):
         a, b = bounds[s], bounds[e]
@@ -442,9 +435,9 @@ def _below_pairs(positions, counts, first, flat, target, size):
         f, k = flat[a:b], lens[a:b]
         base = ((target[a:b] - s) * width).astype(dtype)
         # F's below set is positions[starts[F]:starts[F] + |below(F)|]
-        ends = np.cumsum(k)
-        idx = np.repeat(starts[f] - ends + k, k) + np.arange(ends[-1])
-        keys = np.concatenate((np.repeat(base, k) + positions[idx],
+        ends = k.cumsum()
+        idx = (starts[f] - ends + k).repeat(k) + np.arange(ends[-1])
+        keys = np.concatenate((base.repeat(k) + positions[idx],
                                base + (first + f).astype(dtype)))
         keys.sort()
         keep = np.empty(len(keys), bool)
@@ -472,20 +465,22 @@ def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
     p = arrangement.prime
     n, d = arrangement.n, arrangement.dim
     rows = [h.row() for h in arrangement.hyperplanes]
-    nonloops = arrangement.nonloops()
+    loops, nonloops = arrangement.loops(), arrangement.nonloops()
     dtype = _dtype(n)
     # the minimum's candidates: every non-loop
     ckeys = integer_rows([rows[j] for j in nonloops], d + 1, p)
     cmasks = np.array([1 << n - 1 - j for j in nonloops], dtype)
+    csizes = np.ones(len(nonloops), np.min_scalar_type(n))   # sums stay <= n
     start, count = np.zeros(1, np.int64), np.array([len(nonloops)])
     own = pivot = None
-    masks = np.array([sum(1 << n - 1 - j for j in arrangement.loops())], dtype)
+    masks = np.array([sum(1 << n - 1 - j for j in loops)], dtype)
+    sizes = np.array([len(loops)])
     positions, counts = np.zeros(0, np.int32), np.zeros(1, np.int64)
     work = held = first = 0
     ranks = []
     # the flat sizes so far, and the minimum's g, t^(number of loops)
-    seen = np.arange(n + 1) == len(arrangement.loops())
-    powers, g = np.flatnonzero(seen), np.ones((1, 1), dtype)
+    seen = np.arange(n + 1) == len(loops)
+    powers, g = seen.nonzero()[0], np.ones((1, 1), dtype)
     while True:
         m = len(masks)
         ranks.append(masks)
@@ -494,45 +489,46 @@ def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
         held = 0
         if first:
             # g_H = t^|H| - sum_{G < H} g_G for the flats H of this rank
-            sizes = _sizes(masks)
             seen[sizes] = True
-            row = np.cumsum(seen) - 1       # the row of each power of t
+            row = seen.cumsum() - 1         # the row of each power of t
             grown = np.zeros((row[-1] + 1, first + m), dtype)
             old = row[powers]
             grown[old, :first] = g
             grown[old, first:] = -_interval_sums(g, positions, counts)
             grown[row[sizes], np.arange(first, first + m)] = 1   # no lower g has t^|H|
-            g, powers = grown, np.flatnonzero(seen)
-            bad = np.flatnonzero(g[:, first:].sum(axis=0))
+            g, powers = grown, seen.nonzero()[0]
+            bad = g[:, first:].sum(axis=0).nonzero()[0]
             if len(bad):
                 raise ConsistencyError("g(1) is not 0 at the flat of hyperplanes %s"
                                        % _hyperplane_lists(masks[bad[:1]], n)[0])
 
         work += int(count.sum()) - (0 if own is None else m)
         _check_budget(work, budget)
-        covers = _covers(ckeys, cmasks, start, count, own, pivot, p)
+        covers = _covers(ckeys, cmasks, csizes, start, count, own, pivot, p)
         if covers is None:
             break
-        ckeys, cmasks, cflat = covers
+        ckeys, cmasks, csizes, cflat = covers
 
         # the covers' flats, ordered by descending mask; each is found by the
         # first flat in order that has it as a cover, and the covers in that
-        # order go up to the flats np.cumsum(heads) - 1
+        # order go up to the flats heads.cumsum() - 1
         negated = -(masks[cflat] | cmasks)
-        order = np.argsort(negated, kind="stable")
-        heads = np.ones(len(order), bool)
-        heads[1:] = negated[order[1:]] != negated[order[:-1]]
+        order = negated.argsort(kind="stable")
+        heads = np.empty(len(order), bool)
+        heads[0] = True
+        np.not_equal(negated[order[1:]], negated[order[:-1]], out=heads[1:])
         found = order[heads]
         held = int(counts[cflat].sum()) + len(cflat)
         _check_budget(work + held, budget)
         positions, counts = _below_pairs(positions, counts, first, cflat[order],
-                                         np.cumsum(heads) - 1, len(found))
-        cstart = np.searchsorted(cflat, np.arange(m + 1))
+                                         heads.cumsum() - 1, len(found))
+        cstart = cflat.searchsorted(np.arange(m + 1))
         masks = -negated[found]
         finder = cflat[found]
+        sizes = sizes[finder] + csizes[found]
         start, count = cstart[finder], cstart[finder + 1] - cstart[finder]
         own = found
-        pivot = np.argmax(ckeys[own] != 0, axis=1)
+        pivot = (ckeys[own] != 0).argmax(axis=1)
         first += m
 
     return IntersectionPoset(arrangement, np.concatenate(ranks),

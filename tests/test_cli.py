@@ -385,6 +385,19 @@ def test_an_empty_prime_list_is_an_input_format_error(capsys, bench_file):
     assert want[0] == 0 and run(capsys, argv + ["--primes", "auto"]) == want
 
 
+@pytest.mark.parametrize("verb", ["tutte", "coboundary"])
+@pytest.mark.parametrize("primes, repeated", [("5,5,5", 5), ("7,5,7,11", 7),
+                                              ("3,5,7,11,13,11", 11)])
+def test_a_repeated_prime_is_an_input_format_error(capsys, verb, primes, repeated):
+    argv = ["family", "braid", "--n", "3", verb, "--method", "finite-field"]
+    code, out, err = run(capsys, argv + ["--primes", primes])
+    assert code == 1 and out == "" and _one_error_line(err, "input-format")
+    assert "--primes lists %d more than once" % repeated in err
+    # the same primes once each are accepted
+    distinct = ",".join(dict.fromkeys(primes.split(",")))
+    assert run(capsys, argv + ["--primes", distinct])[0] == 0
+
+
 def _structured_terms(out):
     return sorted((c, sorted(m.items())) for c, m in json.loads(out)["polynomial"])
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from tuttekit.linalg import (
     hadamard_sq,
     is_prime,
     maximal_minors,
+    normalise_row,
+    normalise_rows,
     rank_int,
     rank_mod_p,
     rank_rows,
@@ -38,6 +41,52 @@ def test_clear_row():
     assert clear_row([Fraction(1, 2), Fraction(-1, 3), 0]) == (3, -2, 0)
     assert clear_row([-2, 4]) == (1, -2)  # leading entry made positive
     assert clear_row([0, 0]) == (0, 0)
+
+
+def _rows_to_normalise(rng, unit_only, count=80, width=5):
+    """Seeded integer rows: zero rows and rows with entries within +-1, and
+    unless unit_only, rows times a factor above 1 and rows of entries up to
+    20 in size.  Every entry stays within int8."""
+    rows = []
+    for i in range(count):
+        row = [rng.choice((-1, 0, 0, 1)) for _ in range(width)]
+        kind = i % 4 if not unit_only else i % 2
+        if kind == 0:
+            row = [0] * width
+        elif kind == 2:
+            factor = rng.choice((-5, -3, -2, 2, 3, 4, 5))
+            row = [factor * rng.randint(-5, 5) for _ in range(width)]
+        elif kind == 3:
+            row = [rng.randint(-20, 20) for _ in range(width)]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, object])
+@pytest.mark.parametrize("prime", [None, 2, 3, 11], ids=lambda p: "Q" if p is None else "F%d" % p)
+@pytest.mark.parametrize("unit_only", [True, False], ids=["within-1", "mixed"])
+def test_normalise_rows_matches_normalise_row(dtype, prime, unit_only, monkeypatch):
+    gcds = []
+    column_gcd = linalg_module.reduce
+
+    def spy(*args):
+        gcds.append(args)
+        return column_gcd(*args)
+
+    monkeypatch.setattr(linalg_module, "reduce", spy)
+    rng = random.Random(29)
+    for _ in range(5):
+        rows = _rows_to_normalise(rng, unit_only)
+        assert any(not any(r) for r in rows)
+        if not unit_only:
+            assert any(gcd(*r) > 1 for r in rows) and any(max(map(abs, r)) > 1 for r in rows)
+        array = np.array(rows, dtype)
+        got = normalise_rows(array, prime)
+        assert got.dtype == np.dtype(dtype) and got is not array
+        assert array.tolist() == rows
+        assert [tuple(r) for r in got.tolist()] == [normalise_row(r, prime) for r in rows]
+    # over Q, rows within +-1 only change sign: no gcd is taken
+    assert bool(gcds) == (prime is None and not unit_only)
 
 
 def test_rank_int_basics():

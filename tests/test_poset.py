@@ -172,6 +172,7 @@ def test_verify_mobius_catches_one_changed_g_row_or_value(arr):
     flats = [f.hyperplane_set for f in poset.flats]
     assert _rebuilt(poset, poset.g).verify_mobius()
     rng = random.Random(5)
+    same_rank_added = 0
     for _ in range(6):
         i = rng.randrange(1, len(flats))
         # one g coefficient changed
@@ -180,14 +181,19 @@ def test_verify_mobius_catches_one_changed_g_row_or_value(arr):
         with pytest.raises(ConsistencyError):
             _rebuilt(poset, g).verify_mobius()
         # g_H summed again over its interval with one lower flat dropped,
-        # or with a flat of lower rank that is not below it added
+        # with a flat of lower rank that is not below it added, or with
+        # another flat of its own rank added
         below = [j for j, f in enumerate(flats) if f < flats[i]]
         dropped = rng.choice(below)
         intervals = [[j for j in below if j != dropped]]
-        others = [j for j, f in enumerate(poset.flats)
-                  if f.rank < poset.flats[i].rank and j not in below]
+        rank = poset.flats[i].rank
+        others = [j for j, f in enumerate(poset.flats) if f.rank < rank and j not in below]
         if others:
             intervals.append(below + [rng.choice(others)])
+        same = [j for j, f in enumerate(poset.flats) if f.rank == rank and j != i]
+        if same:
+            intervals.append(below + [rng.choice(same)])
+            same_rank_added += 1
         for interval in [below] + intervals:
             g = poset.g.copy()
             g[:, i] = 0
@@ -203,6 +209,7 @@ def test_verify_mobius_catches_one_changed_g_row_or_value(arr):
         changed.mobius[flats[i]] += rng.choice([-1, 1, 2])
         with pytest.raises(ConsistencyError):
             changed.verify_mobius()
+    assert same_rank_added
 
 
 def test_build_checks_that_g_vanishes_at_one(monkeypatch):
@@ -256,6 +263,34 @@ def test_below_pairs_are_the_flats_below_by_containment(arr, python_ints, block,
         assert positions.tolist() == [j for w in want for j in w]
 
 
+@pytest.mark.parametrize("block", [1, 64, poset_module._BLOCK_BYTES])
+@pytest.mark.parametrize("python_ints", [False, True], ids=["int64", "python-ints"])
+@pytest.mark.parametrize("arr", [braid(5), shi(3), generic(6, 3), all_linear(3, 3)],
+                         ids=["braid5", "shi3", "generic6-3", "all-linear-3-3"])
+def test_verify_mobius_recounts_each_interval_by_containment(arr, python_ints, block,
+                                                             monkeypatch):
+    if python_ints:
+        monkeypatch.setattr(poset_module, "_dtype", lambda n: object)
+    poset = intersection_poset(arr)
+    made = []
+    set_bits = poset_module._set_bits
+
+    def spy(rows):
+        made.append(set_bits(rows))
+        return made[-1]
+
+    monkeypatch.setattr(poset_module, "_set_bits", spy)
+    monkeypatch.setattr(poset_module, "_BLOCK_BYTES", block)
+    assert poset.verify_mobius()
+    flats = [f.hyperplane_set for f in poset.flats]
+    want = [[j for j, f in enumerate(flats) if f <= g] for g in flats]
+    counts = [c for _, block_counts in made for c in block_counts.tolist()]
+    assert counts == [len(w) for w in want]
+    assert [j for positions, _ in made for j in positions.tolist()] == [j for w in want for j in w]
+    if block == 1:
+        assert len(made) == len(flats)
+
+
 def test_bit_counts_and_positions_across_blocks(monkeypatch):
     rng = random.Random(9)
     for width in (1, 7, 8, 9, 64, 200):
@@ -268,8 +303,7 @@ def test_bit_counts_and_positions_across_blocks(monkeypatch):
         rows = np.packbits(table, axis=1, bitorder="little").view(np.uint64)
         for block in (1, 5, 1 << 22):
             monkeypatch.setattr(poset_module, "_BLOCK_BYTES", block)
-            counts = poset_module._bit_counts(rows)
-            positions = poset_module._bit_positions(rows)
+            positions, counts = poset_module._set_bits(rows)
             assert positions.dtype == np.int32
             assert counts.tolist() == [len(w) for w in want]
             assert positions.tolist() == [b for w in want for b in w]
