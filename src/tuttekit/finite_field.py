@@ -36,21 +36,27 @@ grows with p^r, and with p^(r-1) for a central arrangement, not with p^d:
   one affine slice per dimension;
 - on a line each hyperplane meets one point, so a line is counted from
   the roots alone, in O(n) whatever p is;
-- a larger affine slice is counted from its n p^(k-1) incidences, not its
-  p^k points: the hyperplanes are grouped by their last nonzero coordinate
-  and each group is solved for it over the grid of the coordinates before
-  it in a few numpy steps; one += per hyperplane marks its points in an
-  incidence array of bytes, which is read back at those points only, and a
-  point on exactly j hyperplanes is met j times there, so the histogram of
-  those reads divided by j is the profile; a space of more than a fixed
-  block of points or incidences is cut along its first coordinate, so peak
-  memory does not grow with n, r or p.
+- a larger affine slice is counted from its incidences in one pass over
+  its coordinates: the hyperplanes are sorted by their last nonzero
+  coordinate x_j, and each is solved for x_j over the grid of the
+  coordinates before it, carried as that grid grows one coordinate at a
+  time, so it costs p^j values; one bincount of a group's solutions, added
+  across the runs of points they fix, marks an incidence array of bytes
+  with the number of hyperplanes through each point, which is read back at
+  the hyperplanes' points only; a point on exactly j hyperplanes is met j
+  times there, so the histogram of those reads divided by j is the
+  profile; a solution outside [0, p) would put two of a hyperplane's
+  points together and is raised; a space of more than a fixed block of
+  points or incidences is cut along its first coordinate, so peak memory
+  does not grow with n, r or p.
 The budget is charged the points the count visits: (p^r - 1)/(p - 1) when
 every offset is 0, and p^r otherwise.
 """
 
+from bisect import bisect_right
 from collections import Counter
 from math import comb
+from operator import itemgetter
 
 import numpy as np
 
@@ -177,80 +183,82 @@ def _keeps_bases(arrangement, p, budget=DEFAULT_BUDGET):
 # O(_BLOCK) whatever n, r and p are.
 _BLOCK = 1 << 18
 
-# A block of more than _PASS reads per possible value is histogrammed by one
-# comparison pass per value; a smaller one by a bincount, whose fixed cost
-# is lower but which copies the reads to int64.  On uint8 reads of at most
-# two values the comparison passes win from 170-512 reads per value, and
-# most points lie on one or two hyperplanes.
-_PASS = 512
-
 
 def _slice(rows, c, p):
     """The rows restricted to the slice y_1 = c, over the remaining coordinates."""
     return [(a[1:], (b - a[0] * c) % p) for a, b in rows]
 
 
-def _incidences(rows, p, k):
-    """Yield (j, heads) per pivot column j: the m rows whose last nonzero
-    coordinate is x_j, as an (m, p^j) array of the indices into F_p^(j+1)
-    (the first coordinate most significant) of their points' first j + 1
-    coordinates, one line per row; the coordinates after x_j are free.
+def _solutions(rows, p):
+    """Yield (j, x) per last nonzero coordinate j of the rows, in increasing
+    j: the m rows whose last nonzero coordinate is x_j, solved for it, as an
+    (m, p^j) array with x[r, g] the value of x_j on row r at the point g of
+    the grid F_p^j of the coordinates before it (the first coordinate most
+    significant).
 
-    The m rows are solved for x_j = b' - sum_(i<j) a'_i x_i (a' = a / a_j)
-    together, adding one coordinate of the grid at a time; each partial sum
-    is below 2p, so the smaller of s and s - p in an unsigned type wraps it
-    where an integer % would divide.
+    The rows are sorted by j once and solved for x_j = b' - sum_(i<j) a'_i
+    x_i (a' = a / a_j) in one pass: every row not yet yielded carries its
+    partial sum over the grid as the grid grows one coordinate at a time,
+    and the rows whose last nonzero coordinate is the next one drop out.
+    Each partial sum is below 2p, so the smaller of s and s - p in an
+    unsigned type wraps it where an integer % would divide.
     """
-    groups = {}
+    solved = []
     for a, b in rows:
-        j = max(i for i, x in enumerate(a) if x)
-        inv = pow(a[j], -1, p)
-        groups.setdefault(j, []).append([b * inv % p] + [-x * inv % p for x in a[:j]])
+        j = len(a) - 1
+        while not a[j]:
+            j -= 1
+        neg = p - pow(a[j], -1, p)      # -1 / a_j
+        solved.append((j, [-b * neg % p] + [x * neg % p for x in a]))
+    solved.sort(key=itemgetter(0))
+    last = [j for j, _ in solved]
+    coeffs = np.array([c for _, c in solved], dtype=np.int64)
+    # steps[r, i, x] = a'_i x mod p: the term of coordinate i at x_i = x
     wrap = np.min_scalar_type(2 * p)
-    for j, coeffs in groups.items():
-        coeffs = np.array(coeffs, dtype=np.int64)
-        if not j:
-            yield j, coeffs     # x_0 = b'
-            continue
-        m = len(coeffs)
-        # steps[r, i, x] = a'_i x mod p: the term of coordinate i at x_i = x
-        steps = (coeffs[:, 1:, None] * np.arange(p) % p).astype(wrap)
-        xj = coeffs[:, :1].astype(wrap)
-        for i in range(j):
-            xj = (xj[:, :, None] + steps[:, i, None, :]).reshape(m, -1)
-            xj = np.minimum(xj, xj - p)
-        yield j, np.arange(0, p ** (j + 1), p) + xj
+    steps = (coeffs[:, 1:, None] * np.arange(p) % p).astype(wrap)
+    x = coeffs[:, :1].astype(wrap)
+    start = 0
+    for j in range(last[-1]):
+        stop = bisect_right(last, j, start)
+        if stop > start:
+            yield j, x[:stop - start]
+        x = (x[stop - start:, :, None] + steps[stop:, j, None, :]).reshape(
+            len(last) - stop, -1)
+        x = np.minimum(x, x - p)
+        start = stop
+    yield last[-1], x
 
 
 def _scatter(rows, p, k, counts):
     """Add the profile over F_p^k of rows whose normals are all nonzero.
 
-    Each row's points are distinct, so one fancy-index += per row adds 1 to
-    an incidence array at them (at the p^j runs of p^(k-1-j) points that
-    its first j + 1 coordinates fix).  A point on exactly j rows is met j
-    times among the rows' points, so the histogram h of the incidence array
-    read at them has h_j = j c_j, and c_0 is what is left of p^k: the work
-    grows with the n p^(k-1) incidences, not with the p^k points.  An h_j
-    that is not a multiple of j means two of a row's points coincided.
+    A row solved for its last nonzero coordinate x_j (`_solutions`) fixes
+    the first j + 1 coordinates of its points at p^j heads, each the start
+    of a run of p^(k-1-j) points.  One bincount of a group's heads, added
+    across the runs, marks each point of an incidence array with the number
+    of the group's rows through it.  The array is read back at every row's
+    points, one gather per group, and one bincount of all the reads is the
+    histogram h, in which a point on exactly j rows is met j times: h_j =
+    j c_j, and c_0 is what is left of p^k.  Solving and reading grow with
+    the n p^(k-1) incidences; marking is one pass over the p^k points per
+    group.  A row's heads are distinct exactly when its solved values lie
+    in [0, p); one that does not would count a point twice, and is raised.
     """
-    n = len(rows)
-    inc = np.zeros(p ** k, dtype=np.min_scalar_type(n))
-    # runs[h] is the run of points whose first j + 1 coordinates index h
-    blocks = [(inc.reshape(p ** (j + 1), -1) if j < k - 1 else inc, heads)
-              for j, heads in _incidences(rows, p, k)]
-    for runs, heads in blocks:
-        for line in heads:
-            runs[line] += 1
-    met = [0] * (n + 1)
-    for runs, heads in blocks:
-        seen = runs[heads]
-        top = int(seen.max())
-        if top * _PASS < seen.size:
-            for j in range(1, top + 1):
-                met[j] += int(np.count_nonzero(seen == j))
-        else:
-            for j, h in enumerate(np.bincount(seen.ravel()).tolist()):
-                met[j] += h
+    inc = np.zeros(p ** k, dtype=np.min_scalar_type(len(rows)))
+    groups = []
+    for j, x in _solutions(rows, p):
+        if x.max() >= p:    # x is unsigned: its minimum is at least 0
+            raise ConsistencyError(
+                "a row's points coincide over F_%d^%d: a solved coordinate "
+                "lies outside [0, %d)" % (p, k, p))
+        # runs[h] is the run of points whose first j + 1 coordinates index h
+        runs = inc.reshape(p ** (j + 1), -1)
+        heads = (np.arange(0, p ** (j + 1), p) + x).ravel()
+        marks = np.bincount(heads, minlength=len(runs)).astype(inc.dtype)
+        runs += marks[:, None]
+        groups.append((runs, heads))
+    reads = [runs.take(heads, axis=0).ravel() for runs, heads in groups]
+    met = np.bincount(np.concatenate(reads)).tolist()
     rest = p ** k
     for j, h in enumerate(met[1:], 1):
         c, bad = divmod(h, j)
@@ -277,8 +285,8 @@ def _affine(rows, p, k, counts):
         elif not b:
             shift += 1          # a zero row holds everywhere
     counts = counts[shift:]     # a view: index j now stands for shift + j
-    if k == 0:
-        counts[0] += 1
+    if not live:                # as at k = 0
+        counts[0] += p ** k
     elif k == 1:
         roots = Counter(b * pow(a, -1, p) % p for (a,), b in live)
         counts[0] += p - len(roots)

@@ -8,8 +8,8 @@ field use plain Gaussian elimination mod p.
 The echelon kernel (`normalise_row`, `reduce_row`, `extend_basis`, on one
 integer elimination step, `eliminate`) keeps a reduced echelon basis of
 integer rows over Q, or of rows mod p with pivot entry 1 over F_p, and
-reduces further rows against it one at a time; `pivot_columns` reads the
-pivots of a row space from it.
+reduces further rows against it one at a time; `pivot_columns` finds the
+pivots of a row space by one echelon pass of the same steps.
 
 Its array form works on 2-D numpy integer arrays, a row per item:
 `eliminate_rows` is `eliminate` and `normalise_rows` is `normalise_row` on
@@ -232,15 +232,17 @@ def eliminate(v, b, c, prime=None):
     Over F_p (prime given) the entries are reduced mod p.
     """
     a, bc = v[c], b[c]
-    out = [bc * x - a * y for x, y in zip(v, b)]
-    return out if prime is None else [x % prime for x in out]
+    if prime is None:
+        return [bc * x - a * y for x, y in zip(v, b)]
+    return [(bc * x - a * y) % prime for x, y in zip(v, b)]
 
 
 def reduce_row(row, basis, prime=None):
-    """Remainder of an integer row modulo the span of a reduced echelon basis.
+    """Remainder of an integer row modulo the span of an echelon basis.
 
     basis is a list of (pivot column, row) in which every row is zero at the
-    other rows' pivots, as kept by `extend_basis`.  The remainder is zero at
+    other rows' pivots, as kept by `extend_basis`, or at the pivots of the
+    rows before it, as `pivot_columns` keeps it.  The remainder is zero at
     every pivot column, so two rows have remainders that are scalar multiples
     of each other exactly when some combination of them lies in the span.
     """
@@ -270,15 +272,29 @@ def extend_basis(basis, row, prime=None):
 def pivot_columns(rows, prime=None):
     """Pivot columns of the row space of integer rows, in increasing order.
 
-    They are the pivots of the reduced echelon basis built by `extend_basis`
-    (every echelon form of a row space has the same pivots), over Q or F_p;
-    the columns at them span every other column.
+    One echelon pass over the rows, over Q or F_p, that stops once every
+    column is a pivot: each row is reduced at the pivots held, in the order
+    they were found, and a remainder left gives a new pivot, its first
+    nonzero column.  A held row is zero at the pivots found before it and
+    its first nonzero column is its own pivot, so the rows held, sorted by
+    pivot, are an echelon form, and every echelon form of a row space has
+    the same pivots; the columns at them span every other column.  Rows are
+    not scaled over F_p; over Q a held row is divided by the gcd of its
+    entries.
     """
-    basis = []
+    basis = []      # (pivot column, row), in the order found
     for row in rows:
-        rem = reduce_row(row, basis, prime)
-        if any(rem):
-            basis = extend_basis(basis, normalise_row(rem, prime), prime)
+        v = reduce_row(row if prime is None else [x % prime for x in row],
+                       basis, prime)
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        if prime is None:
+            g = gcd(*v)
+            v = [x // g for x in v]
+        basis.append((c, v))
+        if len(basis) == len(v):
+            break
     return sorted(c for c, _ in basis)
 
 

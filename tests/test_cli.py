@@ -1122,26 +1122,25 @@ def test_dn5_finite_field_needs_the_central_charge_of_its_largest_prime(capsys):
 
 def test_corrupted_incidences_exit_2_with_one_consistency_line(
         capsys, tmp_path, monkeypatch):
-    # x = 0, x = 1, y = 0, x + y = 0: the first line of the pivot-1 group
-    # (y = 0) repeats its point at the origin, which lies on three lines; its
-    # += counts it once and the histogram reads it twice, so 4 incidences
-    # land at points on 3 hyperplanes
+    # x = 0, x = 1, y = 0, x + y = 0: the first row solved for y (y = 0) is
+    # given the value p at x = 0, so two of its points coincide at (1, 0)
     path = tmp_path / "corrupt.json"
     path.write_text(Arrangement(2, [([1, 0], 0), ([1, 0], 1), ([0, 1], 0),
                                     ([1, 1], 0)]).to_json())
-    incidences = finite_field._incidences
+    solutions = finite_field._solutions
 
-    def repeated(*args):
-        for j, heads in incidences(*args):
-            heads[0, -1] = heads[0, 0]
-            yield j, heads
+    def repeated(rows, p):
+        for j, x in solutions(rows, p):
+            if j == 1:
+                x[0, 0] = p + x[0, 1]
+            yield j, x
 
     argv = ["coboundary", "--input", str(path), "--method", "finite-field"]
     assert run(capsys, argv)[0] == 0
-    monkeypatch.setattr(finite_field, "_incidences", repeated)
+    monkeypatch.setattr(finite_field, "_solutions", repeated)
     code, out, err = run(capsys, argv)
     assert code == 2 and out == "" and _one_error_line(err, "consistency")
-    assert "4 incidences over F_3^2 lie at points on 3 hyperplanes" in err
+    assert "a row's points coincide over F_3^2" in err
 
 
 def test_check_on_dim_1e7_is_as_long_as_chi(capsys, tmp_path):

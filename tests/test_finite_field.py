@@ -3,6 +3,7 @@ import random
 from functools import cached_property
 from math import isqrt, prod
 
+import numpy as np
 import pytest
 
 from conftest import profile_polynomial, random_arrangement, random_prime_arrangement
@@ -281,6 +282,63 @@ def test_profile_matches_brute_force(monkeypatch, block):
     assert {0, 1, 2} <= nullities   # essential and nontrivial quotients both ran
 
 
+def _brute_rows(rows, p, k):
+    """The profile over F_p^k of rows (a, b), counted one point at a time."""
+    counts = [0] * (len(rows) + 1)
+    for x in itertools.product(range(p), repeat=k):
+        counts[sum(1 for a, b in rows
+                   if (sum(u * v for u, v in zip(a, x)) - b) % p == 0)] += 1
+    return counts
+
+
+def _rows_ending_at(rng, p, k, lasts):
+    """A row (a, b) over F_p^k per index j in lasts, with a_j its last
+    nonzero entry."""
+    return [([rng.randrange(p) for _ in range(j)] + [rng.randrange(1, p)]
+             + [0] * (k - 1 - j), rng.randrange(p)) for j in lasts]
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "sliced"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_one_pass_scatter_matches_brute_force(monkeypatch, p, k, cut):
+    # rows solved for every coordinate, with a gap (none for x_1), for the
+    # last one only, and repeated; the whole space is scattered at once, or
+    # _BLOCK is shrunk so that it is cut into slices of one coordinate fewer
+    rng = random.Random(100 * p + k)
+    every = _rows_ending_at(rng, p, k, list(range(k)) * 2)
+    cases = [every,
+             _rows_ending_at(rng, p, k, [j for j in range(k) if j != 1] * 3),
+             _rows_ending_at(rng, p, k, [k - 1] * 4),
+             every + every[:3] + every[-1:] * 2]
+    if (p, k) == (2, 2):
+        # 300 rows, 260 of them one line: points on more than 255 rows
+        # need a uint16 incidence array
+        cases.append(_rows_ending_at(rng, p, k, [0, 1] * 20) + [([1, 0], 1)] * 260)
+    scatter = finite_field._scatter
+    spaces = []
+
+    def spy(rows, p, k, counts):
+        spaces.append(k)
+        return scatter(rows, p, k, counts)
+
+    monkeypatch.setattr(finite_field, "_scatter", spy)
+    for rows in cases:
+        spaces.clear()
+        if cut:
+            monkeypatch.setattr(finite_field, "_BLOCK", max(
+                p ** (k - 1), len(rows) * p ** max(k - 2, 0)))
+        counts = np.zeros(len(rows) + 1, dtype=object)
+        finite_field._affine(rows, p, k, counts)
+        assert list(counts) == _brute_rows(rows, p, k)
+        if not cut:
+            assert spaces == [k]
+        elif k > 2:
+            assert spaces and set(spaces) == {k - 1}
+        else:
+            assert not spaces       # slices of F_p^2 are lines
+
+
 def _pm1_arrangement(rng, n, d, central):
     """n hyperplanes in Q^d with normal entries +-1 and offsets +-1, or 0
     for a central one (Hadamard floors 56 and 33, so 59 is certified)."""
@@ -308,21 +366,26 @@ def test_profile_above_the_block_matches_the_flat_lattice(central):
 
 
 def test_repeated_point_in_a_row_raises_consistency(monkeypatch):
-    # over F_5^2, x = 0, x = 1, y = 0, x + y = 0: the first line of the
-    # pivot-1 group (y = 0) repeats the origin, which lies on three lines
+    # over F_5^2, x = 0, x = 1, y = 0, x + y = 0: the first row solved for
+    # y (y = 0) is given the value 5 at x = 0, so its points at x = 0 and
+    # x = 1 both land on (1, 0); a bincount of its heads counts that point
+    # twice and every h_j stays a multiple of j, so only the check that each
+    # solved value lies in [0, p) can raise
     arr = Arrangement(2, [([1, 0], 0), ([1, 0], 1), ([0, 1], 0), ([1, 1], 0)],
                       prime=5)
     want = point_profile(arr).counts
     assert want == _brute_profile(arr)
-    incidences = finite_field._incidences
+    solutions = finite_field._solutions
 
-    def repeated(*args):
-        for j, heads in incidences(*args):
-            heads[0, -1] = heads[0, 0]
-            yield j, heads
+    def repeated(rows, p):
+        for j, x in solutions(rows, p):
+            if j == 1:
+                x[0, 0] = p + x[0, 1]
+            yield j, x
 
-    monkeypatch.setattr(finite_field, "_incidences", repeated)
-    with pytest.raises(ConsistencyError, match="4 incidences over F_5"):
+    monkeypatch.setattr(finite_field, "_solutions", repeated)
+    with pytest.raises(ConsistencyError,
+                       match=r"points coincide over F_5\^2: .* outside \[0, 5\)"):
         point_profile(arr)
 
 

@@ -29,6 +29,7 @@ from tuttekit.linalg import (
     maximal_minors,
     normalise_row,
     normalise_rows,
+    pivot_columns,
     rank_int,
     rank_mod_p,
     rank_rows,
@@ -123,6 +124,65 @@ def test_rank_rows_dispatch_agrees_with_fraction_elimination():
                     m[i][j] -= f * m[rank][j]
             rank += 1
         assert rank_rows(rows) == rank
+
+
+def _echelon_pivots(rows, width, prime=None):
+    """Pivot columns by Gaussian elimination, column by column, over Fractions
+    or mod prime."""
+    if prime is None:
+        m = [list(map(Fraction, r)) for r in rows]
+    else:
+        m = [[x % prime for x in r] for r in rows]
+    pivots = []
+    for col in range(width):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            if prime is None:
+                f = m[i][col] / m[rank][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+            else:
+                f = m[i][col] * pow(m[rank][col], -1, prime)
+                m[i] = [(x - f * y) % prime for x, y in zip(m[i], m[rank])]
+        pivots.append(col)
+    return pivots
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3, 7],
+                         ids=lambda p: "Q" if p is None else "F%d" % p)
+def test_pivot_columns_match_gaussian_elimination(prime):
+    # zero, repeated, dependent and full-rank sets of rows, with entries
+    # past p and, over Q, past 2^64
+    rng = random.Random(23 if prime is None else prime)
+    for _ in range(200):
+        width = rng.randint(1, 6)
+        big = rng.random() < 0.2 and prime is None
+        span = [[rng.randint(-9, 9) * (3 ** 50 if big else 1) for _ in range(width)]
+                for _ in range(rng.randint(0, width))]
+        rows = []
+        for _ in range(rng.randint(0, 8)):
+            coeffs = [rng.randint(-3, 3) for _ in span]
+            rows.append([sum(c * v[j] for c, v in zip(coeffs, span))
+                         for j in range(width)])
+            if rows and rng.random() < 0.2:
+                rows.append(list(rng.choice(rows)))
+        assert pivot_columns(rows, prime) == _echelon_pivots(rows, width, prime)
+
+
+def test_pivot_columns_stop_once_every_column_is_a_pivot():
+    def rows():
+        yield [0, 2, 1]
+        yield [1, 1, 0]
+        yield [0, 0, 5]
+        raise AssertionError("read a row past full rank")
+
+    assert pivot_columns(rows()) == [0, 1, 2]
+    assert pivot_columns(rows(), 7) == [0, 1, 2]
+    with pytest.raises(AssertionError, match="past full rank"):
+        pivot_columns(rows(), 5)        # [0, 0, 5] vanishes mod 5
 
 
 def _fraction_det(m):
