@@ -27,7 +27,7 @@ from .errors import (
 from .linalg import (
     central_subsets,
     clear_row,
-    eliminate,
+    contract_rows,
     extend_lattice,
     hadamard_sq,
     is_prime,
@@ -229,8 +229,10 @@ class Arrangement:
         for an arbitrary subset it equals the maximal rank of a central subset.
         """
         if subset is None:
-            subset = range(self.n)
-        subset = frozenset(subset)
+            subset = frozenset(range(self.n))
+        else:
+            subset = frozenset(subset)
+            self._check_indices(subset)
         key = subset
         got = self._nrank_cache.get(key)
         if got is not None:
@@ -264,25 +266,17 @@ class Arrangement:
         """Re-express the other hyperplanes inside hyperplane i (dimension d-1).
 
         The pivot coordinate is the first nonzero entry of i's normal; it is
-        solved for and substituted into the other equations.  A hyperplane
-        whose image is all of i becomes a degenerate loop; one with empty
-        intersection (parallel) is dropped.
+        solved for and substituted into the other equations
+        (`linalg.contract_rows`).  A hyperplane whose image is all of i
+        becomes a degenerate loop; one with empty intersection (parallel) is
+        dropped.
         """
         self._check_indices([i])
-        h = self.hyperplanes[i]
-        if h.is_loop:
+        if self.hyperplanes[i].is_loop:
             raise LoopContractionError("cannot contract a loop hyperplane")
-        piv = next(j for j, x in enumerate(h.normal) if x)
-        out = []
-        for j, g in enumerate(self.hyperplanes):
-            if j == i:
-                continue
-            row = eliminate(g.row(), h.row(), piv, self.prime)
-            del row[piv]
-            if not any(row[:-1]) and row[-1]:
-                continue  # parallel to i: empty intersection, not a flat of i
-            out.append((row[:-1], row[-1]))
-        return Arrangement(self.dim - 1, out, prime=self.prime)
+        rows = contract_rows([h.row() for h in self.hyperplanes], i, self.prime)
+        return Arrangement(self.dim - 1, [(row[:-1], row[-1]) for row in rows],
+                           prime=self.prime)
 
     def essentialize(self):
         """The quotient by the lineality space, the common kernel of the normals.
@@ -302,8 +296,9 @@ class Arrangement:
 
     def restrict(self, subset):
         """Subarrangement on the given indices, in the given ambient space."""
-        return Arrangement(self.dim,
-                           [self.hyperplanes[i] for i in sorted(subset)],
+        subset = sorted(subset)
+        self._check_indices(subset)
+        return Arrangement(self.dim, [self.hyperplanes[i] for i in subset],
                            prime=self.prime)
 
     # -- semimatroid fingerprint ------------------------------------------

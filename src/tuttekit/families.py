@@ -22,7 +22,7 @@ from math import comb, factorial
 from .arrangement import Arrangement
 from .errors import FamilyError
 from .finite_field import DEFAULT_BUDGET
-from .linalg import is_prime, maximal_minors
+from .linalg import is_prime
 from .multipoly import MultiPoly
 from .series import (
     deformed_exponential,
@@ -143,28 +143,13 @@ def generic(n, d, budget=DEFAULT_BUDGET):
     """A generic central arrangement: any m <= d hyperplanes meet in
     codimension m (the uniform matroid).  Hyperplane i has the Vandermonde
     normal (1, t, t^2, ..., t^(d-1)) through the origin, for t = 1, ..., n;
-    the t are distinct, so every d normals are independent, and this is
-    verified a posteriori, by every d x d minor of the normals
-    (`linalg.maximal_minors`), C(n, d) of them when n >= d, charged to the
-    budget before the first.
+    every d x d minor of the normals is a Vandermonde determinant over
+    distinct t, so nonzero, and every d normals are independent.  The n
+    rows made are charged to the budget first.
     """
-    if n >= d:
-        _check_budget(comb(n, d), budget, "generic(%d, %d)" % (n, d), "minor checks")
+    _check_budget(n, budget, "generic(%d, %d)" % (n, d), "rows")
     hs = [([t ** k for k in range(d)], 0) for t in range(1, n + 1)]
-    arr = Arrangement(d, hs, label="generic(%d,%d)" % (n, d))
-    if not _is_generic(arr, n, d):
-        raise FamilyError("failed to construct a verified generic arrangement")
-    return arr
-
-
-def _is_generic(arr, n, d):
-    # every smaller subset lies in one of size min(n, d), and is independent
-    # when that one is: all n normals when n < d, else every d of them, whose
-    # d x d minors must all be nonzero
-    if n < d:
-        return arr.rank_normals() == n
-    return all(dets.all() for dets in
-               maximal_minors([h.normal for h in arr.hyperplanes]))
+    return Arrangement(d, hs, label="generic(%d,%d)" % (n, d))
 
 
 def thicken(arrangement, k, budget=DEFAULT_BUDGET):

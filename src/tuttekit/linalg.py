@@ -1,17 +1,16 @@
 """Exact linear algebra helpers.
 
-Ranks over the rationals are computed by fraction-free Bareiss elimination on
-integer rows (denominators are cleared per row), which keeps intermediate
-entries as true minors and controls coefficient growth.  Ranks over a prime
-field use plain Gaussian elimination mod p.
+Every exact rank, dependency and closure over Q or F_p comes from one
+echelon pass (`hold_row`): each integer row is reduced at the pivots held,
+in the order they were found (`reduce_row`, one `eliminate` step per
+pivot), and a nonzero remainder is held with its first nonzero column as a
+new pivot, divided by the gcd of its entries over Q and left unscaled over
+F_p.  `pivot_columns` runs the pass until every column is a pivot, and the
+ranks `rank_int`, `rank_mod_p` and `rank_rows` are its number of pivots.
+`normalise_row` puts a row in canonical form, and `contract_rows`
+restricts rows to one row's hyperplane.
 
-The echelon kernel (`normalise_row`, `reduce_row`, `extend_basis`, on one
-integer elimination step, `eliminate`) keeps a reduced echelon basis of
-integer rows over Q, or of rows mod p with pivot entry 1 over F_p, and
-reduces further rows against it one at a time; `pivot_columns` finds the
-pivots of a row space by one echelon pass of the same steps.
-
-Its array form works on 2-D numpy integer arrays, a row per item:
+The array form works on 2-D numpy integer arrays, a row per item:
 `eliminate_rows` is `eliminate` and `normalise_rows` is `normalise_row` on
 every row at once, and `primitive_rows` only divides each row by its gcd
 (reduces it mod p), for readers of zero patterns alone.  Arrays are int64
@@ -38,8 +37,8 @@ arithmetic of the lattice off it.  `minor_gcd`, `det_int` and
 
 The determinant kernel (`det_stack`) runs Bareiss elimination on a stack of
 square integer matrices at once; `maximal_minors` feeds it every maximal
-minor of a matrix a block at a time (generic arrangements, and the basis
-multiplicities that certify small primes).
+minor of a matrix a block at a time (the basis multiplicities that certify
+small primes).
 """
 
 from fractions import Fraction
@@ -241,10 +240,10 @@ def reduce_row(row, basis, prime=None):
     """Remainder of an integer row modulo the span of an echelon basis.
 
     basis is a list of (pivot column, row) in which every row is zero at the
-    other rows' pivots, as kept by `extend_basis`, or at the pivots of the
-    rows before it, as `pivot_columns` keeps it.  The remainder is zero at
-    every pivot column, so two rows have remainders that are scalar multiples
-    of each other exactly when some combination of them lies in the span.
+    pivots of the rows before it and its first nonzero column is its own
+    pivot, as `hold_row` keeps it; the row is reduced at the pivots in that
+    order.  The remainder is zero at every pivot column, and zero exactly
+    when the row lies in the span of the basis.
     """
     v = list(row)
     for c, b in basis:
@@ -253,49 +252,61 @@ def reduce_row(row, basis, prime=None):
     return v
 
 
-def extend_basis(basis, row, prime=None):
-    """The reduced echelon basis of span(basis) + row, as a new list.
-
-    row must be a nonzero remainder of `reduce_row` against basis, already
-    normalised with `normalise_row`; its first nonzero column is the new pivot.
-    """
-    c = next(i for i, x in enumerate(row) if x)
-    out = []
-    for pc, b in basis:
-        if b[c]:
-            b = normalise_row(eliminate(b, row, c, prime), prime)
-        out.append((pc, b))
-    out.append((c, tuple(row)))
-    return out
+def hold_row(basis, row, prime=None):
+    """One step of the echelon pass: reduce an integer row against basis
+    (`reduce_row`) and, when a remainder is left, append (its first nonzero
+    column, it) to basis, divided by the gcd of its entries over Q and left
+    unscaled over F_p.  True iff the row was held, that is iff it does not
+    lie in the span of the rows before it."""
+    v = reduce_row(row if prime is None else [x % prime for x in row], basis, prime)
+    c = next((i for i, x in enumerate(v) if x), None)
+    if c is None:
+        return False
+    if prime is None:
+        g = gcd(*v)
+        v = [x // g for x in v]
+    basis.append((c, v))
+    return True
 
 
 def pivot_columns(rows, prime=None):
     """Pivot columns of the row space of integer rows, in increasing order.
 
-    One echelon pass over the rows, over Q or F_p, that stops once every
-    column is a pivot: each row is reduced at the pivots held, in the order
-    they were found, and a remainder left gives a new pivot, its first
-    nonzero column.  A held row is zero at the pivots found before it and
-    its first nonzero column is its own pivot, so the rows held, sorted by
-    pivot, are an echelon form, and every echelon form of a row space has
-    the same pivots; the columns at them span every other column.  Rows are
-    not scaled over F_p; over Q a held row is divided by the gcd of its
-    entries.
+    One echelon pass over the rows (`hold_row`), over Q or F_p, that stops
+    once every column is a pivot.  A held row is zero at the pivots found
+    before it and its first nonzero column is its own pivot, so the rows
+    held, sorted by pivot, are an echelon form, and every echelon form of a
+    row space has the same pivots; the columns at them span every other
+    column.
     """
     basis = []      # (pivot column, row), in the order found
     for row in rows:
-        v = reduce_row(row if prime is None else [x % prime for x in row],
-                       basis, prime)
-        c = next((i for i, x in enumerate(v) if x), None)
-        if c is None:
-            continue
-        if prime is None:
-            g = gcd(*v)
-            v = [x // g for x in v]
-        basis.append((c, v))
-        if len(basis) == len(v):
+        if hold_row(basis, row, prime) and len(basis) == len(row):
             break
     return sorted(c for c, _ in basis)
+
+
+def contract_rows(rows, i, prime=None):
+    """The rows restricted to row i's hyperplane, in canonical form: each
+    other row eliminated at the first nonzero column of row i's normal,
+    that column dropped, and a row parallel to row i (zero normal, nonzero
+    offset) dropped.  A row whose image is zero stays, as a loop."""
+    h = rows[i]
+    c = next(k for k, x in enumerate(h) if x)
+    out = []
+    for j, g in enumerate(rows):
+        if j == i:
+            continue
+        if not g[c]:
+            out.append(g[:c] + g[c + 1:])
+            continue
+        row = eliminate(g, h, c, prime)
+        del row[c]
+        if any(row[:-1]):
+            out.append(normalise_row(row, prime))
+        elif not row[-1]:
+            out.append(tuple(row))      # a loop
+    return out
 
 
 def subset_walk(rows, step, root):
@@ -698,64 +709,13 @@ def elementary_divisors(matrix):
 
 
 def rank_int(rows):
-    """Rank of a matrix with integer entries, by Bareiss elimination."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row, len(m)):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        for i in range(row + 1, len(m)):
-            for j in range(col + 1, ncols):
-                m[i][j] = (m[row][col] * m[i][j] - m[i][col] * m[row][j]) // prev
-            m[i][col] = 0
-        prev = m[row][col]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+    """Rank of a matrix with integer entries, by the echelon pass."""
+    return len(pivot_columns(rows))
 
 
 def rank_mod_p(rows, p):
-    """Rank of a matrix over F_p by Gaussian elimination."""
-    m = [[x % p for x in r] for r in rows]
-    m = [r for r in m if any(r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row, len(m)):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], -1, p)
-        for i in range(row + 1, len(m)):
-            if m[i][col]:
-                f = (m[i][col] * inv) % p
-                for j in range(col, ncols):
-                    m[i][j] = (m[i][j] - f * m[row][j]) % p
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+    """Rank of a matrix over F_p, by the echelon pass."""
+    return len(pivot_columns(rows, p))
 
 
 def rank_rows(rows, prime=None):

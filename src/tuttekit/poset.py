@@ -86,10 +86,9 @@ from .finite_field import DEFAULT_BUDGET
 from .linalg import (
     blocks,
     eliminate_rows,
-    extend_basis,
+    hold_row,
     integer_rows,
     narrow_rows,
-    normalise_row,
     normalise_rows,
     reduce_row,
 )
@@ -321,18 +320,20 @@ class IntersectionPoset:
 def closure(arrangement, subset):
     """Closure of a central subset: all hyperplanes containing its intersection.
 
-    Raises NonCentralError when the subset has no common point.
+    The echelon pass runs over the subset's augmented rows: the subset has
+    no common point exactly when a held row's pivot is the offset column,
+    and NonCentralError is raised.  Otherwise a hyperplane contains the
+    intersection exactly when its row lies in the span of the held rows.
     """
+    subset = sorted(subset)
+    arrangement._check_indices(subset)
     p = arrangement.prime
     rows = [h.row() for h in arrangement.hyperplanes]
     basis = []
-    for i in sorted(subset):
-        rem = reduce_row(rows[i], basis, p)
-        if not any(rem[:-1]):
-            if rem[-1]:
-                raise NonCentralError("non-central subset %s" % sorted(subset))
-            continue
-        basis = extend_basis(basis, normalise_row(rem, p), p)
+    for i in subset:
+        hold_row(basis, rows[i], p)
+    if any(c == arrangement.dim for c, _ in basis):
+        raise NonCentralError("non-central subset %s" % subset)
     return frozenset(i for i, row in enumerate(rows)
                      if not any(reduce_row(row, basis, p)))
 

@@ -40,14 +40,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConsistencyError
 from .finite_field import DEFAULT_BUDGET
-from .linalg import (
-    central_subsets,
-    echelon_walk,
-    eliminate,
-    extend_basis,
-    normalise_row,
-    reduce_row,
-)
+from .linalg import central_subsets, contract_rows, echelon_walk, hold_row
 from .multipoly import MultiPoly
 from .poset import intersection_poset
 
@@ -141,42 +134,17 @@ def tutte_subset(arrangement, budget=DEFAULT_BUDGET):
 
 def _dependent(rows, rank, prime):
     """Indices of the rows whose normal lies in the span of the normals
-    before it, ascending.  Once `rank` rows are independent, every later
-    row is dependent."""
+    before it, ascending, by the echelon pass.  Once `rank` rows are
+    independent, every later row is dependent."""
     basis = []
     deps = []
     for k, row in enumerate(rows):
         if len(basis) == rank:
             deps += range(k, len(rows))
             break
-        rem = reduce_row(row[:-1], basis, prime)
-        if any(rem):
-            basis = extend_basis(basis, normalise_row(rem, prime), prime)
-        else:
+        if not hold_row(basis, row[:-1], prime):
             deps.append(k)
     return deps
-
-
-def _contract(rows, i, prime):
-    """The other rows restricted to row i's hyperplane, as
-    `Arrangement.contract` does: eliminated at the first nonzero column of
-    row i, that column dropped, and a row parallel to row i dropped."""
-    h = rows[i]
-    c = next(k for k, x in enumerate(h) if x)
-    out = []
-    for j, g in enumerate(rows):
-        if j == i:
-            continue
-        if not g[c]:
-            out.append(g[:c] + g[c + 1:])
-            continue
-        row = eliminate(g, h, c, prime)
-        del row[c]
-        if any(row[:-1]):
-            out.append(normalise_row(row, prime))
-        elif not row[-1]:
-            out.append(tuple(row))      # a loop
-    return out
 
 
 def _xy_poly(counts):
@@ -224,7 +192,7 @@ def tutte_delcon(arrangement, budget=DEFAULT_BUDGET):
             counts[len(rows), loops] += 1
             continue
         i = deps[-1]
-        stack.append((_contract(rows, i, p), loops, rank - 1, None))
+        stack.append((contract_rows(rows, i, p), loops, rank - 1, None))
         stack.append((rows[:i] + rows[i + 1:], loops, rank, deps[:-1]))
     return TutteResult(_xy_poly(counts), arrangement.rank, arrangement.n, "delcon")
 

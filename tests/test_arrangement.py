@@ -13,7 +13,7 @@ from tuttekit.errors import (
     NonCentralError,
 )
 from tuttekit.multipoly import MultiPoly
-from tuttekit.poset import intersection_poset
+from tuttekit.poset import closure, intersection_poset
 from tuttekit.tutte import tutte_subset
 
 
@@ -116,6 +116,22 @@ def test_cone_and_essentialize(bench):
 def test_restrict(bench):
     sub = bench.restrict([0, 3])
     assert sub.n == 2 and sub.rank == 2
+
+
+@pytest.mark.parametrize("query", [
+    lambda arr, i: arr.is_central({i}),
+    lambda arr, i: arr.rank_normals({i}),
+    lambda arr, i: arr.restrict({i}),
+    lambda arr, i: arr.delete(i),
+    lambda arr, i: arr.contract(i),
+    lambda arr, i: closure(arr, {i}),
+], ids=["is_central", "rank_normals", "restrict", "delete", "contract", "closure"])
+def test_subset_queries_reject_indices_out_of_range(bench, query):
+    # -1 would read the last hyperplane and n none; both are out of range
+    for i in (-1, bench.n):
+        with pytest.raises(IndexError, match="out of range"):
+            query(bench, i)
+    query(bench, 0)
 
 
 def test_semimatroid_fingerprint_order_independent(bench):

@@ -345,8 +345,8 @@ def test_bad_requests_exit_2_with_one_line(capsys, tmp_path, argv, code):
     ["family", "braid", "--n", "4", "--k", "1000", "char", "--budget", "5999"],
 ])
 def test_family_builders_exit_2_at_once_over_budget(capsys, monkeypatch, argv):
-    # C(30, 8) minors, 10303 normals and 6000 copies are charged first: no
-    # minor is checked and no arrangement of the normals or copies is built
+    # 30 rows, 10303 normals and 6000 copies are charged first: no
+    # arrangement of the normals or copies is built
     def unreached(*args):
         raise AssertionError("built before the budget was charged")
 
@@ -355,7 +355,6 @@ def test_family_builders_exit_2_at_once_over_budget(capsys, monkeypatch, argv):
             unreached()
         return Arrangement(dim, hyperplanes, **kwargs)
 
-    monkeypatch.setattr(families, "maximal_minors", unreached)
     monkeypatch.setattr(families, "Arrangement", small_only)
     start = time.perf_counter()
     code, out, err = run(capsys, argv)

@@ -1,10 +1,9 @@
-from math import comb
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from tuttekit import families as fam
-from tuttekit import linalg
-from tuttekit.arrangement import Arrangement
 from tuttekit.errors import BudgetExceededError, FamilyError
 from tuttekit.multipoly import MultiPoly
 from tuttekit.poset import intersection_poset
@@ -90,9 +89,9 @@ def test_all_linear_lists_the_scanned_normals_in_order(p, n):
 
 
 def test_builders_charge_the_budget_before_they_loop():
-    # generic checks C(n, d) minors, all_linear lists (p^n - 1)/(p - 1)
-    # normals, thicken makes n*k copies; a budget that equals the count fits
-    for build, count in [(lambda b: fam.generic(30, 8, b), comb(30, 8)),
+    # generic makes n rows, all_linear lists (p^n - 1)/(p - 1) normals,
+    # thicken makes n*k copies; a budget that equals the count fits
+    for build, count in [(lambda b: fam.generic(30, 8, b), 30),
                          (lambda b: fam.all_linear(101, 3, b), 10303),
                          (lambda b: fam.thicken(fam.braid(4), 10 ** 12, b), 6 * 10 ** 12),
                          (lambda b: fam.thicken(fam.braid(4), [10 ** 12] * 6, b), 6 * 10 ** 12)]:
@@ -148,39 +147,41 @@ def test_all_linear_coboundary_series():
 # -- generic arrangements ---------------------------------------------------
 
 def test_generic_tutte():
-    for n, d in ((4, 2), (5, 2), (5, 3)):
+    for n, d in ((4, 2), (5, 2), (5, 3), (11, 4)):
         arr = fam.generic(n, d)
         assert tutte_subset(arr).tutte == fam.generic_tutte(n, d)
 
 
-def test_generic_check_takes_the_largest_minors_only(monkeypatch):
-    calls, sizes = [], []
-    rank = Arrangement.rank_normals
-    dets = linalg.det_stack
+def _fraction_det(m):
+    m = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
 
-    def counted(self, subset=None):
-        calls.append(subset)
-        return rank(self, subset)
 
-    def stacked(mats):
-        sizes.append(mats.shape)
-        return dets(mats)
-
-    monkeypatch.setattr(Arrangement, "rank_normals", counted)
-    monkeypatch.setattr(linalg, "det_stack", stacked)
-    arr = fam.generic(11, 4)
-    # every 4 x 4 minor, in int64 blocks, and no rank
-    assert not calls and sum(n for n, _, _ in sizes) == comb(11, 4)
-    assert all(shape[1:] == (4, 4) for shape in sizes)
-    assert tutte_subset(arr).tutte == fam.generic_tutte(11, 4)
-    # fewer normals than coordinates: one rank of them all
-    calls.clear()
-    fam.generic(3, 5)
-    assert calls == [None]
-    # a repeated normal is caught inside every 3-subset that holds both copies
-    twice = Arrangement(3, [([1, 0, 0], 0), ([0, 1, 0], 0), ([2, 0, 0], 0), ([0, 0, 1], 0)])
-    assert not fam._is_generic(twice, 4, 3)
-    assert fam._is_generic(fam.generic(2, 3), 2, 3)
+def test_generic_normals_have_only_nonzero_maximal_minors():
+    # brute force: every d x d minor is nonzero, so any m <= d normals are
+    # independent; with fewer normals than coordinates, all n of them are
+    for n in range(1, 10):
+        for d in range(1, 5):
+            arr = fam.generic(n, d)
+            normals = [h.normal for h in arr.hyperplanes]
+            if n < d:
+                assert arr.rank == n
+                continue
+            assert all(_fraction_det([normals[i] for i in rows])
+                       for rows in combinations(range(n), d))
+            assert arr.rank == d
 
 
 # -- graphical arrangements -------------------------------------------------

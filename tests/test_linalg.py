@@ -18,11 +18,12 @@ from tuttekit.arithmetic import (
     toric_point_profile,
 )
 from tuttekit.arrangement import Arrangement
-from tuttekit.errors import BadPrimeError, BudgetExceededError
+from tuttekit.errors import BadPrimeError, BudgetExceededError, NonCentralError
 from tuttekit.finite_field import reduce_mod_p
 from tuttekit.linalg import (
     central_subsets,
     clear_row,
+    contract_rows,
     det_stack,
     hadamard_sq,
     is_prime,
@@ -35,7 +36,8 @@ from tuttekit.linalg import (
     rank_rows,
 )
 from tuttekit.multipoly import MultiPoly
-from tuttekit.tutte import tutte_activity, tutte_subset
+from tuttekit.poset import closure
+from tuttekit.tutte import _dependent, tutte_activity, tutte_subset
 
 
 def test_clear_row():
@@ -151,11 +153,10 @@ def _echelon_pivots(rows, width, prime=None):
     return pivots
 
 
-@pytest.mark.parametrize("prime", [None, 2, 3, 7],
-                         ids=lambda p: "Q" if p is None else "F%d" % p)
-def test_pivot_columns_match_gaussian_elimination(prime):
-    # zero, repeated, dependent and full-rank sets of rows, with entries
-    # past p and, over Q, past 2^64
+def _seeded_row_sets(prime):
+    """200 seeded sets of integer rows, with their width: zero, repeated,
+    dependent and full-rank sets, with entries past p and, over Q, past
+    2^64."""
     rng = random.Random(23 if prime is None else prime)
     for _ in range(200):
         width = rng.randint(1, 6)
@@ -169,7 +170,122 @@ def test_pivot_columns_match_gaussian_elimination(prime):
                          for j in range(width)])
             if rows and rng.random() < 0.2:
                 rows.append(list(rng.choice(rows)))
-        assert pivot_columns(rows, prime) == _echelon_pivots(rows, width, prime)
+        yield rows, width
+
+
+class _Unread(list):
+    """A row that fails when it is read."""
+
+    def __getitem__(self, key):
+        raise AssertionError("read a row past rank")
+
+
+_FIELDS = pytest.mark.parametrize("prime", [None, 2, 3, 7],
+                                  ids=lambda p: "Q" if p is None else "F%d" % p)
+
+
+@_FIELDS
+def test_pivot_columns_match_gaussian_elimination(prime):
+    # the echelon pass against Gaussian elimination: its pivots, the ranks
+    # read off it, and the rows delcon finds dependent, those in the span of
+    # the rows before them; once `rank` rows are independent, no later row
+    # is read
+    for rows, width in _seeded_row_sets(prime):
+        pivots = _echelon_pivots(rows, width, prime)
+        assert pivot_columns(rows, prime) == pivots
+        rank = rank_int(rows) if prime is None else rank_mod_p(rows, prime)
+        assert rank == rank_rows(rows, prime) == len(pivots)
+        ranks = [len(_echelon_pivots(rows[:k], width, prime)) for k in range(len(rows) + 1)]
+        deps = [k for k in range(len(rows)) if ranks[k + 1] == ranks[k]]
+        full = ranks.index(rank)        # rows up to index full - 1 reach the rank
+        aug = [row + [k] if k < full else _Unread(row + [k]) for k, row in enumerate(rows)]
+        assert _dependent(aug, rank, prime) == deps
+
+
+def _seeded_arrangements(prime):
+    """An arrangement over Q or F_p from each seeded row set of width >= 2,
+    the last column the offset, with a loop and a row parallel to the first
+    non-loop added; a zero normal takes offset 0."""
+    for rows, width in _seeded_row_sets(prime):
+        if width < 2:
+            continue
+        hs = [(row[:-1], row[-1] if any(x % prime if prime else x for x in row[:-1])
+               else 0) for row in rows]
+        arr = Arrangement(width - 1, hs, prime=prime)
+        hs = list(arr.hyperplanes) + [([0] * arr.dim, 0)]
+        if arr.nonloops():
+            h = arr.hyperplanes[arr.nonloops()[0]]
+            hs.append((h.normal, h.offset + 1))
+        yield Arrangement(arr.dim, hs, prime=prime)
+
+
+def _containment(arr):
+    """A function of a subset of arr: the hyperplanes containing its common
+    points, None when it has none.  Over F_p it reads the points
+    themselves; over Q it goes by rank: the subset is central when its
+    normals and its augmented rows have one rank, and its intersection lies
+    on a hyperplane when that hyperplane's row leaves the rank of its
+    augmented rows as it is."""
+    rows = [list(h.row()) for h in arr.hyperplanes]
+    p = arr.prime
+    if p is not None:
+        points = np.indices((p,) * arr.dim).reshape(arr.dim, -1)
+        normals = np.array([row[:-1] for row in rows], np.int64).reshape(arr.n, arr.dim)
+        on = (normals @ points - np.array([row[-1] for row in rows])[:, None]) % p == 0
+
+        def containing(subset):
+            common = on[sorted(subset)].all(axis=0)
+            if not common.any():
+                return None
+            return frozenset(np.flatnonzero(on[:, common].all(axis=1)).tolist())
+        return containing
+
+    def containing(subset):
+        chosen = [rows[i] for i in sorted(subset)]
+        rank = len(_echelon_pivots(chosen, arr.dim + 1))
+        if len(_echelon_pivots([row[:-1] for row in chosen], arr.dim)) < rank:
+            return None
+        return frozenset(i for i in range(arr.n)
+                         if len(_echelon_pivots(chosen + [rows[i]], arr.dim + 1)) == rank)
+    return containing
+
+
+@_FIELDS
+def test_closure_matches_containment_on_the_seeded_rows(prime):
+    # the empty set, every single hyperplane, the parallel pair and seeded
+    # subsets, central and not
+    rng = random.Random(29)
+    seen = {True: 0, False: 0}
+    for arr in _seeded_arrangements(prime):
+        containing = _containment(arr)
+        subsets = [set()] + [{i} for i in range(arr.n)]
+        if arr.nonloops():
+            subsets.append({arr.nonloops()[0], arr.n - 1})
+        subsets += [{i for i in range(arr.n) if rng.random() < density}
+                    for density in (0.2, 0.4, 0.6) for _ in range(3)]
+        for subset in subsets:
+            want = containing(subset)
+            seen[want is None] += 1
+            if want is None:
+                with pytest.raises(NonCentralError):
+                    closure(arr, subset)
+            else:
+                assert closure(arr, subset) == want
+    assert seen[True] > 50 and seen[False] > 50
+
+
+@_FIELDS
+def test_contract_matches_the_delcon_contraction_on_the_seeded_rows(prime):
+    # Arrangement.contract over every hyperplane against the contraction
+    # delcon takes over the non-loop rows alone: the same non-loop rows in
+    # order, and the loops of both
+    for arr in _seeded_arrangements(prime):
+        for k, i in enumerate(arr.nonloops()):
+            got = arr.contract(i)
+            want = contract_rows(arr.rows, k, prime)
+            assert got.dim == arr.dim - 1 and got.prime == prime
+            assert list(got.rows) == [row for row in want if any(row)]
+            assert len(got.loops()) == len(arr.loops()) + sum(not any(row) for row in want)
 
 
 def test_pivot_columns_stop_once_every_column_is_a_pivot():
