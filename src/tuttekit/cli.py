@@ -4,11 +4,14 @@ Verbs: tutte, char, coboundary, invariants, poset, family, arith, toric,
 multivariate, check.  Output is deterministic: polynomials print in graded
 lexicographic order, highest term first.  Exit code 1 signals a parse or
 input-format problem, 2 a computation error (bad prime, non-central query,
-exceeded budget, bad family parameters, a method that does not apply); either
-prints a one-line machine-readable `error:` record.  Without `--method`,
-`tutte`, `coboundary` and `invariants` use the subset expansion for n <= 10
-and the flat-lattice coboundary above that; `invariants` reads every value
-off the one Tutte polynomial that engine gives.
+exceeded budget, bad family parameters, a method that does not apply, or
+running out of memory); either prints a one-line machine-readable `error:`
+record.  Without `--method`, `tutte`, `coboundary` and `invariants` use the
+subset expansion when the bound on its walk's charge, sum_{k <= r+1} C(m, k)
+over the m non-loops of rank r, is at most 2^10, which every arrangement of
+at most 10 hyperplanes meets, and the flat-lattice coboundary above that;
+`invariants` reads every value off the one Tutte polynomial that engine
+gives.
 """
 
 import argparse
@@ -36,11 +39,11 @@ from .errors import (
 from .finite_field import DEFAULT_BUDGET, coboundary_ffm, point_profile, select_primes
 from .poset import intersection_poset
 from .tutte import (
-    SUBSET_MAX_N,
     TutteResult,
     char_poly,
     coboundary_transform,
     scalar_invariants,
+    subset_first,
     tutte_activity,
     tutte_delcon,
     tutte_from_coboundary,
@@ -128,9 +131,11 @@ def _emit_record(record, args):
 
 
 def _method(arr, args):
-    """The engine to run: `auto` is subset for n <= 10, else the flat lattice."""
+    """The engine to run: `auto` is subset when the bound on its walk's
+    charge, known before it runs, is at most 2^10 (`tutte.subset_first`),
+    else the flat lattice."""
     if args.method == "auto":
-        return "subset" if arr.n <= SUBSET_MAX_N else "lattice"
+        return "subset" if subset_first(arr) else "lattice"
     return args.method
 
 
@@ -400,6 +405,10 @@ def main(argv=None):
         return 1
     except TuttekitError as exc:
         print("error: %s: %s" % (exc.code, exc), file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out-of-memory: %s" % (str(exc) or "the computation ran out of memory"),
+              file=sys.stderr)
         return 2
     except SystemExit as exc:
         return exc.code or 0

@@ -20,12 +20,13 @@ entries overflows, and numpy arrays of Python ints otherwise
 type that holds them.  The flat lattice (`poset`) and `echelon_walk` run on
 it.  `echelon_walk` walks subsets of the rows a size at a time, a block of
 subsets and their remainders per step: every central subset
-(`central_subsets`, for the subset expansion, the multivariate Tutte
-polynomial and the semimatroid fingerprint), whose remainder rows carry
-their owner subset and row index so that each held row is a candidate
-child, or every independent subset up to the bases, held as one (subsets,
-rows, columns) array with tag columns that record fundamental circuits (the
-basis-activity expansion).  Its readers use only the zero patterns of the
+(`central_subsets`, for the multivariate Tutte polynomial and the
+semimatroid fingerprint), whose remainder rows carry their owner subset
+and row index so that each held row is a candidate child, or only the
+central independent ones with a count of the rows each spans (the subset
+expansion), or every independent subset up to the bases, held as one
+(subsets, rows, columns) array with tag columns that record fundamental
+circuits (the basis-activity expansion).  Its readers use only the zero patterns of the
 remainders, so it reduces them by `primitive_rows`.
 
 The lattice kernel (`extend_lattice`) keeps the Hermite basis of the
@@ -331,7 +332,7 @@ def subset_walk(rows, step, root):
                 push((j + 1, mask | 1 << j, size + 1, child))
 
 
-def echelon_walk(rows, prime=None, budget=None, rank=None):
+def echelon_walk(rows, prime=None, budget=None, rank=None, spans=False):
     """Blocks of subsets of augmented rows [normal | offset], each with the
     remainders of rows against its reduced echelon basis.
 
@@ -362,6 +363,17 @@ def echelon_walk(rows, prime=None, budget=None, rank=None):
     budget, and the empty set one, so a central arrangement costs 2^n; when
     the rows have a common point and 2^n exceeds the budget, that is known
     before the walk, which then does not start.
+
+    With spans set as well, on rows with nonzero normals (the non-loops),
+    the central walk keeps only the children that raise the rank, so it
+    visits the central independent subsets I, and the ranks array gives
+    |F(I)| instead, which their sizes make redundant: F(I) holds the rows
+    outside I that lie in the span of the augmented rows of I before them.
+    A child's F is its parent's and the rows after j that its new basis
+    row reduces to zero.  The budget is charged as above, per candidate
+    row, which maps (I, j) to the subset I + j of at most r + 1 rows: the
+    walk costs at most sum_{k <= r+1} C(m, k), with r the rank of the
+    normals, and never more than the full walk.
 
     With a rank r the walk runs over the independent subsets that can reach
     size r, and rems is a (states, m, w) array: every row of each state,
@@ -399,7 +411,8 @@ def echelon_walk(rows, prime=None, budget=None, rank=None):
 
     def central(masks, size, ranks, rems, owner, index):
         step = (rems[:, :d] != 0).any(axis=1)
-        keep = step | (rems[:, d] == 0)
+        zero = ~step & (rems[:, d] == 0)
+        keep = step if spans else step | zero
         height = m - 1 - index
 
         def child(pick):
@@ -412,9 +425,16 @@ def echelon_walk(rows, prime=None, budget=None, rank=None):
             bc = b[np.arange(len(pick)), c]
             bc[bc == 0] = 1         # a zero remainder keeps its parent's rows
             out = bc[rep, None] * v - v[np.arange(len(rep)), c[rep], None] * b[rep]
+            out = narrow_rows(primitive_rows(out, prime))
             parent = owner[pick]
-            return (masks[parent] | bits[index[pick]], size + 1, ranks[parent] + step[pick],
-                    narrow_rows(primitive_rows(out, prime)), rep, index[src])
+            if spans:
+                # the rows that the new basis row reduces to zero
+                cut = ~(out != 0).any(axis=1) & ~zero[src]
+                grew = np.bincount(rep[cut], minlength=len(pick))
+            else:
+                grew = step[pick]
+            return (masks[parent] | bits[index[pick]], size + 1, ranks[parent] + grew,
+                    out, rep, index[src])
 
         for lo, hi in blocks((height + 1) * keep * (8 * width), _WALK_BYTES):
             pick = lo + np.flatnonzero(keep[lo:hi])
@@ -445,7 +465,7 @@ def echelon_walk(rows, prime=None, budget=None, rank=None):
                 charge(m * len(pick))
                 yield child(pick)
 
-    if rank is None and budget is not None and not power_fits(2, m, budget) \
+    if rank is None and not spans and budget is not None and not power_fits(2, m, budget) \
             and rank_rows([row[:-1] for row in rows], prime) == rank_rows(rows, prime):
         raise BudgetExceededError(
             "the central-subset walk needs 2^%d candidate subsets, over the "

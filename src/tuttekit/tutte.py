@@ -11,8 +11,11 @@ All three run on the integer echelon kernel of `linalg`, over Q and F_p
 alike, on the augmented rows [normal | offset] of the hyperplanes.  The
 subset expansion and the basis-activity expansion run on
 `linalg.echelon_walk`, which walks subsets a size at a time on integer
-arrays, a block of subsets per step.  The subset expansion counts the
-central subsets by rank and size with one bincount per block.  The
+arrays, a block of subsets per step.  The subset expansion walks only the
+central independent subsets I: every central subset is one of them plus
+some of the rows F(I) that I spans, so it counts them by size and |F(I)|,
+with one bincount per block, and its walk's charge has a bound known
+before it starts, which routes `auto` (`subset_first`).  The
 basis-activity expansion walks the independent subsets and carries every
 row's remainder along, with one tag column per basis row, so that at a
 basis each remainder shows its fundamental circuit and whether it meets
@@ -22,7 +25,7 @@ one elimination step per row, and the leaves are counted by (coloops,
 loops).  All three charge their work to a budget.
 
 The exact steps after a walk or a count work on integer coefficient
-tables: the rank-size table of the subset expansion, the coboundary
+tables: the size-span table of the subset expansion, the coboundary
 transforms in both directions and the Whitney specialisation are binomial
 transforms done by one helper (`_expand`), and one MultiPoly is built from
 the final table.
@@ -40,13 +43,14 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConsistencyError
 from .finite_field import DEFAULT_BUDGET
-from .linalg import central_subsets, contract_rows, echelon_walk, hold_row
+from .linalg import contract_rows, echelon_walk, hold_row
 from .multipoly import MultiPoly
 from .poset import intersection_poset
 
-# The largest n for which the subset expansion is the default route; above
-# it T comes from the flat lattice's coboundary.
-SUBSET_MAX_N = 10
+# The largest bound on the subset walk's charge (`subset_first`) for which
+# the subset expansion is the default route; above it T comes from the flat
+# lattice's coboundary.
+SUBSET_MAX_CHARGE = 1 << 10
 
 
 class TutteResult:
@@ -103,33 +107,50 @@ def _expand(terms):
     return out
 
 
-def expand_rank_table(table, r, loops=0):
-    """y^loops * sum of table[rB][size] (x-1)^(r-rB) (y-1)^(size-rB), expanded.
+def expand_rank_table(table, r):
+    """sum of table[rB][size] (x-1)^(r-rB) (y-1)^(size-rB), expanded.
 
     table[rB][size] counts (or weighs) subsets by rank and size; the powers
     are expanded by the binomial theorem into one integer term table.
     """
-    terms = {(0, r - rb, loops, size - rb): count
+    terms = {(0, r - rb, 0, size - rb): count
              for rb, row in enumerate(table) for size, count in enumerate(row)}
     return MultiPoly(("x", "y"), _expand(terms))
+
+
+def subset_first(arrangement):
+    """Whether the subset expansion is the default route: sum_{k <= r+1}
+    C(m, k), over the m non-loops, bounds its walk's charge before it runs
+    (see `tutte_subset`), and that bound is at most SUBSET_MAX_CHARGE.  It
+    is at most 2^m, so every arrangement of at most 10 hyperplanes passes."""
+    m = len(arrangement.rows)
+    return sum(comb(m, k) for k in range(arrangement.rank + 2)) <= SUBSET_MAX_CHARGE
 
 
 def tutte_subset(arrangement, budget=DEFAULT_BUDGET):
     """Subset expansion: sum over central B of (x-1)^(r-rB) (y-1)^(|B|-rB).
 
-    Central subsets of the non-loops are counted by rank and size in one
-    walk, charged to the budget one unit per candidate subset (see
-    `linalg.echelon_walk`); each loop multiplies the sum by y.
+    A central B splits one way as I + D: I is its greedy basis, the rows
+    of B that raise the rank in index order, and D is a subset of F(I), the
+    rows outside I that lie in the span of the augmented rows of I before
+    them, which keep the common point.  Summed over D, the expansion is
+    y^loops times the sum over central independent I of the non-loops of
+    (x-1)^(r-|I|) y^|F(I)|.  One walk (`linalg.echelon_walk` with spans)
+    counts these I by size and |F(I)| into an integer table, and T is one
+    binomial expansion of it.  The walk is charged one unit per candidate
+    row and one for the empty set, at most sum_{k <= r+1} C(m, k) over the
+    m non-loops.
     """
     r = arrangement.rank
     rows = arrangement.rows
-    width = len(rows) + 1
-    table = np.zeros((r + 1) * width, np.int64)
-    for _, sizes, ranks in central_subsets(rows, arrangement.prime, budget):
-        table += np.bincount(ranks * width + sizes, minlength=len(table))
-    total = expand_rank_table(table.reshape(r + 1, width).tolist(), r,
-                              arrangement.n - len(rows))
-    return TutteResult(total, r, arrangement.n, "subset")
+    m = len(rows)
+    table = np.zeros((r + 1, m + 1), np.int64)
+    for _, size, spans, _ in echelon_walk(rows, arrangement.prime, budget, spans=True):
+        table[size] += np.bincount(spans, minlength=m + 1)
+    loops = arrangement.n - m
+    terms = {(0, r - k, loops + f, 0): c
+             for k, row in enumerate(table.tolist()) for f, c in enumerate(row) if c}
+    return TutteResult(MultiPoly(("x", "y"), _expand(terms)), r, arrangement.n, "subset")
 
 
 def _dependent(rows, rank, prime):
@@ -262,14 +283,14 @@ def tutte_activity(arrangement, order=None, budget=DEFAULT_BUDGET):
 def char_poly(arrangement, budget=DEFAULT_BUDGET):
     """Characteristic polynomial via the Möbius-weighted sum over flats.
 
-    When n <= SUBSET_MAX_N, the Whitney route (-1)^r q^(d-r) T(1-q, 0), with
-    T from the subset expansion, is also computed and must agree, or
-    ConsistencyError is raised.  The budget bounds the work and memory of
-    the intersection poset (see `intersection_poset`) and the subset walk
-    of the Whitney route.
+    When the subset expansion is the default route (`subset_first`), the
+    Whitney route (-1)^r q^(d-r) T(1-q, 0), with T from it, is also
+    computed and must agree, or ConsistencyError is raised.  The budget
+    bounds the work and memory of the intersection poset (see
+    `intersection_poset`) and the subset walk of the Whitney route.
     """
     chi = intersection_poset(arrangement, budget=budget).char_poly()
-    if arrangement.n <= SUBSET_MAX_N:
+    if subset_first(arrangement):
         alt = whitney_char(arrangement, tutte_subset(arrangement, budget).tutte)
         if alt != chi:
             raise ConsistencyError(

@@ -223,24 +223,29 @@ def test_budget_flag_overrides_env(capsys, bench_file, monkeypatch):
     assert code == 0 and out.strip() == "x^3 + x^2 + x*y"
 
 
+# braid 5's subset walk: the empty set and every candidate row of its 291
+# central independent subsets (forests of K_5)
+BRAID5_WALK = 515
+
+
 def test_budget_flag_is_read_first_and_zero_counts(capsys, monkeypatch):
-    # braid 5's subset walk is charged 2^10
+    # braid 5's subset walk is charged BRAID5_WALK
     monkeypatch.setenv("TUTTEKIT_BUDGET", "abc")
     argv = ["family", "braid", "--n", "5", "tutte"]
-    for budget in ("0", "1", "1023"):
+    for budget in ("0", "1", "514"):
         code, out, err = run(capsys, argv + ["--budget", budget])
         assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
-    code, out, err = run(capsys, argv + ["--budget", "1024"])
+    code, out, err = run(capsys, argv + ["--budget", "515"])
     assert code == 0 and err == ""
 
 
 def test_budget_variable_when_no_flag(capsys, monkeypatch):
     argv = ["family", "braid", "--n", "5", "tutte"]
-    for env in ("0", "1023"):
+    for env in ("0", "514"):
         monkeypatch.setenv("TUTTEKIT_BUDGET", env)
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
-    monkeypatch.setenv("TUTTEKIT_BUDGET", "1024")
+    monkeypatch.setenv("TUTTEKIT_BUDGET", "515")
     assert run(capsys, argv)[0] == 0
     for env in ("abc", "1e6", "10.5"):
         monkeypatch.setenv("TUTTEKIT_BUDGET", env)
@@ -271,10 +276,10 @@ def test_default_budget_when_neither_is_set(capsys, monkeypatch, env):
     else:
         monkeypatch.setenv("TUTTEKIT_BUDGET", env)
     argv = ["family", "braid", "--n", "5", "tutte"]
-    monkeypatch.setattr(cli, "DEFAULT_BUDGET", 1023)
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET", 514)
     code, out, err = run(capsys, argv)
     assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
-    monkeypatch.setattr(cli, "DEFAULT_BUDGET", 1024)
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET", 515)
     assert run(capsys, argv)[0] == 0
 
 
@@ -401,16 +406,21 @@ def _structured_terms(out):
     return sorted((c, sorted(m.items())) for c, m in json.loads(out)["polynomial"])
 
 
-def test_auto_uses_the_lattice_above_ten_hyperplanes(capsys, tmp_path):
-    # n = 11, d = 4, entries in [-2, 2]: the finite field method finds no
-    # verified primes within the default budget for this input
+@pytest.mark.parametrize("n, method", [(11, "subset"), (12, "lattice")])
+def test_auto_takes_the_lattice_past_a_walk_bound_of_2_to_the_10(capsys, tmp_path,
+                                                                n, method):
+    # d = 4, entries in [-2, 2], rank 4: the finite field method finds no
+    # verified primes within the default budget for the first 11 rows.  The
+    # subset walk's bound sum_{k <= 5} C(n, k) is exactly 2^10 = 1024 at
+    # n = 11, as for the fixed input of the benchmark's `auto` workload,
+    # and 1586 at n = 12
     rng = random.Random(3)
     hs = []
-    while len(hs) < 11:
+    while len(hs) < n:
         normal = [rng.randint(-2, 2) for _ in range(4)]
         if any(normal):
             hs.append((normal, rng.randint(-2, 2)))
-    path = tmp_path / "affine11.json"
+    path = tmp_path / "affine.json"
     path.write_text(Arrangement(4, hs).to_json())
     for verb in ("tutte", "coboundary"):
         code, out, _ = run(capsys, [verb, "--input", str(path)])
@@ -419,7 +429,7 @@ def test_auto_uses_the_lattice_above_ten_hyperplanes(capsys, tmp_path):
                             "--method", "subset"])[1] == out
     code, out, _ = run(capsys, ["tutte", "--input", str(path),
                                 "--format", "structured"])
-    assert json.loads(out)["method"] == "lattice"
+    assert json.loads(out)["method"] == method
 
 
 def test_auto_lattice_over_prime_field(capsys):
@@ -463,7 +473,7 @@ def test_finite_field_budget_counts_the_quotient(capsys, argv):
     # does not: the points are counted in the quotient by the lineality space
     code, out, _ = run(capsys, argv + ["--method", "finite-field"])
     assert code == 0
-    assert run(capsys, argv)[1] == out      # the flat-lattice route (n > 10)
+    assert run(capsys, argv)[1] == out      # the flat-lattice route
 
 
 def test_small_budget_takes_bound_primes_by_their_charge(capsys, monkeypatch):
@@ -728,10 +738,10 @@ def test_budget_below_the_charged_work_reports_required():
     assert len(intersection_poset(braid(6), budget=BRAID6_WORK).flats) == 203
 
 
-@pytest.mark.parametrize("tag, n", [("braid", 6), ("shi", 4)])
+@pytest.mark.parametrize("tag, n", [("braid", 6), ("shi", 5)])
 def test_lattice_verbs_build_no_flat_objects(capsys, monkeypatch, tag, n):
-    # n > 10, so every verb reads the flat lattice; the poset verb prints
-    # from the masks too
+    # the subset walk's bound is past 2^10 (9,949 and 21,700), so every verb
+    # reads the flat lattice; the poset verb prints from the masks too
     argvs = [["family", tag, "--n", str(n), verb]
              for verb in ("char", "coboundary", "tutte", "invariants", "poset")]
     want = [run(capsys, argv) for argv in argvs]
@@ -756,7 +766,7 @@ def test_invariants_on_the_lattice_route(capsys, monkeypatch):
     import tuttekit.tutte as tutte_module
 
     def no_subsets(arr):
-        raise AssertionError("walked 2^n subsets for n > 10")
+        raise AssertionError("walked the subsets past a bound of 2^10")
 
     monkeypatch.setattr(tutte_module, "tutte_subset", no_subsets)
     code, out, _ = run(capsys, ["family", "braid", "--n", "6", "invariants"])
@@ -781,14 +791,15 @@ def test_invariants_build_no_lattice_for_another_engine(capsys, monkeypatch, met
 
 
 def test_invariants_are_charged_only_the_engine_they_run(capsys):
-    # braid(4): the subset walk costs 2^6 = 64, the flat lattice 103
+    # braid(4): the subset walk costs 54, the flat lattice 103
     argv = ["family", "braid", "--n", "4", "invariants"]
     code, out, err = run(capsys, argv + ["--budget", "100"])
     assert code == 0 and err == "" and out == run(capsys, argv)[1]
     assert "regions = 24\n" in out
-    code, out, err = run(capsys, argv + ["--budget", "60"])
+    assert run(capsys, argv + ["--budget", "54"])[1] == out
+    code, out, err = run(capsys, argv + ["--budget", "53"])
     assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
-    assert "the central-subset walk needs 2^6 candidate subsets" in err
+    assert "the central-subset walk needs at least 54 candidate subsets" in err
 
 
 INVARIANT_METHODS = ["auto", "subset", "delcon", "activity", "finite-field"]
@@ -800,9 +811,10 @@ INVARIANT_METHODS = ["auto", "subset", "delcon", "activity", "finite-field"]
     (["family", "shi", "--n", "3"], INVARIANT_METHODS, 16, oracle_char("shi", 3)),
     # a loop (0 = 0) leaves no complement
     ("loop", INVARIANT_METHODS, 0, 0),
-    # 12 hyperplanes: auto takes T from the flat lattice's coboundary
-    (["family", "shi", "--n", "4"], ["auto", "subset"], 125, oracle_char("shi", 4)),
-], ids=["braid4", "bc3", "shi3", "loop", "shi4"])
+    # 20 hyperplanes of rank 4, a subset walk bound of sum_{k <= 5} C(20, k)
+    # = 21,700: auto takes T from the flat lattice's coboundary
+    (["family", "shi", "--n", "5"], ["auto", "subset"], 1296, oracle_char("shi", 5)),
+], ids=["braid4", "bc3", "shi3", "loop", "shi5"])
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_invariants_are_the_same_under_every_method(capsys, tmp_path, source, methods,
                                                     regions, chi, fmt):
@@ -854,7 +866,8 @@ def _connected_graph(rng, vertices, edges):
 @settings(max_examples=3, deadline=None, derandomize=True)
 @given(st.integers(6, 8), st.integers(11, 13), st.randoms(use_true_random=False))
 def test_graphical_tutte_matches_networkx(tmp_path_factory, vertices, edges, rng):
-    # 11-13 edges take the lattice route; networkx is an outside oracle
+    # 11-13 edges of rank 5-7 take the lattice route (a subset walk bound
+    # of at least sum_{k <= 6} C(11, k) = 1486); networkx is an outside oracle
     import networkx
     import sympy
     graph = _connected_graph(rng, vertices, edges)
@@ -1061,9 +1074,11 @@ def test_check_reports_the_lattice_over_budget_and_goes_on(capsys):
 
 @pytest.mark.parametrize("verb", [["tutte", "--method", "subset"], ["multivariate"]])
 def test_subset_walks_fit_a_budget_of_2_to_the_n(capsys, verb):
-    # braid(5) is central with 10 hyperplanes: the walk costs 2^10, and the
-    # multivariate polynomial holds 2^10 terms of 11 exponents each
-    fit, unit = (1024, "candidate subsets") if verb[0] == "tutte" else \
+    # braid(5) is central with 10 hyperplanes: the multivariate polynomial
+    # holds 2^10 terms of 11 exponents each, while the subset expansion walks
+    # only the independent subsets, at 515 candidates (at most
+    # sum_{k <= 5} C(10, k) = 638)
+    fit, unit = (BRAID5_WALK, "candidate subsets") if verb[0] == "tutte" else \
         (1024 * 11, "2^10 terms of 11 exponents")
     argv = ["family", "braid", "--n", "5"] + verb
     code, out, _ = run(capsys, argv + ["--budget", str(fit)])
@@ -1074,11 +1089,11 @@ def test_subset_walks_fit_a_budget_of_2_to_the_n(capsys, verb):
 
 
 def test_check_over_the_subset_budget_is_one_line(capsys):
-    # the reference walk of braid(4) costs 2^6 = 64
+    # the reference walk of braid(4) costs 54, basis activity 186
     argv = ["family", "braid", "--n", "4", "check"]
-    code, out, err = run(capsys, argv + ["--budget", "63"])
+    code, out, err = run(capsys, argv + ["--budget", "53"])
     assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
-    code, out, err = run(capsys, argv + ["--budget", "64"])
+    code, out, err = run(capsys, argv + ["--budget", "54"])
     assert code == 2 and "FAIL engine-agreement subset/activity (budget-exceeded)" in out
 
 
@@ -1099,7 +1114,7 @@ def test_central_sixes_fit_the_central_charge(capsys, tag):
     argv = ["family", tag, "--n", "6", "tutte"]
     code, out, err = run(capsys, argv + ["--method", "finite-field"])
     assert code == 0 and err == ""
-    assert run(capsys, argv)[1] == out      # the flat-lattice route (n > 10)
+    assert run(capsys, argv)[1] == out      # the flat-lattice route
 
 
 def test_dn5_finite_field_needs_the_central_charge_of_its_largest_prime(capsys):
@@ -1116,7 +1131,24 @@ def test_dn5_finite_field_needs_the_central_charge_of_its_largest_prime(capsys):
     code, out, err = run(capsys, argv + ["--method", "finite-field",
                                          "--budget", "16105"])
     assert code == 0 and err == ""
-    assert run(capsys, argv)[1] == out      # the flat-lattice route (n > 10)
+    assert run(capsys, argv)[1] == out      # the flat-lattice route
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 9.22 GiB for an array with shape "
+                  "(12248775, 101) and data type int64"),
+     "Unable to allocate 9.22 GiB for an array with shape (12248775, 101) "
+     "and data type int64"),
+    (MemoryError(), "the computation ran out of memory")], ids=["numpy", "bare"])
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch, exc, message):
+    # `family braid --n 100 char` fits the default budget in the flat
+    # lattice and asks numpy for more memory than a small host has
+    def exhausted(arr, budget):
+        raise exc
+
+    monkeypatch.setattr(cli, "char_poly", exhausted)
+    code, out, err = run(capsys, ["family", "braid", "--n", "100", "char"])
+    assert (code, out, err) == (2, "", "error: out-of-memory: %s\n" % message)
 
 
 def test_corrupted_incidences_exit_2_with_one_consistency_line(
@@ -1161,10 +1193,11 @@ def test_braid8_finite_field_fits_the_default_budget(capsys):
     assert out.strip() == tutte_from_coboundary(oracle_coboundary("braid", 8), 7).format()
 
 
-@pytest.mark.parametrize("verb", [["check"], ["tutte", "--method", "subset"]])
 @pytest.mark.parametrize("budget", [[], ["--budget", "1000000"]])
-def test_central_walk_over_budget_fails_before_it_starts(capsys, monkeypatch, verb, budget):
-    # braid(8) is central with 28 hyperplanes: its walk costs exactly 2^28
+def test_central_walk_over_budget_fails_before_it_starts(capsys, monkeypatch, budget):
+    # braid(8) is central with 28 hyperplanes: its multivariate polynomial
+    # holds 2^28 terms of 29 exponents, known before its walk of every
+    # central subset starts
     built = []
     rows = linalg.integer_rows
 
@@ -1173,14 +1206,27 @@ def test_central_walk_over_budget_fails_before_it_starts(capsys, monkeypatch, ve
         return rows(*args)
 
     monkeypatch.setattr(linalg, "integer_rows", spy)
-    code, out, err = run(capsys, ["family", "braid", "--n", "8"] + verb + budget)
+    code, out, err = run(capsys, ["family", "braid", "--n", "8", "multivariate"] + budget)
     assert code == 2 and out == "" and _one_error_line(err, "budget-exceeded")
-    assert "needs 2^28 candidate subsets, over the budget %d" % (
+    assert "needs 2^28 terms of 29 exponents, over the budget %d" % (
         int(budget[1]) if budget else DEFAULT_BUDGET) in err
     assert not built
+
+
+def test_braid8_subset_walk_and_check_fit_the_default_budget(capsys):
+    # the walk over braid(8)'s central independent subsets costs 1,666,142,
+    # within sum_{k <= 8} C(28, k) = 4,791,323, where every central subset
+    # would cost 2^28; over a smaller budget it stops at the first running
+    # total past it
+    argv = ["family", "braid", "--n", "8"]
+    code, tutte, err = run(capsys, argv + ["tutte", "--method", "subset"])
+    assert code == 0 and err == "" and tutte == run(capsys, argv + ["tutte"])[1]
+    code, out, err = run(capsys, argv + ["check"])
+    assert code == 0 and err == "" and out == CHECK_LINES
     with pytest.raises(BudgetExceededError) as info:
         tutte_subset(braid(8), budget=10 ** 6)
-    assert info.value.required == 2 ** 28
+    assert 10 ** 6 < info.value.required < 2 ** 28
+    assert tutte_subset(braid(8), budget=1666142).tutte.format() + "\n" == tutte
 
 
 def test_basis_multiplicities_are_charged_before_they_are_taken(capsys, tmp_path):

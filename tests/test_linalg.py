@@ -487,9 +487,10 @@ def test_small_walk_blocks_give_the_same_tables_and_budgets(block, monkeypatch):
     want = _subset_results(arrs)
     monkeypatch.setattr(linalg_module, "_WALK_BYTES", block)
     assert _subset_results(arrs) == want
-    # a central arrangement costs 2^n at any block size, and its
-    # multivariate polynomial n + 1 units for each of its 2^n terms
-    for walk, fit in ((tutte_subset, 1024), (multivariate_tutte, 1024 * 11)):
+    # braid(5)'s walk of its central independent subsets costs 515 at any
+    # block size, and its multivariate polynomial n + 1 units for each of
+    # its 2^n terms
+    for walk, fit in ((tutte_subset, 515), (multivariate_tutte, 1024 * 11)):
         with pytest.raises(BudgetExceededError) as info:
             walk(families.braid(5), budget=fit - 1)
         assert info.value.required == fit

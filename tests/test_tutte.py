@@ -8,15 +8,16 @@ from test_engines_reference import generalized_tg_evaluate
 from tuttekit import tutte
 from tuttekit.arrangement import Arrangement
 from tuttekit.errors import ConsistencyError
-from tuttekit.families import braid, oracle_char
+from tuttekit.families import braid, generic, oracle_char, shi
 from tuttekit.multipoly import MultiPoly
 from tuttekit.poset import intersection_poset
 from tuttekit.tutte import (
-    SUBSET_MAX_N,
+    SUBSET_MAX_CHARGE,
     TutteResult,
     char_poly,
     coboundary_transform,
     scalar_invariants,
+    subset_first,
     tutte_activity,
     tutte_delcon,
     tutte_from_coboundary,
@@ -86,16 +87,34 @@ def test_whitney(bench):
 
 
 def test_char_poly_checks_whitney_for_small_n(bench, monkeypatch):
-    # for n <= SUBSET_MAX_N the Mobius route is cross-checked against
-    # Whitney's, with T from the subset expansion; above it T is not taken
+    # while the subset walk's bound sum_{k <= r+1} C(m, k) is at most 2^10
+    # the Mobius route is cross-checked against Whitney's, with T from the
+    # subset expansion; above it T is not taken.  shi(4) has 12 hyperplanes
+    # of rank 3, a bound of 794, and braid(6) 15 of rank 5, 9,949
+    assert SUBSET_MAX_CHARGE == 1024
     assert char_poly(bench) == intersection_poset(bench).char_poly()
     wrong = TutteResult(x ** 3, bench.rank, bench.n, "subset")
     monkeypatch.setattr(tutte, "tutte_subset", lambda arr, budget: wrong)
-    with pytest.raises(ConsistencyError, match="Mobius and Whitney"):
-        char_poly(bench)
+    for small in (bench, shi(4)):
+        assert subset_first(small)
+        with pytest.raises(ConsistencyError, match="Mobius and Whitney"):
+            char_poly(small)
     big = braid(6)
-    assert big.n > SUBSET_MAX_N
+    assert not subset_first(big)
     assert char_poly(big) == oracle_char("braid", 6)
+
+
+def test_the_subset_route_edge_is_a_bound_of_2_to_the_10():
+    # m non-loops of rank r pass while sum_{k <= r+1} C(m, k) <= 1024: every
+    # n <= 10, 11 generic hyperplanes in Q^4 (1024) but not 12 (1586), and
+    # 44 parallel hyperplanes (991) but not 45 (1036)
+    rng = random.Random(11)
+    for _ in range(40):
+        assert subset_first(random_arrangement(rng, max_n=10, max_d=6))
+    assert subset_first(generic(11, 4)) and not subset_first(generic(12, 4))
+    lines = [([1, 0], b) for b in range(45)]
+    assert subset_first(Arrangement(2, lines[:44]))
+    assert not subset_first(Arrangement(2, lines))
 
 
 def test_coboundary_bench(bench):
