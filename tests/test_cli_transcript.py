@@ -2,9 +2,11 @@
 
 `cli_transcript/transcript.txt` holds command lines with their exit code,
 stdout and stderr, byte for byte: every verb in text, structured and latex
-form on small inputs.  A record is a `$ <argv>` line, an `exit <code>`
-line, then one `| <line>` per stdout line and one `! <line>` per stderr
-line; `{dir}` in an argument stands for the `cli_transcript` directory.
+form on small inputs, `poset` and `tutte` on every catalog family, one
+over-budget run per budget charge site and the family parameter errors.  A
+record is a `$ <argv>` line, an `exit <code>` line, then one `| <line>` per
+stdout line and one `! <line>` per stderr line; `{dir}` in an argument
+stands for the `cli_transcript` directory.
 
 A change that means to alter the output rewrites the transcript with
 `PYTHONPATH=src python tests/test_cli_transcript.py --write` and shows the
@@ -51,6 +53,30 @@ COMMANDS = [
     "family braid --n 5 poset",
     "family braid --n 5 poset --format structured",
     "family shi --n 3 poset",
+] + [
+    "family %s %s" % (family, verb)
+    for family in ("coordinate --n 3", "dn --n 3", "threshold --n 3", "catalan --n 3",
+                   "all_linear --p 2 --n 3", "bipartite --m 2 --n 2")
+    for verb in ("poset", "tutte")
+] + [
+    # one over-budget run per site that charges a running total, then the
+    # up-front checks and the family parameter errors
+    "family braid --n 5 tutte --method subset --budget 20",
+    "family braid --n 4 tutte --method activity --budget 20",
+    "family braid --n 4 tutte --method delcon --budget 20",
+    "family braid --n 4 poset --budget 5",
+    "family braid --n 4 poset --budget 11",
+    "family braid --n 4 poset --budget 17",
+    "family shi --n 3 multivariate --budget 40",
+    "family braid --n 4 multivariate --budget 100",
+    "family generic --n 6 --d 3 tutte --budget 5",
+    "family all_linear --p 2 --n 3 tutte --budget 6",
+    "family braid --n 3 --k 2 tutte --budget 5",
+    "arith tutte --input {dir}/b3.txt --budget 511",
+    "toric --input {dir}/b3.txt --q 4 --budget 63",
+    "family nosuch --n 3 tutte",
+    "family braid tutte",
+    "family braid --n 0 tutte",
 ]
 
 
