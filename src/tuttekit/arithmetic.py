@@ -5,9 +5,10 @@ A VectorConfig is a list of integer column vectors in Z^d.  The arithmetic
 Tutte polynomial weights each subset B by its multiplicity m(B), the index
 of ZB in the integer points of its span.  One depth-first walk over the
 subsets carries the Hermite basis of ZB (`linalg.extend_lattice`, one
-unimodular step per added vector) and reads m(B) off it once per distinct
-lattice; the toric identity reads the elementary divisors of ZB off the same
-basis.  The walk's 2^n subsets are charged to the budget before it
+unimodular step per added vector) and reads the elementary divisors of ZB
+off it once per distinct lattice (`linalg.elementary_divisors`, the Smith
+form): m(B) is their product, and the toric identity weighs each subset by
+them too.  The walk's 2^n subsets are charged to the budget before it
 starts.  `multiplicity` computes a single m(B) apart from the walk, as the
 gcd of the full-rank minors checked against the elementary divisors of the
 whole submatrix: the oracle the tests hold the walk to, not the hot path.
@@ -27,25 +28,25 @@ from math import comb, gcd, prod
 import numpy as np
 
 from .errors import (
+    DEFAULT_BUDGET,
     BadPrimeError,
     BudgetExceededError,
     ConsistencyError,
     InputFormatError,
+    charge,
 )
-from .finite_field import DEFAULT_BUDGET
 from .linalg import (
     central_subsets,
     elementary_divisors,
     extend_lattice,
     is_prime,
-    lattice_index,
     minor_gcd,
     power_fits,
     rank_rows,
     subset_walk,
 )
 from .multipoly import MultiPoly
-from .tutte import _expand, expand_rank_table
+from .tutte import expand, expand_rank_table
 
 
 class VectorConfig:
@@ -130,12 +131,13 @@ def multiplicity(config, subset):
 
 
 def _lattice_walk(config, weigh, budget):
-    """(rank, size, weigh(basis)) for every subset B of the columns.
+    """(rank, size, weigh(e)) for every subset B of the columns, e the
+    elementary divisors of ZB.
 
     One depth-first walk carries the Hermite basis of ZB, one
-    `extend_lattice` step per added column, and weigh runs once per
-    distinct lattice.  The 2^n subsets are charged to the budget before
-    the walk starts.
+    `extend_lattice` step per added column, and the divisors are read off
+    it and weighed once per distinct lattice.  The 2^n subsets are charged
+    to the budget before the walk starts.
     """
     if not power_fits(2, config.n, budget):
         raise BudgetExceededError(
@@ -145,14 +147,14 @@ def _lattice_walk(config, weigh, budget):
     for _, size, basis in subset_walk(config.columns, extend_lattice, ()):
         w = memo.get(basis)
         if w is None:
-            w = memo[basis] = weigh(basis)
+            w = memo[basis] = weigh(elementary_divisors([b for _, b in basis]))
         yield len(basis), size, w
 
 
 def _multiplicity_table(config, budget=DEFAULT_BUDGET):
     """[rB][|B|] -> sum of m(B) over all subsets B, from one lattice walk."""
     table = [[0] * (config.n + 1) for _ in range(config.rank + 1)]
-    for rb, size, m in _lattice_walk(config, lattice_index, budget):
+    for rb, size, m in _lattice_walk(config, prod, budget):
         table[rb][size] += m
     return table
 
@@ -294,9 +296,8 @@ def toric_point_profile(config, q, budget=DEFAULT_BUDGET):
             "q^d = %d^%d exceeds the enumeration budget %d" % (q, d, budget),
             required=q ** d)
 
-    def weigh(basis):
-        e = elementary_divisors([b for _, b in basis])
-        on = q ** (d - len(basis)) * prod(gcd(x, q) for x in e)
+    def weigh(e):
+        on = q ** (d - len(e)) * prod(gcd(x, q) for x in e)
         return prod(e), on, all(q % x == 0 for x in e)
 
     table = [[0] * (config.n + 1) for _ in range(config.rank + 1)]
@@ -353,10 +354,8 @@ def multivariate_tutte(arrangement, budget=DEFAULT_BUDGET):
     held = 0
     for masks, _, ranks in central_subsets(rows, arrangement.prime, budget):
         held += (n + 1) * len(masks)
-        if budget is not None and held > budget:
-            raise BudgetExceededError(
-                "the multivariate Tutte polynomial needs at least %d term "
-                "exponents, over the budget %d" % (held, budget), required=held)
+        charge(held, budget,
+               "the multivariate Tutte polynomial needs at least %d term exponents")
         exps = np.column_stack([r - ranks, (masks[:, None] >> np.arange(n)) & 1])
         terms.update(dict.fromkeys(map(tuple, exps.tolist()), 1))
     names = ("q",) + tuple("w_%d" % (e + 1) for e in range(n))
@@ -397,4 +396,4 @@ def tutte_from_multivariate(mv, multiplicities):
         for j, g in enumerate(_geometric_product(lengths)):
             key = (0, r_s - rb, j, len(lengths) - rb)
             terms[key] = terms.get(key, 0) + c * g
-    return MultiPoly(("x", "y"), _expand(terms))
+    return MultiPoly(("x", "y"), expand(terms))

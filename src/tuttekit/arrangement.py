@@ -116,8 +116,6 @@ class Arrangement:
         self.hyperplanes = tuple(hs)
         self.label = label
         self.prime = prime
-        self._central_cache = {}
-        self._nrank_cache = {}
         self._semimatroid = None
 
     # -- basic queries -----------------------------------------------------
@@ -207,20 +205,11 @@ class Arrangement:
         Loops never break centrality.  Decided by comparing the exact rank of
         the coefficient matrix with the rank of the augmented matrix.
         """
-        if subset is None:
-            subset = range(self.n)
-        subset = frozenset(subset)
+        subset = range(self.n) if subset is None else sorted(set(subset))
         self._check_indices(subset)
-        key = subset
-        got = self._central_cache.get(key)
-        if got is not None:
-            return got
-        rows = [self.hyperplanes[i].row() for i in sorted(subset)
+        rows = [self.hyperplanes[i].row() for i in subset
                 if not self.hyperplanes[i].is_loop]
-        normals = [r[:-1] for r in rows]
-        central = rank_rows(normals, self.prime) == rank_rows(rows, self.prime)
-        self._central_cache[key] = central
-        return central
+        return rank_rows([r[:-1] for r in rows], self.prime) == rank_rows(rows, self.prime)
 
     def rank_normals(self, subset=None):
         """Rank of the normal vectors of `subset` (semimatroid rank extension).
@@ -228,20 +217,10 @@ class Arrangement:
         For a central subset this equals the codimension of the intersection;
         for an arbitrary subset it equals the maximal rank of a central subset.
         """
-        if subset is None:
-            subset = frozenset(range(self.n))
-        else:
-            subset = frozenset(subset)
-            self._check_indices(subset)
-        key = subset
-        got = self._nrank_cache.get(key)
-        if got is not None:
-            return got
-        normals = [self.hyperplanes[i].normal for i in sorted(subset)
-                   if not self.hyperplanes[i].is_loop]
-        r = rank_rows(normals, self.prime)
-        self._nrank_cache[key] = r
-        return r
+        subset = range(self.n) if subset is None else sorted(set(subset))
+        self._check_indices(subset)
+        return rank_rows([self.hyperplanes[i].normal for i in subset
+                          if not self.hyperplanes[i].is_loop], self.prime)
 
     def rank_of(self, subset):
         """dim V - dim(intersection) for a central subset; loops contribute 0."""
@@ -250,7 +229,7 @@ class Arrangement:
             raise NonCentralError("non-central subset %s" % sorted(subset))
         return self.rank_normals(subset)
 
-    @property
+    @cached_property
     def rank(self):
         """Rank of the whole arrangement (the height of its intersection poset)."""
         return self.rank_normals()

@@ -31,12 +31,13 @@ from .arithmetic import (
 )
 from .arrangement import Arrangement
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     ConsistencyError,
     InputFormatError,
     TuttekitError,
 )
-from .finite_field import DEFAULT_BUDGET, coboundary_ffm, point_profile, select_primes
+from .finite_field import coboundary_ffm, point_profile, select_primes
 from .poset import intersection_poset
 from .tutte import (
     TutteResult,

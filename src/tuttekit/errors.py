@@ -1,4 +1,16 @@
-"""Exception hierarchy shared by all tuttekit modules."""
+"""Exception hierarchy shared by all tuttekit modules, and the budget contract.
+
+Every exponential loop runs under a work budget, `DEFAULT_BUDGET` units
+unless the caller names one (None: no bound).  A loop that keeps a running
+total of its units passes it to `charge` before the work it counts, and
+`charge` raises BudgetExceededError, with that total as `required`, once it
+exceeds the budget.  A loop whose whole cost is a power known before it
+starts tests that power with `linalg.power_fits` instead, in its own words,
+since it never forms the power.
+"""
+
+# The work budget when the caller names none.
+DEFAULT_BUDGET = 10 ** 8
 
 
 class TuttekitError(Exception):
@@ -42,13 +54,23 @@ class BadPrimeError(TuttekitError):
 
 
 class BudgetExceededError(TuttekitError):
-    """Point enumeration would exceed the configured budget."""
+    """A computation would exceed the configured work budget."""
 
     code = "budget-exceeded"
 
     def __init__(self, message, required=None):
         super().__init__(message)
         self.required = required
+
+
+def charge(required, budget, what):
+    """Raise BudgetExceededError when a running total of `required` units
+    exceeds the budget (None: no bound).  `what` says who needs them, with
+    one %d for the total: "deletion-contraction needs at least %d recursion
+    nodes"."""
+    if budget is not None and required > budget:
+        raise BudgetExceededError((what + ", over the budget %d") % (required, budget),
+                                  required=required)
 
 
 class InconsistentSamplesError(TuttekitError):

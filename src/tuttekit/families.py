@@ -6,6 +6,13 @@ generating-function oracles that produce the same polynomials without ever
 constructing the arrangement.  The test suite plays the two halves against
 each other.
 
+The source paper's catalog has one shape of row, x_i + s x_j = c, so the
+coordinate, braid, threshold, BC_n, D_n, Shi and Catalan arrangements come
+from one generator (`_signed_pairs`): the rows over the pairs i < j in
+order, each pair taking its family's listed (s, c) in turn, then x_i = 0
+where the family has them.  `build_family` looks a tag up in one table of
+builders and their arguments, and checks the size parameters first.
+
 Generating-function conventions: the series identities produce, at index n,
 the full point-count polynomial X^(d-r) * cobchi(A; X, Y); for type A and the
 complete bipartite graphs d - r = 1 (a connected graphical arrangement), so
@@ -20,8 +27,7 @@ from itertools import combinations, product
 from math import comb, factorial
 
 from .arrangement import Arrangement
-from .errors import FamilyError
-from .finite_field import DEFAULT_BUDGET
+from .errors import DEFAULT_BUDGET, FamilyError, charge
 from .linalg import is_prime
 from .multipoly import MultiPoly
 from .series import (
@@ -32,13 +38,6 @@ from .series import (
     series_pow,
     truncate,
 )
-from .tutte import _check_budget
-
-
-def _unit(dim, i, sign=1):
-    v = [0] * dim
-    v[i] = sign
-    return v
 
 
 def _pair_normal(dim, i, j, sj):
@@ -48,17 +47,25 @@ def _pair_normal(dim, i, j, sj):
     return v
 
 
+def _signed_pairs(n, signs, label, units=False):
+    """The arrangement in Q^n of the rows x_i + s x_j = c over the pairs
+    i < j in order, each pair taking the listed (s, c) in turn, then the
+    rows x_i = 0 when units is set: the one shape of every catalog row."""
+    hs = [(_pair_normal(n, i, j, s), c)
+          for i, j in combinations(range(n), 2) for s, c in signs]
+    if units:
+        hs += [([int(k == i) for k in range(n)], 0) for i in range(n)]
+    return Arrangement(n, hs, label=label)
+
+
 def coordinate(n):
     """The n coordinate hyperplanes x_i = 0 in Q^n."""
-    return Arrangement(n, [(_unit(n, i), 0) for i in range(n)],
-                       label="H_%d" % n)
+    return _signed_pairs(n, (), "H_%d" % n, units=True)
 
 
 def braid(n):
     """The braid arrangement A_{n-1}: x_i = x_j for i < j, in Q^n."""
-    hs = [(_pair_normal(n, i, j, -1), 0)
-          for i, j in combinations(range(n), 2)]
-    return Arrangement(n, hs, label="braid(%d)" % n)
+    return _signed_pairs(n, [(-1, 0)], "braid(%d)" % n)
 
 
 def graphical(n_vertices, edges):
@@ -80,47 +87,27 @@ def complete_bipartite(m, n):
 
 def bc(n):
     """The Coxeter arrangement BC_n: x_i = x_j, x_i = -x_j, x_i = 0."""
-    hs = []
-    for i, j in combinations(range(n), 2):
-        hs.append((_pair_normal(n, i, j, -1), 0))
-        hs.append((_pair_normal(n, i, j, 1), 0))
-    for i in range(n):
-        hs.append((_unit(n, i), 0))
-    return Arrangement(n, hs, label="BC_%d" % n)
+    return _signed_pairs(n, [(-1, 0), (1, 0)], "BC_%d" % n, units=True)
 
 
 def dn(n):
     """The Coxeter arrangement D_n: x_i = x_j and x_i = -x_j."""
-    hs = []
-    for i, j in combinations(range(n), 2):
-        hs.append((_pair_normal(n, i, j, -1), 0))
-        hs.append((_pair_normal(n, i, j, 1), 0))
-    return Arrangement(n, hs, label="D_%d" % n)
+    return _signed_pairs(n, [(-1, 0), (1, 0)], "D_%d" % n)
 
 
 def threshold(n):
     """The threshold arrangement: x_i + x_j = 0 for i < j."""
-    hs = [(_pair_normal(n, i, j, 1), 0)
-          for i, j in combinations(range(n), 2)]
-    return Arrangement(n, hs, label="T_%d" % n)
+    return _signed_pairs(n, [(1, 0)], "T_%d" % n)
 
 
 def catalan(n):
     """Cat_{n-1}: x_i - x_j in {-1, 0, 1} for i < j, in Q^n."""
-    hs = []
-    for i, j in combinations(range(n), 2):
-        for c in (-1, 0, 1):
-            hs.append((_pair_normal(n, i, j, -1), c))
-    return Arrangement(n, hs, label="Cat_%d" % (n - 1))
+    return _signed_pairs(n, [(-1, -1), (-1, 0), (-1, 1)], "Cat_%d" % (n - 1))
 
 
 def shi(n):
     """Shi_{n-1}: x_i - x_j in {0, 1} for i < j, in Q^n."""
-    hs = []
-    for i, j in combinations(range(n), 2):
-        for c in (0, 1):
-            hs.append((_pair_normal(n, i, j, -1), c))
-    return Arrangement(n, hs, label="Shi_%d" % (n - 1))
+    return _signed_pairs(n, [(-1, 0), (-1, 1)], "Shi_%d" % (n - 1))
 
 
 def all_linear(p, n, budget=DEFAULT_BUDGET):
@@ -132,7 +119,8 @@ def all_linear(p, n, budget=DEFAULT_BUDGET):
     """
     if not is_prime(p):
         raise FamilyError("all_linear requires a prime p, got %d" % p)
-    _check_budget((p ** n - 1) // (p - 1), budget, "all_linear(%d, %d)" % (p, n), "normals")
+    charge((p ** n - 1) // (p - 1), budget,
+           "all_linear(%d, %d) needs at least %%d normals" % (p, n))
     normals = [(0,) * (n - 1 - k) + (1,) + tail for k in range(n)
                for tail in product(range(p), repeat=k)]
     return Arrangement(n, [(v, 0) for v in normals], prime=p,
@@ -147,7 +135,7 @@ def generic(n, d, budget=DEFAULT_BUDGET):
     distinct t, so nonzero, and every d normals are independent.  The n
     rows made are charged to the budget first.
     """
-    _check_budget(n, budget, "generic(%d, %d)" % (n, d), "rows")
+    charge(n, budget, "generic(%d, %d) needs at least %%d rows" % (n, d))
     hs = [([t ** k for k in range(d)], 0) for t in range(1, n + 1)]
     return Arrangement(d, hs, label="generic(%d,%d)" % (n, d))
 
@@ -166,18 +154,22 @@ def thicken(arrangement, k, budget=DEFAULT_BUDGET):
         mults = list(k)
         if len(mults) != arrangement.n or any(a < 0 for a in mults):
             raise FamilyError("multiplicity vector must be nonnegative, length n")
-    _check_budget(sum(mults), budget, "thickening", "copies")
+    charge(sum(mults), budget, "thickening needs at least %d copies")
     hs = []
     for h, a in zip(arrangement.hyperplanes, mults):
         hs.extend([h] * a)
     return Arrangement(arrangement.dim, hs, prime=arrangement.prime)
 
 
-# the size parameters of each tag; every one must be an integer >= 1
-_FAMILY_PARAMS = {"coordinate": ("n",), "braid": ("n",), "graphical": ("n",),
-                  "bc": ("n",), "dn": ("n",), "generic": ("n", "d"),
-                  "catalan": ("n",), "shi": ("n",), "threshold": ("n",),
-                  "all_linear": ("p", "n"), "bipartite": ("m", "n")}
+# tag -> (its builder, the names of the builder's arguments in order); the
+# size parameters among them (n, p, d, m) must be integers >= 1
+_FAMILIES = {"coordinate": (coordinate, ("n",)), "braid": (braid, ("n",)),
+             "graphical": (graphical, ("n", "edges")), "bc": (bc, ("n",)),
+             "dn": (dn, ("n",)), "generic": (generic, ("n", "d", "budget")),
+             "catalan": (catalan, ("n",)), "shi": (shi, ("n",)),
+             "threshold": (threshold, ("n",)),
+             "all_linear": (all_linear, ("p", "n", "budget")),
+             "bipartite": (complete_bipartite, ("m", "n"))}
 
 
 def build_family(tag, n=None, p=None, d=None, edges=None, m=None, budget=DEFAULT_BUDGET):
@@ -186,35 +178,17 @@ def build_family(tag, n=None, p=None, d=None, edges=None, m=None, budget=DEFAULT
     Raises FamilyError for an unknown tag or a missing or nonpositive size.
     The budget goes to the builders that charge it (`generic`, `all_linear`).
     """
-    if tag not in _FAMILY_PARAMS:
+    if tag not in _FAMILIES:
         raise FamilyError("unknown family tag %r" % tag)
-    given = {"n": n, "p": p, "d": d, "m": m}
-    for name in _FAMILY_PARAMS[tag]:
+    builder, names = _FAMILIES[tag]
+    given = {"n": n, "p": p, "d": d, "m": m, "edges": edges, "budget": budget}
+    for name in names:
         value = given[name]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if name in ("n", "p", "d", "m") and (
+                not isinstance(value, int) or isinstance(value, bool) or value < 1):
             raise FamilyError("family %r needs an integer --%s >= 1, got %r"
                               % (tag, name, value))
-    if tag == "coordinate":
-        return coordinate(n)
-    if tag == "braid":
-        return braid(n)
-    if tag == "graphical":
-        return graphical(n, edges)
-    if tag == "bc":
-        return bc(n)
-    if tag == "dn":
-        return dn(n)
-    if tag == "generic":
-        return generic(n, d, budget)
-    if tag == "catalan":
-        return catalan(n)
-    if tag == "shi":
-        return shi(n)
-    if tag == "threshold":
-        return threshold(n)
-    if tag == "all_linear":
-        return all_linear(p, n, budget)
-    return complete_bipartite(m, n)  # the last tag left: "bipartite"
+    return builder(*[given[name] for name in names])
 
 
 # -- closed-form characteristic polynomials --------------------------------

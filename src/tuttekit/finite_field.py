@@ -62,6 +62,7 @@ import numpy as np
 
 from .arrangement import Arrangement
 from .errors import (
+    DEFAULT_BUDGET,
     BadPrimeError,
     BudgetExceededError,
     ConsistencyError,
@@ -70,8 +71,6 @@ from .errors import (
 )
 from .interpolation import interpolate_in_X
 from .linalg import is_prime, pivot_columns, power_fits
-
-DEFAULT_BUDGET = 10 ** 8
 
 
 class PointProfile:

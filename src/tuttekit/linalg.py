@@ -32,14 +32,15 @@ remainders, so it reduces them by `primitive_rows`.
 The lattice kernel (`extend_lattice`) keeps the Hermite basis of the
 integer span of integer rows, extended one row at a time by unimodular
 extended-gcd steps; `subset_walk` carries it along every subset of a vector
-configuration, and `lattice_index` and `elementary_divisors` read the
-arithmetic of the lattice off it.  `minor_gcd`, `det_int` and
-`elementary_divisors` on a whole matrix are the reference route.
+configuration, and `elementary_divisors` (the Smith form) reads the
+arithmetic of the lattice off it: their product is its index in the
+integer points of its span.
 
 The determinant kernel (`det_stack`) runs Bareiss elimination on a stack of
 square integer matrices at once; `maximal_minors` feeds it every maximal
 minor of a matrix a block at a time (the basis multiplicities that certify
-small primes).
+small primes), and `minor_gcd` every r x r minor at once (the reference
+route for a multiplicity, checked against the Smith form).
 """
 
 from fractions import Fraction
@@ -49,7 +50,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, charge
 
 
 # Rows are int64 while the prime and every entry lie below this bound, so
@@ -394,17 +395,14 @@ def echelon_walk(rows, prime=None, budget=None, rank=None, spans=False):
     d = len(rows[0]) - 1 if rows else 0
     width = d + 1 + (rank or 0)
     bits = np.array([1 << j for j in range(m)], np.int64 if m < 63 else object)
+    what = ("the central-subset walk needs at least %d candidate subsets" if rank is None
+            else "the basis-activity expansion needs at least %d row steps")
     work = 0
 
-    def charge(units):
+    def spend(units):
         nonlocal work
         work += units
-        if budget is not None and work > budget:
-            what = ("the central-subset walk needs at least %d candidate subsets"
-                    if rank is None else
-                    "the basis-activity expansion needs at least %d row steps")
-            raise BudgetExceededError((what + ", over the budget %d") % (work, budget),
-                                      required=work)
+        charge(work, budget, what)
 
     def wide(rems):
         return rems if rems.dtype == object else rems.astype(np.int64)
@@ -438,7 +436,7 @@ def echelon_walk(rows, prime=None, budget=None, rank=None, spans=False):
 
         for lo, hi in blocks((height + 1) * keep * (8 * width), _WALK_BYTES):
             pick = lo + np.flatnonzero(keep[lo:hi])
-            charge(hi - lo)
+            spend(hi - lo)
             if len(pick):
                 yield child(pick)
 
@@ -462,7 +460,7 @@ def echelon_walk(rows, prime=None, budget=None, rank=None, spans=False):
         for lo, hi in blocks(keep * ((m + 1) * 8 * width), _WALK_BYTES):
             pick = lo + np.flatnonzero(keep[lo:hi])
             if len(pick):
-                charge(m * len(pick))
+                spend(m * len(pick))
                 yield child(pick)
 
     if rank is None and not spans and budget is not None and not power_fits(2, m, budget) \
@@ -479,7 +477,7 @@ def echelon_walk(rows, prime=None, budget=None, rank=None, spans=False):
         grow = independent
         rems = np.hstack([rems, np.zeros((m, rank), rems.dtype)])
         root += narrow_rows(rems)[None], np.full(1, -1)
-    charge(1 if rank is None else m)
+    spend(1 if rank is None else m)
     stack = [iter([root])]
     while stack:
         block = next(stack[-1], None)
@@ -563,40 +561,6 @@ def extend_lattice(basis, row):
     return tuple(out)
 
 
-def lattice_index(basis):
-    """The index of a lattice in the integer points of its span, from its
-    Hermite basis: the gcd of the maximal minors, which at full rank is
-    the product of the pivots."""
-    if basis and len(basis) < len(basis[0][1]):
-        return minor_gcd([b for _, b in basis], len(basis))
-    return prod(b[c] for c, b in basis)
-
-
-def det_int(m):
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        if m[col][col] == 0:
-            for i in range(col + 1, n):
-                if m[i][col]:
-                    m[col], m[i] = m[i], m[col]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                m[i][j] = (m[col][col] * m[i][j] - m[i][col] * m[col][j]) // prev
-            m[i][col] = 0
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
-
-
 def hadamard_sq(rows, k):
     """The product of the k largest squared norms of integer rows, each taken
     as at least 1: its square root bounds every minor with at most k rows
@@ -663,17 +627,21 @@ def maximal_minors(rows):
 
 
 def minor_gcd(matrix, r):
-    """gcd of all r x r minors of an integer matrix (1 when r = 0)."""
+    """gcd of all r x r minors of an integer matrix (1 when r = 0), for r up
+    to its number of rows and columns.
+
+    The minors are one `det_stack` call, in int64 while the Hadamard bound
+    of the (r - 1) x (r - 1) minors lies below _KEY_BOUND, and in Python ints
+    otherwise.
+    """
     if r == 0:
         return 1
-    nrows, ncols = len(matrix), len(matrix[0])
-    g = 0
-    for rows in combinations(range(nrows), r):
-        for cols in combinations(range(ncols), r):
-            g = gcd(g, det_int([[matrix[i][j] for j in cols] for i in rows]))
-            if g == 1:
-                return 1
-    return g
+    wide = hadamard_sq(matrix, max(1, r - 1)) >= _KEY_BOUND ** 2
+    a = np.array(matrix, object if wide else np.int64)
+    rows = np.array(list(combinations(range(len(matrix)), r)))
+    cols = np.array(list(combinations(range(len(matrix[0])), r)))
+    minors = a[rows[:, None, :, None], cols[None, :, None]].reshape(-1, r, r)
+    return gcd(*det_stack(minors).tolist())
 
 
 def elementary_divisors(matrix):

@@ -81,8 +81,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConsistencyError, NonCentralError
-from .finite_field import DEFAULT_BUDGET
+from .errors import DEFAULT_BUDGET, ConsistencyError, NonCentralError, charge
 from .linalg import (
     blocks,
     eliminate_rows,
@@ -106,6 +105,10 @@ _INT32_KEYS = 1 << 31
 # product of its key columns' ranges stays below this.
 _CODE_BOUND = 1 << 62
 
+# What the lattice's running budget total counts (`errors.charge`).
+_CHARGE = ("the flat lattice needs at least %d reductions, comparable pairs "
+           "and gathered below-set pairs")
+
 
 def _dtype(n):
     """Array dtype for hyperplane masks and g coefficients.
@@ -116,14 +119,6 @@ def _dtype(n):
     Larger n uses Python ints.
     """
     return np.int64 if n < 63 else object
-
-
-def _check_budget(required, budget):
-    if required > budget:
-        raise BudgetExceededError(
-            "the flat lattice needs at least %d reductions, comparable pairs "
-            "and gathered below-set pairs, over the budget %d" % (required, budget),
-            required=required)
 
 
 def _set_bits(rows):
@@ -486,7 +481,7 @@ def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
         m = len(masks)
         ranks.append(masks)
         work += int(counts.sum())
-        _check_budget(work + held, budget)
+        charge(work + held, budget, _CHARGE)
         held = 0
         if first:
             # g_H = t^|H| - sum_{G < H} g_G for the flats H of this rank
@@ -504,7 +499,7 @@ def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
                                        % _hyperplane_lists(masks[bad[:1]], n)[0])
 
         work += int(count.sum()) - (0 if own is None else m)
-        _check_budget(work, budget)
+        charge(work, budget, _CHARGE)
         covers = _covers(ckeys, cmasks, csizes, start, count, own, pivot, p)
         if covers is None:
             break
@@ -520,7 +515,7 @@ def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
         np.not_equal(negated[order[1:]], negated[order[:-1]], out=heads[1:])
         found = order[heads]
         held = int(counts[cflat].sum()) + len(cflat)
-        _check_budget(work + held, budget)
+        charge(work + held, budget, _CHARGE)
         positions, counts = _below_pairs(positions, counts, first, cflat[order],
                                          heads.cumsum() - 1, len(found))
         cstart = cflat.searchsorted(np.arange(m + 1))

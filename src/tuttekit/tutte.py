@@ -27,7 +27,7 @@ loops).  All three charge their work to a budget.
 The exact steps after a walk or a count work on integer coefficient
 tables: the size-span table of the subset expansion, the coboundary
 transforms in both directions and the Whitney specialisation are binomial
-transforms done by one helper (`_expand`), and one MultiPoly is built from
+transforms done by one helper (`expand`), and one MultiPoly is built from
 the final table.
 
 The scalar invariants are a reading of T alone (`scalar_invariants`): chi
@@ -41,8 +41,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConsistencyError
-from .finite_field import DEFAULT_BUDGET
+from .errors import DEFAULT_BUDGET, ConsistencyError, charge
 from .linalg import contract_rows, echelon_walk, hold_row
 from .multipoly import MultiPoly
 from .poset import intersection_poset
@@ -89,7 +88,7 @@ def _signed_binomials(b):
     return [(-1) ** (b - t) * comb(b, t) for t in range(b + 1)]
 
 
-def _expand(terms):
+def expand(terms):
     """Expand sum of c x^i (x-1)^a y^j (y-1)^b, given as {(i, a, j, b): c},
     into {(i, j): c} by the binomial theorem, one variable at a time."""
     mid = {}
@@ -115,7 +114,7 @@ def expand_rank_table(table, r):
     """
     terms = {(0, r - rb, 0, size - rb): count
              for rb, row in enumerate(table) for size, count in enumerate(row)}
-    return MultiPoly(("x", "y"), _expand(terms))
+    return MultiPoly(("x", "y"), expand(terms))
 
 
 def subset_first(arrangement):
@@ -150,7 +149,7 @@ def tutte_subset(arrangement, budget=DEFAULT_BUDGET):
     loops = arrangement.n - m
     terms = {(0, r - k, loops + f, 0): c
              for k, row in enumerate(table.tolist()) for f, c in enumerate(row) if c}
-    return TutteResult(MultiPoly(("x", "y"), _expand(terms)), r, arrangement.n, "subset")
+    return TutteResult(MultiPoly(("x", "y"), expand(terms)), r, arrangement.n, "subset")
 
 
 def _dependent(rows, rank, prime):
@@ -177,12 +176,6 @@ def _xy_poly(counts):
                       for key, c in counts.items()})
 
 
-def _check_budget(work, budget, engine, unit):
-    if work > budget:
-        raise BudgetExceededError("%s needs at least %d %s, over the budget %d"
-                                  % (engine, work, unit, budget), required=work)
-
-
 def tutte_delcon(arrangement, budget=DEFAULT_BUDGET):
     """Deletion-contraction recursion; identical result to the subset expansion.
 
@@ -203,7 +196,7 @@ def tutte_delcon(arrangement, budget=DEFAULT_BUDGET):
     while stack:
         rows, loops, rank, deps = stack.pop()
         nodes += 1
-        _check_budget(nodes, budget, "deletion-contraction", "recursion nodes")
+        charge(nodes, budget, "deletion-contraction needs at least %d recursion nodes")
         if deps is None:
             kept = [row for row in rows if any(row)]
             loops += len(rows) - len(kept)
@@ -306,7 +299,7 @@ def whitney_char(arrangement, tutte):
     r = arrangement.rank
     terms = {(arrangement.dim - r, i, 0, 0): (-1) ** (r + i) * c
              for (i, j), c in tutte.table(("x", "y")).items() if not j}
-    return MultiPoly(("q",), {(k,): c for (k, _), c in _expand(terms).items()})
+    return MultiPoly(("q",), {(k,): c for (k, _), c in expand(terms).items()})
 
 
 def coboundary_transform(tutte, r):
@@ -324,7 +317,7 @@ def coboundary_transform(tutte, r):
             key = (a, 0, j, r - a)
             terms[key] = terms.get(key, 0) + comb(i, a) * c
     return MultiPoly(("Y", "X"),
-                     {(j, a): c for (a, j), c in _expand(terms).items()})
+                     {(j, a): c for (a, j), c in expand(terms).items()})
 
 
 def tutte_from_coboundary(cob, r):
@@ -341,7 +334,7 @@ def tutte_from_coboundary(cob, r):
             terms[key] = terms.get(key, 0) + comb(k, l) * c
     if any(c for key, c in terms.items() if key[3] < 0):
         raise ValueError("inconsistent coboundary/rank pair: division not exact")
-    return MultiPoly(("x", "y"), _expand(terms))
+    return MultiPoly(("x", "y"), expand(terms))
 
 
 def scalar_invariants(arrangement, tutte):

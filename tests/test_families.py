@@ -1,5 +1,8 @@
+import importlib.util
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +234,93 @@ def test_build_family_dispatch():
     assert fam.build_family("bipartite", m=2, n=2).n == 4
     with pytest.raises(FamilyError):
         fam.build_family("unknown")
+
+
+# -- the catalog's rows, against rows built apart from `families` -----------
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def family_rows():
+    """`family_rows` of bench/workloads.py, which builds the catalog's rows
+    from first principles; loaded by path, with bench/ on sys.path for its
+    own imports, writing no bytecode there."""
+    path, dont_write = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(BENCH))
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                      BENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:], sys.dont_write_bytecode = path, dont_write
+    return module.family_rows
+
+
+def _rows(arr):
+    return [(list(h.normal), h.offset) for h in arr.hyperplanes]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("tag, label", [
+    ("braid", "braid(%d)"), ("threshold", "T_%d"), ("bc", "BC_%d"), ("dn", "D_%d")])
+def test_central_catalog_rows_and_labels(family_rows, tag, label, n):
+    arr = getattr(fam, tag)(n)
+    assert _rows(arr) == family_rows(tag, n)
+    assert (arr.dim, arr.label) == (n, label % n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("tag, label", [("shi", "Shi_%d"), ("catalan", "Cat_%d")])
+def test_affine_catalog_rows_and_labels(family_rows, tag, label, n):
+    arr = getattr(fam, tag)(n)
+    assert _rows(arr) == family_rows(tag, n)
+    assert (arr.dim, arr.label) == (n, label % (n - 1))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_coordinate_rows_and_label(n):
+    arr = fam.coordinate(n)
+    assert _rows(arr) == [([int(j == i) for j in range(n)], 0) for i in range(n)]
+    assert (arr.dim, arr.label) == (n, "H_%d" % n)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 8))
+def test_generic_rows_and_label(family_rows, n, d):
+    arr = fam.generic(n, d)
+    assert _rows(arr) == family_rows("generic", n, d)
+    assert (arr.dim, arr.label) == (d, "generic(%d,%d)" % (n, d))
+
+
+def test_build_family_sends_each_tag_to_its_builder(family_rows):
+    for tag in ("braid", "threshold", "bc", "dn", "shi", "catalan"):
+        assert _rows(fam.build_family(tag, n=4)) == family_rows(tag, 4)
+    assert _rows(fam.build_family("generic", n=5, d=3)) == family_rows("generic", 5, 3)
+    assert _rows(fam.build_family("coordinate", n=2)) == [([1, 0], 0), ([0, 1], 0)]
+    assert fam.build_family("all_linear", p=2, n=3).label == "A(2,3)"
+    arr = fam.build_family("graphical", n=3, edges=[(1, 3), (2, 3)])
+    assert _rows(arr) == [([1, 0, -1], 0), ([0, 1, -1], 0)]
+    with pytest.raises(BudgetExceededError):
+        fam.build_family("generic", n=5, d=3, budget=4)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tag": "nosuch", "n": 3}, "unknown family tag 'nosuch'"),
+    ({"tag": "braid"}, "family 'braid' needs an integer --n >= 1, got None"),
+    ({"tag": "braid", "n": 0}, "family 'braid' needs an integer --n >= 1, got 0"),
+    ({"tag": "braid", "n": True}, "family 'braid' needs an integer --n >= 1, got True"),
+    ({"tag": "generic", "n": 3}, "family 'generic' needs an integer --d >= 1, got None"),
+    ({"tag": "all_linear", "n": 3}, "family 'all_linear' needs an integer --p >= 1, got None"),
+    ({"tag": "bipartite", "n": 2, "m": -1},
+     "family 'bipartite' needs an integer --m >= 1, got -1"),
+])
+def test_build_family_errors(kwargs, message):
+    with pytest.raises(FamilyError) as err:
+        fam.build_family(**kwargs)
+    assert str(err.value) == message
 
 
 def test_catalan_number():

@@ -36,7 +36,7 @@ from tuttekit.finite_field import (
     reduce_mod_p,
     select_primes,
 )
-from tuttekit.linalg import det_int, is_prime
+from tuttekit.linalg import det_stack, is_prime
 from tuttekit.multipoly import MultiPoly
 from tuttekit.poset import intersection_poset
 from tuttekit.tutte import char_poly, coboundary_transform, tutte_subset
@@ -468,7 +468,8 @@ def _square_minors(rows):
     for k in range(1, min(len(rows), len(rows[0])) + 1):
         for rs in itertools.combinations(rows, k):
             for cols in itertools.combinations(range(len(rows[0])), k):
-                yield det_int([[row[j] for j in cols] for row in rs])
+                yield det_stack(np.array([[[row[j] for j in cols] for row in rs]],
+                                         object))[0]
 
 
 def _hadamard(arr):

@@ -28,6 +28,7 @@ from tuttekit.linalg import (
     hadamard_sq,
     is_prime,
     maximal_minors,
+    minor_gcd,
     normalise_row,
     normalise_rows,
     pivot_columns,
@@ -330,6 +331,33 @@ def test_det_stack_matches_rational_elimination(dtype):
         assert got.dtype == np.dtype(dtype)
         assert got.tolist() == [_fraction_det(m) for m in mats]
     assert sum(d == 0 for d in got.tolist()) > 5
+
+
+@pytest.mark.parametrize("scale", [1, 2 ** 31, 2 ** 40 + 1])
+def test_minor_gcd_matches_the_gcd_of_rational_minors(scale, monkeypatch):
+    # entries of 2^31 and above take the Python-int stack
+    dtypes = []
+    stack = linalg_module.det_stack
+
+    def spy(mats):
+        dtypes.append(mats.dtype)
+        return stack(mats)
+
+    monkeypatch.setattr(linalg_module, "det_stack", spy)
+    rng = random.Random(29 + scale)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        factor = rng.choice((1, 2, 6))
+        m = [[factor * rng.choice((0, 1, -1, rng.randint(-5, 5), scale, -scale - 3))
+              for _ in range(ncols)] for _ in range(nrows)]
+        for r in range(min(nrows, ncols) + 1):
+            want = 0
+            for rows in combinations(range(nrows), r):
+                for cols in combinations(range(ncols), r):
+                    want = gcd(want, _fraction_det([[m[i][j] for j in cols]
+                                                    for i in rows]))
+            assert minor_gcd(m, r) == (want if r else 1), (m, r)
+    assert (np.dtype(object) in dtypes) == (scale > 1)
 
 
 def test_maximal_minors_come_in_subset_order_and_blocks(monkeypatch):

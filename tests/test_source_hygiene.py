@@ -1,7 +1,8 @@
-"""Every name a `tuttekit` module imports is used in that module.
+"""Every name a `tuttekit` module imports is used in that module, and no
+module imports another module's private (`_`-prefixed) name.
 
 Read with `ast` from the source files alone; `__init__.py`, which imports
-names to export them, is exempt.
+names to export them, is exempt from the first check.
 """
 
 import ast
@@ -11,6 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tuttekit"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+EVERY_MODULE = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source):
@@ -37,3 +39,23 @@ def test_an_unused_import_is_found():
               "def f(basis, row):\n"
               "    return hold_row(basis, row), np.zeros(1)\n")
     assert unused_imports(source) == ["extend_basis"]
+
+
+def private_imports(source):
+    """The `_`-prefixed names that a module's source imports from another
+    module, in the order imported."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", EVERY_MODULE, ids=lambda path: path.name)
+def test_no_private_name_is_imported(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_a_private_import_is_found():
+    source = ("from .tutte import _expand, expand_rank_table\n"
+              "from . import families\n"
+              "import numpy as np\n")
+    assert private_imports(source) == ["_expand"]
