@@ -229,13 +229,6 @@ def test_thicken_coboundary_identity(bench):
         assert thick == base.substitute({"Y": Y ** k})
 
 
-def test_build_family_dispatch():
-    assert fam.build_family("braid", n=3).n == 3
-    assert fam.build_family("bipartite", m=2, n=2).n == 4
-    with pytest.raises(FamilyError):
-        fam.build_family("unknown")
-
-
 # -- the catalog's rows, against rows built apart from `families` -----------
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -295,7 +288,11 @@ def test_generic_rows_and_label(family_rows, n, d):
     assert (arr.dim, arr.label) == (d, "generic(%d,%d)" % (n, d))
 
 
-def test_build_family_sends_each_tag_to_its_builder(family_rows):
+def test_build_family_dispatch(family_rows):
+    assert fam.build_family("braid", n=3).n == 3
+    assert fam.build_family("bipartite", m=2, n=2).n == 4
+    with pytest.raises(FamilyError):
+        fam.build_family("unknown")
     for tag in ("braid", "threshold", "bc", "dn", "shi", "catalan"):
         assert _rows(fam.build_family(tag, n=4)) == family_rows(tag, 4)
     assert _rows(fam.build_family("generic", n=5, d=3)) == family_rows("generic", 5, 3)
