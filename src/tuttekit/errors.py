@@ -86,7 +86,7 @@ class ConsistencyError(TuttekitError):
 
 
 class FamilyError(TuttekitError):
-    """Invalid family specification or a family without the requested oracle."""
+    """Invalid family specification."""
 
     code = "family-error"
 

@@ -110,9 +110,9 @@ def _count_charge(p, r, central):
 
 
 def _charge_fits(p, r, central, budget):
-    """_count_charge(p, r, central) <= budget, with no power formed past the
-    budget."""
-    return power_fits(p, r, budget * (p - 1) + 1 if central else budget)
+    """_count_charge(p, r, central) <= budget (None: no bound), with no power
+    formed past the budget."""
+    return budget is None or power_fits(p, r, budget * (p - 1) + 1 if central else budget)
 
 
 def _primes_from(start):
@@ -170,7 +170,7 @@ def _keeps_bases(arrangement, p, budget=DEFAULT_BUDGET):
     are taken.
     """
     minors = comb(len(arrangement.rows) + 1, arrangement.rank + 1)
-    if minors > budget:
+    if budget is not None and minors > budget:
         raise BudgetExceededError(
             "the %d maximal minors of the basis multiplicities exceed the "
             "enumeration budget %d" % (minors, budget), required=minors)
@@ -389,7 +389,7 @@ def select_primes(arrangement, count, budget=DEFAULT_BUDGET):
     if small:
         # p^d at the first prime above the floor; no prime is sought when
         # floor + 1 already does not fit
-        d, cap = arrangement.dim, min(budget, _BLOCK)
+        d, cap = arrangement.dim, _BLOCK if budget is None else min(budget, _BLOCK)
         above = _charge_fits(p, d, False, cap) and \
             _charge_fits(next(_primes_from(p)), d, False, cap)
     else:
@@ -445,14 +445,15 @@ def coboundary_ffm(arrangement, primes=None, budget=DEFAULT_BUDGET):
     The coefficients of X^r and X^(r-1) are known from the loops and the
     classes of equal rows (`_known_top`), and a central arrangement has
     cobchi(1, Y) = Y^n, since every subset is central.  Profiles at primes,
-    divided by p^(d-r), give the rest: it is interpolated coefficient-wise in
-    X at degree bound r - 2 (for r <= 1 it must be 0), which takes r - 1
-    samples.  The default primes (`select_primes`) are one more than that
-    needs, r - 1 on a central arrangement and r otherwise, and at least one;
-    explicit primes must be at least what it needs, and at least one, and
-    each is certified by `reduce_mod_p`.  Every extra sample
-    must be consistent and the final coefficients must be integers,
-    otherwise the degree bound or a reduction was wrong.
+    counted in the quotient (so divided by p^(d-r), their lift), give the
+    rest: it is interpolated coefficient-wise in X at degree bound r - 2
+    (for r <= 1 it must be 0), which takes r - 1 samples.  The default
+    primes (`select_primes`) are one more than that needs, r - 1 on a
+    central arrangement and r otherwise, and at least one; explicit primes
+    must be at least what it needs, and at least one, and each is certified
+    by `reduce_mod_p`.  Every extra sample must be consistent and the final
+    coefficients must be integers, otherwise the degree bound or a
+    reduction was wrong.
     """
     if arrangement.prime is not None:
         raise MethodError("finite field method applies to Q-arrangements")
@@ -471,14 +472,15 @@ def coboundary_ffm(arrangement, primes=None, budget=DEFAULT_BUDGET):
         mods = [reduce_mod_p(arrangement, p, budget) for p in primes]
     for mod in mods:
         profile = point_profile(mod, budget=budget)
-        check_profile(profile, mod)
-        # p^(d-r) cobchi(p, Y): the quotient counts when the lift is d - r
-        fibre = mod.prime ** (d - r - profile.lift)
-        if any(c % fibre for c in profile.quotient):
+        # the counts are p^(d-r) cobchi(p, Y), so the quotient's are
+        # cobchi(p, Y), when the rank over F_p is r: a lift past d - r is a
+        # rank drop mod p, which a certified reduction never has
+        if profile.lift != d - r:
             raise InconsistentSamplesError(
-                "profile at p=%d is not divisible by p^(d-r): "
-                "degree bound or reduction failure" % mod.prime)
-        samples.append((mod.prime, [c // fibre for c in profile.quotient]))
+                "profile at p=%d has lift %d, not d - r = %d: "
+                "reduction failure" % (mod.prime, profile.lift, d - r))
+        check_profile(profile, mod)
+        samples.append((mod.prime, profile.quotient))
     result = interpolate_in_X(samples, bound, top=top)
     if not result.has_integer_coeffs():
         raise InconsistentSamplesError(

@@ -96,8 +96,11 @@ def is_prime(m):
 
 
 def power_fits(base, exp, budget):
-    """base^exp <= budget for an integer base >= 1, without forming a power
-    beyond the budget, so a huge exponent costs no more than a small one."""
+    """base^exp <= budget (None: no bound) for an integer base >= 1, without
+    forming a power beyond the budget, so a huge exponent costs no more than
+    a small one."""
+    if budget is None:
+        return True
     if base == 1:
         return budget >= 1
     acc = 1
@@ -463,7 +466,7 @@ def echelon_walk(rows, prime=None, budget=None, rank=None, spans=False):
                 spend(m * len(pick))
                 yield child(pick)
 
-    if rank is None and not spans and budget is not None and not power_fits(2, m, budget) \
+    if rank is None and not spans and not power_fits(2, m, budget) \
             and rank_rows([row[:-1] for row in rows], prime) == rank_rows(rows, prime):
         raise BudgetExceededError(
             "the central-subset walk needs 2^%d candidate subsets, over the "

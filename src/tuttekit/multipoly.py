@@ -1,11 +1,12 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 MultiPoly is the universal value type of the package: Tutte polynomials,
-characteristic polynomials, coboundary polynomials, point-count identities
-and generating-function coefficients are all instances.  Coefficients are
-plain ints; a coefficient is a ``fractions.Fraction`` only where it is not
-integral (the generating-function oracles).  No floating point is used
-anywhere.
+characteristic polynomials, coboundary polynomials and point-count
+identities are all instances.  Coefficients are plain ints; a coefficient
+is a ``fractions.Fraction`` only where it is not integral, which no engine's
+answer is.  No floating point is used anywhere.  The ring operations serve
+the engines' identities and also the tests' generating-function oracles,
+whose coefficients are rational.
 
 Terms are kept in a dict mapping exponent tuples to nonzero coefficients.
 Printing uses graded lexicographic order (total degree first, then the

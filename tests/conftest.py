@@ -1,5 +1,9 @@
+import functools
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -78,3 +82,36 @@ def counts_in_Y(value):
     [c_0, c_1, ...] of its coefficients, as `interpolate_in_X` takes it."""
     table = value.table(("Y",))
     return [table.get((k,), 0) for k in range(value.degree("Y") + 1)]
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@functools.cache
+def bench_module(name):
+    """bench/<name>.py, loaded by path with bench/ on sys.path for its own
+    imports, writing no bytecode there."""
+    path, dont_write = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(BENCH))
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("bench_" + name,
+                                                      BENCH / (name + ".py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:], sys.dont_write_bytecode = path, dont_write
+    return module
+
+
+def from_sympy(poly):
+    """A sympy.Poly with rational coefficients as a MultiPoly in the names
+    of its generators."""
+    return MultiPoly([str(g) for g in poly.gens],
+                     {exps: Fraction(int(c.p), int(c.q)) for exps, c in poly.terms()})
+
+
+def bench_oracle(name, *args):
+    """The sympy.Poly that bench/oracles.py's function `name` gives at args,
+    as a MultiPoly: the references computed apart from tuttekit."""
+    return from_sympy(getattr(bench_module("oracles"), name)(*args))

@@ -7,7 +7,8 @@ import random
 import time
 from itertools import combinations, product
 
-from conftest import classify, profile_polynomial, random_arrangement
+from conftest import bench_oracle, classify, profile_polynomial, random_arrangement
+from gf_oracles import oracle_coboundary, truncate
 from tuttekit.arithmetic import (
     VectorConfig,
     arithmetic_char_poly,
@@ -26,7 +27,6 @@ from tuttekit.finite_field import (
 )
 from tuttekit.multipoly import MultiPoly
 from tuttekit.poset import intersection_poset
-from tuttekit.series import truncate
 from tuttekit.tutte import (
     char_poly,
     coboundary_transform,
@@ -98,14 +98,14 @@ def test_criterion_3_coxeter_catalog():
     from math import factorial
     for n in range(2, 6):
         arr = fam.braid(n)
-        ok &= intersection_poset(arr).char_poly() == fam.oracle_char("braid", n)
+        ok &= intersection_poset(arr).char_poly() == bench_oracle("chi_closed", "braid", n)
         ok &= scalar_invariants(arr, tutte_subset(arr).tutte)["regions"] == factorial(n)
     for n in range(2, 4):
         arr = fam.bc(n)
-        ok &= intersection_poset(arr).char_poly() == fam.oracle_char("bc", n)
+        ok &= intersection_poset(arr).char_poly() == bench_oracle("chi_closed", "bc", n)
         ok &= scalar_invariants(arr, tutte_subset(arr).tutte)["regions"] == 2 ** n * factorial(n)
         arr = fam.dn(n)
-        ok &= intersection_poset(arr).char_poly() == fam.oracle_char("dn", n)
+        ok &= intersection_poset(arr).char_poly() == bench_oracle("chi_closed", "dn", n)
         ok &= scalar_invariants(arr, tutte_subset(arr).tutte)["regions"] == 2 ** (n - 1) * factorial(n)
     _report("3 (Coxeter catalog: chi and region counts)", ok)
 
@@ -114,9 +114,9 @@ def test_criterion_4_catalan_shi():
     ok = True
     for n in range(2, 5):
         ok &= intersection_poset(fam.catalan(n)).char_poly() == \
-            fam.oracle_char("catalan", n)
+            bench_oracle("chi_closed", "catalan", n)
         ok &= intersection_poset(fam.shi(n)).char_poly() == \
-            fam.oracle_char("shi", n)
+            bench_oracle("chi_closed", "shi", n)
     arr = fam.catalan(3)
     inv = scalar_invariants(arr, tutte_subset(arr).tutte)
     ok &= inv["regions"] == 30 and inv["bounded_regions"] == 12
@@ -129,25 +129,25 @@ def test_criterion_4_catalan_shi():
 def test_criterion_5_generic():
     ok = True
     for n, d in ((4, 2), (5, 2), (5, 3)):
-        ok &= tutte_subset(fam.generic(n, d)).tutte == fam.generic_tutte(n, d)
+        ok &= tutte_subset(fam.generic(n, d)).tutte == bench_oracle("uniform_tutte", n, d)
     _report("5 (generic arrangements: binomial Tutte formula)", ok)
 
 
 def test_criterion_6_generating_function_oracles():
     ok = True
     for n in range(2, 5):
-        ok &= _cob(fam.braid(n)) == fam.oracle_coboundary("braid", n=n)
+        ok &= _cob(fam.braid(n)) == oracle_coboundary("braid", n=n)
     for n in range(2, 4):
-        ok &= _cob(fam.bc(n)) == fam.oracle_coboundary("bc", n=n)
-        ok &= _cob(fam.dn(n)) == fam.oracle_coboundary("dn", n=n)
+        ok &= _cob(fam.bc(n)) == oracle_coboundary("bc", n=n)
+        ok &= _cob(fam.dn(n)) == oracle_coboundary("dn", n=n)
     for n in range(2, 5):
-        ok &= _cob(fam.threshold(n)) == fam.oracle_coboundary("threshold", n=n)
+        ok &= _cob(fam.threshold(n)) == oracle_coboundary("threshold", n=n)
     for m, n in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (1, 4)):
         ok &= _cob(fam.complete_bipartite(m, n)) == \
-            fam.oracle_coboundary("bipartite", m=m, n=n)
+            oracle_coboundary("bipartite", m=m, n=n)
     for p, n in ((2, 2), (2, 3), (3, 2)):
         ok &= _cob(fam.all_linear(p, n)) == \
-            fam.oracle_coboundary("all_linear", p=p, n=n)
+            oracle_coboundary("all_linear", p=p, n=n)
     _report("6 (generating-function oracles match engines)", ok)
 
 

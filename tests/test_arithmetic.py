@@ -432,7 +432,7 @@ def test_multivariate_generating_identity():
     # summing T(A(a)) (x-1)^(r - r(supp a)) w^a over all a (truncated at
     # total degree 3) equals the subset-expansion side built from geometric
     # series in each w_e
-    from tuttekit.series import truncate
+    from gf_oracles import truncate
     order = 3
     arr = braid(3)
     r = arr.rank

@@ -4,7 +4,10 @@ import pytest
 
 import tuttekit
 from tuttekit import cli, errors, families, finite_field
+from tuttekit.arithmetic import VectorConfig, arithmetic_tutte, toric_point_profile
+from tuttekit.arrangement import Arrangement
 from tuttekit.errors import DEFAULT_BUDGET, BudgetExceededError, charge
+from tuttekit.finite_field import coboundary_ffm, point_profile, reduce_mod_p, select_primes
 from tuttekit.poset import intersection_poset
 from tuttekit.tutte import tutte_delcon, tutte_subset
 
@@ -47,3 +50,22 @@ def test_engines_with_a_running_total_take_no_bound():
         intersection_poset(arr).char_poly()
     assert families.generic(5, 3, None).n == 5
     assert families.thicken(arr, 2, None).n == 12
+
+
+# (1, 2) makes the rows neither graphic nor signed-graphic, so their prime
+# floor is a Hadamard bound, 3, and a prime there is certified by taking the
+# basis multiplicities
+NON_GRAPHIC = Arrangement(2, [([1, 0], 0), ([0, 1], 0), ([1, 2], 0)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda budget: arithmetic_tutte(VectorConfig(1, [[1]]), budget),
+    lambda budget: toric_point_profile(VectorConfig(1, [[1]]), 2, budget),
+    lambda budget: [m.prime for m in select_primes(families.braid(3), 1, budget)],
+    lambda budget: coboundary_ffm(families.braid(4), budget=budget),
+    lambda budget: point_profile(reduce_mod_p(families.braid(3), 5), budget).counts,
+    lambda budget: reduce_mod_p(NON_GRAPHIC, NON_GRAPHIC.prime_floor, budget).rows,
+], ids=["arithmetic_tutte", "toric_point_profile", "select_primes", "coboundary_ffm",
+        "point_profile", "reduce_mod_p_at_the_floor"])
+def test_power_and_minor_checks_take_no_bound(call):
+    assert call(None) == call(DEFAULT_BUDGET)

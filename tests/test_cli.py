@@ -13,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import bench_oracle
+from gf_oracles import oracle_coboundary
 from tuttekit import cli, families, finite_field, linalg
 from tuttekit import poset as poset_module
 from tuttekit.arithmetic import VectorConfig, arithmetic_tutte
@@ -20,7 +22,7 @@ from tuttekit.arrangement import Arrangement
 from tuttekit.cli import main
 from tuttekit.finite_field import DEFAULT_BUDGET
 from tuttekit.errors import BadPrimeError, BudgetExceededError
-from tuttekit.families import braid, catalan, dn, oracle_char, oracle_coboundary, shi
+from tuttekit.families import braid, catalan, dn, shi
 from tuttekit.poset import intersection_poset
 from tuttekit.tutte import tutte_from_coboundary, tutte_subset
 
@@ -787,7 +789,7 @@ def test_invariants_build_no_lattice_for_another_engine(capsys, monkeypatch, met
                                 "--method", method])
     assert code == 0
     assert "regions = 120\n" in out and "complement_size = %s\n" % (
-        oracle_char("braid", 5)) in out
+        bench_oracle("chi_closed", "braid", 5)) in out
 
 
 def test_invariants_are_charged_only_the_engine_they_run(capsys):
@@ -806,14 +808,18 @@ INVARIANT_METHODS = ["auto", "subset", "delcon", "activity", "finite-field"]
 
 
 @pytest.mark.parametrize("source, methods, regions, chi", [
-    (["family", "braid", "--n", "4"], INVARIANT_METHODS, 24, oracle_char("braid", 4)),
-    (["family", "bc", "--n", "3"], INVARIANT_METHODS, 48, oracle_char("bc", 3)),
-    (["family", "shi", "--n", "3"], INVARIANT_METHODS, 16, oracle_char("shi", 3)),
+    (["family", "braid", "--n", "4"], INVARIANT_METHODS, 24,
+     bench_oracle("chi_closed", "braid", 4)),
+    (["family", "bc", "--n", "3"], INVARIANT_METHODS, 48,
+     bench_oracle("chi_closed", "bc", 3)),
+    (["family", "shi", "--n", "3"], INVARIANT_METHODS, 16,
+     bench_oracle("chi_closed", "shi", 3)),
     # a loop (0 = 0) leaves no complement
     ("loop", INVARIANT_METHODS, 0, 0),
     # 20 hyperplanes of rank 4, a subset walk bound of sum_{k <= 5} C(20, k)
     # = 21,700: auto takes T from the flat lattice's coboundary
-    (["family", "shi", "--n", "5"], ["auto", "subset"], 1296, oracle_char("shi", 5)),
+    (["family", "shi", "--n", "5"], ["auto", "subset"], 1296,
+     bench_oracle("chi_closed", "shi", 5)),
 ], ids=["braid4", "bc3", "shi3", "loop", "shi5"])
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_invariants_are_the_same_under_every_method(capsys, tmp_path, source, methods,

@@ -1,11 +1,12 @@
-import importlib.util
-import sys
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
+import networkx
 import pytest
+import sympy
 
+from conftest import bench_module, bench_oracle, from_sympy
+from gf_oracles import oracle_coboundary
 from tuttekit import families as fam
 from tuttekit.errors import BudgetExceededError, FamilyError
 from tuttekit.multipoly import MultiPoly
@@ -27,26 +28,25 @@ def _engine_cob(arr):
 
 def test_coordinate_char():
     for n in range(1, 5):
-        assert _engine_char(fam.coordinate(n)) == fam.oracle_char("coordinate", n)
-        assert fam.oracle_char("coordinate", n) == (q - 1) ** n
+        assert _engine_char(fam.coordinate(n)) == (q - 1) ** n
 
 
 def test_braid_char():
     for n in range(2, 6):
-        assert _engine_char(fam.braid(n)) == fam.oracle_char("braid", n)
+        assert _engine_char(fam.braid(n)) == bench_oracle("chi_closed", "braid", n)
 
 
 def test_bc_dn_char():
     for n in range(2, 4):
-        assert _engine_char(fam.bc(n)) == fam.oracle_char("bc", n)
-        assert _engine_char(fam.dn(n)) == fam.oracle_char("dn", n)
+        assert _engine_char(fam.bc(n)) == bench_oracle("chi_closed", "bc", n)
+        assert _engine_char(fam.dn(n)) == bench_oracle("chi_closed", "dn", n)
 
 
 def test_catalan_shi_char():
     for n in range(2, 5):
-        assert _engine_char(fam.catalan(n)) == fam.oracle_char("catalan", n)
-        assert _engine_char(fam.shi(n)) == fam.oracle_char("shi", n)
-        assert fam.oracle_char("shi", n) == q * (q - n) ** (n - 1)
+        assert _engine_char(fam.catalan(n)) == bench_oracle("chi_closed", "catalan", n)
+        assert _engine_char(fam.shi(n)) == bench_oracle("chi_closed", "shi", n)
+        assert bench_oracle("chi_closed", "shi", n) == q * (q - n) ** (n - 1)
 
 
 def test_catalan_regions():
@@ -66,7 +66,10 @@ def test_all_linear_char():
     for p, n in ((2, 2), (2, 3), (3, 2)):
         arr = fam.all_linear(p, n)
         assert arr.n == (p ** n - 1) // (p - 1)
-        assert _engine_char(arr) == fam.oracle_char("all_linear", n=n, p=p)
+        want = MultiPoly.const(1)
+        for i in range(n):
+            want = want * (q - p ** i)
+        assert _engine_char(arr) == want
     with pytest.raises(FamilyError):
         fam.all_linear(4, 2)
 
@@ -106,45 +109,40 @@ def test_builders_charge_the_budget_before_they_loop():
     assert fam.thicken(fam.braid(4), 3, 18).n == 18
 
 
-def test_oracle_char_unknown():
-    with pytest.raises(FamilyError):
-        fam.oracle_char("threshold", 3)
-
-
 # -- generating-function coboundary oracles --------------------------------
 
 def test_braid_coboundary_series():
     for n in range(2, 5):
-        assert _engine_cob(fam.braid(n)) == fam.oracle_coboundary("braid", n=n)
+        assert _engine_cob(fam.braid(n)) == oracle_coboundary("braid", n=n)
 
 
 def test_bc_dn_coboundary_series():
     for n in range(2, 4):
-        assert _engine_cob(fam.bc(n)) == fam.oracle_coboundary("bc", n=n)
-        assert _engine_cob(fam.dn(n)) == fam.oracle_coboundary("dn", n=n)
+        assert _engine_cob(fam.bc(n)) == oracle_coboundary("bc", n=n)
+        assert _engine_cob(fam.dn(n)) == oracle_coboundary("dn", n=n)
 
 
 def test_threshold_coboundary_series():
     for n in range(2, 5):
         assert _engine_cob(fam.threshold(n)) == \
-            fam.oracle_coboundary("threshold", n=n)
+            oracle_coboundary("threshold", n=n)
 
 
 def test_catalan_coboundary_from_runs_on_a_cycle():
     for n in range(1, 5):
-        assert _engine_cob(fam.catalan(n)) == fam.oracle_coboundary("catalan", n=n)
+        assert _engine_cob(fam.catalan(n)) == oracle_coboundary("catalan", n=n)
 
 
 def test_bipartite_coboundary_series():
     for m, n in ((1, 1), (1, 2), (2, 2), (2, 3), (1, 4)):
         assert _engine_cob(fam.complete_bipartite(m, n)) == \
-            fam.oracle_coboundary("bipartite", m=m, n=n)
+            oracle_coboundary("bipartite", m=m, n=n)
 
 
 def test_all_linear_coboundary_series():
     for p, n in ((2, 2), (2, 3), (3, 2)):
         assert _engine_cob(fam.all_linear(p, n)) == \
-            fam.oracle_coboundary("all_linear", p=p, n=n)
+            oracle_coboundary("all_linear", p=p, n=n)
 
 
 # -- generic arrangements ---------------------------------------------------
@@ -152,7 +150,7 @@ def test_all_linear_coboundary_series():
 def test_generic_tutte():
     for n, d in ((4, 2), (5, 2), (5, 3), (11, 4)):
         arr = fam.generic(n, d)
-        assert tutte_subset(arr).tutte == fam.generic_tutte(n, d)
+        assert tutte_subset(arr).tutte == bench_oracle("uniform_tutte", n, d)
 
 
 def _fraction_det(m):
@@ -198,8 +196,12 @@ def test_graphical_chromatic_identity():
         (4, [(1, 2), (1, 2), (3, 4)]),          # multigraph
     ]
     for nv, edges in cases:
-        arr = fam.graphical(nv, edges)
-        assert _engine_char(arr) == fam.chromatic_polynomial(nv, edges)
+        graph = networkx.MultiGraph()
+        graph.add_nodes_from(range(1, nv + 1))
+        graph.add_edges_from(edges)
+        chromatic = networkx.chromatic_polynomial(graph)    # in sympy's x
+        want = from_sympy(sympy.Poly(chromatic.subs(sympy.Symbol("x"), sympy.Symbol("q"))))
+        assert _engine_char(fam.graphical(nv, edges)) == want
     with pytest.raises(FamilyError):
         fam.graphical(2, [(1, 1)])
 
@@ -231,25 +233,11 @@ def test_thicken_coboundary_identity(bench):
 
 # -- the catalog's rows, against rows built apart from `families` -----------
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
 @pytest.fixture(scope="module")
 def family_rows():
     """`family_rows` of bench/workloads.py, which builds the catalog's rows
-    from first principles; loaded by path, with bench/ on sys.path for its
-    own imports, writing no bytecode there."""
-    path, dont_write = list(sys.path), sys.dont_write_bytecode
-    sys.path.insert(0, str(BENCH))
-    sys.dont_write_bytecode = True
-    try:
-        spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                      BENCH / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:], sys.dont_write_bytecode = path, dont_write
-    return module.family_rows
+    from first principles."""
+    return bench_module("workloads").family_rows
 
 
 def _rows(arr):
@@ -313,12 +301,10 @@ def test_build_family_dispatch(family_rows):
     ({"tag": "all_linear", "n": 3}, "family 'all_linear' needs an integer --p >= 1, got None"),
     ({"tag": "bipartite", "n": 2, "m": -1},
      "family 'bipartite' needs an integer --m >= 1, got -1"),
+    ({"tag": "graphical", "n": 3}, "family 'graphical' needs its edges"),
 ])
 def test_build_family_errors(kwargs, message):
     with pytest.raises(FamilyError) as err:
         fam.build_family(**kwargs)
     assert str(err.value) == message
 
-
-def test_catalan_number():
-    assert [fam.catalan_number(n) for n in range(6)] == [1, 1, 2, 5, 14, 42]

@@ -666,15 +666,31 @@ def test_rank_at_most_one_checks_that_the_rest_is_zero(arr, monkeypatch):
     count = finite_field.point_profile
 
     def corrupted(modarr, *args, **kwargs):
-        counts = list(count(modarr, *args, **kwargs).counts)
+        profile = count(modarr, *args, **kwargs)
+        quotient = list(profile.quotient)
         if modarr.prime == 7:
-            counts[0] -= modarr.prime ** (modarr.dim - modarr.rank)
-            counts[1] += modarr.prime ** (modarr.dim - modarr.rank)
-        return finite_field.PointProfile(modarr.prime, counts)
+            quotient[0] -= 1
+            quotient[1] += 1
+        return finite_field.PointProfile(modarr.prime, quotient, profile.lift)
 
     monkeypatch.setattr(finite_field, "point_profile", corrupted)
     with pytest.raises(InconsistentSamplesError, match="oversample at 7 disagrees"):
         coboundary_ffm(arr, primes=[5, 7])
+
+
+def test_a_profile_lifted_past_d_minus_r_is_a_reduction_failure(monkeypatch):
+    # braid(3) has d - r = 1; a lift of 2 is what a rank drop mod p would
+    # give, and a certified reduction never has one
+    count = finite_field.point_profile
+
+    def lifted(modarr, *args, **kwargs):
+        profile = count(modarr, *args, **kwargs)
+        return finite_field.PointProfile(modarr.prime, profile.quotient, profile.lift + 1)
+
+    monkeypatch.setattr(finite_field, "point_profile", lifted)
+    with pytest.raises(InconsistentSamplesError,
+                       match=r"^profile at p=2 has lift 2, not d - r = 1: reduction failure$"):
+        coboundary_ffm(braid(3))
 
 
 def test_explicit_primes_of_an_affine_arrangement_need_r_minus_1():

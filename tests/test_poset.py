@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_arrangement, random_prime_arrangement
+from gf_oracles import oracle_coboundary
 from tuttekit import families
 from tuttekit import linalg as linalg_module
 from tuttekit import poset as poset_module
@@ -448,7 +449,7 @@ def test_keys_too_wide_for_a_sort_code_take_the_lexsort(monkeypatch):
                                     ("threshold", 7), ("catalan", 5)])
 def test_lattice_coboundary_matches_the_generating_function(tag, n):
     arr = getattr(families, tag)(n)
-    assert intersection_poset(arr).coboundary() == families.oracle_coboundary(tag, n)
+    assert intersection_poset(arr).coboundary() == oracle_coboundary(tag, n)
 
 
 @pytest.mark.parametrize("arr", [braid(5), shi(3), thicken(braid(3), 2)], ids=repr)

@@ -3,8 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from tuttekit.multipoly import MultiPoly
-from tuttekit.series import (
+from gf_oracles import (
     deformed_exponential,
     mul_trunc,
     q_pochhammer_ratio,
@@ -14,6 +13,7 @@ from tuttekit.series import (
     series_pow,
     truncate,
 )
+from tuttekit.multipoly import MultiPoly
 
 Z = MultiPoly.variable("Z")
 X = MultiPoly.variable("X")

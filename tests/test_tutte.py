@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_arrangement
+from conftest import bench_oracle, random_arrangement
 from test_engines_reference import generalized_tg_evaluate
 from tuttekit import tutte
 from tuttekit.arrangement import Arrangement
 from tuttekit.errors import ConsistencyError
-from tuttekit.families import braid, generic, oracle_char, shi
+from tuttekit.families import braid, generic, shi
 from tuttekit.multipoly import MultiPoly
 from tuttekit.poset import intersection_poset
 from tuttekit.tutte import (
@@ -101,7 +101,7 @@ def test_char_poly_checks_whitney_for_small_n(bench, monkeypatch):
             char_poly(small)
     big = braid(6)
     assert not subset_first(big)
-    assert char_poly(big) == oracle_char("braid", 6)
+    assert char_poly(big) == bench_oracle("chi_closed", "braid", 6)
 
 
 def test_the_subset_route_edge_is_a_bound_of_2_to_the_10():
