@@ -9,7 +9,6 @@ via q -> (x-1)(y-1) and w_e -> y^(a_e) - 1.
 from itertools import product
 
 from tuttekit import (
-    Arrangement,
     MultiPoly,
     coboundary_transform,
     multivariate_tutte,
@@ -17,16 +16,6 @@ from tuttekit import (
     tutte_subset,
 )
 from tuttekit.families import braid, thicken
-
-
-def thicken_each(base, mult):
-    """Replace hyperplane e by mult[e] copies (0 deletes it)."""
-    hs = []
-    for e, m in enumerate(mult):
-        h = base.hyperplanes[e]
-        for _ in range(m):
-            hs.append((list(h.normal), h.offset))
-    return Arrangement(base.dim, hs)
 
 
 arr = braid(3)
@@ -63,6 +52,6 @@ print("cobchi(A^(3); X, Y) == cobchi(A; X, Y^3):",
 # nonzero weight vector in {0, 1, 2}^3.
 ok = all(
     tutte_from_multivariate(mv, list(a))
-    == tutte_subset(thicken_each(arr, a)).tutte
+    == tutte_subset(thicken(arr, list(a))).tutte
     for a in product(range(3), repeat=3) if any(a))
 print("all weight vectors in {0,1,2}^3 agree with direct construction:", ok)

@@ -14,7 +14,7 @@ from .arithmetic import (
     tutte_from_multivariate,
     zonotope_evaluations,
 )
-from .arrangement import Arrangement, Hyperplane
+from .arrangement import Arrangement
 from .errors import (
     BadPrimeError,
     BudgetExceededError,

@@ -349,10 +349,10 @@ def multivariate_tutte(arrangement, budget=DEFAULT_BUDGET):
         raise BudgetExceededError(
             "the multivariate Tutte polynomial needs 2^%d terms of %d exponents, "
             "over the budget %d" % (n, n + 1, budget), required=(n + 1) << n)
-    rows = [h.row() for h in arrangement.hyperplanes]
     terms = {}
     held = 0
-    for masks, _, ranks in central_subsets(rows, arrangement.prime, budget):
+    for masks, _, ranks in central_subsets(arrangement.hyperplanes, arrangement.prime,
+                                           budget):
         held += (n + 1) * len(masks)
         charge(held, budget,
                "the multivariate Tutte polynomial needs at least %d term exponents")

@@ -3,12 +3,13 @@
 An arrangement lives either over Q (the default) or over a prime field F_p:
 the "all linear hyperplanes in F_p^n" family, whose matroid is in general not
 realizable over Q, and the reduction of a Q-arrangement mod p, on which the
-finite field method counts points.  Hyperplane equations are stored in
-canonical form (`linalg.clear_row` and `normalise_row`): over Q as primitive
-integer vectors with positive leading entry, over F_p with entries in [0, p)
-and leading entry 1.  The degenerate "loop" hyperplane (zero normal, zero
-offset) stands for the whole ambient space and is allowed, since contractions
-and reductions mod p produce it.
+finite field method counts points.  An arrangement is its table of
+augmented integer rows (normal..., offset), one per hyperplane
+{x : normal . x = offset}, put in canonical form once, by the constructor
+(`linalg.clear_row` and `normalise_row`): over Q primitive with positive
+leading entry, over F_p with entries in [0, p) and leading entry 1.  The
+degenerate "loop" hyperplane, the zero row, stands for the whole ambient
+space and is allowed, since contractions and reductions mod p produce it.
 """
 
 import json
@@ -53,70 +54,51 @@ def _entry(x):
     return Fraction(x)
 
 
-class Hyperplane:
-    """A single hyperplane {x : normal . x = offset}, in canonical form."""
-
-    __slots__ = ("normal", "offset", "prime")
-
-    def __init__(self, normal, offset, prime=None):
-        if prime is None:
-            row = clear_row(list(normal) + [offset])
-        else:
-            row = normalise_row([int(x) for x in normal] + [int(offset)], prime)
-        if not any(row[:-1]) and row[-1]:
-            raise InvalidHyperplaneError(
-                "zero normal with nonzero offset is not a hyperplane")
-        self.normal = row[:-1]
-        self.offset = row[-1]
-        self.prime = prime
-
-    @property
-    def is_loop(self):
-        return not any(self.normal)
-
-    def row(self):
-        """(normal..., offset) as a tuple of ints."""
-        return self.normal + (self.offset,)
-
-    def key(self):
-        return (self.normal, self.offset)
-
-    def __eq__(self, other):
-        return isinstance(other, Hyperplane) and self.key() == other.key() \
-            and self.prime == other.prime
-
-    def __hash__(self):
-        return hash((self.key(), self.prime))
-
-    def __repr__(self):
-        return "Hyperplane(%r, %r)" % (list(self.normal), self.offset)
+def _integer(x, prime):
+    """An entry over F_p as an int; InputFormatError unless it is integral."""
+    if not isinstance(x, int):
+        x = Fraction(x)
+        if x.denominator != 1:
+            raise InputFormatError("entries over F_%d must be integers" % prime)
+        x = x.numerator
+    return x
 
 
 class Arrangement:
-    """An ordered list of hyperplanes in dimension `dim`.
+    """An ordered list of hyperplanes in dimension `dim`, given as
+    (normal, offset) pairs for the hyperplanes {x : normal . x = offset}.
 
-    The hyperplane order is significant: it is the activity order and the
-    order used by the command-line interface.  Duplicate hyperplanes are
-    allowed (thickenings need them).
+    `hyperplanes` holds them as a tuple of canonical augmented integer rows
+    (normal..., offset), loops included.  The hyperplane order is
+    significant: it is the activity order and the order used by the
+    command-line interface.  Duplicate hyperplanes are allowed (thickenings
+    need them).  Over F_p every entry must be an integer (an int, or an
+    integral Fraction or float); InputFormatError otherwise.
     """
 
     def __init__(self, dim, hyperplanes, label=None, prime=None):
-        self.dim = dim
-        hs = []
-        for h in hyperplanes:
-            if isinstance(h, Hyperplane):
-                if h.prime != prime:
-                    h = Hyperplane(h.normal, h.offset, prime)
-            else:
-                normal, offset = h
-                h = Hyperplane(normal, offset, prime)
-            if len(h.normal) != dim:
+        rows = [list(normal) + [offset] for normal, offset in hyperplanes]
+        if prime is None:
+            rows = [clear_row(row) for row in rows]
+        else:
+            rows = [normalise_row([_integer(x, prime) for x in row], prime) for row in rows]
+        for row in rows:
+            if not any(row[:-1]) and row[-1]:
+                raise InvalidHyperplaneError(
+                    "zero normal with nonzero offset is not a hyperplane")
+            if len(row) != dim + 1:
                 raise InvalidHyperplaneError("normal length != ambient dimension")
-            hs.append(h)
-        self.hyperplanes = tuple(hs)
+        self.dim = dim
+        self.hyperplanes = tuple(rows)
         self.label = label
         self.prime = prime
-        self._semimatroid = None
+
+    @classmethod
+    def _of_rows(cls, dim, rows, prime):
+        """The arrangement on augmented rows already in canonical form."""
+        arr = cls.__new__(cls)
+        arr.dim, arr.hyperplanes, arr.label, arr.prime = dim, tuple(rows), None, prime
+        return arr
 
     # -- basic queries -----------------------------------------------------
 
@@ -125,15 +107,15 @@ class Arrangement:
         return len(self.hyperplanes)
 
     def loops(self):
-        return [i for i, h in enumerate(self.hyperplanes) if h.is_loop]
+        return [i for i, row in enumerate(self.hyperplanes) if not any(row)]
 
     def nonloops(self):
-        return [i for i, h in enumerate(self.hyperplanes) if not h.is_loop]
+        return [i for i, row in enumerate(self.hyperplanes) if any(row)]
 
     @cached_property
     def rows(self):
         """The augmented rows (normal..., offset) of the non-loops, in order."""
-        return tuple(h.row() for h in self.hyperplanes if not h.is_loop)
+        return tuple(row for row in self.hyperplanes if any(row))
 
     @cached_property
     def prime_floor(self):
@@ -202,13 +184,13 @@ class Arrangement:
     def is_central(self, subset=None):
         """True iff the hyperplanes in `subset` have a common point.
 
-        Loops never break centrality.  Decided by comparing the exact rank of
-        the coefficient matrix with the rank of the augmented matrix.
+        Loops (zero rows) never break centrality.  Decided by comparing the
+        exact rank of the coefficient matrix with the rank of the augmented
+        matrix.
         """
         subset = range(self.n) if subset is None else sorted(set(subset))
         self._check_indices(subset)
-        rows = [self.hyperplanes[i].row() for i in subset
-                if not self.hyperplanes[i].is_loop]
+        rows = [self.hyperplanes[i] for i in subset]
         return rank_rows([r[:-1] for r in rows], self.prime) == rank_rows(rows, self.prime)
 
     def rank_normals(self, subset=None):
@@ -219,8 +201,7 @@ class Arrangement:
         """
         subset = range(self.n) if subset is None else sorted(set(subset))
         self._check_indices(subset)
-        return rank_rows([self.hyperplanes[i].normal for i in subset
-                          if not self.hyperplanes[i].is_loop], self.prime)
+        return rank_rows([self.hyperplanes[i][:-1] for i in subset], self.prime)
 
     def rank_of(self, subset):
         """dim V - dim(intersection) for a central subset; loops contribute 0."""
@@ -238,8 +219,8 @@ class Arrangement:
 
     def delete(self, i):
         self._check_indices([i])
-        hs = [h for j, h in enumerate(self.hyperplanes) if j != i]
-        return Arrangement(self.dim, hs, prime=self.prime)
+        return self._of_rows(self.dim, self.hyperplanes[:i] + self.hyperplanes[i + 1:],
+                             self.prime)
 
     def contract(self, i):
         """Re-express the other hyperplanes inside hyperplane i (dimension d-1).
@@ -251,11 +232,10 @@ class Arrangement:
         dropped.
         """
         self._check_indices([i])
-        if self.hyperplanes[i].is_loop:
+        if not any(self.hyperplanes[i]):
             raise LoopContractionError("cannot contract a loop hyperplane")
-        rows = contract_rows([h.row() for h in self.hyperplanes], i, self.prime)
-        return Arrangement(self.dim - 1, [(row[:-1], row[-1]) for row in rows],
-                           prime=self.prime)
+        return self._of_rows(self.dim - 1, contract_rows(self.hyperplanes, i, self.prime),
+                             self.prime)
 
     def essentialize(self):
         """The quotient by the lineality space, the common kernel of the normals.
@@ -269,16 +249,15 @@ class Arrangement:
         holds over Q and F_p, for central and affine arrangements alike.
         """
         pivots = pivot_columns([row[:-1] for row in self.rows], self.prime)
-        return Arrangement(len(pivots),
-                           [([h.normal[j] for j in pivots], h.offset)
-                            for h in self.hyperplanes], prime=self.prime)
+        return Arrangement(len(pivots), [([row[j] for j in pivots], row[-1])
+                                         for row in self.hyperplanes], prime=self.prime)
 
     def restrict(self, subset):
-        """Subarrangement on the given indices, in the given ambient space."""
+        """Subarrangement on the given indices, in the given ambient space;
+        an index given k times gives k copies of its hyperplane."""
         subset = sorted(subset)
         self._check_indices(subset)
-        return Arrangement(self.dim, [self.hyperplanes[i] for i in subset],
-                           prime=self.prime)
+        return self._of_rows(self.dim, [self.hyperplanes[i] for i in subset], self.prime)
 
     # -- semimatroid fingerprint ------------------------------------------
 
@@ -287,16 +266,13 @@ class Arrangement:
 
         Bit k of a mask stands for the k-th non-loop.  Loops are excluded;
         the fingerprint is what `finite_field.reduce_mod_p` compares to name
-        the witness of a rejected prime, so it is computed once per
-        arrangement.  The walk is charged to the budget as
-        `linalg.central_subsets` charges it (None: no bound).
+        the witness of a rejected prime.  Each call walks the subsets again,
+        charged to the budget as `linalg.central_subsets` charges it (None:
+        no bound).
         """
-        if self._semimatroid is None:
-            self._semimatroid = tuple(sorted(
-                pair for masks, _, ranks in central_subsets(self.rows, self.prime,
-                                                            budget)
-                for pair in zip(masks.tolist(), ranks.tolist())))
-        return self._semimatroid
+        return tuple(sorted(
+            pair for masks, _, ranks in central_subsets(self.rows, self.prime, budget)
+            for pair in zip(masks.tolist(), ranks.tolist())))
 
     # -- serialization -----------------------------------------------------
 
@@ -304,8 +280,8 @@ class Arrangement:
         return {
             "dim": self.dim,
             "hyperplanes": [
-                {"normal": [str(x) for x in h.normal], "offset": str(h.offset)}
-                for h in self.hyperplanes
+                {"normal": [str(x) for x in row[:-1]], "offset": str(row[-1])}
+                for row in self.hyperplanes
             ],
             **({"label": self.label} if self.label else {}),
             **({"prime": self.prime} if self.prime else {}),
@@ -335,13 +311,8 @@ class Arrangement:
         prime = data.get("prime")
         if dim < 0:
             raise InputFormatError("dim must be >= 0, got %d" % dim)
-        if prime is not None:
-            if type(prime) is not int or not is_prime(prime):
-                raise InputFormatError("prime must be a prime integer, got %r"
-                                       % (prime,))
-            if any(x.denominator != 1 for n, b in hs for x in n + [b]):
-                raise InputFormatError("entries over F_%d must be integers" % prime)
-            hs = [([int(a) for a in n], int(b)) for n, b in hs]
+        if prime is not None and (type(prime) is not int or not is_prime(prime)):
+            raise InputFormatError("prime must be a prime integer, got %r" % (prime,))
         return cls(dim, hs, label=data.get("label"), prime=prime)
 
     @classmethod

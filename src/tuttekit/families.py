@@ -133,10 +133,7 @@ def thicken(arrangement, k, budget=DEFAULT_BUDGET):
         if len(mults) != arrangement.n or any(a < 0 for a in mults):
             raise FamilyError("multiplicity vector must be nonnegative, length n")
     charge(sum(mults), budget, "thickening needs at least %d copies")
-    hs = []
-    for h, a in zip(arrangement.hyperplanes, mults):
-        hs.extend([h] * a)
-    return Arrangement(arrangement.dim, hs, prime=arrangement.prime)
+    return arrangement.restrict([e for e, a in enumerate(mults) for _ in range(a)])
 
 
 # tag -> (its builder, the names of the builder's arguments in order); each

@@ -1,7 +1,8 @@
 """The finite field method: point counting over F_p^d plus interpolation.
 
 For a prime p over which the arrangement reduces correctly, `reduce_mod_p`
-gives the reduced arrangement, an `Arrangement` over F_p, and its profile
+gives the reduced arrangement, an `Arrangement` over F_p whose rows are the
+rational rows reduced mod p and normalised, and its profile
 (c_0, ..., c_n) with c_k = #{points lying on exactly k hyperplanes} satisfies
 sum_k c_k t^k = p^(d-r) cobchi(A; p, t).  Not every coefficient needs a
 count: cobchi is a sum over central subsets (Crapo; Ardila 2007), so its
@@ -70,7 +71,7 @@ from .errors import (
     MethodError,
 )
 from .interpolation import interpolate_in_X
-from .linalg import is_prime, pivot_columns, power_fits
+from .linalg import is_prime, normalise_row, pivot_columns, power_fits
 
 
 class PointProfile:
@@ -136,17 +137,21 @@ def reduce_mod_p(arrangement, p, budget=DEFAULT_BUDGET):
     with a witness, the first subset, by mask, on which the two semimatroids
     differ; only then are they walked, each walk charged to the budget as
     well.
-    Loops stay loops; a p that is not prime, or that kills the normal of a
-    non-loop, is rejected before the reduction is built.
+    The reduction's rows are the arrangement's canonical rows reduced mod p
+    and normalised (`linalg.normalise_row`), one pass over the table with
+    no second canonicalisation; loops, the zero rows, stay loops.  A p that
+    is not prime, or that kills the normal of a non-loop (read off its
+    reduced row), is rejected before the reduction is certified.
     """
     if arrangement.prime is not None:
         raise ValueError("arrangement is already over a finite field")
     if not is_prime(p):
         raise BadPrimeError("p=%d is not prime" % p)
-    for row in arrangement.rows:
-        if not any(x % p for x in row[:-1]):
+    rows = [normalise_row(row, p) for row in arrangement.hyperplanes]
+    for row, image in zip(arrangement.hyperplanes, rows):
+        if any(row) and not any(image[:-1]):
             raise BadPrimeError("p=%d kills the normal of %s" % (p, row))
-    reduced = Arrangement(arrangement.dim, arrangement.hyperplanes, prime=p)
+    reduced = Arrangement._of_rows(arrangement.dim, rows, p)
     if p <= arrangement.prime_floor and not _keeps_bases(arrangement, p, budget):
         want = dict(arrangement.semimatroid(budget))
         got = dict(reduced.semimatroid(budget))

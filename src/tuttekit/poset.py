@@ -323,7 +323,7 @@ def closure(arrangement, subset):
     subset = sorted(subset)
     arrangement._check_indices(subset)
     p = arrangement.prime
-    rows = [h.row() for h in arrangement.hyperplanes]
+    rows = arrangement.hyperplanes
     basis = []
     for i in subset:
         hold_row(basis, rows[i], p)
@@ -460,7 +460,7 @@ def intersection_poset(arrangement, budget=DEFAULT_BUDGET):
     """
     p = arrangement.prime
     n, d = arrangement.n, arrangement.dim
-    rows = [h.row() for h in arrangement.hyperplanes]
+    rows = arrangement.hyperplanes
     loops, nonloops = arrangement.loops(), arrangement.nonloops()
     dtype = _dtype(n)
     # the minimum's candidates: every non-loop

@@ -30,7 +30,7 @@ def profile_polynomial(profile):
 
 def classify(arr, i):
     """'loop', 'coloop', or 'ordinary' for hyperplane i of arr."""
-    if arr.hyperplanes[i].is_loop:
+    if not any(arr.hyperplanes[i]):
         return "loop"
     rest = arr.rank_normals(frozenset(range(arr.n)) - {i})
     return "coloop" if arr.rank == rest + 1 else "ordinary"

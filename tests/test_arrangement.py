@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import classify, random_arrangement, random_prime_arrangement
-from tuttekit.arrangement import Arrangement, Hyperplane
+from tuttekit.arrangement import Arrangement
 from tuttekit.errors import (
+    BudgetExceededError,
     InputFormatError,
     InvalidHyperplaneError,
     LoopContractionError,
@@ -18,19 +19,28 @@ from tuttekit.tutte import tutte_subset
 
 
 def test_canonical_form():
-    h = Hyperplane([Fraction(1, 2), Fraction(-1, 3)], Fraction(1, 6))
-    assert h.normal == (3, -2) and h.offset == 1
-    h2 = Hyperplane([-2, 4], -2)
-    assert h2.normal == (1, -2) and h2.offset == 1
-    assert Hyperplane([0, 0], 0).is_loop
+    arr = Arrangement(2, [([Fraction(1, 2), Fraction(-1, 3)], Fraction(1, 6)),
+                          ([-2, 4], -2), ([0, 0], 0)])
+    assert arr.hyperplanes == ((3, -2, 1), (1, -2, 1), (0, 0, 0))
+    assert arr.loops() == [2]
     with pytest.raises(InvalidHyperplaneError):
-        Hyperplane([0, 0], 1)
+        Arrangement(2, [([0, 0], 1)])
 
 
 def test_canonical_form_mod_p():
-    h = Hyperplane([2, 4], 6, prime=5)
-    assert h.normal == (1, 2) and h.offset == 3
-    assert Hyperplane([3, 1], 0, prime=5) == Hyperplane([6, 2], 0, prime=5)
+    arr = Arrangement(2, [([2, 4], 6), ([3, 1], 0), ([6, 2], 0)], prime=5)
+    assert arr.hyperplanes[0] == (1, 2, 3)
+    assert arr.hyperplanes[1] == arr.hyperplanes[2]
+
+
+def test_entries_over_f_p_must_be_integers():
+    # 1/2 and 1.7 were truncated to 0 and 1; integral Fractions and floats
+    # are read as the integers they are
+    for entry in (Fraction(1, 2), 1.7, "1/2"):
+        with pytest.raises(InputFormatError, match="entries over F_5 must be integers"):
+            Arrangement(2, [([entry, 1], 0)], prime=5)
+    arr = Arrangement(2, [([Fraction(6, 2), 2.0], Fraction(5))], prime=5)
+    assert arr.hyperplanes == ((1, 4, 0),)
 
 
 def test_centrality_and_rank(bench):
@@ -69,18 +79,18 @@ def test_contract_drops_parallel_images():
     arr = Arrangement(2, [([1, 0], 0), ([1, 0], 1), ([0, 1], 0)])
     c = arr.contract(0)
     assert c.n == 1  # x=1 dropped, y=0 kept
-    assert not c.hyperplanes[0].is_loop
+    assert c.loops() == []
 
 
 def test_contract_creates_loop():
     arr = Arrangement(2, [([1, 0], 0), ([1, 0], 0)])  # duplicate hyperplane
     c = arr.contract(0)
-    assert c.n == 1 and c.hyperplanes[0].is_loop
+    assert c.n == 1 and c.loops() == [0]
 
 
 def _cone(arr):
     """Homogenize into dimension d+1, adding the hyperplane x_{d+1} = 0."""
-    out = [(h.normal + (-h.offset,), 0) for h in arr.hyperplanes]
+    out = [(row[:-1] + (-row[-1],), 0) for row in arr.hyperplanes]
     out.append(((0,) * arr.dim + (1,), 0))
     return Arrangement(arr.dim + 1, out, prime=arr.prime)
 
@@ -106,7 +116,7 @@ def test_cone_and_essentialize(bench):
                           ([0, 1, 1, 2], 0), ([0, 0, 0, 0], 0)])
     ess = arr.essentialize()
     assert ess.dim == 2
-    assert [h.normal for h in ess.hyperplanes] == [(0, 1), (1, 0), (1, 1), (0, 0)]
+    assert [row[:-1] for row in ess.hyperplanes] == [(0, 1), (1, 0), (1, 1), (0, 0)]
     assert tutte_subset(ess).tutte == tutte_subset(arr).tutte
     loopless = arr.restrict(arr.nonloops())
     assert intersection_poset(loopless).char_poly() == \
@@ -135,19 +145,26 @@ def test_subset_queries_reject_indices_out_of_range(bench, query):
 
 
 def test_semimatroid_fingerprint_order_independent(bench):
-    shuffled = Arrangement(3, [bench.hyperplanes[i] for i in (3, 1, 0, 2)])
+    shuffled = Arrangement(3, [(bench.hyperplanes[i][:-1], bench.hyperplanes[i][-1])
+                               for i in (3, 1, 0, 2)])
     # fingerprints need not be equal as masks differ, but sizes must match
     assert len(bench.semimatroid()) == len(shuffled.semimatroid())
+
+
+def test_semimatroid_charges_the_budget_on_every_call(bench):
+    # the walk is charged at each call, not read back from an earlier one
+    assert bench.semimatroid(10 ** 6) == bench.semimatroid()
+    with pytest.raises(BudgetExceededError):
+        bench.semimatroid(0)
 
 
 def test_json_roundtrip(bench):
     again = Arrangement.from_json(bench.to_json())
     assert again.dim == bench.dim
-    assert [h.key() for h in again.hyperplanes] == \
-        [h.key() for h in bench.hyperplanes]
+    assert again.hyperplanes == bench.hyperplanes
     h = Arrangement.from_json(
         '{"dim": 2, "hyperplanes": [{"normal": ["1", "-2/3"], "offset": "1/2"}]}')
-    assert h.hyperplanes[0].normal == (6, -4) and h.hyperplanes[0].offset == 3
+    assert h.hyperplanes[0] == (6, -4, 3)
     with pytest.raises(InputFormatError):
         Arrangement.from_json("not json")
     with pytest.raises(InputFormatError):
@@ -188,8 +205,7 @@ def test_prime_field_roundtrip():
     arr = Arrangement(2, [([1, 1], 0), ([1, 2], 0)], prime=3)
     again = Arrangement.from_json(arr.to_json())
     assert again.prime == 3
-    assert [h.key() for h in again.hyperplanes] == \
-        [h.key() for h in arr.hyperplanes]
+    assert again.hyperplanes == arr.hyperplanes
 
 
 def test_random_contraction_preserves_tutte_identity():
@@ -212,18 +228,18 @@ def _contract_reference(arr, i):
     """Contraction by solving for the pivot, in Fractions over Q and with
     inverses mod p over F_p: the images of the other hyperplanes as
     (normal, offset) pairs, parallel images dropped."""
-    h, p = arr.hyperplanes[i], arr.prime
-    piv = next(j for j, x in enumerate(h.normal) if x)
+    (*h, hb), p = arr.hyperplanes[i], arr.prime
+    piv = next(j for j, x in enumerate(h) if x)
     out = []
-    for j, g in enumerate(arr.hyperplanes):
+    for j, (*g, gb) in enumerate(arr.hyperplanes):
         if j == i:
             continue
         if p is None:
-            f = Fraction(g.normal[piv], h.normal[piv])
+            f = Fraction(g[piv], h[piv])
         else:
-            f = g.normal[piv] * pow(h.normal[piv], -1, p)
-        row = [g.normal[k] - f * h.normal[k] for k in range(arr.dim) if k != piv]
-        offset = g.offset - f * h.offset
+            f = g[piv] * pow(h[piv], -1, p)
+        row = [g[k] - f * h[k] for k in range(arr.dim) if k != piv]
+        offset = gb - f * hb
         if p is not None:
             row, offset = [x % p for x in row], offset % p
         if any(row) or not offset:

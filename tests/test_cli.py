@@ -363,6 +363,7 @@ def test_family_builders_exit_2_at_once_over_budget(capsys, monkeypatch, argv):
         return Arrangement(dim, hyperplanes, **kwargs)
 
     monkeypatch.setattr(families, "Arrangement", small_only)
+    monkeypatch.setattr(Arrangement, "restrict", unreached)     # thicken's copies
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 10   # loose; the patches are the check

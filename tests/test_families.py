@@ -89,8 +89,8 @@ def _scanned_normals(p, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_all_linear_lists_the_scanned_normals_in_order(p, n):
     arr = fam.all_linear(p, n)
-    assert [tuple(h.normal) for h in arr.hyperplanes] == _scanned_normals(p, n)
-    assert all(h.offset == 0 for h in arr.hyperplanes)
+    assert [row[:-1] for row in arr.hyperplanes] == _scanned_normals(p, n)
+    assert all(row[-1] == 0 for row in arr.hyperplanes)
     assert (arr.prime, arr.dim, arr.label) == (p, n, "A(%d,%d)" % (p, n))
 
 
@@ -176,7 +176,7 @@ def test_generic_normals_have_only_nonzero_maximal_minors():
     for n in range(1, 10):
         for d in range(1, 5):
             arr = fam.generic(n, d)
-            normals = [h.normal for h in arr.hyperplanes]
+            normals = [row[:-1] for row in arr.hyperplanes]
             if n < d:
                 assert arr.rank == n
                 continue
@@ -241,7 +241,7 @@ def family_rows():
 
 
 def _rows(arr):
-    return [(list(h.normal), h.offset) for h in arr.hyperplanes]
+    return [(list(row[:-1]), row[-1]) for row in arr.hyperplanes]
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from functools import cached_property
 from math import isqrt, prod
 
@@ -36,7 +37,7 @@ from tuttekit.finite_field import (
     reduce_mod_p,
     select_primes,
 )
-from tuttekit.linalg import det_stack, is_prime
+from tuttekit.linalg import det_stack, is_prime, normalise_row
 from tuttekit.multipoly import MultiPoly
 from tuttekit.poset import intersection_poset
 from tuttekit.tutte import char_poly, coboundary_transform, tutte_subset
@@ -219,8 +220,8 @@ def _brute_profile(arr):
     p = arr.prime
     counts = [0] * (arr.n + 1)
     for x in itertools.product(range(p), repeat=arr.dim):
-        counts[sum(1 for h in arr.hyperplanes
-                   if (sum(a * b for a, b in zip(h.normal, x)) - h.offset) % p == 0)] += 1
+        counts[sum(1 for *normal, offset in arr.hyperplanes
+                   if (sum(a * b for a, b in zip(normal, x)) - offset) % p == 0)] += 1
     return tuple(counts)
 
 
@@ -244,7 +245,7 @@ def _random_reduction(rng, p, d, kind):
             normal = [rng.choice((0, p)) for _ in range(d)]
         if not any(x % p for x in normal):
             offset = rng.choice((0, p))     # a zero normal is a loop
-        # entries are not always reduced: Hyperplane takes them mod p
+        # entries are not always reduced: Arrangement takes them mod p
         hs.append(([x + p * rng.randint(0, 1) for x in normal], offset))
     if kind == "degenerate":
         hs += [([0] * d, 0)] * rng.randint(0, 2)
@@ -452,6 +453,40 @@ def test_reduction_is_an_arrangement_over_the_prime_field():
     assert (red.prime, red.dim, red.n) == (5, 2, 3)
     assert red.loops() == [1]
     assert red.rows == ((1, 0, 0), (1, 2, 4))
+
+
+def _wide_arrangement(rng):
+    """A seeded Q-arrangement with a loop, Fraction entries and entries
+    around 2^31 and 2^40, past the int64 keys."""
+    d = rng.randint(1, 4)
+    hs = [([0] * d, 0)]
+    for _ in range(rng.randint(1, 5)):
+        scale = rng.choice((1, 2 ** 31, 2 ** 40))
+        normal = [Fraction(rng.randint(-3, 3) * scale + rng.randint(-2, 2),
+                           rng.choice((1, 2, 3))) for _ in range(d)]
+        offset = Fraction(rng.randint(-2, 2) * scale + rng.randint(-1, 1),
+                          rng.choice((1, 5))) if any(normal) else 0
+        hs.insert(rng.randint(0, len(hs)), (normal, offset))
+    return Arrangement(d, hs)
+
+
+def test_reduction_normalises_each_row_mod_p():
+    primes = [2, 3, 5, 7, 101, 2 ** 31 - 1] + [next(finite_field._primes_from(2 ** k))
+                                               for k in (31, 61)]
+    rng = random.Random(71)
+    accepted, wide = set(), 0
+    for _ in range(40):
+        arr = _wide_arrangement(rng)
+        wide += max(abs(x) for row in arr.hyperplanes for x in row) >= 2 ** 31
+        for p in primes:
+            try:
+                red = reduce_mod_p(arr, p)
+            except BadPrimeError:
+                continue
+            assert red.hyperplanes == tuple(normalise_row(row, p) for row in arr.hyperplanes)
+            assert red.loops() == arr.loops() and (red.prime, red.dim) == (p, arr.dim)
+            accepted.add(p)
+    assert accepted == set(primes) and wide >= 20
 
 
 @pytest.mark.parametrize("p", [1, 4, 9, 15, 25])

@@ -361,7 +361,7 @@ def test_python_int_keys_match_int64_and_brute_force(make, monkeypatch):
     if make is _wide_after_elimination:
         # int64 for the first eliminations, Python ints once they outgrow it
         assert np.dtype(np.int64) in dtypes and dtypes[-1] == object
-        assert max(abs(x) for h in arr.hyperplanes for x in h.row()) < 2 ** 31
+        assert max(abs(x) for row in arr.hyperplanes for x in row) < 2 ** 31
     else:
         assert set(dtypes) == {np.dtype(object)}
     # every key and mask a Python int from the start
@@ -437,7 +437,7 @@ def test_keys_too_wide_for_a_sort_code_take_the_lexsort(monkeypatch):
     codes = _sort_codes(monkeypatch)
     _, flats, mu = _reference_flats(arr)
     poset = intersection_poset(arr)
-    assert max(abs(x) for h in arr.hyperplanes for x in h.row()) < 2 ** 31   # int64 keys
+    assert max(abs(x) for row in arr.hyperplanes for x in row) < 2 ** 31   # int64 keys
     assert codes[0] is None
     assert [f.hyperplane_set for f in poset.flats] == flats
     assert poset.mobius == mu

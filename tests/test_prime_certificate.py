@@ -27,8 +27,8 @@ def _walk_keeps(arr, p):
     one over Q."""
     if any(not any(x % p for x in row[:-1]) for row in arr.rows):
         return False
-    return Arrangement(arr.dim, arr.hyperplanes, prime=p).semimatroid() == \
-        arr.semimatroid()
+    pairs = [(row[:-1], row[-1]) for row in arr.hyperplanes]
+    return Arrangement(arr.dim, pairs, prime=p).semimatroid() == arr.semimatroid()
 
 
 def _near_2_31(rng, d, n):

@@ -154,7 +154,7 @@ def ref_echelon_walk(rows, prime=None, budget=None, rank=None):
 
 
 def _over_f3(arr):
-    return Arrangement(arr.dim, [(h.normal, h.offset) for h in arr.hyperplanes], prime=3)
+    return Arrangement(arr.dim, [(h[:-1], h[-1]) for h in arr.hyperplanes], prime=3)
 
 
 def _cases():
@@ -202,7 +202,7 @@ def _outcome(walk, rows, prime, rank, budget):
 def _walks(arr):
     # the central walk on every row (as `multivariate_tutte` runs it, loops
     # included) and the basis walk on the non-loops (as `_bases` does)
-    yield [h.row() for h in arr.hyperplanes], None
+    yield list(arr.hyperplanes), None
     if arr.rank:
         yield list(arr.rows), arr.rank
 
